@@ -51,8 +51,6 @@ class RunConfig:
     out_dir: Path
     seed: int = 0
     tol: float | None = None
-    threads: int = 1
-    deterministic: bool = False
     trials: int = 10000
     csv: bool = True
 
@@ -63,8 +61,6 @@ class RunConfig:
             raise errors.ValidationError("spec", f"spec path {self.spec_path} not readable")
         if self.tol is not None and self.tol <= 0:
             raise errors.ValidationError("tol", "tolerance must be positive")
-        if self.threads < 1:
-            raise errors.ValidationError("threads", "thread count must be >= 1")
 
 
 def _solve_config(doc, config: RunConfig) -> SolveConfig:
@@ -84,8 +80,6 @@ def _base_report(title: str, config: RunConfig, doc) -> Report:
     report.record("mode", config.mode)
     report.record("spec", config.spec_path.name)
     report.record("seed", config.seed)
-    report.record("threads", config.threads)
-    report.record("deterministic", config.deterministic)
     report.record("n", doc.n)
     report.record("p", doc.p)
     report.record("geometry", doc.geometry)
@@ -122,7 +116,7 @@ def _run_solve(doc, config: RunConfig) -> int:
         report.line(f"max error against the manufactured target: {err:.3e}")
     if config.csv:
         config.out_dir.mkdir(parents=True, exist_ok=True)
-        write_solution_csv(config.out_dir / "fields.csv", problem, u)
+        write_solution_csv(config.out_dir / "fields.csv", problem, u, diag)
         report.record("csv", "fields.csv")
     _write(report, config)
     return EXIT_OK
@@ -240,12 +234,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tol", type=float, default=None,
                         help="newton tolerance override")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker hint recorded in reports; numerical "
-                        "kernels delegate threading to the BLAS environment")
-    parser.add_argument("--deterministic", action="store_true",
-                        help="recorded in reports; all reductions in this "
-                        "implementation are deterministic already")
     parser.add_argument("--trials", type=int, default=10000,
                         help="randomized trials for check-operator")
     parser.add_argument("--no-csv", action="store_true", help="skip field dumps")
@@ -258,8 +246,6 @@ def main(argv=None) -> int:
         out_dir=Path(args.out),
         seed=args.seed,
         tol=args.tol,
-        threads=args.threads,
-        deterministic=args.deterministic,
         trials=args.trials,
         csv=not args.no_csv,
     )

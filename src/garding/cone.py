@@ -54,8 +54,7 @@ def margins_batch(vals: np.ndarray, p: int) -> np.ndarray:
 def admissibility_scan(g_field, omega, params: OperatorParams):
     """Minimum cone margin over a matrix field and its argmin node.
 
-    ``g_field`` is a MatrixField (or any object with stacked ``values`` and a
-    ``node_of_flat`` index mapping); ``omega`` is a constant Hermitian metric
+    ``g_field`` is a MatrixField; ``omega`` is a constant Hermitian metric
     matrix or None for the identity.
     """
     from .hermitian import congruence_reduce_batch, eigvals_batch
@@ -70,4 +69,4 @@ def admissibility_scan(g_field, omega, params: OperatorParams):
     vals = eigvals_batch(reduced)
     flat = margins_batch(vals, params.p).reshape(-1)
     k = int(np.argmin(flat))
-    return float(flat[k]), g_field.node_of_flat(k)
+    return float(flat[k]), g_field.grid.node_of_flat(k)

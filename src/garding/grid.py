@@ -85,6 +85,11 @@ class BoxGrid:
     def is_interior(self, node) -> bool:
         return all(1 <= i <= self.resolution - 2 for i in node)
 
+    def node_of_flat(self, k: int) -> tuple:
+        """Grid node of the k-th entry of a flattened interior-shaped array."""
+        idx = np.unravel_index(k, self.interior_shape)
+        return tuple(int(i) + 1 for i in idx)
+
     def coordinate_grids(self) -> list[np.ndarray]:
         """Per-axis coordinate arrays broadcastable to the full grid shape."""
         out = []
@@ -167,10 +172,6 @@ class MatrixField:
         if v.shape != expected:
             raise ValueError(f"values shape {v.shape} != {expected}")
         self.values = v
-
-    def node_of_flat(self, k: int) -> tuple:
-        idx = np.unravel_index(k, self.grid.interior_shape)
-        return tuple(int(i) + 1 for i in idx)
 
     def at(self, node) -> HermitianMatrix:
         if not self.grid.is_interior(node):

@@ -19,7 +19,7 @@ side by the callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +28,9 @@ import scipy.sparse.linalg as spla
 from .errors import IndefiniteCoefficients, LinearSolveStalled
 from .grid import BoxGrid, MatrixField, ScalarField, complex_hessian_field
 
-DIRECT_THRESHOLD = 20000  # unknown count at or below which a direct factorization is used
+# unknown count at or below which a direct factorization is used; 4D grid
+# graphs fill in badly under sparse LU, so the crossover sits low
+DIRECT_THRESHOLD = 4000
 STALL_WINDOW = 50  # iterations without meaningful progress before declaring a stall
 IMAG_CANCEL_TOL = 1e-12
 
@@ -72,7 +74,6 @@ class SparseSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     mmatrix_violations: int = 0
-    meta: dict = field(default_factory=dict)
 
     @property
     def unknowns(self) -> int:
@@ -91,7 +92,7 @@ def assemble_linearized(coeffs: MatrixField, rhs: ScalarField | np.ndarray, grid
     ``rhs`` the right-hand side at interior nodes (a ScalarField's interior
     is used when a full field is passed).  Rows where off-diagonal couplings
     overwhelm the diagonal (broken M-matrix structure, possible with strong
-    cross terms) are counted and reported in the system metadata.
+    cross terms) are counted in ``mmatrix_violations``.
     """
     n = grid.n
     h = grid.spacing
@@ -103,7 +104,7 @@ def assemble_linearized(coeffs: MatrixField, rhs: ScalarField | np.ndarray, grid
     if mins.min() <= 0.0:
         flat = int(np.argmin(mins.reshape(-1)))
         raise IndefiniteCoefficients(
-            f"coefficients not positive definite at node {coeffs.node_of_flat(flat)}"
+            f"coefficients not positive definite at node {grid.node_of_flat(flat)}"
         )
 
     diag_w, cross_w = real_stencil_weights(cvals)
@@ -238,16 +239,14 @@ def bicgstab(matrix, rhs, tol, max_iter, precond=None, x0=None):
 def solve_sparse(system: SparseSystem, tol: float = 1e-10, max_iter: int = 20000) -> ScalarField:
     """Solve the interior system; returns the correction as a ScalarField.
 
-    Uses a sparse direct factorization up to DIRECT_THRESHOLD unknowns
-    (configurable via ``system.meta['direct_threshold']``) and
+    Uses a sparse direct factorization up to DIRECT_THRESHOLD unknowns and
     diagonal-preconditioned BiCGStab above it.  The returned field is zero
     on the boundary, matching the zero-Dirichlet assembly convention.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    threshold = int(system.meta.get("direct_threshold", DIRECT_THRESHOLD))
     scale = max(float(np.linalg.norm(system.rhs)), 1e-300)
-    if system.unknowns <= threshold:
+    if system.unknowns <= DIRECT_THRESHOLD:
         lu = spla.splu(system.matrix.tocsc())
         x = lu.solve(system.rhs)
         rel = float(np.linalg.norm(system.matrix @ x - system.rhs)) / scale

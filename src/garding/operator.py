@@ -200,7 +200,7 @@ def linearization_coeffs(
     )
 
 
-def linearization_batch(gmats: np.ndarray, params: OperatorParams, vals, vecs):
+def linearization_batch(params: OperatorParams, vals, vecs):
     """Field-scale linearization coefficients from precomputed eigen data.
 
     ``vals``/(N, n) ascending and ``vecs`` from the batched eigen routine of

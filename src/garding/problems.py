@@ -132,15 +132,13 @@ def manufactured_box(
 
     margins_s = margins_batch(vals_s, params.p)
     if margins_s.min() <= 0.0:
-        flat = int(np.argmin(margins_s.reshape(-1)))
-        node = tuple(int(i) + 1 for i in np.unravel_index(flat, grid.interior_shape))
+        node = grid.node_of_flat(int(np.argmin(margins_s.reshape(-1))))
         raise NotAdmissible(
             f"subsolution margin {margins_s.min():.6e} <= 0 at node {node}", node=node
         )
     margins_t = margins_batch(vals_t, params.p)
     if margins_t.min() <= 0.0:
-        flat = int(np.argmin(margins_t.reshape(-1)))
-        node = tuple(int(i) + 1 for i in np.unravel_index(flat, grid.interior_shape))
+        node = grid.node_of_flat(int(np.argmin(margins_t.reshape(-1))))
         raise NotAdmissible(
             f"target margin {margins_t.min():.6e} <= 0 at node {node}", node=node
         )
@@ -231,20 +229,14 @@ def verify_subsolution(problem: ProblemSpec) -> None:
     """
     if problem.geometry == "box":
         payload = problem.box
-        interior_offset = 1
-        shape = payload.grid.interior_shape
+        node_of_flat = payload.grid.node_of_flat
     else:
         payload = problem.radial
-        interior_offset = 0
-        shape = (payload.grid.points - 1,)
+        node_of_flat = int  # s-grid nodes are the flat indices
 
     margins = payload.subsolution_margin
     if margins.min() <= 0.0:
-        flat = int(np.argmin(margins.reshape(-1)))
-        node = np.unravel_index(flat, shape)
-        node = tuple(int(i) + interior_offset for i in node)
-        if len(node) == 1:
-            node = node[0]
+        node = node_of_flat(int(np.argmin(margins.reshape(-1))))
         raise SubsolutionInvalid(
             f"subsolution not admissible: margin {margins.min():.6e} at node {node}",
             node=node,
@@ -254,10 +246,7 @@ def verify_subsolution(problem: ProblemSpec) -> None:
     tol = SUBSOLUTION_RTOL * np.maximum(np.abs(payload.psi), 1.0)
     if np.any(deficit > tol):
         flat = int(np.argmax((deficit - tol).reshape(-1)))
-        node = np.unravel_index(flat, shape)
-        node = tuple(int(i) + interior_offset for i in node)
-        if len(node) == 1:
-            node = node[0]
+        node = node_of_flat(flat)
         raise SubsolutionInvalid(
             f"psi exceeds M(subsolution) by {deficit.reshape(-1)[flat]:.6e} at node {node}",
             node=node,

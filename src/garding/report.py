@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import ScalarField
 from .problems import ProblemSpec
-from .solver import SolveDiagnostics, solution_node_fields
+from .solver import SolveDiagnostics
 
 CSV_FORMAT_VERSION = 1
 REPORT_FORMAT_VERSION = 1
@@ -83,47 +83,37 @@ def diagnostics_into(report: Report, diag: SolveDiagnostics, prefix: str = "") -
                 f"boundary trace {diag.c0_boundary:.6f}; K {diag.K:.6f}")
 
 
-def write_solution_csv(path, problem: ProblemSpec, u) -> None:
-    """Node table: coordinates, u, cone margin, normalized residual."""
-    margins, residual = solution_node_fields(problem, u)
+def write_solution_csv(path, problem: ProblemSpec, u, diag: SolveDiagnostics) -> None:
+    """Node table: coordinates, u, cone margin, normalized residual.
+
+    The margins and residuals are the solve's own, carried on ``diag``.
+    """
+    uv = u.values if isinstance(u, ScalarField) else np.asarray(u)
+    if problem.geometry == "box":
+        grid = problem.box.grid
+        names = []
+        for j in range(grid.n):
+            names += [f"x{j + 1}", f"y{j + 1}"]
+        coords = grid.points()
+        interior = (slice(1, -1),) * grid.ndim_real
+    else:
+        names = ["s"]
+        coords = problem.radial.grid.s[:, None]
+        interior = (slice(0, -1),)
+    names += ["u", "cone_margin", "ftilde_residual"]
+    table = np.zeros(uv.shape + (len(names),))
+    table[..., :-3] = coords
+    table[..., -3] = uv
+    table[interior + (-2,)] = diag.node_margins
+    table[interior + (-1,)] = diag.node_residual
+    # the csv module writes each Python float as its repr
+    rows = table.reshape(-1, len(names)).tolist()
+    boundary = np.ones(uv.shape, dtype=bool)
+    boundary[interior] = False
+    for k in np.flatnonzero(boundary).tolist():
+        rows[k][-2:] = ["", ""]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        if problem.geometry == "box":
-            grid = problem.box.grid
-            n = grid.n
-            coord_names = []
-            for j in range(n):
-                coord_names += [f"x{j + 1}", f"y{j + 1}"]
-            writer.writerow(
-                [f"csv_format_version={CSV_FORMAT_VERSION}"]
-                + [""] * (len(coord_names) + 2)
-            )
-            writer.writerow(coord_names + ["u", "cone_margin", "ftilde_residual"])
-            uv = u.values if isinstance(u, ScalarField) else np.asarray(u)
-            pts = grid.points()
-            res = grid.resolution
-            for node in np.ndindex(grid.shape):
-                row = [repr(float(c)) for c in pts[node]]
-                row.append(repr(float(uv[node])))
-                if all(1 <= i <= res - 2 for i in node):
-                    idx = tuple(i - 1 for i in node)
-                    row.append(repr(float(margins[idx])))
-                    row.append(repr(float(residual[idx])))
-                else:
-                    row += ["", ""]
-                writer.writerow(row)
-        else:
-            rad = problem.radial
-            writer.writerow([f"csv_format_version={CSV_FORMAT_VERSION}", "", "", ""])
-            writer.writerow(["s", "u", "cone_margin", "ftilde_residual"])
-            uv = np.asarray(u)
-            s = rad.grid.s
-            m = rad.grid.points - 1
-            for i in range(rad.grid.points):
-                row = [repr(float(s[i])), repr(float(uv[i]))]
-                if i < m:
-                    row.append(repr(float(margins[i])))
-                    row.append(repr(float(residual[i])))
-                else:
-                    row += ["", ""]
-                writer.writerow(row)
+        writer.writerow([f"csv_format_version={CSV_FORMAT_VERSION}"] + [""] * (len(names) - 1))
+        writer.writerow(names)
+        writer.writerows(rows)

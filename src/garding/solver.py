@@ -11,10 +11,17 @@ admissible; Newton steps are damped by halving until the candidate keeps at
 least a fixed fraction of the current cone margin, preserving strict
 interiority (the eigenvalue-space gradient blows up on the cone boundary).
 
+Every grid state is decomposed once.  An analysis holds the eigenvalues of
+omega^-1 g, the cone margins and the minimum-margin node; a damping trial
+computes only that.  The accepted candidate's analysis is then linearized in
+place (ftilde, its gradient, the coefficients of the linearized operator) and
+becomes the Newton state, and the anchor is ftilde from the subsolution's
+analysis.
+
 The diagnostic suite instantiates the comparison sandwich, the boundary
 tangential-trace lower bound, the collar barrier inequality and the
-second-order ratio monitors on the computed solution; diagnostics never
-feed back into the solve.
+second-order ratio monitors on the computed solution, reading the final
+state's analysis; diagnostics never feed back into the solve.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from .grid import (
 )
 from .hermitian import congruence_reduce_batch, eigh_batch, eigvals_batch
 from .linear import assemble_linearized, operator_apply, solve_sparse, upper_barrier
-from .operator import linearization_batch
+from .operator import ftilde_grad_batch, linearization_batch
 from .problems import ProblemSpec, verify_subsolution
 from .radial import (
     eigenvalue_rows,
@@ -69,10 +76,6 @@ class SolveConfig:
     alpha_min: float = 2.0**-20
     linear_tol_floor: float = 1e-12
     linear_tol_cap: float = 1e-4
-    # direct/iterative crossover for the Newton systems; 4D grid graphs fill
-    # in badly under sparse LU, so the solver crosses over far below the
-    # standalone solve_sparse default
-    direct_threshold: int = 4000
     initial_values: np.ndarray | None = None
     compute_barrier: bool = True
     barrier_tau: float = 0.05
@@ -125,13 +128,50 @@ class SolveDiagnostics:
     barrier_report: BarrierReport | None
     states: list = field(default_factory=list)
     upper_solution: np.ndarray | None = None
+    # per interior node at t = 1, for the CSV: cone margin, ftilde - psi_tilde
+    node_margins: np.ndarray | None = None
+    node_residual: np.ndarray | None = None
+
+
+@dataclass
+class _Analysis:
+    """One eigen-decomposition of a grid state and everything read from it.
+
+    ``vals`` are the ascending eigenvalue rows of omega^-1 g at the interior
+    nodes and ``vecs`` what maps spectral gradients back to the nodes (box:
+    eigenvectors; radial: the permutation that sorts each row).  The margin
+    fields serve the damping test.  ``linearize`` adds ftilde, trace_F and
+    the linearization coefficients (box: C per node; radial: the gradient
+    entry of the radial eigenvalue).
+    """
+
+    vals: np.ndarray
+    vecs: np.ndarray | None
+    margins: np.ndarray
+    min_margin: float
+    min_node: tuple | int
+    ft: np.ndarray | None = None
+    trace_f: np.ndarray | None = None
+    coeffs: np.ndarray | None = None
+
+
+def _analysis(vals, vecs, p: int, node_of_flat) -> _Analysis:
+    """Margins of ascending eigenvalue rows and the node where the least sits."""
+    margins = margins_batch(vals, p)
+    flat = int(np.argmin(margins.reshape(-1)))
+    return _Analysis(vals, vecs, margins, float(margins.reshape(-1)[flat]), node_of_flat(flat))
+
+
+def _unsorted(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
+    out = np.empty_like(rows)
+    np.put_along_axis(out, order, rows, axis=-1)
+    return out
 
 
 class _BoxEvaluator:
-    """Residuals, margins and Newton corrections on a box problem."""
+    """Analyses and Newton corrections on a box problem."""
 
     def __init__(self, problem: ProblemSpec, config: SolveConfig):
-        self.problem = problem
         self.config = config
         box = problem.box
         self.grid = box.grid
@@ -144,73 +184,25 @@ class _BoxEvaluator:
             self.ell_inv = np.linalg.inv(ell)
         else:
             self.ell_inv = None
-        self.anchor = None  # psi_tilde at t = 0, set from the subsolution
+        self.anchor = None  # ftilde at the subsolution, set by _make_evaluator
 
-    def _field(self, u_values: np.ndarray) -> ScalarField:
-        return ScalarField(self.grid, u_values)
-
-    def _g_reduced(self, u_values: np.ndarray) -> np.ndarray:
-        hess = complex_hessian_field(self._field(u_values))
-        g = hess.values + self.chi
-        reduced, _ = congruence_reduce_batch(g, self.omega)
-        return reduced
-
-    def min_margin(self, u_values: np.ndarray):
-        vals = eigvals_batch(self._g_reduced(u_values))
-        margins = margins_batch(vals, self.params.p)
-        flat = int(np.argmin(margins.reshape(-1)))
-        node = tuple(int(i) + 1 for i in np.unravel_index(flat, self.grid.interior_shape))
-        return float(margins.reshape(-1)[flat]), node
-
-    def analyze(self, u_values: np.ndarray):
-        reduced = self._g_reduced(u_values)
+    def analyze(self, u_values: np.ndarray) -> _Analysis:
+        hess = complex_hessian_field(ScalarField(self.grid, u_values))
+        reduced, _ = congruence_reduce_batch(hess.values + self.chi, self.omega)
         vals, vecs = eigh_batch(reduced)
-        margins = margins_batch(vals, self.params.p)
-        flat = int(np.argmin(margins.reshape(-1)))
-        node = tuple(int(i) + 1 for i in np.unravel_index(flat, self.grid.interior_shape))
-        coeffs, trace_f, ft = linearization_batch(reduced, self.params, vals, vecs)
+        return _analysis(vals, vecs, self.params.p, self.grid.node_of_flat)
+
+    def linearize(self, a: _Analysis) -> None:
+        coeffs, a.trace_f, a.ft = linearization_batch(self.params, a.vals, a.vecs)
         if self.ell_inv is not None:
             coeffs = np.einsum(
                 "ba,...bc,cd->...ad", self.ell_inv.conj(), coeffs, self.ell_inv
             )
-        return {
-            "vals": vals,
-            "ft": ft,
-            "coeffs": coeffs,
-            "trace_f": trace_f,
-            "min_margin": float(margins.reshape(-1)[flat]),
-            "min_node": node,
-        }
+        a.coeffs = coeffs
+        a.vecs = None  # the largest array of a state; the coefficients replace it
 
-    def set_anchor(self, subsolution_values: np.ndarray) -> None:
-        # same eigen routine as analyze() so the t = 0 residual at the
-        # subsolution is bitwise zero
-        reduced = self._g_reduced(subsolution_values)
-        vals, _ = eigh_batch(reduced)
-        margins = margins_batch(vals, self.params.p)
-        if margins.min() <= 0.0:
-            flat = int(np.argmin(margins.reshape(-1)))
-            node = tuple(
-                int(i) + 1 for i in np.unravel_index(flat, self.grid.interior_shape)
-            )
-            raise ConeEscape(
-                f"subsolution not admissible on the grid (margin {margins.min():.3e})",
-                node=node,
-            )
-        from .operator import ftilde_batch
-
-        self.anchor = ftilde_batch(vals, self.params)
-
-    def psi_tilde_t(self, t: float) -> np.ndarray:
-        return t * self.psi_tilde + (1.0 - t) * self.anchor
-
-    def residual(self, state, t: float) -> np.ndarray:
-        return state["ft"] - self.psi_tilde_t(t)
-
-    def correction(self, state, resid: np.ndarray, rnorm: float) -> np.ndarray:
-        coeffs = MatrixField(self.grid, state["coeffs"])
-        system = assemble_linearized(coeffs, -resid, self.grid)
-        system.meta["direct_threshold"] = self.config.direct_threshold
+    def correction(self, a: _Analysis, resid: np.ndarray, rnorm: float) -> np.ndarray:
+        system = assemble_linearized(MatrixField(self.grid, a.coeffs), -resid, self.grid)
         scale = max(1.0, float(np.abs(self.psi_tilde).max()))
         lin_tol = min(
             self.config.linear_tol_cap,
@@ -220,10 +212,9 @@ class _BoxEvaluator:
 
 
 class _RadialEvaluator:
-    """Residuals, margins and Newton corrections on a radial problem."""
+    """Analyses and Newton corrections on a radial problem."""
 
     def __init__(self, problem: ProblemSpec, config: SolveConfig):
-        self.problem = problem
         self.config = config
         rad = problem.radial
         self.grid = rad.grid
@@ -233,57 +224,20 @@ class _RadialEvaluator:
         self.psi_tilde = rad.psi ** (1.0 / self.params.subset_count)
         self.anchor = None
 
-    def _rows(self, u: np.ndarray) -> np.ndarray:
+    def analyze(self, u: np.ndarray) -> _Analysis:
         u1, u2 = profile_derivatives(u, self.grid.spacing)
-        return eigenvalue_rows(u1, u2, self.grid.s, self.n, self.c)
-
-    def min_margin(self, u: np.ndarray):
-        rows = np.sort(self._rows(u), axis=-1)
-        margins = margins_batch(rows, self.params.p)
-        node = int(np.argmin(margins))
-        return float(margins[node]), node
-
-    def analyze(self, u: np.ndarray):
-        lam = self._rows(u)
+        lam = eigenvalue_rows(u1, u2, self.grid.s, self.n, self.c)
         order = np.argsort(lam, axis=-1)
-        lam_sorted = np.take_along_axis(lam, order, axis=-1)
-        margins = margins_batch(lam_sorted, self.params.p)
-        node = int(np.argmin(margins))
-        from .operator import ftilde_grad_batch
+        return _analysis(np.take_along_axis(lam, order, axis=-1), order, self.params.p, int)
 
-        ft, grads_sorted = ftilde_grad_batch(lam_sorted, self.params)
-        grads = np.empty_like(grads_sorted)
-        np.put_along_axis(grads, order, grads_sorted, axis=-1)
-        return {
-            "lam": lam,
-            "ft": ft,
-            "trace_f": grads.sum(axis=-1),
-            "f_radial": grads[:, self.n - 1],
-            "min_margin": float(margins[node]),
-            "min_node": node,
-        }
+    def linearize(self, a: _Analysis) -> None:
+        a.ft, grads_sorted = ftilde_grad_batch(a.vals, self.params)
+        grads = _unsorted(grads_sorted, a.vecs)
+        a.trace_f = grads.sum(axis=-1)
+        a.coeffs = grads[:, self.n - 1]
 
-    def set_anchor(self, subsolution_values: np.ndarray) -> None:
-        rows = np.sort(self._rows(subsolution_values), axis=-1)
-        margins = margins_batch(rows, self.params.p)
-        if margins.min() <= 0.0:
-            node = int(np.argmin(margins))
-            raise ConeEscape(
-                f"subsolution not admissible on the s-grid (margin {margins.min():.3e})",
-                node=node,
-            )
-        from .operator import ftilde_batch
-
-        self.anchor = ftilde_batch(rows, self.params)
-
-    def psi_tilde_t(self, t: float) -> np.ndarray:
-        return t * self.psi_tilde + (1.0 - t) * self.anchor
-
-    def residual(self, state, t: float) -> np.ndarray:
-        return state["ft"] - self.psi_tilde_t(t)
-
-    def correction(self, state, resid: np.ndarray, rnorm: float) -> np.ndarray:
-        jac = radial_jacobian(state["trace_f"], state["f_radial"], self.grid)
+    def correction(self, a: _Analysis, resid: np.ndarray, rnorm: float) -> np.ndarray:
+        jac = radial_jacobian(a.trace_f, a.coeffs, self.grid)
         delta_int = solve_radial_linear(jac, -resid)
         delta = np.zeros(self.grid.points)
         delta[:-1] = delta_int
@@ -291,24 +245,44 @@ class _RadialEvaluator:
 
 
 def _make_evaluator(problem: ProblemSpec, config: SolveConfig):
+    """Evaluator whose t = 0 anchor is ftilde from the subsolution's analysis.
+
+    Every Newton state comes from the same analyze/linearize pair, so the
+    t = 0 residual at the subsolution is bitwise zero.
+    """
     if problem.geometry == "box":
-        return _BoxEvaluator(problem, config)
-    return _RadialEvaluator(problem, config)
-
-
-def _newton_loop(ev, t: float, u_init: np.ndarray, tol: float, config: SolveConfig) -> HomotopyState:
-    u = u_init.copy()
-    margin0, node0 = ev.min_margin(u)
-    if margin0 <= 0.0:
+        ev, sub = _BoxEvaluator(problem, config), problem.box.subsolution
+    else:
+        ev, sub = _RadialEvaluator(problem, config), problem.radial.subsolution
+    a = ev.analyze(sub)
+    if a.min_margin <= 0.0:
         raise ConeEscape(
-            f"initial iterate not admissible (margin {margin0:.3e})", node=node0
+            f"subsolution not admissible on the grid (margin {a.min_margin:.3e})",
+            node=a.min_node,
         )
-    history: list[float] = []
+    ev.linearize(a)
+    ev.anchor = a.ft
+    return ev
+
+
+def _newton_loop(
+    ev, t: float, u_init: np.ndarray, tol: float, config: SolveConfig
+) -> tuple[HomotopyState, _Analysis]:
+    """Damped Newton at fixed t; returns the converged state and its analysis."""
+    u = u_init.copy()
     state = ev.analyze(u)
+    if state.min_margin <= 0.0:
+        raise ConeEscape(
+            f"initial iterate not admissible (margin {state.min_margin:.3e})",
+            node=state.min_node,
+        )
+    ev.linearize(state)
+    target = t * ev.psi_tilde + (1.0 - t) * ev.anchor
+    history: list[float] = []
     best = np.inf
     stagnant = 0
     for iteration in range(config.max_newton_iters + 1):
-        resid = ev.residual(state, t)
+        resid = state.ft - target
         rnorm = float(np.abs(resid).max())
         history.append(rnorm)
         if rnorm < 0.9 * best:
@@ -335,27 +309,26 @@ def _newton_loop(ev, t: float, u_init: np.ndarray, tol: float, config: SolveConf
                 u=u,
                 residual_norm=rnorm,
                 newton_iters=iteration,
-                min_margin=state["min_margin"],
+                min_margin=state.min_margin,
                 residual_history=tuple(history),
-            )
+            ), state
         if iteration == config.max_newton_iters:
             break
         delta = ev.correction(state, resid, rnorm)
         alpha = 1.0
-        margin_cur = state["min_margin"]
         while True:
             candidate = u + alpha * delta
-            m_cand, node = ev.min_margin(candidate)
-            if m_cand >= config.margin_keep * margin_cur:
+            trial = ev.analyze(candidate)
+            if trial.min_margin >= config.margin_keep * state.min_margin:
                 break
             alpha *= 0.5
             if alpha < config.alpha_min:
                 raise ConeEscape(
-                    f"no damping factor >= 2^-20 keeps admissibility near node {node}",
-                    node=node,
+                    f"no damping factor >= 2^-20 keeps admissibility near node {trial.min_node}",
+                    node=trial.min_node,
                 )
-        u = candidate
-        state = ev.analyze(u)
+        u, state = candidate, trial
+        ev.linearize(state)
     raise MaxItersExceeded(
         f"{config.max_newton_iters} Newton iterations at t={t:.4f}, residual {history[-1]:.3e}"
     )
@@ -371,10 +344,8 @@ def newton_solve_at_t(
     """Solve the fixed-t equation by damped Newton from an admissible start."""
     config = config or SolveConfig()
     ev = _make_evaluator(problem, config)
-    sub = problem.box.subsolution if problem.geometry == "box" else problem.radial.subsolution
-    ev.set_anchor(sub)
     u0 = u_init.values if isinstance(u_init, ScalarField) else np.asarray(u_init, dtype=float)
-    return _newton_loop(ev, t, u0, tol, config)
+    return _newton_loop(ev, t, u0, tol, config)[0]
 
 
 def continuity_solve(problem: ProblemSpec, config: SolveConfig | None = None):
@@ -387,17 +358,13 @@ def continuity_solve(problem: ProblemSpec, config: SolveConfig | None = None):
     config = config or SolveConfig()
     verify_subsolution(problem)
     ev = _make_evaluator(problem, config)
-    if problem.geometry == "box":
-        sub = problem.box.subsolution
-    else:
-        sub = problem.radial.subsolution
-    ev.set_anchor(sub)
+    sub = problem.box.subsolution if problem.geometry == "box" else problem.radial.subsolution
 
     tol = config.tol_for(problem.geometry)
     u = sub.copy() if config.initial_values is None else np.asarray(config.initial_values, dtype=float).copy()
 
     states: list[HomotopyState] = []
-    state0 = _newton_loop(ev, 0.0, u, tol, config)
+    state0 = _newton_loop(ev, 0.0, u, tol, config)[0]
     states.append(state0)
     u = state0.u
     anchor_residual = state0.residual_history[0]
@@ -406,8 +373,11 @@ def continuity_solve(problem: ProblemSpec, config: SolveConfig | None = None):
     step = config.t_step_init
     while t < 1.0:
         t_try = min(1.0, t + step)
+        # only the analysis at t = 1 feeds the diagnostics; drop the previous
+        # step's before the next attempt analyzes its own start point
+        final = None
         try:
-            st = _newton_loop(ev, t_try, u, tol, config)
+            st, final = _newton_loop(ev, t_try, u, tol, config)
         except (ConeEscape, MaxItersExceeded, LinearSolveStalled) as exc:
             step *= 0.5
             log.debug("continuation step to t=%.4f failed (%s); step -> %.2e", t_try, exc, step)
@@ -422,7 +392,7 @@ def continuity_solve(problem: ProblemSpec, config: SolveConfig | None = None):
         if st.newton_iters <= config.easy_iters:
             step = min(step * config.t_growth, config.t_step_max)
 
-    diagnostics = _diagnostics(problem, ev, u, states, anchor_residual, config)
+    diagnostics = _diagnostics(problem, ev, final, states, anchor_residual, config)
     if problem.geometry == "box":
         return ScalarField(problem.box.grid, u), diagnostics
     return u, diagnostics
@@ -473,9 +443,16 @@ def barrier_check(
     """
     if problem.geometry != "box":
         raise RadialModeUnsupported("barrier_check requires a box problem")
-    box = problem.box
-    grid = box.grid
     uv = u.values if isinstance(u, ScalarField) else np.asarray(u)
+    ev = _BoxEvaluator(problem, SolveConfig())
+    a = ev.analyze(uv)
+    ev.linearize(a)
+    return _barrier_report(uv, ul_u, problem, a, tau, N, delta)
+
+
+def _barrier_report(uv, ul_u, problem: ProblemSpec, state: _Analysis, tau, N, delta) -> BarrierReport:
+    """barrier_check's body, with L taken from the linearized analysis of u."""
+    grid = problem.box.grid
     lv = ul_u.values if isinstance(ul_u, ScalarField) else np.asarray(ul_u)
     if delta is None:
         delta = 0.1 * grid.diameter()
@@ -516,14 +493,11 @@ def barrier_check(
                              tuple(int(i) for i in vmin_idx), np.nan, None, np.nan,
                              degenerate)
 
-    ev = _BoxEvaluator(problem, SolveConfig())
-    state = ev.analyze(uv)
-    coeffs = MatrixField(grid, state["coeffs"])
-    lv_field = operator_apply(coeffs, ScalarField(grid, v))
-    ratio = lv_field / (1.0 + state["trace_f"])
-    masked = np.where(collar_smooth, ratio, -np.inf)
-    max_idx = np.unravel_index(int(np.argmax(masked)), grid.interior_shape)
-    max_ratio = float(masked[max_idx])
+    lv_field = operator_apply(MatrixField(grid, state.coeffs), ScalarField(grid, v))
+    ratio = lv_field / (1.0 + state.trace_f)
+    masked = np.where(collar_smooth, ratio, -np.inf).reshape(-1)
+    max_flat = int(np.argmax(masked))
+    max_ratio = float(masked[max_flat])
     return BarrierReport(
         tau=tau,
         N=N,
@@ -533,7 +507,7 @@ def barrier_check(
         min_v=min_v,
         min_v_node=tuple(int(i) for i in vmin_idx),
         max_lv_ratio=max_ratio,
-        max_lv_node=tuple(int(i) + 1 for i in max_idx),
+        max_lv_node=grid.node_of_flat(max_flat),
         epsilon=-max_ratio,
         degenerate_collar=degenerate,
     )
@@ -553,9 +527,9 @@ def _box_hessian_sups(u_values: np.ndarray, grid) -> tuple:
     return sup_all, sup_boundary
 
 
-def _diagnostics(problem, ev, u, states, anchor_residual, config) -> SolveDiagnostics:
-    final = states[-1]
-    state = ev.analyze(u)
+def _diagnostics(problem, ev, final: _Analysis, states, anchor_residual, config) -> SolveDiagnostics:
+    """Diagnostics of the t = 1 state ``states[-1]``, read from its analysis."""
+    u = states[-1].u
     if problem.geometry == "box":
         box = problem.box
         grid = box.grid
@@ -566,12 +540,12 @@ def _diagnostics(problem, ev, u, states, anchor_residual, config) -> SolveDiagno
         upper_vals = ol.values
         barrier = None
         if config.compute_barrier:
-            barrier = barrier_check(
-                u, box.subsolution, problem,
-                tau=config.barrier_tau, N=config.barrier_N, delta=config.barrier_delta,
+            barrier = _barrier_report(
+                u, box.subsolution, problem, final,
+                config.barrier_tau, config.barrier_N, config.barrier_delta,
             )
         # metric trace of g = sum of reduced eigenvalues
-        trace_g = state["vals"].sum(axis=-1)
+        trace_g = final.vals.sum(axis=-1)
     else:
         rad = problem.radial
         K = 1.0 + radial_gradient_sq_max(u, rad.grid)
@@ -583,44 +557,27 @@ def _diagnostics(problem, ev, u, states, anchor_residual, config) -> SolveDiagno
         sup_h = float(max(interior_r.max(), boundary_r))
         sup_b = float(boundary_r)
         barrier = None
-        trace_g = state["lam"].sum(axis=-1)
+        trace_g = _unsorted(final.vals, final.vecs).sum(axis=-1)
 
-    amgm = (problem.p / problem.n) * trace_g - state["ft"]
+    amgm = (problem.p / problem.n) * trace_g - final.ft
     c0 = boundary_trace_check(u, problem)
     return SolveDiagnostics(
         K=float(K),
-        F_trace=float(state["trace_f"].min()),
+        F_trace=float(final.trace_f.min()),
         sandwich_violation=float(sandwich),
         c0_boundary=float(c0),
         c2_ratio=float(sup_h / K),
         sup_hessian=sup_h,
         boundary_sup_hessian=sup_b,
         amgm_min_slack=float(amgm.min()),
-        final_residual=final.residual_norm,
+        final_residual=states[-1].residual_norm,
         anchor_residual=float(anchor_residual),
         barrier_report=barrier,
         states=[replace(s, residual_history=()) for s in states],
         upper_solution=upper_vals,
+        node_margins=final.margins,
+        node_residual=final.ft - ev.psi_tilde,
     )
-
-
-def solution_node_fields(problem: ProblemSpec, u) -> tuple:
-    """Per-node cone margins and normalized residual at t = 1.
-
-    Returns interior-shaped arrays (margins, ftilde - psi_tilde) for CSV
-    dumps and reports.
-    """
-    ev = _make_evaluator(problem, SolveConfig())
-    uv = u.values if isinstance(u, ScalarField) else np.asarray(u, dtype=float)
-    if problem.geometry == "box":
-        vals = eigvals_batch(ev._g_reduced(uv))
-        margins = margins_batch(vals, problem.params.p)
-    else:
-        rows = np.sort(ev._rows(uv), axis=-1)
-        margins = margins_batch(rows, problem.params.p)
-    state = ev.analyze(uv)
-    residual = state["ft"] - ev.psi_tilde
-    return margins, residual
 
 
 @dataclass

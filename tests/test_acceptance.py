@@ -271,11 +271,11 @@ def test_criterion_09_anchor_and_uniqueness(box_solutions):
     pts = grid.points()
     profile = np.prod(np.cos(np.pi * pts / 2.0), axis=-1)
     ev = _BoxEvaluator(problem, SolveConfig())
-    base_margin, _ = ev.min_margin(problem.box.subsolution)
+    base_margin = ev.analyze(problem.box.subsolution).min_margin
     beta = 1.0
     while beta > 1e-4:
         init = problem.box.subsolution + 0.9 * gap * (beta * profile)
-        margin, _ = ev.min_margin(init)
+        margin = ev.analyze(init).min_margin
         if margin >= 0.3 * base_margin:
             break
         beta *= 0.5

@@ -1,8 +1,13 @@
+import csv
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from garding.cli import main
+from garding.report import write_solution_csv
+from garding.solver import continuity_solve
+from garding.specfile import build_problem, parse_document
 
 RADIAL_SPEC = """format_version = 1
 [problem]
@@ -115,6 +120,48 @@ class TestSolveMode:
         assert (out2 / "fields.csv").read_bytes() == csv1
 
 
+def reference_csv_rows(problem, u, diag):
+    """Per-node rows formatted one node at a time: repr of each float, and
+    empty margin and residual cells off the interior."""
+    rows = []
+    if problem.geometry == "box":
+        grid = problem.box.grid
+        pts = grid.points()
+        for node in np.ndindex(grid.shape):
+            row = [repr(float(c)) for c in pts[node]] + [repr(float(u.values[node]))]
+            if grid.is_interior(node):
+                idx = tuple(i - 1 for i in node)
+                row += [repr(float(diag.node_margins[idx])), repr(float(diag.node_residual[idx]))]
+            else:
+                row += ["", ""]
+            rows.append(row)
+    else:
+        s = problem.radial.grid.s
+        for i in range(len(s)):
+            row = [repr(float(s[i])), repr(float(u[i]))]
+            if i < len(s) - 1:
+                row += [repr(float(diag.node_margins[i])), repr(float(diag.node_residual[i]))]
+            else:
+                row += ["", ""]
+            rows.append(row)
+    return rows
+
+
+class TestSolutionCsv:
+    @pytest.mark.parametrize("spec_text", [RADIAL_SPEC, BOX_SPEC], ids=["radial", "box"])
+    def test_table_matches_per_node_reference(self, tmp_path, spec_text):
+        problem = build_problem(parse_document(spec_text))
+        u, diag = continuity_solve(problem)
+        path = tmp_path / "fields.csv"
+        write_solution_csv(path, problem, u, diag)
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0][0] == "csv_format_version=1"
+        assert len(rows[0]) == len(rows[1]) == len(rows[2])
+        assert rows[1][-3:] == ["u", "cone_margin", "ftilde_residual"]
+        assert rows[2:] == reference_csv_rows(problem, u, diag)
+
+
 class TestVerifyMode:
     def test_valid_subsolution(self, tmp_path):
         status, out = run_cli(tmp_path, RADIAL_SPEC, "verify-subsolution")
@@ -179,4 +226,9 @@ class TestValidationFailures:
             ["--mode", "solve", "--spec", str(spec), "--out", str(tmp_path / "o"),
              "--tol", "-1"]
         )
+        assert status == 2
+
+    def test_unknown_solver_setting(self, tmp_path):
+        spec = RADIAL_SPEC + "[solve]\ndirect_threshold = 100\n"
+        status, _ = run_cli(tmp_path, spec, "solve")
         assert status == 2

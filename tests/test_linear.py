@@ -26,7 +26,7 @@ def membrane_center_value(terms=400):
     return total
 
 
-def poisson_square(res, direct_threshold=None):
+def poisson_square(res):
     """Discrete -lap u = 1 on the unit square via the n=1 assembler path.
 
     With unit coefficients the operator is lap/4, so the right-hand side is
@@ -36,8 +36,6 @@ def poisson_square(res, direct_threshold=None):
     coeffs = constant_coefficient_field(grid, np.eye(1, dtype=complex))
     rhs = np.full(grid.interior_shape, -0.25)
     system = assemble_linearized(coeffs, rhs, grid)
-    if direct_threshold is not None:
-        system.meta["direct_threshold"] = direct_threshold
     return grid, system
 
 
@@ -139,10 +137,10 @@ class TestSolve:
         assert center == pytest.approx(membrane_center_value(), abs=2e-5)
         assert center == pytest.approx(0.07367, abs=1e-4)
 
-    def test_membrane_iterative_matches_direct(self):
+    def test_membrane_iterative_matches_direct(self, monkeypatch):
         grid, system = poisson_square(33)
         direct = solve_sparse(system, tol=1e-12)
-        grid, system = poisson_square(33, direct_threshold=1)
+        monkeypatch.setattr("garding.linear.DIRECT_THRESHOLD", 1)
         iterative = solve_sparse(system, tol=1e-12)
         assert np.abs(direct.values - iterative.values).max() < 1e-10
 

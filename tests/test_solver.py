@@ -14,8 +14,11 @@ from garding.linear import assemble_linearized, constant_coefficient_field, oper
 from garding.operator import OperatorParams
 from garding.problems import manufactured_box, manufactured_radial, verify_subsolution
 from garding.radial import RadialGrid
+import garding.solver as solver
 from garding.solver import (
     SolveConfig,
+    _BoxEvaluator,
+    _make_evaluator,
     barrier_check,
     boundary_trace_check,
     c2_ratio_monitor,
@@ -225,6 +228,65 @@ class TestBoxSolve:
         with pytest.raises(ConeEscape) as exc_info:
             continuity_solve(problem, SolveConfig(initial_values=bad))
         assert exc_info.value.node is not None
+
+
+def count_calls(monkeypatch, owner, name, counts):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+class TestOneAnalysisPerState:
+    def test_each_grid_state_is_decomposed_once(self, monkeypatch):
+        counts = {}
+        for name in ("eigh_batch", "eigvals_batch", "_newton_loop"):
+            count_calls(monkeypatch, solver, name, counts)
+        count_calls(monkeypatch, _BoxEvaluator, "correction", counts)
+        continuity_solve(box_problem(res=9, psi_scale=0.85))
+        assert counts["correction"] > 0
+        # subsolution, the start of each attempt, each accepted candidate
+        assert counts["eigh_batch"] == 1 + counts["_newton_loop"] + counts["correction"]
+        assert counts["eigvals_batch"] == 1  # the Hessian sup
+
+    def test_states_match_a_fresh_analysis_after_halvings(self, monkeypatch):
+        problem = box_problem(res=9, psi_scale=0.85)
+        analyze, correction = _BoxEvaluator.analyze, _BoxEvaluator.correction
+        seen = {"analyses": 0, "corrections": 0}
+
+        def recording_analyze(self, u):
+            seen["analyses"] += 1
+            seen["u"] = u.copy()
+            return analyze(self, u)
+
+        def checked_correction(self, state, resid, rnorm):
+            # the Newton state is the analysis of the last accepted iterate
+            fresh = analyze(self, seen["u"])
+            self.linearize(fresh)
+            assert state.min_margin == fresh.min_margin
+            assert np.array_equal(state.ft, fresh.ft)
+            seen["corrections"] += 1
+            step = correction(self, state, resid, rnorm)
+            # the first step, scaled up, leaves the cone: damping halves it
+            return 1024.0 * step if seen["corrections"] == 1 else step
+
+        counts = {}
+        count_calls(monkeypatch, solver, "_newton_loop", counts)
+        monkeypatch.setattr(_BoxEvaluator, "analyze", recording_analyze)
+        monkeypatch.setattr(_BoxEvaluator, "correction", checked_correction)
+        _, diag = continuity_solve(problem)
+        assert seen["analyses"] > 1 + counts["_newton_loop"] + seen["corrections"]
+
+        ev = _make_evaluator(problem, SolveConfig())
+        for state in diag.states:
+            fresh = analyze(ev, state.u)
+            ev.linearize(fresh)
+            target = state.t * ev.psi_tilde + (1.0 - state.t) * ev.anchor
+            assert state.min_margin == fresh.min_margin
+            assert state.residual_norm == float(np.abs(fresh.ft - target).max())
 
 
 class TestSubsolutionFailures:

@@ -2,11 +2,17 @@
 
 Exit status contract (frozen for CI scripting):
   0  success
-  2  validation failure (unreadable spec, parse error, out-of-contract value)
+  2  validation failure (unreadable spec, parse error, out-of-contract value,
+     non-Hermitian or non-positive input matrices, a request the geometry or
+     stencil does not support)
   3  solver failure (cone escape, stalled continuation, iteration caps,
-     linear-solver stall)
+     linear-solver stall, indefinite linearization coefficients, an
+     eigenvalue vector outside the cone)
   4  diagnostic-contract violation (invalid subsolution, structure-check
      violations, inadmissible manufactured data)
+
+Every ``GardingError`` subclass belongs to exactly one of the three failure
+groups below.
 """
 
 from __future__ import annotations
@@ -35,13 +41,23 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_CONTRACT = 4
 
+_VALIDATION_ERRORS = (
+    errors.ParseError,
+    errors.ValidationError,
+    errors.NotHermitian,
+    errors.MetricNotPositive,
+    errors.BoundaryNode,
+    errors.RadialModeUnsupported,
+)
 _SOLVER_ERRORS = (
     errors.ConeEscape,
     errors.ContinuationStalled,
     errors.MaxItersExceeded,
     errors.LinearSolveStalled,
+    errors.IndefiniteCoefficients,
+    errors.OutsideCone,
 )
-_CONTRACT_ERRORS = (errors.SubsolutionInvalid, errors.NotAdmissible)
+_CONTRACT_ERRORS = (errors.SubsolutionInvalid, errors.NotAdmissible, errors.NotArrowForm)
 
 
 @dataclass
@@ -61,6 +77,10 @@ class RunConfig:
             raise errors.ValidationError("spec", f"spec path {self.spec_path} not readable")
         if self.tol is not None and self.tol <= 0:
             raise errors.ValidationError("tol", "tolerance must be positive")
+        if self.trials < 1:
+            raise errors.ValidationError("trials", f"need at least one trial, got {self.trials}")
+        if self.seed < 0:
+            raise errors.ValidationError("seed", f"seed must be >= 0, got {self.seed}")
 
 
 def _solve_config(doc, config: RunConfig) -> SolveConfig:
@@ -71,7 +91,12 @@ def _solve_config(doc, config: RunConfig) -> SolveConfig:
         if not hasattr(sc, key):
             raise errors.ValidationError("solve", f"unknown solver setting {key!r}")
         current = getattr(sc, key)
-        setattr(sc, key, int(value) if isinstance(current, int) and not isinstance(current, bool) else value)
+        if isinstance(current, int) and not isinstance(current, bool):
+            if isinstance(value, bool) or not float(value).is_integer():
+                raise errors.ValidationError(key, f"must be an integer, got {value}")
+            value = int(value)
+        setattr(sc, key, value)
+    sc.validate()
     return sc
 
 
@@ -211,7 +236,7 @@ def run(config: RunConfig) -> int:
         if config.mode == "check-operator":
             return _run_check_operator(doc, config)
         return _run_refine_sweep(doc, config)
-    except (errors.ParseError, errors.ValidationError) as exc:
+    except _VALIDATION_ERRORS as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except _CONTRACT_ERRORS as exc:

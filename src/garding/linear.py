@@ -15,6 +15,17 @@ so the assembled system is real; the imaginary parts cancel exactly because
 both C and the discrete Hessian are Hermitian.  Unknowns are the interior
 nodes in C (row-major) order; Dirichlet data is folded into the right-hand
 side by the callers.
+
+The stencil is fixed for a grid, so the matrix is stored by diagonals
+(``scipy.sparse.dia_matrix``, Saad, Iterative Methods for Sparse Linear
+Systems, 2003, section 3.4): one diagonal per stencil move (the centre, +-1
+along each real axis, and the four corners of each active cross pair), in
+ascending offset order.  scipy indexes a diagonal by column, A[i, i + off]
+at data[k, i + off], so a move writes the weight of its source node at its
+destination node.  Couplings to boundary neighbours and wraps to the next
+grid line are stored as explicit zeros.  The coefficients are checked for
+positive definiteness with a batched Cholesky factorization; eigenvalues
+are computed only to name the offending node.
 """
 
 from __future__ import annotations
@@ -71,7 +82,7 @@ class SparseSystem:
     """Interior-unknown linear system with grid bookkeeping."""
 
     grid: BoxGrid
-    matrix: sp.csr_matrix
+    matrix: sp.dia_matrix
     rhs: np.ndarray
     mmatrix_violations: int = 0
 
@@ -80,9 +91,14 @@ class SparseSystem:
         return self.matrix.shape[0]
 
 
-def _interior_index_grid(grid: BoxGrid) -> np.ndarray:
-    size = int(np.prod(grid.interior_shape))
-    return np.arange(size).reshape(grid.interior_shape)
+def _move_slices(ndim: int, steps: dict) -> tuple:
+    """Source and destination interior slices of a stencil move {axis: +-1}."""
+    src = [slice(None)] * ndim
+    dst = [slice(None)] * ndim
+    for axis, step in steps.items():
+        src[axis] = slice(0, -1) if step > 0 else slice(1, None)
+        dst[axis] = slice(1, None) if step > 0 else slice(0, -1)
+    return tuple(src), tuple(dst)
 
 
 def assemble_linearized(coeffs: MatrixField, rhs: ScalarField | np.ndarray, grid: BoxGrid) -> SparseSystem:
@@ -100,62 +116,40 @@ def assemble_linearized(coeffs: MatrixField, rhs: ScalarField | np.ndarray, grid
     size = int(np.prod(interior))
     cvals = coeffs.values
 
-    mins = np.linalg.eigvalsh(cvals).min(axis=-1)
-    if mins.min() <= 0.0:
+    try:
+        np.linalg.cholesky(cvals)
+    except np.linalg.LinAlgError:
+        mins = np.linalg.eigvalsh(cvals).min(axis=-1)
         flat = int(np.argmin(mins.reshape(-1)))
         raise IndefiniteCoefficients(
             f"coefficients not positive definite at node {grid.node_of_flat(flat)}"
-        )
+        ) from None
 
     diag_w, cross_w = real_stencil_weights(cvals)
-    index = _interior_index_grid(grid)
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    center = np.zeros(interior)
-
-    def add_pairs(r, c, v):
-        rows.append(r.reshape(-1))
-        cols.append(c.reshape(-1))
-        vals.append(v.reshape(-1))
-
     ndim = 2 * n
+    stride = [int(np.prod(interior[a + 1:])) for a in range(ndim)]
+
+    # (offset, {axis: step}, sign, weight at the source node); with at least
+    # 7 interior nodes per axis no two moves share an offset
+    center = np.zeros(interior)
+    moves = [(0, {}, 1.0, center)]
     for a in range(ndim):
         w = diag_w[..., a] / (h[a] * h[a])
         center -= 2.0 * w
-        for off in (-1, +1):
-            src = [slice(None)] * ndim
-            dst = [slice(None)] * ndim
-            if off == +1:
-                src[a] = slice(0, -1)
-                dst[a] = slice(1, None)
-            else:
-                src[a] = slice(1, None)
-                dst[a] = slice(0, -1)
-            add_pairs(index[tuple(src)], index[tuple(dst)], w[tuple(src)])
-
+        moves += [(-stride[a], {a: -1}, 1.0, w), (stride[a], {a: +1}, 1.0, w)]
     for (a, b), wfield in cross_w.items():
         w = wfield / (4.0 * h[a] * h[b])
         if np.all(w == 0.0):
             continue
-        for oa, ob, sign in ((1, 1, 1.0), (1, -1, -1.0), (-1, 1, -1.0), (-1, -1, 1.0)):
-            src = [slice(None)] * ndim
-            dst = [slice(None)] * ndim
-            for axis, off in ((a, oa), (b, ob)):
-                if off == +1:
-                    src[axis] = slice(0, -1)
-                    dst[axis] = slice(1, None)
-                else:
-                    src[axis] = slice(1, None)
-                    dst[axis] = slice(0, -1)
-            add_pairs(index[tuple(src)], index[tuple(dst)], sign * w[tuple(src)])
-
-    diag_rows = index.reshape(-1)
-    all_rows = np.concatenate([diag_rows] + rows)
-    all_cols = np.concatenate([diag_rows] + cols)
-    all_vals = np.concatenate([center.reshape(-1)] + vals)
-    matrix = sp.csr_matrix((all_vals, (all_rows, all_cols)), shape=(size, size))
+        for oa, ob in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            moves.append((oa * stride[a] + ob * stride[b], {a: oa, b: ob}, float(oa * ob), w))
+    # ascending offsets make each row's matvec sum run in column order
+    moves.sort(key=lambda move: move[0])
+    data = np.zeros((len(moves), size))
+    for diagonal, (_, steps, sign, w) in zip(data, moves):
+        src, dst = _move_slices(ndim, steps)
+        diagonal.reshape(interior)[dst] = sign * w[src]
+    matrix = sp.dia_matrix((data, [move[0] for move in moves]), shape=(size, size))
 
     # monotonicity audit: count rows whose off-diagonal mass exceeds |diag|
     offdiag_abs = np.abs(matrix).sum(axis=1).A1 - np.abs(matrix.diagonal())

@@ -9,7 +9,7 @@ columns are empty on boundary nodes, where they are not defined.
 
 from __future__ import annotations
 
-import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +87,8 @@ def write_solution_csv(path, problem: ProblemSpec, u, diag: SolveDiagnostics) ->
     """Node table: coordinates, u, cone margin, normalized residual.
 
     The margins and residuals are the solve's own, carried on ``diag``.
+    Rows are in C order with every float written as its repr and ``\\r\\n``
+    line ends, byte for byte what ``csv.writer`` writes for the same rows.
     """
     uv = u.values if isinstance(u, ScalarField) else np.asarray(u)
     if problem.geometry == "box":
@@ -94,26 +96,24 @@ def write_solution_csv(path, problem: ProblemSpec, u, diag: SolveDiagnostics) ->
         names = []
         for j in range(grid.n):
             names += [f"x{j + 1}", f"y{j + 1}"]
-        coords = grid.points()
+        axes = [grid.axis_coords(a) for a in range(grid.ndim_real)]
         interior = (slice(1, -1),) * grid.ndim_real
     else:
         names = ["s"]
-        coords = problem.radial.grid.s[:, None]
+        axes = [problem.radial.grid.s]
         interior = (slice(0, -1),)
     names += ["u", "cone_margin", "ftilde_residual"]
-    table = np.zeros(uv.shape + (len(names),))
-    table[..., :-3] = coords
-    table[..., -3] = uv
-    table[interior + (-2,)] = diag.node_margins
-    table[interior + (-1,)] = diag.node_residual
-    # the csv module writes each Python float as its repr
-    rows = table.reshape(-1, len(names)).tolist()
-    boundary = np.ones(uv.shape, dtype=bool)
-    boundary[interior] = False
-    for k in np.flatnonzero(boundary).tolist():
-        rows[k][-2:] = ["", ""]
+    # coordinate strings are made once per axis, not once per node
+    prefixes = map(",".join, itertools.product(*[list(map(repr, c.tolist())) for c in axes]))
+    mask = np.zeros(uv.shape, dtype=bool)
+    mask[interior] = True
+    tails = [",,"] * uv.size
+    for k, margin, residual in zip(np.flatnonzero(mask).tolist(),
+                                   diag.node_margins.reshape(-1).tolist(),
+                                   diag.node_residual.reshape(-1).tolist()):
+        tails[k] = f",{margin!r},{residual!r}"
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([f"csv_format_version={CSV_FORMAT_VERSION}"] + [""] * (len(names) - 1))
-        writer.writerow(names)
-        writer.writerows(rows)
+        handle.write(f"csv_format_version={CSV_FORMAT_VERSION}" + "," * (len(names) - 1) + "\r\n")
+        handle.write(",".join(names) + "\r\n")
+        handle.writelines(f"{prefix},{value!r}{tail}\r\n"
+                          for prefix, value, tail in zip(prefixes, uv.reshape(-1).tolist(), tails))

@@ -38,6 +38,7 @@ from .errors import (
     LinearSolveStalled,
     MaxItersExceeded,
     RadialModeUnsupported,
+    ValidationError,
 )
 from .grid import (
     MatrixField,
@@ -81,6 +82,31 @@ class SolveConfig:
     barrier_tau: float = 0.05
     barrier_N: float = 50.0
     barrier_delta: float | None = None  # default 0.1 * domain diameter
+
+    def validate(self) -> None:
+        """Raise ValidationError for a setting outside its range.
+
+        With ``t_growth >= 1`` the continuation step shrinks only after a
+        failed step, and ``t_step_min > 0`` bounds how often that can happen.
+        """
+        for name in ("newton_tol", "linear_tol_floor", "linear_tol_cap"):
+            value = getattr(self, name)
+            if value is not None and not value > 0.0:
+                raise ValidationError(name, f"tolerance must be positive, got {value}")
+        if self.max_newton_iters < 0:
+            raise ValidationError("max_newton_iters", f"must be >= 0, got {self.max_newton_iters}")
+        if not 0.0 < self.t_step_min <= self.t_step_init <= self.t_step_max <= 1.0:
+            raise ValidationError(
+                "t_step_init",
+                "need 0 < t_step_min <= t_step_init <= t_step_max <= 1, got "
+                f"{self.t_step_min}, {self.t_step_init}, {self.t_step_max}",
+            )
+        if not self.t_growth >= 1.0:
+            raise ValidationError("t_growth", f"must be >= 1, got {self.t_growth}")
+        for name in ("margin_keep", "alpha_min"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ValidationError(name, f"must lie in (0, 1), got {value}")
 
     def tol_for(self, geometry: str) -> float:
         if self.newton_tol is not None:
@@ -371,7 +397,12 @@ def continuity_solve(problem: ProblemSpec, config: SolveConfig | None = None):
 
     t = 0.0
     step = config.t_step_init
+    failure = None
     while t < 1.0:
+        if step < config.t_step_min:
+            raise ContinuationStalled(
+                f"continuation step {step:.2e} below minimum at t={t:.4f}"
+            ) from failure
         t_try = min(1.0, t + step)
         # only the analysis at t = 1 feeds the diagnostics; drop the previous
         # step's before the next attempt analyzes its own start point
@@ -380,12 +411,10 @@ def continuity_solve(problem: ProblemSpec, config: SolveConfig | None = None):
             st, final = _newton_loop(ev, t_try, u, tol, config)
         except (ConeEscape, MaxItersExceeded, LinearSolveStalled) as exc:
             step *= 0.5
+            failure = exc
             log.debug("continuation step to t=%.4f failed (%s); step -> %.2e", t_try, exc, step)
-            if step < config.t_step_min:
-                raise ContinuationStalled(
-                    f"continuation step {step:.2e} below minimum at t={t:.4f}"
-                ) from exc
             continue
+        failure = None
         states.append(st)
         u = st.u
         t = t_try

@@ -1,9 +1,11 @@
 import csv
+import io
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from garding import cli, errors
 from garding.cli import main
 from garding.report import write_solution_csv
 from garding.solver import continuity_solve
@@ -160,6 +162,9 @@ class TestSolutionCsv:
         assert len(rows[0]) == len(rows[1]) == len(rows[2])
         assert rows[1][-3:] == ["u", "cone_margin", "ftilde_residual"]
         assert rows[2:] == reference_csv_rows(problem, u, diag)
+        expected = io.StringIO(newline="")
+        csv.writer(expected).writerows(rows)
+        assert path.read_bytes() == expected.getvalue().encode()
 
 
 class TestVerifyMode:
@@ -228,7 +233,56 @@ class TestValidationFailures:
         )
         assert status == 2
 
+    @pytest.mark.parametrize("setting", [
+        "t_step_init = 0", "t_growth = 0.5", "max_newton_iters = -1", "max_newton_iters = 2.5",
+        "newton_tol = -1", "linear_tol_floor = 0", "t_step_max = 1.5", "t_step_min = 0.5",
+        "margin_keep = 1", "alpha_min = 0",
+    ])
+    def test_out_of_range_solver_setting(self, tmp_path, setting):
+        spec = RADIAL_SPEC.replace("points = 201", "points = 41") + f"[solve]\n{setting}\n"
+        status, _ = run_cli(tmp_path, spec, "solve")
+        assert status == 2
+
+    @pytest.mark.parametrize("extra", [["--trials", "0"], ["--seed", "-1", "--trials", "10"]])
+    def test_out_of_range_run_setting(self, tmp_path, extra):
+        status, _ = run_cli(tmp_path, RADIAL_SPEC, "check-operator", extra=extra)
+        assert status == 2
+
     def test_unknown_solver_setting(self, tmp_path):
         spec = RADIAL_SPEC + "[solve]\ndirect_threshold = 100\n"
         status, _ = run_cli(tmp_path, spec, "solve")
         assert status == 2
+
+
+EXIT_STATUS = {
+    errors.ParseError: 2,
+    errors.ValidationError: 2,
+    errors.NotHermitian: 2,
+    errors.MetricNotPositive: 2,
+    errors.BoundaryNode: 2,
+    errors.RadialModeUnsupported: 2,
+    errors.ConeEscape: 3,
+    errors.ContinuationStalled: 3,
+    errors.MaxItersExceeded: 3,
+    errors.LinearSolveStalled: 3,
+    errors.IndefiniteCoefficients: 3,
+    errors.OutsideCone: 3,
+    errors.SubsolutionInvalid: 4,
+    errors.NotAdmissible: 4,
+    errors.NotArrowForm: 4,
+}
+
+
+def test_every_error_class_has_an_exit_status(tmp_path, monkeypatch):
+    spec = write(tmp_path, "ok.spec", RADIAL_SPEC)
+    argv = ["--mode", "solve", "--spec", str(spec), "--out", str(tmp_path / "o")]
+    for cls in errors.GardingError.__subclasses__():
+        assert cls in EXIT_STATUS, f"{cls.__name__} has no documented exit status"
+        exc = cls.__new__(cls)
+        Exception.__init__(exc, "injected")
+
+        def fail(doc, config, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "_run_solve", fail)
+        assert main(argv) == EXIT_STATUS[cls], cls.__name__

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,9 +13,74 @@ from garding.linear import (
     bicgstab,
     constant_coefficient_field,
     operator_apply,
+    real_stencil_weights,
     solve_sparse,
     upper_barrier,
 )
+
+
+def coo_reference_matrix(coeffs, grid):
+    """The operator built entry by entry as (row, column, value) triplets.
+
+    Independent of the diagonal storage: every stencil move maps interior
+    node indices to neighbour indices, couplings to boundary neighbours are
+    left out, and scipy sums the triplets into CSR.
+    """
+    h = grid.spacing
+    interior = grid.interior_shape
+    size = int(np.prod(interior))
+    index = np.arange(size).reshape(interior)
+    diag_w, cross_w = real_stencil_weights(coeffs.values)
+    ndim = 2 * grid.n
+    rows, cols, vals = [index.reshape(-1)], [index.reshape(-1)], []
+    center = np.zeros(interior)
+
+    def shifted(steps):
+        src = [slice(None)] * ndim
+        dst = [slice(None)] * ndim
+        for axis, off in steps:
+            src[axis] = slice(0, -1) if off == +1 else slice(1, None)
+            dst[axis] = slice(1, None) if off == +1 else slice(0, -1)
+        return tuple(src), tuple(dst)
+
+    def add(steps, w, sign=1.0):
+        src, dst = shifted(steps)
+        rows.append(index[src].reshape(-1))
+        cols.append(index[dst].reshape(-1))
+        vals.append((sign * w[src]).reshape(-1))
+
+    for a in range(ndim):
+        w = diag_w[..., a] / (h[a] * h[a])
+        center -= 2.0 * w
+        for off in (-1, +1):
+            add([(a, off)], w)
+    for (a, b), wfield in cross_w.items():
+        w = wfield / (4.0 * h[a] * h[b])
+        if np.all(w == 0.0):
+            continue
+        for oa, ob, sign in ((1, 1, 1.0), (1, -1, -1.0), (-1, 1, -1.0), (-1, -1, 1.0)):
+            add([(a, oa), (b, ob)], w, sign)
+    vals.insert(0, center.reshape(-1))
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(size, size)
+    )
+
+
+def random_hermitian_field(grid, rng, zero_real_01=False):
+    """Diagonally dominant Hermitian coefficients with non-zero imaginary parts.
+
+    With ``zero_real_01`` the (0, 1) entries are purely imaginary, so the
+    x1 x2 and y1 y2 cross keys carry all-zero weights.
+    """
+    n = grid.n
+    shape = grid.interior_shape + (n, n)
+    off = 0.3 * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+    if zero_real_01:
+        off[..., 0, 1] = 1j * off[..., 0, 1].imag
+        off[..., 1, 0] = 1j * off[..., 1, 0].imag
+    herm = np.triu(off, 1) + np.conj(np.swapaxes(np.triu(off, 1), -1, -2))
+    diag = rng.uniform(n - 0.3, n + 0.3, grid.interior_shape + (n,))
+    return MatrixField(grid, herm + diag[..., None] * np.eye(n))
 
 
 def membrane_center_value(terms=400):
@@ -108,6 +175,41 @@ class TestAssembly:
         grid = BoxGrid(1, ((0, 1), (0, 1)), 9)
         coeffs = constant_coefficient_field(grid, -np.eye(1, dtype=complex))
         with pytest.raises(IndefiniteCoefficients):
+            assemble_linearized(coeffs, np.zeros(grid.interior_shape), grid)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matrix_equals_triplet_reference(self, n):
+        rng = np.random.default_rng(10 + n)
+        grid = BoxGrid(n, ((-1, 1),) * (2 * n), 9)
+        fields = [random_hermitian_field(grid, rng)]
+        if n > 1:
+            fields.append(random_hermitian_field(grid, rng, zero_real_01=True))
+        for coeffs in fields:
+            system = assemble_linearized(coeffs, np.zeros(grid.interior_shape), grid)
+            reference = coo_reference_matrix(coeffs, grid)
+            assert np.array_equal(system.matrix.toarray(), reference.toarray())
+
+    def test_products_equal_triplet_reference_n3(self):
+        # ascending offsets sum each row in column order, as CSR does
+        rng = np.random.default_rng(13)
+        grid = BoxGrid(3, ((-1, 1),) * 6, 9)
+        for zero_real_01 in (False, True):
+            coeffs = random_hermitian_field(grid, rng, zero_real_01)
+            system = assemble_linearized(coeffs, np.zeros(grid.interior_shape), grid)
+            reference = coo_reference_matrix(coeffs, grid)
+            x = rng.standard_normal(system.unknowns)
+            assert np.array_equal(system.matrix @ x, reference @ x)
+
+    def test_indefinite_node_is_named(self):
+        # eigenvalues (0, 2, -1e-3) at one node, positive definite elsewhere
+        rng = np.random.default_rng(14)
+        grid = BoxGrid(3, ((-1, 1),) * 6, 9)
+        coeffs = random_hermitian_field(grid, rng)
+        node = (3, 1, 5, 7, 6, 2)
+        coeffs.values[tuple(i - 1 for i in node)] = np.array(
+            [[1.0, 1.0j, 0.0], [-1.0j, 1.0, 0.0], [0.0, 0.0, -1e-3]]
+        )
+        with pytest.raises(IndefiniteCoefficients, match=re.escape(str(node))):
             assemble_linearized(coeffs, np.zeros(grid.interior_shape), grid)
 
     def test_mmatrix_violation_counter(self):

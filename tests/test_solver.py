@@ -121,6 +121,13 @@ class TestRadialSolve:
         with pytest.raises(ContinuationStalled):
             continuity_solve(problem, SolveConfig(max_newton_iters=0))
 
+    @pytest.mark.parametrize("config", [SolveConfig(t_step_init=0.0), SolveConfig(t_growth=0.5)],
+                             ids=["zero_step", "shrinking_growth"])
+    def test_step_floor_holds_without_a_failed_step(self, config):
+        # every step succeeds, but the step never reaches t = 1
+        with pytest.raises(ContinuationStalled):
+            continuity_solve(radial_problem(points=41), config)
+
     def test_max_iters_exceeded_directly(self):
         problem = radial_problem(subsolution_profile=shifted_subsolution())
         with pytest.raises(MaxItersExceeded):
@@ -251,6 +258,34 @@ class TestOneAnalysisPerState:
         # subsolution, the start of each attempt, each accepted candidate
         assert counts["eigh_batch"] == 1 + counts["_newton_loop"] + counts["correction"]
         assert counts["eigvals_batch"] == 1  # the Hessian sup
+
+    def test_assembly_runs_no_eigen_decomposition(self, monkeypatch):
+        import garding.linear as linear
+
+        inside = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def guarded_eigvalsh(*args, **kwargs):
+            if inside:
+                raise AssertionError("eigvalsh called inside assemble_linearized")
+            return eigvalsh(*args, **kwargs)
+
+        def tracked(assemble):
+            def wrapper(*args, **kwargs):
+                inside.append(True)
+                try:
+                    return assemble(*args, **kwargs)
+                finally:
+                    inside.pop()
+            return wrapper
+
+        counts = {}
+        monkeypatch.setattr(np.linalg, "eigvalsh", guarded_eigvalsh)
+        monkeypatch.setattr(solver, "assemble_linearized", tracked(solver.assemble_linearized))
+        monkeypatch.setattr(linear, "assemble_linearized", tracked(linear.assemble_linearized))
+        count_calls(monkeypatch, solver, "assemble_linearized", counts)
+        continuity_solve(box_problem(res=9, psi_scale=0.85))
+        assert counts["assemble_linearized"] > 0
 
     def test_states_match_a_fresh_analysis_after_halvings(self, monkeypatch):
         problem = box_problem(res=9, psi_scale=0.85)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -83,19 +83,30 @@ class RunConfig:
             raise errors.ValidationError("seed", f"seed must be >= 0, got {self.seed}")
 
 
+# [solve] keys, which the spec parser lowercases, to SolveConfig fields;
+# initial values come from the [init] section instead
+_SOLVE_SETTINGS = {f.name.lower(): f.name for f in fields(SolveConfig) if f.name != "initial_values"}
+
+
 def _solve_config(doc, config: RunConfig) -> SolveConfig:
     sc = SolveConfig()
     if config.tol is not None:
         sc.newton_tol = config.tol
     for key, value in doc.solve_overrides:
-        if not hasattr(sc, key):
+        if key == "initial_values":
+            raise errors.ValidationError("solve", "initial values are set in the [init] section")
+        if key not in _SOLVE_SETTINGS:
             raise errors.ValidationError("solve", f"unknown solver setting {key!r}")
-        current = getattr(sc, key)
+        name = _SOLVE_SETTINGS[key]
+        current = getattr(sc, name)
+        if isinstance(value, bool) != isinstance(current, bool):
+            kind = "true or false" if isinstance(current, bool) else "a number"
+            raise errors.ValidationError(name, f"must be {kind}, got {value}")
         if isinstance(current, int) and not isinstance(current, bool):
-            if isinstance(value, bool) or not float(value).is_integer():
-                raise errors.ValidationError(key, f"must be an integer, got {value}")
+            if not float(value).is_integer():
+                raise errors.ValidationError(name, f"must be an integer, got {value}")
             value = int(value)
-        setattr(sc, key, value)
+        setattr(sc, name, value)
     sc.validate()
     return sc
 

@@ -63,6 +63,10 @@ from .radial import (
 
 log = logging.getLogger(__name__)
 
+# lowest admissible t_step_min: at most 1 / t_step_min continuation steps
+# are accepted, so the floor bounds a solve's length
+T_STEP_FLOOR = 2.0**-20
+
 
 @dataclass
 class SolveConfig:
@@ -87,18 +91,21 @@ class SolveConfig:
         """Raise ValidationError for a setting outside its range.
 
         With ``t_growth >= 1`` the continuation step shrinks only after a
-        failed step, and ``t_step_min > 0`` bounds how often that can happen.
+        failed step, and ``t_step_min >= T_STEP_FLOOR`` bounds both how
+        often that can happen and the number of accepted steps.
         """
         for name in ("newton_tol", "linear_tol_floor", "linear_tol_cap"):
             value = getattr(self, name)
             if value is not None and not value > 0.0:
                 raise ValidationError(name, f"tolerance must be positive, got {value}")
-        if self.max_newton_iters < 0:
-            raise ValidationError("max_newton_iters", f"must be >= 0, got {self.max_newton_iters}")
-        if not 0.0 < self.t_step_min <= self.t_step_init <= self.t_step_max <= 1.0:
+        for name in ("max_newton_iters", "easy_iters"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValidationError(name, f"must be >= 0, got {value}")
+        if not T_STEP_FLOOR <= self.t_step_min <= self.t_step_init <= self.t_step_max <= 1.0:
             raise ValidationError(
                 "t_step_init",
-                "need 0 < t_step_min <= t_step_init <= t_step_max <= 1, got "
+                "need 2^-20 <= t_step_min <= t_step_init <= t_step_max <= 1, got "
                 f"{self.t_step_min}, {self.t_step_init}, {self.t_step_max}",
             )
         if not self.t_growth >= 1.0:
@@ -107,6 +114,10 @@ class SolveConfig:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValidationError(name, f"must lie in (0, 1), got {value}")
+        for name in ("barrier_tau", "barrier_N", "barrier_delta"):
+            value = getattr(self, name)
+            if value is not None and not value > 0.0:
+                raise ValidationError(name, f"must be positive, got {value}")
 
     def tol_for(self, geometry: str) -> float:
         if self.newton_tol is not None:

@@ -236,12 +236,27 @@ class TestValidationFailures:
     @pytest.mark.parametrize("setting", [
         "t_step_init = 0", "t_growth = 0.5", "max_newton_iters = -1", "max_newton_iters = 2.5",
         "newton_tol = -1", "linear_tol_floor = 0", "t_step_max = 1.5", "t_step_min = 0.5",
-        "margin_keep = 1", "alpha_min = 0",
+        "margin_keep = 1", "alpha_min = 0", "initial_values = 1", "barrier_tau = -1",
+        "barrier_delta = -1", "barrier_N = 0", "easy_iters = -3", "compute_barrier = 2",
+        "newton_tol = true", "validate = 1",
+        "t_step_init = 1e-300\nt_step_min = 1e-300\nt_growth = 1",
     ])
     def test_out_of_range_solver_setting(self, tmp_path, setting):
         spec = RADIAL_SPEC.replace("points = 201", "points = 41") + f"[solve]\n{setting}\n"
         status, _ = run_cli(tmp_path, spec, "solve")
         assert status == 2
+
+    def test_box_initial_values_setting_points_to_init(self, tmp_path, capsys):
+        status, _ = run_cli(tmp_path, BOX_SPEC + "[solve]\ninitial_values = 1\n", "solve")
+        assert status == 2
+        assert "[init]" in capsys.readouterr().err
+
+    def test_mixed_case_setting_is_applied(self, tmp_path):
+        # the parser lowercases keys; barrier_N must still be reachable
+        spec = write(tmp_path, "case.spec", BOX_SPEC + "[solve]\nbarrier_N = 60\nbarrier_tau = 0.1\n")
+        config = cli.RunConfig(mode="solve", spec_path=spec, out_dir=tmp_path / "out")
+        sc = cli._solve_config(parse_document(spec.read_text()), config)
+        assert (sc.barrier_N, sc.barrier_tau) == (60.0, 0.1)
 
     @pytest.mark.parametrize("extra", [["--trials", "0"], ["--seed", "-1", "--trials", "10"]])
     def test_out_of_range_run_setting(self, tmp_path, extra):

@@ -3,7 +3,9 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+import garding.linear
 from garding.analytic import norm_squared, re_z1_squared
 from garding.errors import IndefiniteCoefficients, LinearSolveStalled
 from garding.grid import BoxGrid, MatrixField, ScalarField
@@ -239,12 +241,35 @@ class TestSolve:
         assert center == pytest.approx(membrane_center_value(), abs=2e-5)
         assert center == pytest.approx(0.07367, abs=1e-4)
 
-    def test_membrane_iterative_matches_direct(self, monkeypatch):
+    def test_membrane_iterative_matches_direct(self):
         grid, system = poisson_square(33)
-        direct = solve_sparse(system, tol=1e-12)
-        monkeypatch.setattr("garding.linear.DIRECT_THRESHOLD", 1)
+        direct = spla.spsolve(system.matrix.tocsc(), system.rhs)
         iterative = solve_sparse(system, tol=1e-12)
-        assert np.abs(direct.values - iterative.values).max() < 1e-10
+        assert np.abs(direct - iterative.interior().reshape(-1)).max() < 1e-10
+
+    def test_strong_cross_terms_match_direct(self):
+        # variable coefficients whose real and imaginary (0, 1) entries reach
+        # 0.9 of the diagonal: the mean axis stencil ignores every cross term
+        rng = np.random.default_rng(21)
+        grid = BoxGrid(2, ((-1, 1),) * 4, 9)
+        shape = grid.interior_shape
+        cvals = np.zeros(shape + (2, 2), dtype=complex)
+        cvals[..., 0, 0] = rng.uniform(1.0, 1.5, shape)
+        cvals[..., 1, 1] = rng.uniform(1.0, 1.5, shape)
+        bound = 0.9 * np.sqrt(cvals[..., 0, 0].real * cvals[..., 1, 1].real)
+        cvals[..., 0, 1] = bound * (0.6 + 0.7j)
+        cvals[..., 1, 0] = np.conj(cvals[..., 0, 1])
+        system = assemble_linearized(MatrixField(grid, cvals), rng.standard_normal(shape), grid)
+        assert system.mmatrix_violations > 0
+        direct = spla.spsolve(system.matrix.tocsc(), system.rhs)
+        iterative = solve_sparse(system, tol=1e-12)
+        assert np.abs(direct - iterative.interior().reshape(-1)).max() < 1e-9 * np.abs(direct).max()
+
+    def test_zero_matrix_cannot_be_preconditioned(self):
+        grid = BoxGrid(1, ((0, 1), (0, 1)), 9)
+        system = SparseSystem(grid, sp.csr_matrix((49, 49)), np.ones(49))
+        with pytest.raises(LinearSolveStalled):
+            solve_sparse(system)
 
     def test_manufactured_solution_recovery(self):
         rng = np.random.default_rng(2)
@@ -302,7 +327,47 @@ class TestSolve:
             solve_sparse(system, tol=0.0)
 
 
+def count_preconditioner_applications(monkeypatch) -> list:
+    """Patch garding.linear.bicgstab to record preconditioner applications."""
+    counts = []
+    bicgstab_impl = garding.linear.bicgstab
+
+    def counted(*args, precond, **kwargs):
+        counts.append(0)
+
+        def apply(vec):
+            counts[-1] += 1
+            return precond(vec)
+
+        return bicgstab_impl(*args, precond=apply, **kwargs)
+
+    monkeypatch.setattr(garding.linear, "bicgstab", counted)
+    return counts
+
+
 class TestUpperBarrier:
+    @pytest.mark.parametrize("omega", [None, np.diag([1.0, 2.0])], ids=["identity", "diagonal"])
+    def test_constant_separable_metric_solved_by_one_application(self, monkeypatch, omega):
+        # the barrier matrix is its own mean axis stencil, so the
+        # preconditioner is its exact inverse
+        grid = BoxGrid(2, ((-1, 1),) * 4, 9)
+        pts = grid.points()
+        phi = ScalarField(grid, pts[..., 0] ** 2 - 0.5 * pts[..., 3] + 0.3 * pts[..., 1] * pts[..., 2])
+        chi = np.array([[1.0, 0.2j], [-0.2j, 0.5]])
+        counts = count_preconditioner_applications(monkeypatch)
+        out = upper_barrier(chi, omega, phi, grid)
+        assert counts == [1]
+
+        omega_inv = np.eye(2) if omega is None else np.linalg.inv(omega)
+        coeffs = constant_coefficient_field(grid, omega_inv.astype(complex))
+        mask = grid.boundary_mask()
+        phi_ext = np.where(mask, phi.values, 0.0)
+        rhs = -np.trace(omega_inv @ chi).real - operator_apply(coeffs, ScalarField(grid, phi_ext))
+        system = assemble_linearized(coeffs, rhs, grid)
+        expected = spla.spsolve(system.matrix.tocsc(), system.rhs)
+        assert np.abs(out.interior().reshape(-1) - expected).max() < 1e-10
+        assert np.array_equal(out.values[mask], phi.values[mask])
+
     def test_zero_data_gives_zero(self):
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
         phi = ScalarField(grid, np.zeros(grid.shape))

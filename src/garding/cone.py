@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import Spectrum
+from .hermitian import Spectrum, congruence_reduce_batch, eigvals_batch
 from .operator import OperatorParams, eval_ftilde
 
 
@@ -33,7 +33,7 @@ def cone_margin(lam: Spectrum, params: OperatorParams) -> ConeMargin:
     v = lam.values
     if len(v) != params.n:
         raise ValueError(f"length {len(v)} does not match n={params.n}")
-    margin = float(v[: params.p].sum())
+    margin = float(margins_batch(v[None], params.p)[0])
     ft = eval_ftilde(lam, params) if margin > 0.0 else None
     return ConeMargin(margin=margin, ftilde_value=ft)
 
@@ -57,8 +57,6 @@ def admissibility_scan(g_field, omega, params: OperatorParams):
     ``g_field`` is a MatrixField; ``omega`` is a constant Hermitian metric
     matrix or None for the identity.
     """
-    from .hermitian import congruence_reduce_batch, eigvals_batch
-
     mats = g_field.values
     omega_entries = None
     if omega is not None:

@@ -90,15 +90,6 @@ class BoxGrid:
         idx = np.unravel_index(k, self.interior_shape)
         return tuple(int(i) + 1 for i in idx)
 
-    def coordinate_grids(self) -> list[np.ndarray]:
-        """Per-axis coordinate arrays broadcastable to the full grid shape."""
-        out = []
-        for a in range(self.ndim_real):
-            shape = [1] * self.ndim_real
-            shape[a] = self.resolution
-            out.append(self.axis_coords(a).reshape(shape))
-        return out
-
     def points(self) -> np.ndarray:
         """All node coordinates, shape (*grid shape, 2n)."""
         grids = np.meshgrid(*[self.axis_coords(a) for a in range(self.ndim_real)],
@@ -120,17 +111,23 @@ class BoxGrid:
             mask[tuple(sl_hi)] = True
         return mask
 
-    def face_distance(self) -> np.ndarray:
-        """Euclidean distance to the nearest face, over the full grid."""
-        parts = []
+    def axis_face_distances(self) -> list[np.ndarray]:
+        """Per real axis, the distance to the nearer of its two faces.
+
+        Each array varies along its own axis and broadcasts to the grid shape.
+        """
+        out = []
         for a in range(self.ndim_real):
             lo, hi = self.extent[a]
             c = self.axis_coords(a)
-            da = np.minimum(c - lo, hi - c)
             shape = [1] * self.ndim_real
             shape[a] = self.resolution
-            parts.append(da.reshape(shape))
-        return reduce(np.minimum, parts)
+            out.append(np.minimum(c - lo, hi - c).reshape(shape))
+        return out
+
+    def face_distance(self) -> np.ndarray:
+        """Euclidean distance to the nearest face, over the full grid."""
+        return reduce(np.minimum, self.axis_face_distances())
 
     def diameter(self) -> float:
         return float(np.sqrt(sum((hi - lo) ** 2 for lo, hi in self.extent)))
@@ -209,71 +206,46 @@ def second_difference(values: np.ndarray, axis_a: int, axis_b: int, spacing) -> 
     return (pp - pm - mp + mm) / (4.0 * ha * hb)
 
 
-def complex_hessian_field(u: ScalarField) -> MatrixField:
-    """Discrete complex Hessian of u at every interior node."""
-    grid = u.grid
-    n = grid.n
-    h = grid.spacing
-    out = np.zeros(grid.interior_shape + (n, n), dtype=np.complex128)
+def _hessian_block(values: np.ndarray, n: int, spacing) -> np.ndarray:
+    """Discrete complex Hessian over the interior of a block of grid values.
+
+    The one Hessian stencil: ``values`` is the full grid or the 3^2n block
+    around a node, and the result has the block's interior shape + (n, n).
+    """
+    out = np.zeros(tuple(s - 2 for s in values.shape) + (n, n), dtype=np.complex128)
     for j in range(n):
         xj, yj = 2 * j, 2 * j + 1
         out[..., j, j] = (
-            second_difference(u.values, xj, xj, h)
-            + second_difference(u.values, yj, yj, h)
+            second_difference(values, xj, xj, spacing)
+            + second_difference(values, yj, yj, spacing)
         ) / 4.0
         for k in range(j + 1, n):
             xk, yk = 2 * k, 2 * k + 1
             re = (
-                second_difference(u.values, xj, xk, h)
-                + second_difference(u.values, yj, yk, h)
+                second_difference(values, xj, xk, spacing)
+                + second_difference(values, yj, yk, spacing)
             ) / 4.0
             im = (
-                second_difference(u.values, xj, yk, h)
-                - second_difference(u.values, yj, xk, h)
+                second_difference(values, xj, yk, spacing)
+                - second_difference(values, yj, xk, spacing)
             ) / 4.0
             out[..., k, j] = re + 1j * im
             out[..., j, k] = re - 1j * im
-    return MatrixField(grid, out)
+    return out
+
+
+def complex_hessian_field(u: ScalarField) -> MatrixField:
+    """Discrete complex Hessian of u at every interior node."""
+    return MatrixField(u.grid, _hessian_block(u.values, u.grid.n, u.grid.spacing))
 
 
 def complex_hessian(u: ScalarField, node) -> HermitianMatrix:
-    """Discrete complex Hessian at a single interior node."""
+    """Discrete complex Hessian at a single interior node (its 3^2n block)."""
     grid = u.grid
     if not grid.is_interior(node):
         raise BoundaryNode(f"node {node} is on the boundary")
-    n = grid.n
-    h = grid.spacing
-    vals = u.values
-
-    def d2(a, b):
-        base = list(node)
-        if a == b:
-            up = list(base)
-            up[a] += 1
-            dn = list(base)
-            dn[a] -= 1
-            return (vals[tuple(up)] - 2.0 * vals[tuple(base)] + vals[tuple(dn)]) / (
-                h[a] * h[a]
-            )
-        total = 0.0
-        for sa, sb, sign in ((1, 1, 1.0), (1, -1, -1.0), (-1, 1, -1.0), (-1, -1, 1.0)):
-            idx = list(base)
-            idx[a] += sa
-            idx[b] += sb
-            total += sign * vals[tuple(idx)]
-        return total / (4.0 * h[a] * h[b])
-
-    out = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        xj, yj = 2 * j, 2 * j + 1
-        out[j, j] = (d2(xj, xj) + d2(yj, yj)) / 4.0
-        for k in range(j + 1, n):
-            xk, yk = 2 * k, 2 * k + 1
-            re = (d2(xj, xk) + d2(yj, yk)) / 4.0
-            im = (d2(xj, yk) - d2(yj, xk)) / 4.0
-            out[k, j] = re + 1j * im
-            out[j, k] = re - 1j * im
-    return HermitianMatrix(out)
+    block = u.values[tuple(slice(i - 1, i + 2) for i in node)]
+    return HermitianMatrix(_hessian_block(block, grid.n, grid.spacing).reshape(grid.n, grid.n))
 
 
 def assemble_g(chi, u: ScalarField) -> MatrixField:

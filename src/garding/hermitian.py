@@ -4,7 +4,8 @@ Matrices follow the row-k / column-j convention: ``entries[k, j]`` holds the
 (1,1)-form component with barred index k, so a complex Hessian stores
 ``entries[k, j] = d^2 u / dz^j dzbar^k``.  All Hermitian matrices here are
 Hermitian in the ordinary sense (``A == A.conj().T``) and eigenvalue routines
-are convention independent.
+are convention independent.  Every eigenvalue comes from the batched LAPACK
+routines; a scalar entry point is a call on a one-matrix batch.
 """
 
 from __future__ import annotations
@@ -68,87 +69,16 @@ class Spectrum:
         return len(self.values)
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-15, max_sweeps: int = 60):
-    """Eigen-decomposition of a complex Hermitian matrix by cyclic Jacobi.
-
-    Each rotation peels the phase off the pivot entry and then applies a
-    real Givens rotation, so every sweep is unconditionally norm reducing on
-    the off-diagonal part.  Intended for n <= 6 where the O(n^3)-per-sweep
-    cost is negligible and convergence takes a handful of sweeps.
-
-    Returns (values ascending, columns-are-eigenvectors V) with
-    ``a = V @ diag(values) @ V.conj().T``.
-    """
-    a = np.array(a, dtype=np.complex128)
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.complex128)
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return np.zeros(n), v
-
-    def offdiag_norm(m):
-        off = m - np.diag(np.diag(m))
-        return np.linalg.norm(off)
-
-    for _ in range(max_sweeps):
-        if offdiag_norm(a) <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= 1e-300:
-                    continue
-                phase = apq / r
-                app = a[p, p].real
-                aqq = a[q, q].real
-                theta = 0.5 * np.arctan2(2.0 * r, app - aqq)
-                c = np.cos(theta)
-                s = np.sin(theta)
-                # Unitary T acting on columns (p, q):
-                #   T[p, p] = c, T[q, p] = s * conj(phase),
-                #   T[p, q] = -s, T[q, q] = c * conj(phase).
-                tpp, tqp = c, s * np.conj(phase)
-                tpq, tqq = -s, c * np.conj(phase)
-                col_p = a[:, p] * tpp + a[:, q] * tqp
-                col_q = a[:, p] * tpq + a[:, q] * tqq
-                a[:, p] = col_p
-                a[:, q] = col_q
-                row_p = np.conj(tpp) * a[p, :] + np.conj(tqp) * a[q, :]
-                row_q = np.conj(tpq) * a[p, :] + np.conj(tqq) * a[q, :]
-                a[p, :] = row_p
-                a[q, :] = row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                col_p = v[:, p] * tpp + v[:, q] * tqp
-                col_q = v[:, p] * tpq + v[:, q] * tqq
-                v[:, p] = col_p
-                v[:, q] = col_q
-
-    vals = np.diag(a).real.copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], v[:, order]
-
-
 def herm_eigen(a: HermitianMatrix) -> Spectrum:
     """Eigenvalues of a Hermitian matrix, ascending, with multiplicity."""
-    vals, _ = jacobi_eigh(a.entries)
-    return Spectrum(vals)
-
-
-def herm_eigen_system(a: HermitianMatrix):
-    """Eigenvalues (ascending) and unitary eigenvector matrix."""
-    vals, vecs = jacobi_eigh(a.entries)
-    return Spectrum(vals), vecs
+    return Spectrum(eigvals_batch(a.entries[None])[0])
 
 
 def _check_positive(omega: HermitianMatrix, floor: float = 1e-12) -> None:
-    vals, _ = jacobi_eigh(omega.entries)
-    if vals[0] <= floor:
+    least = eigvals_batch(omega.entries[None])[0, 0]
+    if least <= floor:
         raise MetricNotPositive(
-            f"metric eigenvalue {vals[0]:.3e} not above positivity floor {floor:.1e}"
+            f"metric eigenvalue {least:.3e} not above positivity floor {floor:.1e}"
         )
 
 
@@ -158,24 +88,20 @@ def metric_endomorphism_eigen(omega: HermitianMatrix, g: HermitianMatrix) -> Spe
     Factors omega = L L* and diagonalizes L^{-1} g L^{-*}, which is Hermitian
     and similar to omega^{-1} g, so the spectrum is real.
     """
-    _check_positive(omega)
-    if omega.dim != g.dim:
-        raise ValueError(f"dimension mismatch: {omega.dim} vs {g.dim}")
-    ell = np.linalg.cholesky(omega.entries)
-    x = np.linalg.solve(ell, g.entries)
-    b = np.linalg.solve(ell, x.conj().T).conj().T
-    vals, _ = jacobi_eigh((b + b.conj().T) / 2.0)
-    return Spectrum(vals)
+    return metric_endomorphism_system(omega, g)[0]
 
 
 def metric_endomorphism_system(omega: HermitianMatrix, g: HermitianMatrix):
-    """Spectrum plus the congruence data (L, V) with g = L V diag(vals) V* L*."""
+    """Spectrum plus the congruence data (L, V) with g = L V diag(vals) V* L*.
+
+    One row of the batch route: congruence_reduce_batch, then eigh_batch.
+    """
     _check_positive(omega)
-    ell = np.linalg.cholesky(omega.entries)
-    x = np.linalg.solve(ell, g.entries)
-    b = np.linalg.solve(ell, x.conj().T).conj().T
-    vals, vecs = jacobi_eigh((b + b.conj().T) / 2.0)
-    return Spectrum(vals), ell, vecs
+    if omega.dim != g.dim:
+        raise ValueError(f"dimension mismatch: {omega.dim} vs {g.dim}")
+    reduced, ell = congruence_reduce_batch(g.entries[None], omega.entries)
+    vals, vecs = eigh_batch(reduced)
+    return Spectrum(vals[0]), ell, vecs[0]
 
 
 def trace_with_metric(omega: HermitianMatrix, g: HermitianMatrix) -> float:
@@ -187,9 +113,8 @@ def trace_with_metric(omega: HermitianMatrix, g: HermitianMatrix) -> float:
 def eigh_batch(mats: np.ndarray):
     """Batched Hermitian eigen-decomposition for stacked (..., n, n) arrays.
 
-    Hot-path companion to :func:`herm_eigen` for whole-field scans; agreement
-    between the two routes is covered by tests.  Returns (values ascending
-    along the last axis, eigenvector matrices).
+    The one eigen route: scalar entry points call it on a one-matrix batch.
+    Returns (values ascending along the last axis, eigenvector matrices).
     """
     return np.linalg.eigh(mats)
 
@@ -212,3 +137,16 @@ def congruence_reduce_batch(mats: np.ndarray, omega: np.ndarray | None):
     ell_inv = np.linalg.inv(ell)
     reduced = np.einsum("ab,...bc,dc->...ad", ell_inv, mats, ell_inv.conj())
     return (reduced + np.swapaxes(reduced, -1, -2).conj()) / 2.0, ell
+
+
+def ambient_transport_batch(coeffs: np.ndarray, ell: np.ndarray | None) -> np.ndarray:
+    """Map stacked forms from endomorphism coordinates to the ambient frame.
+
+    The adjoint of :func:`congruence_reduce_batch`: returns ``L^{-*} coeffs
+    L^{-1}``, so that tr(coeffs @ L^{-1} h L^{-*}) = tr(result @ h) for a
+    Hermitian h.  With ``ell`` None (identity metric) this is a no-op.
+    """
+    if ell is None:
+        return coeffs
+    ell_inv = np.linalg.inv(ell)
+    return np.einsum("ba,...bc,cd->...ad", ell_inv.conj(), coeffs, ell_inv)

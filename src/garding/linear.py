@@ -49,6 +49,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import IndefiniteCoefficients, LinearSolveStalled
 from .grid import BoxGrid, MatrixField, ScalarField, complex_hessian_field
+from .hermitian import eigvals_batch
 
 STALL_WINDOW = 50  # iterations without meaningful progress before declaring a stall
 IMAG_CANCEL_TOL = 1e-12
@@ -127,7 +128,7 @@ def assemble_linearized(coeffs: MatrixField, rhs: ScalarField | np.ndarray, grid
     try:
         np.linalg.cholesky(cvals)
     except np.linalg.LinAlgError:
-        mins = np.linalg.eigvalsh(cvals).min(axis=-1)
+        mins = eigvals_batch(cvals).min(axis=-1)
         flat = int(np.argmin(mins.reshape(-1)))
         raise IndefiniteCoefficients(
             f"coefficients not positive definite at node {grid.node_of_flat(flat)}"

@@ -17,8 +17,9 @@ where sigma_S is the subset sum.  Subsets are enumerated in lexicographic
 order throughout (itertools.combinations order); this ordering is part of
 the documented output contract of :func:`subset_sums`.
 
-Batch variants operate on stacked rows of eigenvalues and back the
-field-scale hot paths of the solver.
+The batch functions operate on stacked rows of eigenvalues and back the
+field-scale hot paths of the solver; each scalar function is a one-row call
+into its batch counterpart.
 """
 
 from __future__ import annotations
@@ -30,9 +31,15 @@ from math import comb
 import numpy as np
 
 from .errors import NotArrowForm, OutsideCone
-from .hermitian import HermitianMatrix, Spectrum, metric_endomorphism_system
+from .hermitian import (
+    HermitianMatrix,
+    Spectrum,
+    ambient_transport_batch,
+    metric_endomorphism_system,
+)
 
 SUM_FLOOR = 1e-300  # subset sums below this are treated as boundary values
+POSITIVE_FLOOR = np.nextafter(0.0, 1.0)  # least positive double: x < it iff x <= 0
 CLUSTER_GAP_RTOL = 1e-8  # eigenvalue-cluster threshold for derivative averaging
 
 
@@ -65,18 +72,32 @@ class OperatorParams:
         assert self.subset_count == comb(self.n, self.p)
 
 
-def _as_row(lam: Spectrum | np.ndarray) -> np.ndarray:
-    if isinstance(lam, Spectrum):
-        return lam.values
-    return np.asarray(lam, dtype=np.float64)
+def _one_row(lam: Spectrum | np.ndarray, params: OperatorParams) -> np.ndarray:
+    """A scalar argument as a one-row batch."""
+    v = lam.values if isinstance(lam, Spectrum) else np.asarray(lam, dtype=np.float64)
+    if v.shape[-1] != params.n:
+        raise ValueError(f"length {v.shape[-1]} does not match n={params.n}")
+    return v[None, :]
 
 
 def subset_sums(lam: Spectrum, params: OperatorParams) -> np.ndarray:
     """All p-subset sums of lam, in lexicographic subset order."""
-    v = _as_row(lam)
-    if v.shape[-1] != params.n:
-        raise ValueError(f"length {v.shape[-1]} does not match n={params.n}")
-    return params.membership @ v
+    return subset_sums_batch(_one_row(lam, params), params)[0]
+
+
+def eval_M(lam: Spectrum, params: OperatorParams) -> float:
+    """The raw product of subset sums (one row of :func:`product_batch`)."""
+    return float(product_batch(_one_row(lam, params), params)[0])
+
+
+def eval_ftilde(lam: Spectrum, params: OperatorParams) -> float:
+    """The normalized operator M^(1/C(n,p)) (one row of :func:`ftilde_batch`)."""
+    return float(ftilde_batch(_one_row(lam, params), params)[0])
+
+
+def grad_ftilde(lam: Spectrum, params: OperatorParams) -> np.ndarray:
+    """Analytic gradient (f_1, ..., f_n) of ftilde at a strict cone point."""
+    return ftilde_grad_batch(_one_row(lam, params), params)[1][0]
 
 
 def subset_sums_batch(lams: np.ndarray, params: OperatorParams) -> np.ndarray:
@@ -84,60 +105,44 @@ def subset_sums_batch(lams: np.ndarray, params: OperatorParams) -> np.ndarray:
     return lams @ params.membership.T
 
 
-def eval_M(lam: Spectrum, params: OperatorParams) -> float:
-    """The raw product of subset sums.
+def _ftilde_rows(lams: np.ndarray, params: OperatorParams, floor: float):
+    """(subset sums, ftilde) of stacked rows; OutsideCone unless every sum is >= ``floor``."""
+    sums = subset_sums_batch(lams, params)
+    if np.any(sums < floor):
+        bad = int(np.argmin(sums.min(axis=-1)))
+        raise OutsideCone(f"row {bad}: subset sum {sums.min():.6e} at/below boundary")
+    return sums, np.exp(np.mean(np.log(sums), axis=-1))
 
-    Computed in log space when every factor is positive; by direct product
-    otherwise (so a zero factor yields exactly 0).
+
+def product_batch(lams: np.ndarray, params: OperatorParams) -> np.ndarray:
+    """Raw operator values over stacked eigenvalue rows.
+
+    Computed in log space on rows whose factors are all positive; by direct
+    product otherwise (so a zero factor yields exactly 0).
     """
-    sums = subset_sums(lam, params)
-    if np.all(sums > 0.0):
-        return float(np.exp(np.sum(np.log(sums))))
-    return float(np.prod(sums))
-
-
-def eval_ftilde(lam: Spectrum, params: OperatorParams) -> float:
-    """The normalized operator M^(1/C(n,p)), via the mean of logs.
-
-    Raises OutsideCone when a subset sum is <= 0; clamps to 0.0 below the
-    representable floor (the cone boundary at double precision).
-    """
-    sums = subset_sums(lam, params)
-    if np.any(sums <= 0.0):
-        raise OutsideCone(f"minimum subset sum {sums.min():.6e} <= 0")
-    if np.any(sums < SUM_FLOOR):
-        return 0.0
-    return float(np.exp(np.mean(np.log(sums))))
-
-
-def grad_ftilde(lam: Spectrum, params: OperatorParams) -> np.ndarray:
-    """Analytic gradient (f_1, ..., f_n) of ftilde at a strict cone point."""
-    sums = subset_sums(lam, params)
-    if np.any(sums < SUM_FLOOR):
-        raise OutsideCone(
-            f"minimum subset sum {sums.min():.6e} too close to the cone boundary "
-            "for derivatives"
-        )
-    ft = np.exp(np.mean(np.log(sums)))
-    return (ft / params.subset_count) * (params.membership.T @ (1.0 / sums))
+    sums = subset_sums_batch(lams, params)
+    inside = np.all(sums > 0.0, axis=-1)
+    out = np.prod(sums, axis=-1)
+    out[inside] = np.exp(np.sum(np.log(sums[inside]), axis=-1))
+    return out
 
 
 def ftilde_batch(lams: np.ndarray, params: OperatorParams) -> np.ndarray:
-    """ftilde over stacked eigenvalue rows; caller guarantees cone membership."""
-    sums = subset_sums_batch(lams, params)
-    if np.any(sums < SUM_FLOOR):
-        bad = int(np.argmin(sums.min(axis=-1)))
-        raise OutsideCone(f"row {bad}: subset sum {sums.min():.6e} at/below boundary")
-    return np.exp(np.mean(np.log(sums), axis=-1))
+    """ftilde over stacked eigenvalue rows, via the mean of logs.
+
+    Raises OutsideCone when a subset sum is <= 0; a row with a sum below
+    SUM_FLOOR (the cone boundary at double precision) gives 0.0.
+    """
+    sums, ft = _ftilde_rows(lams, params, POSITIVE_FLOOR)
+    return np.where(sums.min(axis=-1) < SUM_FLOOR, 0.0, ft)
 
 
 def ftilde_grad_batch(lams: np.ndarray, params: OperatorParams):
-    """(ftilde, gradient rows) over stacked eigenvalue rows inside the cone."""
-    sums = subset_sums_batch(lams, params)
-    if np.any(sums < SUM_FLOOR):
-        bad = int(np.argmin(sums.min(axis=-1)))
-        raise OutsideCone(f"row {bad}: subset sum {sums.min():.6e} at/below boundary")
-    ft = np.exp(np.mean(np.log(sums), axis=-1))
+    """(ftilde, gradient rows) over stacked eigenvalue rows inside the cone.
+
+    Raises OutsideCone when a subset sum is below SUM_FLOOR.
+    """
+    sums, ft = _ftilde_rows(lams, params, SUM_FLOOR)
     grads = (ft / params.subset_count)[..., None] * ((1.0 / sums) @ params.membership)
     return ft, grads
 
@@ -183,20 +188,19 @@ def linearization_coeffs(
 ) -> LinearizationCoeffs:
     """First derivative of ftilde(eigenvalues of omega^{-1} g) at g.
 
-    Diagonal f_k in an eigenframe of the reduced endomorphism, transported
-    back to the ambient frame through the congruence factors, so that for a
-    Hermitian perturbation h
+    One row of the solver's route (congruence reduction, eigh_batch,
+    linearization_batch, ambient transport), so that for a Hermitian
+    perturbation h
 
         d/dt ftilde(lam(omega^{-1}(g + t h))) = tr(matrix @ h).
+
+    Raises OutsideCone off the cone.
     """
     spec, ell, vecs = metric_endomorphism_system(omega, g)
-    grads = grad_ftilde(spec, params)  # raises OutsideCone off the cone
-    grads = _cluster_average(spec.values[None, :], grads[None, :])[0]
-    inner = (vecs * grads) @ vecs.conj().T
-    ell_inv = np.linalg.inv(ell)
-    ambient = ell_inv.conj().T @ inner @ ell_inv
+    coeffs, trace_f, _ = linearization_batch(params, spec.values[None], vecs[None])
     return LinearizationCoeffs(
-        matrix=HermitianMatrix(ambient), trace_F=float(grads.sum())
+        matrix=HermitianMatrix(ambient_transport_batch(coeffs, ell)[0]),
+        trace_F=float(trace_f[0]),
     )
 
 

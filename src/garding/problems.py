@@ -18,18 +18,21 @@ from .cone import margins_batch
 from .errors import NotAdmissible, SubsolutionInvalid, ValidationError
 from .grid import BoxGrid
 from .hermitian import congruence_reduce_batch, eigvals_batch
-from .operator import OperatorParams, subset_sums_batch
+from .operator import OperatorParams, product_batch
 from .radial import RadialGrid, eigenvalue_rows
 
 SUBSOLUTION_RTOL = 1e-9  # relative slack for M(subsolution) >= psi
 
 
-def product_batch(lams: np.ndarray, params: OperatorParams) -> np.ndarray:
-    """Raw operator values over stacked eigenvalue rows inside the cone."""
-    sums = subset_sums_batch(lams, params)
-    if np.any(sums <= 0.0):
-        raise ValueError("eigenvalue rows must be strictly inside the cone")
-    return np.exp(np.sum(np.log(sums), axis=-1))
+def _admissible_margins(vals: np.ndarray, p: int, what: str, node_of_flat, place: str):
+    """Margins of ascending eigenvalue rows; NotAdmissible where the least is <= 0."""
+    margins = margins_batch(vals, p)
+    flat = int(np.argmin(margins.reshape(-1)))
+    least = margins.reshape(-1)[flat]
+    if least <= 0.0:
+        node = node_of_flat(flat)
+        raise NotAdmissible(f"{what} margin {least:.6e} <= 0 at {place} {node}", node=node)
+    return margins
 
 
 @dataclass
@@ -130,18 +133,8 @@ def manufactured_box(
     vals_t = eigvals_batch(reduced_t)
     vals_s = eigvals_batch(reduced_s)
 
-    margins_s = margins_batch(vals_s, params.p)
-    if margins_s.min() <= 0.0:
-        node = grid.node_of_flat(int(np.argmin(margins_s.reshape(-1))))
-        raise NotAdmissible(
-            f"subsolution margin {margins_s.min():.6e} <= 0 at node {node}", node=node
-        )
-    margins_t = margins_batch(vals_t, params.p)
-    if margins_t.min() <= 0.0:
-        node = grid.node_of_flat(int(np.argmin(margins_t.reshape(-1))))
-        raise NotAdmissible(
-            f"target margin {margins_t.min():.6e} <= 0 at node {node}", node=node
-        )
+    margins_s = _admissible_margins(vals_s, params.p, "subsolution", grid.node_of_flat, "node")
+    _admissible_margins(vals_t, params.p, "target", grid.node_of_flat, "node")
 
     psi = product_batch(vals_t, params)
     sub_m = product_batch(vals_s, params)
@@ -186,20 +179,10 @@ def manufactured_radial(
     sub_prof = subsolution_profile if subsolution_profile is not None else profile
     lam_s = analytic_rows(sub_prof)
 
-    sorted_s = np.sort(lam_s, axis=-1)
-    margins_s = margins_batch(sorted_s, params.p)
-    if margins_s.min() <= 0.0:
-        node = int(np.argmin(margins_s))
-        raise NotAdmissible(
-            f"subsolution margin {margins_s.min():.6e} <= 0 at s-index {node}", node=node
-        )
-    sorted_t = np.sort(lam_t, axis=-1)
-    margins_t = margins_batch(sorted_t, params.p)
-    if margins_t.min() <= 0.0:
-        node = int(np.argmin(margins_t))
-        raise NotAdmissible(
-            f"target margin {margins_t.min():.6e} <= 0 at s-index {node}", node=node
-        )
+    margins_s = _admissible_margins(
+        np.sort(lam_s, axis=-1), params.p, "subsolution", int, "s-index"
+    )
+    _admissible_margins(np.sort(lam_t, axis=-1), params.p, "target", int, "s-index")
 
     psi = product_batch(lam_t, params)
     sub_m = product_batch(lam_s, params)

@@ -87,8 +87,8 @@ def eigenvalue_rows(u1: np.ndarray, u2: np.ndarray, s: np.ndarray, n: int, c: fl
     return lam
 
 
-def radial_jacobian(trace_f: np.ndarray, f_radial: np.ndarray, grid: RadialGrid) -> sp.csr_matrix:
-    """Jacobian of the collocated residual with respect to interior values.
+def radial_linearized(trace_f: np.ndarray, f_radial: np.ndarray, grid: RadialGrid) -> sp.csr_matrix:
+    """Derivative of the collocated residual with respect to interior values.
 
     Row i of the residual depends on the profile through u'(s_i) and
     u''(s_i); the chain rule gives coefficients trace_f for u' and

@@ -47,7 +47,12 @@ from .grid import (
     face_tangential_trace_min,
     gradient_sq_max,
 )
-from .hermitian import congruence_reduce_batch, eigh_batch, eigvals_batch
+from .hermitian import (
+    ambient_transport_batch,
+    congruence_reduce_batch,
+    eigh_batch,
+    eigvals_batch,
+)
 from .linear import assemble_linearized, operator_apply, solve_sparse, upper_barrier
 from .operator import ftilde_grad_batch, linearization_batch
 from .problems import ProblemSpec, verify_subsolution
@@ -56,7 +61,7 @@ from .radial import (
     profile_derivatives,
     radial_gradient_sq_max,
     radial_hessian_spectral_radius,
-    radial_jacobian,
+    radial_linearized,
     radial_trace_equation_solution,
     solve_radial_linear,
 )
@@ -216,11 +221,7 @@ class _BoxEvaluator:
         self.chi = box.chi
         self.omega = box.omega
         self.psi_tilde = box.psi ** (1.0 / self.params.subset_count)
-        if self.omega is not None:
-            ell = np.linalg.cholesky(self.omega)
-            self.ell_inv = np.linalg.inv(ell)
-        else:
-            self.ell_inv = None
+        self.ell = None if self.omega is None else np.linalg.cholesky(self.omega)
         self.anchor = None  # ftilde at the subsolution, set by _make_evaluator
 
     def analyze(self, u_values: np.ndarray) -> _Analysis:
@@ -231,11 +232,7 @@ class _BoxEvaluator:
 
     def linearize(self, a: _Analysis) -> None:
         coeffs, a.trace_f, a.ft = linearization_batch(self.params, a.vals, a.vecs)
-        if self.ell_inv is not None:
-            coeffs = np.einsum(
-                "ba,...bc,cd->...ad", self.ell_inv.conj(), coeffs, self.ell_inv
-            )
-        a.coeffs = coeffs
+        a.coeffs = ambient_transport_batch(coeffs, self.ell)
         a.vecs = None  # the largest array of a state; the coefficients replace it
 
     def correction(self, a: _Analysis, resid: np.ndarray, rnorm: float) -> np.ndarray:
@@ -274,7 +271,7 @@ class _RadialEvaluator:
         a.coeffs = grads[:, self.n - 1]
 
     def correction(self, a: _Analysis, resid: np.ndarray, rnorm: float) -> np.ndarray:
-        jac = radial_jacobian(a.trace_f, a.coeffs, self.grid)
+        jac = radial_linearized(a.trace_f, a.coeffs, self.grid)
         delta_int = solve_radial_linear(jac, -resid)
         delta = np.zeros(self.grid.points)
         delta[:-1] = delta_int
@@ -512,15 +509,7 @@ def _barrier_report(uv, ul_u, problem: ProblemSpec, state: _Analysis, tau, N, de
 
     # single-face mask: the nearest-face axis stays the realizing one across
     # the whole +-1 stencil neighborhood
-    axis_dists = []
-    for a in range(grid.ndim_real):
-        lo, hi = grid.extent[a]
-        c = grid.axis_coords(a)
-        da = np.minimum(c - lo, hi - c)
-        shape = [1] * grid.ndim_real
-        shape[a] = grid.resolution
-        axis_dists.append(np.broadcast_to(da.reshape(shape), grid.shape))
-    stacked = np.stack(axis_dists, axis=0)
+    stacked = np.stack([np.broadcast_to(da, grid.shape) for da in grid.axis_face_distances()])
     part = np.partition(stacked, 1, axis=0)
     gap = part[1] - part[0]
     smooth = gap > 2.0 * max(grid.spacing)
@@ -553,32 +542,35 @@ def _barrier_report(uv, ul_u, problem: ProblemSpec, state: _Analysis, tau, N, de
     )
 
 
-def _box_hessian_sups(u_values: np.ndarray, grid) -> tuple:
-    hess = complex_hessian_field(ScalarField(grid, u_values))
-    radius = np.abs(eigvals_batch(hess.values)).max(axis=-1)
-    sup_all = float(radius.max())
-    # boundary stand-in: first interior layer adjacent to a face
-    idx = np.indices(grid.interior_shape)
-    layer = np.zeros(grid.interior_shape, dtype=bool)
-    for a in range(grid.ndim_real):
-        layer |= idx[a] == 0
-        layer |= idx[a] == grid.resolution - 3
-    sup_boundary = float(radius[layer].max())
-    return sup_all, sup_boundary
+def _c2_quantities(problem: ProblemSpec, uv: np.ndarray) -> tuple:
+    """(K, Hessian sup, boundary Hessian sup) of u, with K = 1 + sup |grad u|^2."""
+    if problem.geometry == "box":
+        grid = problem.box.grid
+        K = 1.0 + gradient_sq_max(ScalarField(grid, uv))
+        hess = complex_hessian_field(ScalarField(grid, uv))
+        radius = np.abs(eigvals_batch(hess.values)).max(axis=-1)
+        # boundary stand-in: first interior layer adjacent to a face
+        idx = np.indices(grid.interior_shape)
+        layer = np.zeros(grid.interior_shape, dtype=bool)
+        for a in range(grid.ndim_real):
+            layer |= idx[a] == 0
+            layer |= idx[a] == grid.resolution - 3
+        return K, float(radius.max()), float(radius[layer].max())
+    rad = problem.radial
+    K = 1.0 + radial_gradient_sq_max(uv, rad.grid)
+    interior_r, boundary_r = radial_hessian_spectral_radius(uv, rad.grid)
+    return K, float(max(interior_r.max(), boundary_r)), float(boundary_r)
 
 
 def _diagnostics(problem, ev, final: _Analysis, states, anchor_residual, config) -> SolveDiagnostics:
     """Diagnostics of the t = 1 state ``states[-1]``, read from its analysis."""
     u = states[-1].u
+    barrier = None
     if problem.geometry == "box":
         box = problem.box
         grid = box.grid
-        K = 1.0 + gradient_sq_max(ScalarField(grid, u))
-        ol = upper_barrier(box.chi, box.omega, ScalarField(grid, box.phi), grid)
-        sandwich = sandwich_check(u, box.subsolution, ol.values)
-        sup_h, sup_b = _box_hessian_sups(u, grid)
-        upper_vals = ol.values
-        barrier = None
+        upper_vals = upper_barrier(box.chi, box.omega, ScalarField(grid, box.phi), grid).values
+        sandwich = sandwich_check(u, box.subsolution, upper_vals)
         if config.compute_barrier:
             barrier = _barrier_report(
                 u, box.subsolution, problem, final,
@@ -588,17 +580,13 @@ def _diagnostics(problem, ev, final: _Analysis, states, anchor_residual, config)
         trace_g = final.vals.sum(axis=-1)
     else:
         rad = problem.radial
-        K = 1.0 + radial_gradient_sq_max(u, rad.grid)
         upper_vals = radial_trace_equation_solution(
             rad.chi_scalar, problem.n, rad.boundary_value, rad.grid
         )
         sandwich = sandwich_check(u, rad.subsolution, upper_vals)
-        interior_r, boundary_r = radial_hessian_spectral_radius(u, rad.grid)
-        sup_h = float(max(interior_r.max(), boundary_r))
-        sup_b = float(boundary_r)
-        barrier = None
         trace_g = _unsorted(final.vals, final.vecs).sum(axis=-1)
 
+    K, sup_h, sup_b = _c2_quantities(problem, u)
     amgm = (problem.p / problem.n) * trace_g - final.ft
     c0 = boundary_trace_check(u, problem)
     return SolveDiagnostics(
@@ -643,20 +631,13 @@ def c2_ratio_monitor(levels) -> list:
         raise ValueError("need at least two refinement levels")
     for problem, u in levels:
         uv = u.values if isinstance(u, ScalarField) else np.asarray(u)
+        K, sup_h, sup_b = _c2_quantities(problem, uv)
         if problem.geometry == "box":
-            grid = problem.box.grid
-            K = 1.0 + gradient_sq_max(ScalarField(grid, uv))
-            sup_h, sup_b = _box_hessian_sups(uv, grid)
-            spacing = max(grid.spacing)
-            label = f"res {grid.resolution}"
+            spacing = max(problem.box.grid.spacing)
+            label = f"res {problem.box.grid.resolution}"
         else:
-            rad = problem.radial
-            K = 1.0 + radial_gradient_sq_max(uv, rad.grid)
-            interior_r, boundary_r = radial_hessian_spectral_radius(uv, rad.grid)
-            sup_h = float(max(interior_r.max(), boundary_r))
-            sup_b = float(boundary_r)
-            spacing = rad.grid.spacing
-            label = f"points {rad.grid.points}"
+            spacing = problem.radial.grid.spacing
+            label = f"points {problem.radial.grid.points}"
         rows.append(
             RefinementRow(
                 label=label,

@@ -29,6 +29,7 @@ Families: ``quadratic`` (coeff c: c |z|^2 on boxes, profile c s radially),
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,15 +81,23 @@ class SpecDocument:
     sweep: tuple | None = None
 
 
-def _parse_number(token: str, line: int):
+def _parse_number(token: str, line: int) -> float:
     token = token.strip()
     try:
-        if token.lower() in ("true", "false"):
-            return token.lower() == "true"
-        f = float(token)
-        return f
+        value = float(token)
     except ValueError:
         raise ParseError(f"expected a number, got {token!r}", line) from None
+    if not math.isfinite(value):
+        raise ParseError(f"expected a finite number, got {token!r}", line)
+    return value
+
+
+def _parse_setting(token: str, line: int):
+    """A [solve] value: true, false or a finite number."""
+    word = token.strip().lower()
+    if word in ("true", "false"):
+        return word == "true"
+    return _parse_number(token, line)
 
 
 def _tokenize(text: str):
@@ -137,6 +146,13 @@ def parse_document(text: str) -> SpecDocument:
             return default
         return _parse_number(data[section][key], lines[(section, key)])
 
+    def integer(section, key, least, field=None):
+        """A required whole-number value of at least ``least``."""
+        value = number(section, key, required=True)
+        if value != int(value) or value < least:
+            raise ValidationError(field or key, f"{key} must be an integer >= {least}, got {value}")
+        return int(value)
+
     def array(section, key, default=None):
         if key not in data[section]:
             return default
@@ -145,18 +161,13 @@ def parse_document(text: str) -> SpecDocument:
             _parse_number(t, lineno) for t in data[section][key].split(",") if t.strip()
         )
 
-    version = number("", "format_version", required=True)
-    if int(version) != FORMAT_VERSION:
+    version = integer("", "format_version", 1)
+    if version != FORMAT_VERSION:
         raise ValidationError("format_version", f"unsupported version {version}")
 
-    n = number("problem", "n", required=True)
-    p = number("problem", "p", required=True)
-    if n != int(n) or not 1 <= int(n):
-        raise ValidationError("n", f"n must be a positive integer, got {n}")
-    if p != int(p):
-        raise ValidationError("p", f"p must be an integer, got {p}")
-    n, p = int(n), int(p)
-    if not 1 <= p <= n:
+    n = integer("problem", "n", 1)
+    p = integer("problem", "p", 1)
+    if p > n:
         raise ValidationError("p", f"p must satisfy 1 <= p <= n, got p={p}, n={n}")
     geometry = data["problem"].get("geometry", "box").lower()
     if geometry not in ("box", "radial"):
@@ -177,11 +188,8 @@ def parse_document(text: str) -> SpecDocument:
         box_extent = tuple(
             (float(flat[2 * i]), float(flat[2 * i + 1])) for i in range(2 * n)
         )
-        res = number("box", "resolution", required=True)
-        if res != int(res):
-            raise ValidationError("resolution", f"resolution must be an integer, got {res}")
-        box_resolution = int(res)
-        if box_resolution % 2 == 0 or box_resolution < 9:
+        box_resolution = integer("box", "resolution", 9)
+        if box_resolution % 2 == 0:
             raise ValidationError(
                 "resolution", f"resolution must be odd and >= 9, got {box_resolution}"
             )
@@ -191,12 +199,9 @@ def parse_document(text: str) -> SpecDocument:
                 raise ValidationError("chi", f"diag needs {n} entries, got {len(diag)}")
             chi_diag = tuple(float(x) for x in diag)
     else:
-        radius = float(number("radial", "radius", required=True))
-        pts = number("radial", "points", required=True)
-        if pts != int(pts):
-            raise ValidationError("points", f"points must be an integer, got {pts}")
-        points = int(pts)
-        chi_scalar = float(number("radial", "chi", default=0.0))
+        radius = number("radial", "radius", required=True)
+        points = integer("radial", "points", 1)
+        chi_scalar = number("radial", "chi", default=0.0)
 
     def function_spec(section) -> FunctionSpec | None:
         src = data[section]
@@ -208,24 +213,18 @@ def parse_document(text: str) -> SpecDocument:
         builtin = builtin.lower()
         params = []
         if builtin == "quadratic":
-            params.append(("coeff", float(number(section, "coeff", default=1.0))))
+            params.append(("coeff", number(section, "coeff", default=1.0)))
         elif builtin == "radial-power":
-            power = number(section, "power", required=True)
-            if power != int(power) or power < 1:
-                raise ValidationError(section, f"power must be a positive integer, got {power}")
-            params.append(("power", float(power)))
-            params.append(("scale", float(number(section, "scale", default=1.0))))
+            params.append(("power", float(integer(section, "power", 1, section))))
+            params.append(("scale", number(section, "scale", default=1.0)))
         elif builtin == "radial-poly":
             coeffs = array(section, "coeffs")
             if not coeffs:
                 raise ValidationError(section, "radial-poly needs coeffs")
             params.append(("coeffs", tuple(float(c) for c in coeffs)))
         elif builtin == "polynomial":
-            count = number(section, "terms", required=True)
-            if count != int(count) or count < 1:
-                raise ValidationError(section, f"terms must be a positive integer, got {count}")
             terms = []
-            for i in range(1, int(count) + 1):
+            for i in range(1, integer(section, "terms", 1, section) + 1):
                 row = array(section, f"term_{i}")
                 if row is None:
                     raise ValidationError(section, f"missing term_{i}")
@@ -245,21 +244,31 @@ def parse_document(text: str) -> SpecDocument:
     subsolution = function_spec("subsolution")
     init = function_spec("init")
 
-    psi_scale = float(number("psi", "scale", default=1.0))
+    psi_scale = number("psi", "scale", default=1.0)
     if psi_scale <= 0.0:
         raise ValidationError("psi", f"scale must be positive, got {psi_scale}")
     bump = array("psi", "bump_node")
     psi_bump_node = None
     if bump is not None:
-        expected = 2 * n if geometry == "box" else 1
+        # interior nodes: 1..res-2 per box axis, collocation nodes 0..points-2
+        if geometry == "box":
+            expected, lo, hi = 2 * n, 1, box_resolution - 2
+        else:
+            expected, lo, hi = 1, 0, points - 2
         if len(bump) != expected:
             raise ValidationError("psi", f"bump_node needs {expected} indices")
+        if not all(b == int(b) and lo <= b <= hi for b in bump):
+            raise ValidationError(
+                "psi", f"bump_node indices must be integers in [{lo}, {hi}], got {bump}"
+            )
         psi_bump_node = tuple(int(b) for b in bump)
-    psi_bump_factor = float(number("psi", "bump_factor", default=1.0))
+    psi_bump_factor = number("psi", "bump_factor", default=1.0)
+    if psi_bump_factor <= 0.0:
+        raise ValidationError("psi", f"bump_factor must be positive, got {psi_bump_factor}")
 
     overrides = []
     for key in sorted(data["solve"]):
-        overrides.append((key, _parse_number(data["solve"][key], lines[("solve", key)])))
+        overrides.append((key, _parse_setting(data["solve"][key], lines[("solve", key)])))
 
     sweep = None
     sweep_key = "resolutions" if geometry == "box" else "points"

@@ -263,6 +263,31 @@ class TestValidationFailures:
         status, _ = run_cli(tmp_path, RADIAL_SPEC, "check-operator", extra=extra)
         assert status == 2
 
+    BUMP = BOX_SPEC + "[psi]\nbump_node = 4, 4, 4, 4\nbump_factor = 2\n"
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param(BOX_SPEC.replace("resolution = 9", "resolution = nan"), id="resolution-nan"),
+        pytest.param(BOX_SPEC.replace("resolution = 9", "resolution = inf"), id="resolution-inf"),
+        pytest.param(BOX_SPEC.replace("resolution = 9", "resolution = 1e400"),
+                     id="resolution-1e400"),
+        pytest.param(BOX_SPEC + "[psi]\nscale = nan\n", id="psi-scale-nan"),
+        pytest.param(BOX_SPEC + "[psi]\nscale = true\n", id="psi-scale-true"),
+        pytest.param(BOX_SPEC + "[chi]\ndiag = nan, 0\n", id="chi-diag-nan"),
+        pytest.param(BUMP.replace("4, 4, 4, 4", "100, 4, 4, 4"), id="bump-node-past-end"),
+        pytest.param(BUMP.replace("4, 4, 4, 4", "0, 4, 4, 4"), id="bump-node-boundary"),
+        pytest.param(BUMP.replace("4, 4, 4, 4", "4.5, 4, 4, 4"), id="bump-node-fraction"),
+        pytest.param(BUMP.replace("bump_factor = 2", "bump_factor = -1"), id="bump-factor-neg"),
+        pytest.param(BUMP.replace("bump_factor = 2", "bump_factor = 0"), id="bump-factor-zero"),
+        pytest.param(RADIAL_SPEC + "[psi]\nbump_node = 200\n", id="radial-bump-dirichlet"),
+        pytest.param(RADIAL_SPEC + "[psi]\nbump_node = -1\n", id="radial-bump-negative"),
+        pytest.param(RADIAL_SPEC.replace("format_version = 1", "format_version = 1.9"),
+                     id="version-fraction"),
+    ])
+    def test_out_of_contract_spec_number(self, tmp_path, capsys, spec):
+        status, _ = run_cli(tmp_path, spec, "solve")
+        assert status == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unknown_solver_setting(self, tmp_path):
         spec = RADIAL_SPEC + "[solve]\ndirect_threshold = 100\n"
         status, _ = run_cli(tmp_path, spec, "solve")

@@ -18,6 +18,44 @@ def field_from(grid, func):
     return ScalarField(grid, func.value(grid.points()))
 
 
+def per_node_hessian(u, node):
+    """Reference: the complex Hessian at one node, one stencil entry at a time."""
+    grid = u.grid
+    n = grid.n
+    h = grid.spacing
+    vals = u.values
+
+    def d2(a, b):
+        base = list(node)
+        if a == b:
+            up = list(base)
+            up[a] += 1
+            dn = list(base)
+            dn[a] -= 1
+            return (vals[tuple(up)] - 2.0 * vals[tuple(base)] + vals[tuple(dn)]) / (
+                h[a] * h[a]
+            )
+        total = 0.0
+        for sa, sb, sign in ((1, 1, 1.0), (1, -1, -1.0), (-1, 1, -1.0), (-1, -1, 1.0)):
+            idx = list(base)
+            idx[a] += sa
+            idx[b] += sb
+            total += sign * vals[tuple(idx)]
+        return total / (4.0 * h[a] * h[b])
+
+    out = np.zeros((n, n), dtype=np.complex128)
+    for j in range(n):
+        xj, yj = 2 * j, 2 * j + 1
+        out[j, j] = (d2(xj, xj) + d2(yj, yj)) / 4.0
+        for k in range(j + 1, n):
+            xk, yk = 2 * k, 2 * k + 1
+            re = (d2(xj, xk) + d2(yj, yk)) / 4.0
+            im = (d2(xj, yk) - d2(yj, xk)) / 4.0
+            out[k, j] = re + 1j * im
+            out[j, k] = re - 1j * im
+    return out
+
+
 class TestBoxGrid:
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -119,6 +157,7 @@ class TestComplexHessian:
             single = complex_hessian(u, node)
             idx = tuple(i - 1 for i in node)
             assert np.allclose(single.entries, h.values[idx], atol=1e-14)
+            assert np.allclose(h.values[idx], per_node_hessian(u, node), atol=1e-14)
 
     def test_radial_profile_agreement(self):
         # the radial Hessian formula and the grid Hessian agree at nodes

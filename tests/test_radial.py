@@ -4,8 +4,8 @@ import pytest
 from garding.analytic import RadialOnBox, norm_squared, radial_power
 from garding.errors import NotAdmissible, ValidationError
 from garding.grid import BoxGrid, ScalarField, complex_hessian
-from garding.operator import OperatorParams
-from garding.problems import manufactured_box, manufactured_radial, product_batch
+from garding.operator import OperatorParams, product_batch
+from garding.problems import manufactured_box, manufactured_radial
 from garding.radial import (
     RadialGrid,
     eigenvalue_rows,

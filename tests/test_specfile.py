@@ -1,5 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from garding.errors import ParseError, ValidationError
 from garding.problems import manufactured_radial
@@ -7,6 +12,7 @@ from garding.radial import RadialGrid
 from garding.analytic import radial_power
 from garding.operator import OperatorParams
 from garding.specfile import (
+    SpecDocument,
     build_problem,
     emit_document,
     initial_values_from,
@@ -210,3 +216,58 @@ class TestBuild:
     def test_solve_overrides_preserved(self):
         doc = parse_document(POLY_BOX)
         assert doc.solve_overrides == (("newton_tol", 1e-09),)
+
+
+def test_bump_node_accepts_every_interior_index():
+    box = MINIMAL_BOX.replace("resolution = 17", "resolution = 9")
+    for node in ((1, 1, 1, 1), (7, 7, 7, 7)):
+        doc = parse_document(box + f"[psi]\nbump_node = {', '.join(map(str, node))}\n")
+        assert doc.psi_bump_node == node
+    for node in (0, 199):
+        assert parse_document(RADIAL + f"[psi]\nbump_node = {node}\n").psi_bump_node == (node,)
+
+
+SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
+NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?(?![\w.])", re.IGNORECASE)
+TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "true", "-0", "2.5"]),
+    st.integers(-3, 40).map(str),
+)
+
+
+def replace_numbers(text: str, tokens: dict) -> tuple:
+    """``text`` with its k-th numeric value token replaced by ``tokens[k]``.
+
+    Returns the new text and the number of numeric tokens in values.
+    """
+    count = 0
+
+    def swap(match):
+        nonlocal count
+        count += 1
+        return tokens.get(count - 1, match.group(0))
+
+    lines = []
+    for line in text.splitlines():
+        key, sep, value = line.partition("=")
+        if sep and not line.lstrip().startswith("#"):
+            line = key + sep + NUMBER.sub(swap, value)
+        lines.append(line)
+    return "\n".join(lines) + "\n", count
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SPEC_DIR.glob("*.spec")))
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_parse_document_raises_only_spec_errors(name, data):
+    text = (SPEC_DIR / name).read_text()
+    slots = replace_numbers(text, {})[1]
+    tokens = data.draw(
+        st.dictionaries(st.integers(0, slots - 1), TOKENS, min_size=1, max_size=3)
+    )
+    try:
+        doc = parse_document(replace_numbers(text, tokens)[0])
+    except (ParseError, ValidationError):
+        return
+    assert isinstance(doc, SpecDocument)

@@ -111,14 +111,6 @@ def norm_squared(n: int, coeff: float = 1.0) -> Polynomial:
     return Polynomial(2 * n, terms)
 
 
-def re_z1_squared(n: int) -> Polynomial:
-    """Re(z_1^2) = x_1^2 - y_1^2, a pluriharmonic quadratic."""
-    e_x = [0] * (2 * n)
-    e_x[0] = 2
-    e_y = [0] * (2 * n)
-    e_y[1] = 2
-    return Polynomial(2 * n, {tuple(e_x): 1.0, tuple(e_y): -1.0})
-
 
 @dataclass(frozen=True)
 class RadialProfile:
@@ -147,26 +139,3 @@ def radial_power(power: int, scale: float = 1.0) -> RadialProfile:
     coeffs[power] = scale / power
     return RadialProfile(tuple(coeffs))
 
-
-@dataclass(frozen=True)
-class RadialOnBox:
-    """A radial profile evaluated as a function on C^n coordinates."""
-
-    profile: RadialProfile
-    n: int
-
-    def value(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        s = np.sum(pts**2, axis=-1)
-        return self.profile.value(s)
-
-    def complex_hessian(self, points: np.ndarray) -> np.ndarray:
-        # d_j d_kbar u(|z|^2) = u' delta_jk + u'' zbar_j z_k, entry [k, j]
-        pts = np.asarray(points, dtype=np.float64)
-        s = np.sum(pts**2, axis=-1)
-        z = pts[..., 0::2] + 1j * pts[..., 1::2]
-        u1 = self.profile.d1(s)
-        u2 = self.profile.d2(s)
-        eye = np.eye(self.n, dtype=np.complex128)
-        outer = np.einsum("...j,...k->...kj", z.conj(), z)
-        return u1[..., None, None] * eye + u2[..., None, None] * outer

@@ -77,11 +77,6 @@ class BoxGrid:
         lo, hi = self.extent[axis]
         return np.linspace(lo, hi, self.resolution)
 
-    def node_coords(self, node) -> np.ndarray:
-        return np.array(
-            [self.axis_coords(a)[i] for a, i in enumerate(node)], dtype=np.float64
-        )
-
     def is_interior(self, node) -> bool:
         return all(1 <= i <= self.resolution - 2 for i in node)
 
@@ -175,9 +170,6 @@ class MatrixField:
             raise BoundaryNode(f"node {node} is not interior")
         idx = tuple(i - 1 for i in node)
         return HermitianMatrix(self.values[idx])
-
-    def hermitian_defect(self) -> float:
-        return float(np.abs(self.values - np.swapaxes(self.values, -1, -2).conj()).max())
 
 
 def _interior_slices(ndim: int, offsets: dict) -> tuple:

@@ -94,14 +94,23 @@ def metric_endomorphism_eigen(omega: HermitianMatrix, g: HermitianMatrix) -> Spe
 def metric_endomorphism_system(omega: HermitianMatrix, g: HermitianMatrix):
     """Spectrum plus the congruence data (L, V) with g = L V diag(vals) V* L*.
 
-    One row of the batch route: congruence_reduce_batch, then eigh_batch.
+    One row of the batch route: metric_reduce, then eigh_batch.
+    """
+    reduced, ell = metric_reduce(omega, g)
+    vals, vecs = eigh_batch(reduced)
+    return Spectrum(vals[0]), ell, vecs[0]
+
+
+def metric_reduce(omega: HermitianMatrix, g: HermitianMatrix):
+    """(L^{-1} g L^{-*} as a one-matrix batch, L) for omega = L L*.
+
+    One row of congruence_reduce_batch, after checking that omega is
+    positive definite and matches g in dimension.
     """
     _check_positive(omega)
     if omega.dim != g.dim:
         raise ValueError(f"dimension mismatch: {omega.dim} vs {g.dim}")
-    reduced, ell = congruence_reduce_batch(g.entries[None], omega.entries)
-    vals, vecs = eigh_batch(reduced)
-    return Spectrum(vals[0]), ell, vecs[0]
+    return congruence_reduce_batch(g.entries[None], omega.entries)
 
 
 def trace_with_metric(omega: HermitianMatrix, g: HermitianMatrix) -> float:

@@ -20,6 +20,18 @@ the documented output contract of :func:`subset_sums`.
 The batch functions operate on stacked rows of eigenvalues and back the
 field-scale hot paths of the solver; each scalar function is a one-row call
 into its batch counterpart.
+
+Two exponents need no eigenvalues.  With A the reduced matrix of
+omega^-1 g, C(n, p) = n and M_p(A) = det(B) for B = A when p = 1 and
+B = tr(A) I - A when p = n - 1, the form in which the (n-1)-plurisubharmonic
+literature writes the equation (Fu-Wang-Wu, Math. Res. Lett. 17, 2010;
+Tosatti-Weinkove, J. Amer. Math. Soc. 30, 2017).  Then ftilde = det(B)^(1/n),
+A lies in the cone exactly when B is positive definite, and the linearization
+is (ftilde / n) tr(B^-1 dB).  The route is fixed by (n, p)
+(:attr:`OperatorParams.determinant_route`): those exponents go through
+:func:`determinant_form_batch` and :func:`determinant_linearization_batch`,
+one LDL* factorization per matrix, and every other exponent through the
+eigenvalues (:func:`linearization_batch`).
 """
 
 from __future__ import annotations
@@ -36,6 +48,7 @@ from .hermitian import (
     Spectrum,
     ambient_transport_batch,
     metric_endomorphism_system,
+    metric_reduce,
 )
 
 SUM_FLOOR = 1e-300  # subset sums below this are treated as boundary values
@@ -70,6 +83,16 @@ class OperatorParams:
         object.__setattr__(self, "membership", m)
         object.__setattr__(self, "subsets", subsets)
         assert self.subset_count == comb(self.n, self.p)
+
+    @property
+    def determinant_route(self) -> bool:
+        """Whether M_p is the determinant of an n x n matrix linear in A.
+
+        True for p = 1 (det A) and p = n - 1 (det(tr(A) I - A)); see
+        :func:`determinant_form_batch`.  The other exponents go through
+        eigenvalues.
+        """
+        return self.p == 1 or self.p == self.n - 1
 
 
 def _one_row(lam: Spectrum | np.ndarray, params: OperatorParams) -> np.ndarray:
@@ -188,16 +211,22 @@ def linearization_coeffs(
 ) -> LinearizationCoeffs:
     """First derivative of ftilde(eigenvalues of omega^{-1} g) at g.
 
-    One row of the solver's route (congruence reduction, eigh_batch,
-    linearization_batch, ambient transport), so that for a Hermitian
-    perturbation h
+    One row of the solver's route for ``params`` (congruence reduction, then
+    determinant_form_batch and determinant_linearization_batch for p = 1 or
+    n - 1, eigh_batch and linearization_batch otherwise, then the ambient
+    transport), so that for a Hermitian perturbation h
 
         d/dt ftilde(lam(omega^{-1}(g + t h))) = tr(matrix @ h).
 
     Raises OutsideCone off the cone.
     """
-    spec, ell, vecs = metric_endomorphism_system(omega, g)
-    coeffs, trace_f, _ = linearization_batch(params, spec.values[None], vecs[None])
+    if params.determinant_route:
+        reduced, ell = metric_reduce(omega, g)
+        form, _ = determinant_form_batch(reduced, params)
+        coeffs, trace_f, _ = determinant_linearization_batch(params, form)
+    else:
+        spec, ell, vecs = metric_endomorphism_system(omega, g)
+        coeffs, trace_f, _ = linearization_batch(params, spec.values[None], vecs[None])
     return LinearizationCoeffs(
         matrix=HermitianMatrix(ambient_transport_batch(coeffs, ell)[0]),
         trace_F=float(trace_f[0]),
@@ -215,6 +244,75 @@ def linearization_batch(params: OperatorParams, vals, vecs):
     grads = _cluster_average(vals, grads)
     coeffs = np.einsum("...ik,...k,...jk->...ij", vecs, grads, vecs.conj())
     return coeffs, grads.sum(axis=-1), ft
+
+
+def determinant_form_batch(mats: np.ndarray, params: OperatorParams):
+    """(B, tr A) for stacked reduced matrices A, on the determinant route.
+
+    B = A when p = 1 and B = tr(A) I - A when p = n - 1: the eigenvalues of
+    tr(A) I - A are the (n-1)-subset sums tr(A) - lambda_j, so in both cases
+    M_p(A) = det(B), A lies in the cone exactly when B is positive definite
+    and the cone margin is the least eigenvalue of B.
+    """
+    trace = np.trace(mats, axis1=-2, axis2=-1).real
+    if params.p == 1:
+        return mats, trace
+    form = -mats
+    for i in range(params.n):
+        form[..., i, i] += trace
+    return form, trace
+
+
+def determinant_linearization_batch(params: OperatorParams, form: np.ndarray):
+    """Field-scale linearization coefficients from stacked B = determinant_form_batch(A).
+
+    ftilde = det(B)^(1/n), and with s = ftilde / n the coefficients are
+    s (tr(B^-1) I - B^-1) for p = n - 1 and s B^-1 for p = 1, in the
+    tr(coeffs @ h) convention of :func:`linearization_batch`, whose return
+    (coeffs (..., n, n), trace_F (...), ftilde (...)) this matches.  B = L D L*
+    is factored once, vectorized over the stacked axes with Python loops
+    over n only, and B^-1 = W* D^-1 W with W = L^-1.  Raises OutsideCone when
+    a pivot of D is below SUM_FLOOR.
+    """
+    n = params.n
+    shape = form.shape[:-2]
+    b = form.reshape(-1, n, n)
+    low = {}  # low[i, j] = L_ij for i > j
+    piv = np.empty((n, b.shape[0]))
+    for j in range(n):
+        scaled = [low[j, k] * piv[k] for k in range(j)]  # L_jk d_k
+        dj = b[:, j, j].real - sum((scaled[k] * low[j, k].conj()).real for k in range(j))
+        if np.any(dj < SUM_FLOOR):
+            bad = int(np.argmin(dj))
+            raise OutsideCone(f"row {bad}: pivot {dj[bad]:.6e} at/below boundary")
+        piv[j] = dj
+        for i in range(j + 1, n):
+            low[i, j] = (b[:, i, j] - sum(low[i, k] * scaled[k].conj() for k in range(j))) / dj
+
+    w = {}  # w[i, j] = W_ij for i >= j, W = L^-1 unit lower triangular
+    for i in range(n):
+        w[i, i] = 1.0
+        for j in range(i):
+            w[i, j] = -low[i, j] - sum(low[i, k] * w[k, j] for k in range(j + 1, i))
+    inv_piv = 1.0 / piv
+
+    def inverse(i, j):  # (B^-1)_ij for i <= j
+        return sum(np.conj(w[k, i]) * w[k, j] * inv_piv[k] for k in range(j, n))
+
+    ft = np.exp(np.mean(np.log(piv), axis=0))
+    scale = ft / n
+    inv_diag = [inverse(i, i).real for i in range(n)]
+    inv_trace = sum(inv_diag)
+    # p = 1: C = s B^-1; p = n - 1: C = s (tr(B^-1) I - B^-1)
+    sign, shift = (1.0, 0.0) if params.p == 1 else (-1.0, inv_trace)
+    out = np.empty(b.shape, dtype=np.complex128)
+    for i in range(n):
+        out[:, i, i] = scale * (shift + sign * inv_diag[i])
+        for j in range(i + 1, n):
+            out[:, i, j] = (sign * scale) * inverse(i, j)
+            out[:, j, i] = out[:, i, j].conj()
+    trace_f = scale * inv_trace * (1 if params.p == 1 else n - 1)
+    return out.reshape(form.shape), trace_f.reshape(shape), ft.reshape(shape)
 
 
 def arrow_form_value(g: HermitianMatrix, atol: float = 1e-12):

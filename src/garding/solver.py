@@ -11,12 +11,18 @@ admissible; Newton steps are damped by halving until the candidate keeps at
 least a fixed fraction of the current cone margin, preserving strict
 interiority (the eigenvalue-space gradient blows up on the cone boundary).
 
-Every grid state is decomposed once.  An analysis holds the eigenvalues of
-omega^-1 g, the cone margins and the minimum-margin node; a damping trial
-computes only that.  The accepted candidate's analysis is then linearized in
-place (ftilde, its gradient, the coefficients of the linearized operator) and
-becomes the Newton state, and the anchor is ftilde from the subsolution's
-analysis.
+Every grid state is analyzed once.  An analysis holds the cone margins,
+the minimum-margin node and the metric trace of g, plus what its
+linearization needs.  The route is fixed by (n, p): for p = 1 and p = n - 1
+a box analysis keeps B = A or tr(A) I - A, with A the reduced matrix of
+omega^-1 g, whose determinant is M_p and whose least eigenvalue is the
+margin; for other p, and radially, it keeps the eigenvalues and what maps
+spectral gradients back to the nodes.  A damping trial computes only the
+analysis.  The accepted candidate's analysis is then linearized in place
+(ftilde, trace_F, the coefficients of the linearized operator, with B or
+the eigenvectors released) and becomes the Newton state.  The anchor is
+ftilde from the subsolution's analysis, which also starts the t = 0
+attempt; each accepted step's final analysis starts the next attempt.
 
 The diagnostic suite instantiates the comparison sandwich, the boundary
 tangential-trace lower bound, the collar barrier inequality and the
@@ -54,7 +60,12 @@ from .hermitian import (
     eigvals_batch,
 )
 from .linear import assemble_linearized, operator_apply, solve_sparse, upper_barrier
-from .operator import ftilde_grad_batch, linearization_batch
+from .operator import (
+    determinant_form_batch,
+    determinant_linearization_batch,
+    ftilde_grad_batch,
+    linearization_batch,
+)
 from .problems import ProblemSpec, verify_subsolution
 from .radial import (
     eigenvalue_rows,
@@ -177,31 +188,41 @@ class SolveDiagnostics:
 
 @dataclass
 class _Analysis:
-    """One eigen-decomposition of a grid state and everything read from it.
+    """One decomposition of a grid state and everything read from it.
 
-    ``vals`` are the ascending eigenvalue rows of omega^-1 g at the interior
-    nodes and ``vecs`` what maps spectral gradients back to the nodes (box:
-    eigenvectors; radial: the permutation that sorts each row).  The margin
-    fields serve the damping test.  ``linearize`` adds ftilde, trace_F and
-    the linearization coefficients (box: C per node; radial: the gradient
-    entry of the radial eigenvalue).
+    ``margins`` are the cone margins at the interior nodes, ``min_margin``
+    and ``min_node`` their least value and its node (they serve the damping
+    test), and ``trace_g`` the metric trace of g per node.  The rest is what
+    ``linearize`` needs, which it releases:
+
+    - box, p = 1 or n - 1: ``form``, the matrices B whose determinant is M_p
+      (no eigenvalues or eigenvectors are kept);
+    - box, other p: ``vals``, the ascending eigenvalue rows of omega^-1 g,
+      and ``vecs``, their eigenvectors;
+    - radial: ``vals`` and, in ``vecs``, the permutation that sorts each row.
+
+    ``linearize`` adds ftilde, trace_F and the linearization coefficients
+    (box: C per node; radial: the gradient entry of the radial eigenvalue).
     """
 
-    vals: np.ndarray
-    vecs: np.ndarray | None
     margins: np.ndarray
     min_margin: float
     min_node: tuple | int
+    trace_g: np.ndarray
+    form: np.ndarray | None = None
+    vals: np.ndarray | None = None
+    vecs: np.ndarray | None = None
     ft: np.ndarray | None = None
     trace_f: np.ndarray | None = None
     coeffs: np.ndarray | None = None
 
 
-def _analysis(vals, vecs, p: int, node_of_flat) -> _Analysis:
-    """Margins of ascending eigenvalue rows and the node where the least sits."""
-    margins = margins_batch(vals, p)
+def _analysis(margins, node_of_flat, trace_g, **fields) -> _Analysis:
+    """An analysis from its margins, with the node where the least sits."""
     flat = int(np.argmin(margins.reshape(-1)))
-    return _Analysis(vals, vecs, margins, float(margins.reshape(-1)[flat]), node_of_flat(flat))
+    return _Analysis(
+        margins, float(margins.reshape(-1)[flat]), node_of_flat(flat), trace_g, **fields
+    )
 
 
 def _unsorted(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -223,17 +244,34 @@ class _BoxEvaluator:
         self.psi_tilde = box.psi ** (1.0 / self.params.subset_count)
         self.ell = None if self.omega is None else np.linalg.cholesky(self.omega)
         self.anchor = None  # ftilde at the subsolution, set by _make_evaluator
+        self.start = None  # linearized analysis the next Newton loop starts from
+
+    def _reduced(self, u_values: np.ndarray) -> np.ndarray:
+        """The reduced matrices of omega^-1 g at u; the Hessian dies with the call."""
+        hess = complex_hessian_field(ScalarField(self.grid, u_values))
+        return congruence_reduce_batch(hess.values + self.chi, self.omega)[0]
 
     def analyze(self, u_values: np.ndarray) -> _Analysis:
-        hess = complex_hessian_field(ScalarField(self.grid, u_values))
-        reduced, _ = congruence_reduce_batch(hess.values + self.chi, self.omega)
-        vals, vecs = eigh_batch(reduced)
-        return _analysis(vals, vecs, self.params.p, self.grid.node_of_flat)
+        # no temporary stays alive across the decomposition, which sets the
+        # solve's peak memory: only its input, LAPACK's copy and its output
+        node_of_flat = self.grid.node_of_flat
+        if self.params.determinant_route:
+            form, trace_g = determinant_form_batch(self._reduced(u_values), self.params)
+            return _analysis(eigvals_batch(form)[..., 0], node_of_flat, trace_g, form=form)
+        vals, vecs = eigh_batch(self._reduced(u_values))
+        return _analysis(margins_batch(vals, self.params.p), node_of_flat,
+                         vals.sum(axis=-1), vals=vals, vecs=vecs)
 
     def linearize(self, a: _Analysis) -> None:
-        coeffs, a.trace_f, a.ft = linearization_batch(self.params, a.vals, a.vecs)
+        # B or the eigenvectors are the largest arrays of a state; the
+        # coefficients replace them
+        if a.form is not None:
+            coeffs, a.trace_f, a.ft = determinant_linearization_batch(self.params, a.form)
+            a.form = None
+        else:
+            coeffs, a.trace_f, a.ft = linearization_batch(self.params, a.vals, a.vecs)
+            a.vecs = None
         a.coeffs = ambient_transport_batch(coeffs, self.ell)
-        a.vecs = None  # the largest array of a state; the coefficients replace it
 
     def correction(self, a: _Analysis, resid: np.ndarray, rnorm: float) -> np.ndarray:
         system = assemble_linearized(MatrixField(self.grid, a.coeffs), -resid, self.grid)
@@ -257,12 +295,15 @@ class _RadialEvaluator:
         self.c = rad.chi_scalar
         self.psi_tilde = rad.psi ** (1.0 / self.params.subset_count)
         self.anchor = None
+        self.start = None
 
     def analyze(self, u: np.ndarray) -> _Analysis:
         u1, u2 = profile_derivatives(u, self.grid.spacing)
         lam = eigenvalue_rows(u1, u2, self.grid.s, self.n, self.c)
         order = np.argsort(lam, axis=-1)
-        return _analysis(np.take_along_axis(lam, order, axis=-1), order, self.params.p, int)
+        vals = np.take_along_axis(lam, order, axis=-1)
+        return _analysis(margins_batch(vals, self.params.p), int, lam.sum(axis=-1),
+                         vals=vals, vecs=order)
 
     def linearize(self, a: _Analysis) -> None:
         a.ft, grads_sorted = ftilde_grad_batch(a.vals, self.params)
@@ -281,8 +322,9 @@ class _RadialEvaluator:
 def _make_evaluator(problem: ProblemSpec, config: SolveConfig):
     """Evaluator whose t = 0 anchor is ftilde from the subsolution's analysis.
 
-    Every Newton state comes from the same analyze/linearize pair, so the
-    t = 0 residual at the subsolution is bitwise zero.
+    That analysis is left in ``ev.start``, so a Newton loop from the
+    subsolution starts from it; every Newton state comes from the same
+    analyze/linearize pair, so the t = 0 residual there is bitwise zero.
     """
     if problem.geometry == "box":
         ev, sub = _BoxEvaluator(problem, config), problem.box.subsolution
@@ -296,21 +338,27 @@ def _make_evaluator(problem: ProblemSpec, config: SolveConfig):
         )
     ev.linearize(a)
     ev.anchor = a.ft
+    ev.start = a
     return ev
 
 
-def _newton_loop(
-    ev, t: float, u_init: np.ndarray, tol: float, config: SolveConfig
-) -> tuple[HomotopyState, _Analysis]:
-    """Damped Newton at fixed t; returns the converged state and its analysis."""
+def _newton_loop(ev, t: float, u_init: np.ndarray, tol: float, config: SolveConfig) -> HomotopyState:
+    """Damped Newton at fixed t from ``u_init``; returns the converged state.
+
+    The loop takes ``ev.start``, the linearized analysis of ``u_init``, when
+    one is set, and analyzes ``u_init`` otherwise.  On convergence it leaves
+    the converged iterate's analysis in ``ev.start`` for the next attempt.
+    """
     u = u_init.copy()
-    state = ev.analyze(u)
-    if state.min_margin <= 0.0:
-        raise ConeEscape(
-            f"initial iterate not admissible (margin {state.min_margin:.3e})",
-            node=state.min_node,
-        )
-    ev.linearize(state)
+    state, ev.start = ev.start, None
+    if state is None:
+        state = ev.analyze(u)
+        if state.min_margin <= 0.0:
+            raise ConeEscape(
+                f"initial iterate not admissible (margin {state.min_margin:.3e})",
+                node=state.min_node,
+            )
+        ev.linearize(state)
     target = t * ev.psi_tilde + (1.0 - t) * ev.anchor
     history: list[float] = []
     best = np.inf
@@ -338,6 +386,7 @@ def _newton_loop(
                     "newton t=%.4f converged in %d iters; last ratios %.3e, %.3e",
                     t, iteration, prev, ratio,
                 )
+            ev.start = state
             return HomotopyState(
                 t=t,
                 u=u,
@@ -345,7 +394,7 @@ def _newton_loop(
                 newton_iters=iteration,
                 min_margin=state.min_margin,
                 residual_history=tuple(history),
-            ), state
+            )
         if iteration == config.max_newton_iters:
             break
         delta = ev.correction(state, resid, rnorm)
@@ -378,8 +427,9 @@ def newton_solve_at_t(
     """Solve the fixed-t equation by damped Newton from an admissible start."""
     config = config or SolveConfig()
     ev = _make_evaluator(problem, config)
+    ev.start = None  # u_init is not the subsolution in general
     u0 = u_init.values if isinstance(u_init, ScalarField) else np.asarray(u_init, dtype=float)
-    return _newton_loop(ev, t, u0, tol, config)[0]
+    return _newton_loop(ev, t, u0, tol, config)
 
 
 def continuity_solve(problem: ProblemSpec, config: SolveConfig | None = None):
@@ -395,10 +445,14 @@ def continuity_solve(problem: ProblemSpec, config: SolveConfig | None = None):
     sub = problem.box.subsolution if problem.geometry == "box" else problem.radial.subsolution
 
     tol = config.tol_for(problem.geometry)
-    u = sub.copy() if config.initial_values is None else np.asarray(config.initial_values, dtype=float).copy()
+    if config.initial_values is None:
+        u = sub.copy()
+    else:
+        u = np.asarray(config.initial_values, dtype=float).copy()
+        ev.start = None  # the subsolution's analysis does not describe u
 
     states: list[HomotopyState] = []
-    state0 = _newton_loop(ev, 0.0, u, tol, config)[0]
+    state0 = _newton_loop(ev, 0.0, u, tol, config)
     states.append(state0)
     u = state0.u
     anchor_residual = state0.residual_history[0]
@@ -412,11 +466,10 @@ def continuity_solve(problem: ProblemSpec, config: SolveConfig | None = None):
                 f"continuation step {step:.2e} below minimum at t={t:.4f}"
             ) from failure
         t_try = min(1.0, t + step)
-        # only the analysis at t = 1 feeds the diagnostics; drop the previous
-        # step's before the next attempt analyzes its own start point
-        final = None
+        # ev.start, the analysis of u, starts the attempt; after a failed
+        # attempt it is gone and the restart analyzes u again
         try:
-            st, final = _newton_loop(ev, t_try, u, tol, config)
+            st = _newton_loop(ev, t_try, u, tol, config)
         except (ConeEscape, MaxItersExceeded, LinearSolveStalled) as exc:
             step *= 0.5
             failure = exc
@@ -429,6 +482,8 @@ def continuity_solve(problem: ProblemSpec, config: SolveConfig | None = None):
         if st.newton_iters <= config.easy_iters:
             step = min(step * config.t_growth, config.t_step_max)
 
+    # the analysis at t = 1 feeds the diagnostics
+    final, ev.start = ev.start, None
     diagnostics = _diagnostics(problem, ev, final, states, anchor_residual, config)
     if problem.geometry == "box":
         return ScalarField(problem.box.grid, u), diagnostics
@@ -576,18 +631,15 @@ def _diagnostics(problem, ev, final: _Analysis, states, anchor_residual, config)
                 u, box.subsolution, problem, final,
                 config.barrier_tau, config.barrier_N, config.barrier_delta,
             )
-        # metric trace of g = sum of reduced eigenvalues
-        trace_g = final.vals.sum(axis=-1)
     else:
         rad = problem.radial
         upper_vals = radial_trace_equation_solution(
             rad.chi_scalar, problem.n, rad.boundary_value, rad.grid
         )
         sandwich = sandwich_check(u, rad.subsolution, upper_vals)
-        trace_g = _unsorted(final.vals, final.vecs).sum(axis=-1)
 
     K, sup_h, sup_b = _c2_quantities(problem, u)
-    amgm = (problem.p / problem.n) * trace_g - final.ft
+    amgm = (problem.p / problem.n) * final.trace_g - final.ft
     c0 = boundary_trace_check(u, problem)
     return SolveDiagnostics(
         K=float(K),

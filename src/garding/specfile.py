@@ -146,9 +146,10 @@ def parse_document(text: str) -> SpecDocument:
             return default
         return _parse_number(data[section][key], lines[(section, key)])
 
-    def integer(section, key, least, field=None):
-        """A required whole-number value of at least ``least``."""
-        value = number(section, key, required=True)
+    def integer(section, key, least, field=None, value=None):
+        """A whole-number ``value`` (default: the required key's) of at least ``least``."""
+        if value is None:
+            value = number(section, key, required=True)
         if value != int(value) or value < least:
             raise ValidationError(field or key, f"{key} must be an integer >= {least}, got {value}")
         return int(value)
@@ -274,7 +275,7 @@ def parse_document(text: str) -> SpecDocument:
     sweep_key = "resolutions" if geometry == "box" else "points"
     levels = array("sweep", sweep_key)
     if levels is not None:
-        sweep = tuple(int(x) for x in levels)
+        sweep = tuple(integer("sweep", sweep_key, 1, "sweep", x) for x in levels)
         if len(sweep) < 2:
             raise ValidationError("sweep", "need at least two levels")
 

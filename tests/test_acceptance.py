@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from garding.analytic import Polynomial, norm_squared, radial_power, re_z1_squared
+from garding.analytic import Polynomial, norm_squared, radial_power
 from garding.cli import main
 from garding.errors import ConeEscape, SubsolutionInvalid
 from garding.grid import BoxGrid, ScalarField, complex_hessian_field
@@ -38,6 +38,8 @@ from garding.solver import (
     sandwich_check,
 )
 from garding.hermitian import Spectrum
+
+from support import re_z1_squared
 
 
 def report(number: int, text: str) -> None:

@@ -282,6 +282,7 @@ class TestValidationFailures:
         pytest.param(RADIAL_SPEC + "[psi]\nbump_node = -1\n", id="radial-bump-negative"),
         pytest.param(RADIAL_SPEC.replace("format_version = 1", "format_version = 1.9"),
                      id="version-fraction"),
+        pytest.param(RADIAL_SPEC + "[sweep]\npoints = 1001.7, 2001\n", id="sweep-fraction"),
     ])
     def test_out_of_contract_spec_number(self, tmp_path, capsys, spec):
         status, _ = run_cli(tmp_path, spec, "solve")

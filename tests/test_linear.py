@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import garding.linear
-from garding.analytic import norm_squared, re_z1_squared
+from garding.analytic import norm_squared
 from garding.errors import IndefiniteCoefficients, LinearSolveStalled
 from garding.grid import BoxGrid, MatrixField, ScalarField
 from garding.linear import (
@@ -19,6 +19,8 @@ from garding.linear import (
     solve_sparse,
     upper_barrier,
 )
+
+from support import re_z1_squared
 
 
 def coo_reference_matrix(coeffs, grid):

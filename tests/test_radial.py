@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from garding.analytic import RadialOnBox, norm_squared, radial_power
+from garding.analytic import norm_squared, radial_power
 from garding.errors import NotAdmissible, ValidationError
 from garding.grid import BoxGrid, ScalarField, complex_hessian
 from garding.operator import OperatorParams, product_batch
@@ -13,6 +13,8 @@ from garding.radial import (
     radial_eigenvalues,
     radial_trace_equation_solution,
 )
+
+from support import RadialOnBox, node_coords, re_z1_squared
 
 
 class TestRadialEigenvalues:
@@ -40,7 +42,7 @@ class TestRadialEigenvalues:
         fn = RadialOnBox(radial_power(2), 2)
         u = ScalarField(grid, fn.value(grid.points()))
         node = (10, 6, 6, 6)  # (1, 0, 0, 0): s = 1
-        assert np.allclose(grid.node_coords(node), [1.0, 0, 0, 0])
+        assert np.allclose(node_coords(grid, node), [1.0, 0, 0, 0])
         h = complex_hessian(u, node)
         got = np.sort(np.linalg.eigvalsh(h.entries))
         want = radial_eigenvalues(1.0, 1.0, 1.0, n=2, c=0.0).values
@@ -97,8 +99,6 @@ class TestManufacturedProblems:
         assert np.allclose(problem.box.phi[mask], expected[mask])
 
     def test_pluriharmonic_with_identity_chi(self):
-        from garding.analytic import re_z1_squared
-
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
         problem = manufactured_box(
             re_z1_squared(2), np.eye(2), OperatorParams(2, 1), grid

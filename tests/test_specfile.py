@@ -20,6 +20,8 @@ from garding.specfile import (
     parse_spec,
 )
 
+from support import re_z1_squared
+
 MINIMAL_BOX = """
 format_version = 1
 [problem]
@@ -163,7 +165,7 @@ class TestShippedSpecs:
     SPEC_DIR = __import__("pathlib").Path(__file__).resolve().parent.parent / "specs"
 
     def test_box_spec_matches_analytic_target(self):
-        from garding.analytic import norm_squared, re_z1_squared
+        from garding.analytic import norm_squared
         from garding.grid import BoxGrid
         from garding.problems import manufactured_box
 

@@ -15,7 +15,6 @@ the diagonal is exactly real.  Consistency is O(h^2) for C^4 functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -106,23 +105,16 @@ class BoxGrid:
             mask[tuple(sl_hi)] = True
         return mask
 
-    def axis_face_distances(self) -> list[np.ndarray]:
-        """Per real axis, the distance to the nearer of its two faces.
-
-        Each array varies along its own axis and broadcasts to the grid shape.
-        """
-        out = []
-        for a in range(self.ndim_real):
-            lo, hi = self.extent[a]
-            c = self.axis_coords(a)
-            shape = [1] * self.ndim_real
-            shape[a] = self.resolution
-            out.append(np.minimum(c - lo, hi - c).reshape(shape))
-        return out
-
-    def face_distance(self) -> np.ndarray:
-        """Euclidean distance to the nearest face, over the full grid."""
-        return reduce(np.minimum, self.axis_face_distances())
+    def face_distances(self) -> tuple:
+        """The distance to the nearest face and to the second nearest, over
+        the full grid, from one running pass over the real axes."""
+        least = second = np.full(self.shape, np.inf)
+        for a, (lo, hi) in enumerate(self.extent):
+            c = self.axis_coords(a).reshape((-1,) + (1,) * (self.ndim_real - 1 - a))
+            d = np.minimum(c - lo, hi - c)
+            second = np.minimum(second, np.maximum(least, d))
+            least = np.minimum(least, d)
+        return least, second
 
     def diameter(self) -> float:
         return float(np.sqrt(sum((hi - lo) ** 2 for lo, hi in self.extent)))

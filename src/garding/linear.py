@@ -1,4 +1,4 @@
-"""Sparse Dirichlet solves for the linearized operator.
+"""Dirichlet solves for the linearized operator, applied from its stencil weights.
 
 The linearization of the normalized operator at an admissible iterate is
 
@@ -11,40 +11,39 @@ into real second differences gives the real stencil weights
     L v = 1/4 * sum_{k,j} R_kj (v_{x^k x^j} + v_{y^k y^j})
         - 1/2 * sum_{k,j} I_kj  v_{x^k y^j},
 
-so the assembled system is real; the imaginary parts cancel exactly because
-both C and the discrete Hessian are Hermitian.  Unknowns are the interior
-nodes in C (row-major) order; Dirichlet data is folded into the right-hand
-side by the callers.
+so the operator is real; the imaginary parts cancel exactly because both C
+and the discrete Hessian are Hermitian.  Unknowns are the interior nodes in
+C (row-major) order; Dirichlet data is folded into the right-hand side by
+the callers.
 
-The stencil is fixed for a grid, so the matrix is stored by diagonals
-(``scipy.sparse.dia_matrix``, Saad, Iterative Methods for Sparse Linear
-Systems, 2003, section 3.4): one diagonal per stencil move (the centre, +-1
-along each real axis, and the four corners of each active cross pair), in
-ascending offset order.  scipy indexes a diagonal by column, A[i, i + off]
-at data[k, i + off], so a move writes the weight of its source node at its
-destination node.  Couplings to boundary neighbours and wraps to the next
-grid line are stored as explicit zeros.  The coefficients are checked for
-positive definiteness with a batched Cholesky factorization; eigenvalues
-are computed only to name the offending node.
+No matrix is formed.  ``StencilOperator`` keeps the weights alone: the
+centre, one field per real axis and one per axis pair whose cross weights
+are not all zero (19 fields at n = 3; constants for constant coefficients).
+It applies them to a full-grid array whose boundary entries act as
+Dirichlet data (zeros for a product with interior values): a central
+difference along each axis, and for each cross pair a difference along b,
+then along a.  The coefficients are checked for positive definiteness with
+a batched Cholesky factorization; eigenvalues only name the offending node.
 
 Every system is solved one way: BiCGStab preconditioned by the exact
-inverse of the matrix's mean axis stencil, the constant-coefficient
+inverse of the operator's mean axis stencil, the constant-coefficient
 operator d + sum_a c_a (shift_a + shift_a^T) whose d and c_a are averages
-of the matrix's centre and axis diagonals.  With zero Dirichlet data that
-operator is diagonalized by the orthogonal sine transform along every axis
-(Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970), so one
-application costs two transforms and a division.  Cross terms are left to
-the Krylov iteration; constant diagonal coefficients (the upper barrier
-with identity or diagonal omega) are solved by the first application.
+of the centre and axis weights.  With zero Dirichlet data that operator is
+diagonalized by the orthogonal sine transform along every axis (Buzbee,
+Golub & Nielson, SIAM J. Numer. Anal. 7, 1970), so one application costs
+two transforms and a division.  Cross terms are left to the Krylov
+iteration; constant diagonal coefficients (the upper barrier with identity
+or diagonal omega) are solved by the first application.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-# unused here, but bench/child.py resolves garding.linear.spla to trace splu
+# unused here, but bench/child.py resolves garding.linear.spla and
+# garding.linear.complex_hessian_field to trace them
 import scipy.sparse.linalg as spla
 
 from .errors import IndefiniteCoefficients, LinearSolveStalled
@@ -55,35 +54,105 @@ STALL_WINDOW = 50  # iterations without meaningful progress before declaring a s
 IMAG_CANCEL_TOL = 1e-12
 
 
-def real_stencil_weights(coeffs: np.ndarray):
-    """Real-axis weight fields from complex Hermitian coefficient matrices.
+def real_stencil_weights(coeffs: np.ndarray, spacing) -> tuple:
+    """The stencil weights of tr(C complex_hessian(v)), spacings divided out.
 
-    Returns (diag_weights (..., 2n), cross_weights dict {(a, b): (...,)} with
-    a < b) such that L v = sum_a diag_a v_aa + sum_{a<b} w_ab v_ab.
+    ``coeffs`` are Hermitian matrices per interior node, or one (n, n).
+    Returns (center, axis, cross): ``axis[a]`` weighs v(+e_a) + v(-e_a), and
+    ``cross[a, b]`` (a < b; all-zero fields left out) weighs the mixed
+    difference v(+e_a+e_b) - v(+e_a-e_b) - v(-e_a+e_b) + v(-e_a-e_b).
     """
-    n = coeffs.shape[-1]
-    r = coeffs.real
-    im = coeffs.imag
+    n, h = coeffs.shape[-1], spacing
+    r, im = coeffs.real, coeffs.imag
     if np.abs(im.diagonal(axis1=-2, axis2=-1)).max(initial=0.0) > IMAG_CANCEL_TOL:
         raise IndefiniteCoefficients("coefficient diagonal has an imaginary part")
-    diag = np.zeros(coeffs.shape[:-2] + (2 * n,))
+    # v_aa carries R_kk / 4 along both real axes of z_k
+    axis = [r[..., a // 2, a // 2] / (4.0 * h[a] * h[a]) for a in range(2 * n)]
+    center = -2.0 * sum(axis)
     cross: dict = {}
     for k in range(n):
-        diag[..., 2 * k] += r[..., k, k] / 4.0
-        diag[..., 2 * k + 1] += r[..., k, k] / 4.0
-        for j in range(k + 1, n):
-            # x_k x_j and y_k y_j carry R_kj/4 from both (k, j) and (j, k)
-            rkj = r[..., k, j]
-            cross[(2 * k, 2 * j)] = rkj / 2.0
-            cross[(2 * k + 1, 2 * j + 1)] = rkj / 2.0
         for j in range(n):
-            if k == j:
-                continue
-            ikj = im[..., k, j]
-            a, b = 2 * k, 2 * j + 1  # x_k, y_j
-            key = (min(a, b), max(a, b))
-            cross[key] = cross.get(key, 0.0) - ikj / 2.0
-    return diag, cross
+            a, b = 2 * k, 2 * j + 1  # x_k, y_j carry -I_kj / 2 from (k, j) and (j, k)
+            if k < j:
+                # x_k x_j and y_k y_j carry R_kj / 4 from both (k, j) and (j, k)
+                cross[a, b - 1] = r[..., k, j] / (8.0 * h[a] * h[b - 1])
+                cross[a + 1, b] = r[..., k, j] / (8.0 * h[a + 1] * h[b])
+            if k != j:
+                key = (min(a, b), max(a, b))
+                cross[key] = cross.get(key, 0.0) - im[..., k, j] / (8.0 * h[a] * h[b])
+    return center, axis, {key: w for key, w in cross.items() if np.any(w != 0.0)}
+
+
+class StencilOperator:
+    """L v = tr(C complex_hessian(v)) at the interior nodes, from the weights
+    ``real_stencil_weights`` returns (interior-shaped arrays or constants).
+    ``shape`` and ``@`` act on interior vectors; ``nnz`` counts the weights.
+    """
+
+    def __init__(self, grid: BoxGrid, center, axis, cross: dict):
+        self.grid, self.center, self.axis, self.cross = grid, center, axis, cross
+        self.shape = (math.prod(grid.interior_shape),) * 2
+        self.nnz = sum(np.size(w) for w in [center, *self.axis, *cross.values()])
+        every = range(grid.ndim_real)
+
+        def moved(axes, steps: dict) -> tuple:
+            """Full-grid slices: the interior along ``axes``, moved by {axis: +-1}."""
+            return tuple(slice(1 + steps.get(a, 0), steps.get(a, 0) - 1 or None) if a in axes
+                         else slice(None) for a in every)
+
+        self._inner = moved(every, {})
+        self._pad = np.zeros(grid.shape)  # its boundary stays zero
+        self._buf = np.empty(grid.interior_shape)
+        self._axis_moves = [(moved(every, {a: 1}), moved(every, {a: -1})) for a in every]
+        # the pairs (a, b) sharing b share one difference along b, taken over
+        # the interior of the other axes and the whole range of each paired a
+        groups: dict = {}  # {b: {a: weight}}
+        for (a, b), w in cross.items():
+            groups.setdefault(b, {})[a] = w
+        self._cross_moves = []
+        for b, whole in groups.items():
+            rest = [a for a in every if a not in whole]
+            shape = tuple(grid.resolution if a in whole else grid.resolution - 2 for a in every)
+            pairs = [(w, moved(whole, {a: 1}), moved(whole, {a: -1})) for a, w in whole.items()]
+            self._cross_moves.append((shape, moved(rest, {b: 1}), moved(rest, {b: -1}), pairs))
+        self._diff = np.empty(max((math.prod(move[0]) for move in self._cross_moves), default=0))
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """L at the interior nodes of a full-grid array, whose boundary
+        entries act as Dirichlet data; returns an interior-shaped array."""
+        out = self.center * values[self._inner]
+        buf = self._buf
+        for w, (up, dn) in zip(self.axis, self._axis_moves):
+            np.add(values[up], values[dn], out=buf)
+            buf *= w
+            out += buf
+        for shape, up, dn, pairs in self._cross_moves:
+            d = self._diff[:math.prod(shape)].reshape(shape)
+            np.subtract(values[up], values[dn], out=d)
+            for w, d_up, d_dn in pairs:
+                np.subtract(d[d_up], d[d_dn], out=buf)
+                buf *= w
+                out += buf
+        return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        self._pad[self._inner] = x.reshape(self.grid.interior_shape)
+        return self.apply(self._pad).reshape(-1)
+
+    def mmatrix_violations(self) -> int:
+        """Rows whose off-diagonal |weights| exceed |centre|.
+
+        Only in-range neighbours count: a boundary neighbour is Dirichlet
+        data, not a coupling.  Strong cross terms can break the M-matrix
+        structure this audits.
+        """
+        ndim, m = len(self.axis), self.grid.resolution - 2
+        # in-range neighbours along one axis: one at either end of a line, two inside
+        inside = np.r_[1.0, np.full(m - 2, 2.0), 1.0]
+        count = [inside.reshape((m,) + (1,) * (ndim - 1 - a)) for a in range(ndim)]
+        off = sum(np.abs(w) * count[a] for a, w in enumerate(self.axis))
+        off = off + sum(np.abs(w) * (count[a] * count[b]) for (a, b), w in self.cross.items())
+        return int(np.sum(off > np.abs(self.center) * (1 + 1e-12)))
 
 
 @dataclass
@@ -91,7 +160,7 @@ class SparseSystem:
     """Interior-unknown linear system with grid bookkeeping."""
 
     grid: BoxGrid
-    matrix: sp.dia_matrix
+    matrix: StencilOperator
     rhs: np.ndarray
     mmatrix_violations: int = 0
 
@@ -100,31 +169,17 @@ class SparseSystem:
         return self.matrix.shape[0]
 
 
-def _move_slices(ndim: int, steps: dict) -> tuple:
-    """Source and destination interior slices of a stencil move {axis: +-1}."""
-    src = [slice(None)] * ndim
-    dst = [slice(None)] * ndim
-    for axis, step in steps.items():
-        src[axis] = slice(0, -1) if step > 0 else slice(1, None)
-        dst[axis] = slice(1, None) if step > 0 else slice(0, -1)
-    return tuple(src), tuple(dst)
+def assemble_linearized(coeffs: MatrixField | np.ndarray, rhs: ScalarField | np.ndarray,
+                        grid: BoxGrid) -> SparseSystem:
+    """The linearized operator with zero Dirichlet data, and its right-hand side.
 
-
-def assemble_linearized(coeffs: MatrixField, rhs: ScalarField | np.ndarray, grid: BoxGrid) -> SparseSystem:
-    """Assemble the discrete linearized operator with zero Dirichlet data.
-
-    ``coeffs`` holds the Hermitian coefficient matrices per interior node;
-    ``rhs`` the right-hand side at interior nodes (a ScalarField's interior
-    is used when a full field is passed).  Rows where off-diagonal couplings
-    overwhelm the diagonal (broken M-matrix structure, possible with strong
-    cross terms) are counted in ``mmatrix_violations``.
+    ``coeffs`` holds the Hermitian coefficient matrices per interior node,
+    or one constant (n, n) matrix; ``rhs`` the right-hand side at interior
+    nodes (a ScalarField's interior is used when a full field is passed).
+    Rows where off-diagonal couplings overwhelm the diagonal are counted in
+    ``mmatrix_violations``.
     """
-    n = grid.n
-    h = grid.spacing
-    interior = grid.interior_shape
-    size = int(np.prod(interior))
-    cvals = coeffs.values
-
+    cvals = coeffs.values if isinstance(coeffs, MatrixField) else np.asarray(coeffs, np.complex128)
     try:
         np.linalg.cholesky(cvals)
     except np.linalg.LinAlgError:
@@ -133,51 +188,13 @@ def assemble_linearized(coeffs: MatrixField, rhs: ScalarField | np.ndarray, grid
         raise IndefiniteCoefficients(
             f"coefficients not positive definite at node {grid.node_of_flat(flat)}"
         ) from None
-
-    diag_w, cross_w = real_stencil_weights(cvals)
-    ndim = 2 * n
-    stride = [int(np.prod(interior[a + 1:])) for a in range(ndim)]
-
-    # (offset, {axis: step}, sign, weight at the source node); with at least
-    # 7 interior nodes per axis no two moves share an offset
-    center = np.zeros(interior)
-    moves = [(0, {}, 1.0, center)]
-    for a in range(ndim):
-        w = diag_w[..., a] / (h[a] * h[a])
-        center -= 2.0 * w
-        moves += [(-stride[a], {a: -1}, 1.0, w), (stride[a], {a: +1}, 1.0, w)]
-    for (a, b), wfield in cross_w.items():
-        w = wfield / (4.0 * h[a] * h[b])
-        if np.all(w == 0.0):
-            continue
-        for oa, ob in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            moves.append((oa * stride[a] + ob * stride[b], {a: oa, b: ob}, float(oa * ob), w))
-    # ascending offsets make each row's matvec sum run in column order
-    moves.sort(key=lambda move: move[0])
-    data = np.zeros((len(moves), size))
-    for diagonal, (_, steps, sign, w) in zip(data, moves):
-        src, dst = _move_slices(ndim, steps)
-        diagonal.reshape(interior)[dst] = sign * w[src]
-    matrix = sp.dia_matrix((data, [move[0] for move in moves]), shape=(size, size))
-
-    # monotonicity audit: count rows whose off-diagonal mass exceeds |diag|
-    offdiag_abs = np.abs(matrix).sum(axis=1).A1 - np.abs(matrix.diagonal())
-    violations = int(np.sum(offdiag_abs > np.abs(matrix.diagonal()) * (1 + 1e-12)))
+    op = StencilOperator(grid, *real_stencil_weights(cvals, grid.spacing))
 
     rhs_vec = rhs.interior().reshape(-1) if isinstance(rhs, ScalarField) else np.asarray(rhs).reshape(-1)
-    if rhs_vec.shape != (size,):
-        raise ValueError(f"rhs has {rhs_vec.shape} entries, expected {size}")
-    return SparseSystem(grid=grid, matrix=matrix, rhs=rhs_vec.copy(),
-                        mmatrix_violations=violations)
-
-
-def operator_apply(coeffs: MatrixField, u: ScalarField) -> np.ndarray:
-    """Evaluate tr(C @ complex_hessian(u)) at interior nodes (full stencils)."""
-    hess = complex_hessian_field(u)
-    out = np.einsum("...kj,...jk->...", coeffs.values, hess.values)
-    if np.abs(out.imag).max(initial=0.0) > IMAG_CANCEL_TOL * max(np.abs(out.real).max(), 1.0):
-        raise IndefiniteCoefficients("imaginary parts failed to cancel in operator apply")
-    return out.real
+    if rhs_vec.shape != (op.shape[0],):
+        raise ValueError(f"rhs has {rhs_vec.shape} entries, expected {op.shape[0]}")
+    return SparseSystem(grid=grid, matrix=op, rhs=rhs_vec.copy(),
+                        mmatrix_violations=op.mmatrix_violations())
 
 
 def bicgstab(matrix, rhs, tol, max_iter, precond=None):
@@ -191,7 +208,7 @@ def bicgstab(matrix, rhs, tol, max_iter, precond=None):
     if b_norm == 0.0:
         return np.zeros_like(rhs)
     x = np.zeros_like(rhs)
-    r = rhs - matrix @ x
+    r = rhs.copy()  # the residual of x = 0
     r0 = r.copy()
     rho = alpha = omega = 1.0
     v = np.zeros_like(rhs)
@@ -245,23 +262,23 @@ def sine_transform(m: int) -> np.ndarray:
     return np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
 
 
-def mean_stencil_inverse(matrix, grid: BoxGrid):
-    """Apply the inverse of ``matrix``'s mean axis stencil, r -> S (r / lambda) S.
+def mean_stencil_inverse(op: StencilOperator):
+    """Apply the inverse of ``op``'s mean axis stencil, r -> S (r / lambda) S.
 
-    The mean stencil has the mean of the main diagonal at the centre and,
-    along axis a, the mean of the stride-a diagonal over its N (m - 1) / m
-    structural entries (the grid-line wraps hold zeros).  Its eigenvalues
-    are lambda(k) = d + sum_a 2 c_a cos(pi k_a / (m + 1)).  Raises
+    The mean stencil has the mean centre weight at the centre and, along
+    axis a, the mean axis-a weight over the N (m - 1) / m rows that have a
+    neighbour on the + side.  Its eigenvalues are
+    lambda(k) = d + sum_a 2 c_a cos(pi k_a / (m + 1)).  Raises
     LinearSolveStalled unless they all have one sign.
     """
+    grid = op.grid
     m = grid.resolution - 2
     ndim = grid.ndim_real
-    structural = matrix.shape[0] * (m - 1) / m
     cosines = np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
-    lam = np.full((m,) * ndim, float(matrix.diagonal().mean()))
-    for a in range(ndim):
-        c = float(matrix.diagonal(m ** (ndim - 1 - a)).sum()) / structural
-        lam += 2.0 * c * cosines.reshape((m,) + (1,) * (ndim - 1 - a))
+    lam = np.full((m,) * ndim, float(np.mean(op.center)))
+    for a, w in enumerate(op.axis):
+        rows = np.broadcast_to(w, grid.interior_shape)[(slice(None),) * a + (slice(0, -1),)]
+        lam += 2.0 * float(rows.mean()) * cosines.reshape((m,) + (1,) * (ndim - 1 - a))
     if not (np.all(lam > 0.0) or np.all(lam < 0.0)):
         raise LinearSolveStalled("mean axis stencil is singular or indefinite; cannot precondition")
     inv_lam = (1.0 / lam).reshape(-1)
@@ -288,7 +305,7 @@ def solve_sparse(system: SparseSystem, tol: float = 1e-10, max_iter: int = 20000
         raise ValueError("tol must be positive")
     x = bicgstab(
         system.matrix, system.rhs, tol=tol, max_iter=max_iter,
-        precond=mean_stencil_inverse(system.matrix, system.grid),
+        precond=mean_stencil_inverse(system.matrix),
     )
     # the recurrence residual can drift from the true one; verify
     scale = max(float(np.linalg.norm(system.rhs)), 1e-300)
@@ -300,13 +317,6 @@ def solve_sparse(system: SparseSystem, tol: float = 1e-10, max_iter: int = 20000
     sl = (slice(1, -1),) * grid.ndim_real
     full[sl] = x.reshape(grid.interior_shape)
     return ScalarField(grid, full)
-
-
-def constant_coefficient_field(grid: BoxGrid, matrix: np.ndarray) -> MatrixField:
-    vals = np.broadcast_to(
-        np.asarray(matrix, dtype=np.complex128), grid.interior_shape + matrix.shape
-    ).copy()
-    return MatrixField(grid, vals)
 
 
 def upper_barrier(chi, omega, phi: ScalarField, grid: BoxGrid,
@@ -324,16 +334,11 @@ def upper_barrier(chi, omega, phi: ScalarField, grid: BoxGrid,
         omega_e = getattr(omega, "entries", np.asarray(omega, dtype=np.complex128))
         omega_inv = np.linalg.inv(omega_e)
         omega_inv = (omega_inv + omega_inv.conj().T) / 2.0
-    coeffs = constant_coefficient_field(grid, omega_inv)
 
     rhs = np.full(grid.interior_shape, -float(np.trace(omega_inv @ chi_e).real))
+    system = assemble_linearized(omega_inv, rhs, grid)
     # fold the Dirichlet data: solve for v - phi_ext with phi_ext = phi on
     # the boundary and 0 inside
-    phi_ext = np.zeros(grid.shape)
-    mask = grid.boundary_mask()
-    phi_ext[mask] = phi.values[mask]
-    bc = operator_apply(coeffs, ScalarField(grid, phi_ext))
-    system = assemble_linearized(coeffs, rhs - bc, grid)
-    correction = solve_sparse(system, tol=tol)
-    out = correction.values + phi_ext
-    return ScalarField(grid, out)
+    phi_ext = np.where(grid.boundary_mask(), phi.values, 0.0)
+    system.rhs -= system.matrix.apply(phi_ext).reshape(-1)
+    return ScalarField(grid, solve_sparse(system, tol=tol).values + phi_ext)

@@ -121,17 +121,17 @@ def manufactured_box(
     pts_all = grid.points()
     pts_int = grid.interior_points()
 
-    target_vals = u_star.value(pts_all)
-    sub_fn = subsolution if subsolution is not None else u_star
-    sub_vals = sub_fn.value(pts_all)
-
-    g_target = chi + u_star.complex_hessian(pts_int)
-    g_sub = chi + sub_fn.complex_hessian(pts_int)
     omega_entries = None if omega is None else np.asarray(omega, dtype=np.complex128)
-    reduced_t, _ = congruence_reduce_batch(g_target, omega_entries)
-    reduced_s, _ = congruence_reduce_batch(g_sub, omega_entries)
-    vals_t = eigvals_batch(reduced_t)
-    vals_s = eigvals_batch(reduced_s)
+
+    def values_and_eigenvalues(fn):
+        reduced, _ = congruence_reduce_batch(chi + fn.complex_hessian(pts_int), omega_entries)
+        return fn.value(pts_all), eigvals_batch(reduced)
+
+    target_vals, vals_t = values_and_eigenvalues(u_star)
+    # without a distinct subsolution the target is one, and its arrays serve
+    sub_vals, vals_s = target_vals, vals_t
+    if subsolution is not None:
+        sub_vals, vals_s = values_and_eigenvalues(subsolution)
 
     margins_s = _admissible_margins(vals_s, params.p, "subsolution", grid.node_of_flat, "node")
     _admissible_margins(vals_t, params.p, "target", grid.node_of_flat, "node")

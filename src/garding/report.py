@@ -19,6 +19,7 @@ from .problems import ProblemSpec
 from .solver import SolveDiagnostics
 
 CSV_FORMAT_VERSION = 1
+CSV_CHUNK = 1 << 16  # rows formatted per write
 REPORT_FORMAT_VERSION = 1
 
 
@@ -107,13 +108,16 @@ def write_solution_csv(path, problem: ProblemSpec, u, diag: SolveDiagnostics) ->
     prefixes = map(",".join, itertools.product(*[list(map(repr, c.tolist())) for c in axes]))
     mask = np.zeros(uv.shape, dtype=bool)
     mask[interior] = True
-    tails = [",,"] * uv.size
-    for k, margin, residual in zip(np.flatnonzero(mask).tolist(),
-                                   diag.node_margins.reshape(-1).tolist(),
-                                   diag.node_residual.reshape(-1).tolist()):
-        tails[k] = f",{margin!r},{residual!r}"
+    mask, values = mask.reshape(-1), uv.reshape(-1)
+    tails = (f",{margin!r},{residual!r}" for margin, residual in
+             zip(diag.node_margins.reshape(-1).tolist(), diag.node_residual.reshape(-1).tolist()))
     with open(path, "w", newline="") as handle:
         handle.write(f"csv_format_version={CSV_FORMAT_VERSION}" + "," * (len(names) - 1) + "\r\n")
         handle.write(",".join(names) + "\r\n")
-        handle.writelines(f"{prefix},{value!r}{tail}\r\n"
-                          for prefix, value, tail in zip(prefixes, uv.reshape(-1).tolist(), tails))
+        # CSV_CHUNK rows at a time, so no list spans the grid; prefixes come
+        # last, so zip stops at a chunk's end without taking one more
+        for start in range(0, values.size, CSV_CHUNK):
+            rows = slice(start, start + CSV_CHUNK)
+            handle.writelines(f"{prefix},{value!r}{next(tails) if inside else ',,'}\r\n"
+                              for value, inside, prefix
+                              in zip(values[rows].tolist(), mask[rows].tolist(), prefixes))

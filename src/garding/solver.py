@@ -59,7 +59,7 @@ from .hermitian import (
     eigh_batch,
     eigvals_batch,
 )
-from .linear import assemble_linearized, operator_apply, solve_sparse, upper_barrier
+from .linear import StencilOperator, assemble_linearized, real_stencil_weights, solve_sparse, upper_barrier
 from .operator import (
     determinant_form_batch,
     determinant_linearization_batch,
@@ -551,7 +551,7 @@ def _barrier_report(uv, ul_u, problem: ProblemSpec, state: _Analysis, tau, N, de
     half_width = min((hi - lo) / 2.0 for lo, hi in grid.extent)
     degenerate = delta >= half_width
 
-    d = grid.face_distance()
+    d, second = grid.face_distances()
     v = (uv - lv) + tau * d - N * d * d
     collar = (d > 0.0) & (d < delta)
     count = int(collar.sum())
@@ -564,10 +564,7 @@ def _barrier_report(uv, ul_u, problem: ProblemSpec, state: _Analysis, tau, N, de
 
     # single-face mask: the nearest-face axis stays the realizing one across
     # the whole +-1 stencil neighborhood
-    stacked = np.stack([np.broadcast_to(da, grid.shape) for da in grid.axis_face_distances()])
-    part = np.partition(stacked, 1, axis=0)
-    gap = part[1] - part[0]
-    smooth = gap > 2.0 * max(grid.spacing)
+    smooth = second - d > 2.0 * max(grid.spacing)
 
     interior_sl = (slice(1, -1),) * grid.ndim_real
     collar_smooth = (collar & smooth)[interior_sl]
@@ -577,7 +574,7 @@ def _barrier_report(uv, ul_u, problem: ProblemSpec, state: _Analysis, tau, N, de
                              tuple(int(i) for i in vmin_idx), np.nan, None, np.nan,
                              degenerate)
 
-    lv_field = operator_apply(MatrixField(grid, state.coeffs), ScalarField(grid, v))
+    lv_field = StencilOperator(grid, *real_stencil_weights(state.coeffs, grid.spacing)).apply(v)
     ratio = lv_field / (1.0 + state.trace_f)
     masked = np.where(collar_smooth, ratio, -np.inf).reshape(-1)
     max_flat = int(np.argmax(masked))

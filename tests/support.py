@@ -1,4 +1,4 @@
-"""Test-only analytic families and grid helpers shared by the test modules."""
+"""Test-only analytic families, grid helpers and oracles shared by the test modules."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from garding.analytic import Polynomial, RadialProfile
+from garding.grid import MatrixField, ScalarField, complex_hessian_field
 
 
 def re_z1_squared(n: int) -> Polynomial:
@@ -50,3 +51,19 @@ def node_coords(grid, node) -> np.ndarray:
 def hermitian_defect(field) -> float:
     """Largest entry of |H - H*| over a MatrixField."""
     return float(np.abs(field.values - np.swapaxes(field.values, -1, -2).conj()).max())
+
+
+def constant_coefficient_field(grid, matrix: np.ndarray) -> MatrixField:
+    """One Hermitian matrix at every interior node."""
+    vals = np.broadcast_to(
+        np.asarray(matrix, dtype=np.complex128), grid.interior_shape + matrix.shape
+    ).copy()
+    return MatrixField(grid, vals)
+
+
+def hessian_operator_apply(coeffs: MatrixField, u: ScalarField) -> np.ndarray:
+    """tr(C @ complex_hessian(u)) at interior nodes, through the full complex
+    Hessian; an oracle for the stencil-weight operator."""
+    out = np.einsum("...kj,...jk->...", coeffs.values, complex_hessian_field(u).values)
+    assert np.abs(out.imag).max(initial=0.0) <= 1e-12 * max(np.abs(out.real).max(), 1.0)
+    return out.real

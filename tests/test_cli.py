@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import garding.report
 from garding import cli, errors
 from garding.cli import main
 from garding.report import write_solution_csv
@@ -165,6 +166,19 @@ class TestSolutionCsv:
         expected = io.StringIO(newline="")
         csv.writer(expected).writerows(rows)
         assert path.read_bytes() == expected.getvalue().encode()
+
+    @pytest.mark.parametrize("spec_text", [RADIAL_SPEC, BOX_SPEC], ids=["radial", "box"])
+    def test_chunked_rows_equal_one_chunk(self, tmp_path, monkeypatch, spec_text):
+        # 7 rows per chunk puts chunk ends inside boundary and interior runs
+        problem = build_problem(parse_document(spec_text))
+        u, diag = continuity_solve(problem)
+        written = []
+        for chunk in (7, 1 << 30):
+            monkeypatch.setattr(garding.report, "CSV_CHUNK", chunk)
+            path = tmp_path / f"fields-{chunk}.csv"
+            write_solution_csv(path, problem, u, diag)
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
 
 
 class TestVerifyMode:

@@ -75,10 +75,13 @@ class TestBoxGrid:
 
     def test_face_distance(self):
         grid = BoxGrid(1, ((-1, 1), (-1, 1)), 9)
-        d = grid.face_distance()
+        d, second = grid.face_distances()
         assert d[0, 3] == 0.0
         assert d[4, 4] == pytest.approx(1.0)
         assert d[1, 4] == pytest.approx(0.25)
+        assert second[0, 3] == pytest.approx(0.75)
+        assert second[0, 0] == 0.0
+        assert second[4, 4] == pytest.approx(1.0)
 
 
 class TestComplexHessian:

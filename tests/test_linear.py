@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,63 +12,77 @@ from garding.errors import IndefiniteCoefficients, LinearSolveStalled
 from garding.grid import BoxGrid, MatrixField, ScalarField
 from garding.linear import (
     SparseSystem,
+    StencilOperator,
     assemble_linearized,
     bicgstab,
-    constant_coefficient_field,
-    operator_apply,
     real_stencil_weights,
     solve_sparse,
     upper_barrier,
 )
 
-from support import re_z1_squared
+from support import constant_coefficient_field, hessian_operator_apply, re_z1_squared
 
 
 def coo_reference_matrix(coeffs, grid):
     """The operator built entry by entry as (row, column, value) triplets.
 
-    Independent of the diagonal storage: every stencil move maps interior
-    node indices to neighbour indices, couplings to boundary neighbours are
-    left out, and scipy sums the triplets into CSR.
+    Independent of the stencil-weight operator: every stencil move maps
+    interior node indices to neighbour indices, couplings to boundary
+    neighbours are left out, and scipy sums the triplets into CSR.
     """
-    h = grid.spacing
     interior = grid.interior_shape
     size = int(np.prod(interior))
     index = np.arange(size).reshape(interior)
-    diag_w, cross_w = real_stencil_weights(coeffs.values)
+    center, axis, cross = real_stencil_weights(coeffs.values, grid.spacing)
     ndim = 2 * grid.n
-    rows, cols, vals = [index.reshape(-1)], [index.reshape(-1)], []
-    center = np.zeros(interior)
-
-    def shifted(steps):
-        src = [slice(None)] * ndim
-        dst = [slice(None)] * ndim
-        for axis, off in steps:
-            src[axis] = slice(0, -1) if off == +1 else slice(1, None)
-            dst[axis] = slice(1, None) if off == +1 else slice(0, -1)
-        return tuple(src), tuple(dst)
+    rows, cols, vals = [index.reshape(-1)], [index.reshape(-1)], [center.reshape(-1)]
 
     def add(steps, w, sign=1.0):
-        src, dst = shifted(steps)
+        src = [slice(None)] * ndim
+        dst = [slice(None)] * ndim
+        for a, off in steps:
+            src[a] = slice(0, -1) if off == +1 else slice(1, None)
+            dst[a] = slice(1, None) if off == +1 else slice(0, -1)
+        src, dst = tuple(src), tuple(dst)
         rows.append(index[src].reshape(-1))
         cols.append(index[dst].reshape(-1))
         vals.append((sign * w[src]).reshape(-1))
 
-    for a in range(ndim):
-        w = diag_w[..., a] / (h[a] * h[a])
-        center -= 2.0 * w
+    for a, w in enumerate(axis):
         for off in (-1, +1):
             add([(a, off)], w)
-    for (a, b), wfield in cross_w.items():
-        w = wfield / (4.0 * h[a] * h[b])
-        if np.all(w == 0.0):
-            continue
+    for (a, b), w in cross.items():
         for oa, ob, sign in ((1, 1, 1.0), (1, -1, -1.0), (-1, 1, -1.0), (-1, -1, 1.0)):
             add([(a, oa), (b, ob)], w, sign)
-    vals.insert(0, center.reshape(-1))
     return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(size, size)
     )
+
+
+def materialize(op):
+    """The operator's matrix, column j the product with the j-th unit vector.
+
+    Each product has one non-zero input, so every entry is a single weight,
+    exactly as stored.
+    """
+    unit = np.zeros(op.shape[1])
+    rows, cols, vals = [], [], []
+    for j in range(op.shape[1]):
+        unit[j] = 1.0
+        column = op @ unit
+        unit[j] = 0.0
+        rows.append(np.flatnonzero(column))
+        cols.append(np.full(rows[-1].size, j))
+        vals.append(column[rows[-1]])
+    return sp.csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=op.shape
+    )
+
+
+def apply_operator(coeffs, u):
+    """The stencil-weight operator on a full field, boundary values included."""
+    weights = real_stencil_weights(coeffs.values, u.grid.spacing)
+    return StencilOperator(u.grid, *weights).apply(u.values)
 
 
 def random_hermitian_field(grid, rng, zero_real_01=False):
@@ -115,14 +130,14 @@ class TestAssembly:
         grid = BoxGrid(1, ((-1, 1), (-1, 1)), 9)
         coeffs = constant_coefficient_field(grid, np.eye(1, dtype=complex))
         u = ScalarField(grid, norm_squared(1).value(grid.points()))
-        applied = operator_apply(coeffs, u)
+        applied = apply_operator(coeffs, u)
         assert np.allclose(applied, 1.0, atol=1e-13)
 
     def test_pluriharmonic_in_kernel(self):
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
         coeffs = constant_coefficient_field(grid, np.eye(2, dtype=complex))
         u = ScalarField(grid, re_z1_squared(2).value(grid.points()))
-        assert np.allclose(operator_apply(coeffs, u), 0.0, atol=1e-13)
+        assert np.allclose(apply_operator(coeffs, u), 0.0, atol=1e-13)
 
     def test_matrix_consistent_with_apply(self):
         # matvec on interior values + boundary folding == direct stencil apply
@@ -133,13 +148,13 @@ class TestAssembly:
         coeffs = constant_coefficient_field(grid, cmat)
         u_vals = rng.standard_normal(grid.shape)
         u = ScalarField(grid, u_vals)
-        direct = operator_apply(coeffs, u)
+        direct = hessian_operator_apply(coeffs, u)
 
         system = assemble_linearized(coeffs, np.zeros(grid.interior_shape), grid)
         interior = u_vals[(slice(1, -1),) * 4].reshape(-1)
         boundary_only = u_vals.copy()
         boundary_only[(slice(1, -1),) * 4] = 0.0
-        bc = operator_apply(coeffs, ScalarField(grid, boundary_only))
+        bc = system.matrix.apply(boundary_only)
         got = system.matrix @ interior + bc.reshape(-1)
         assert np.allclose(got, direct.reshape(-1), atol=1e-11)
 
@@ -153,7 +168,7 @@ class TestAssembly:
         cvals[..., 1, 1] = d[..., 1]
         coeffs = MatrixField(grid, cvals)
         u = ScalarField(grid, norm_squared(2).value(grid.points()))
-        applied = operator_apply(coeffs, u)
+        applied = apply_operator(coeffs, u)
         # complex Hessian of |z|^2 is the identity: L u = trace of coefficients
         assert np.allclose(applied, d.sum(axis=-1), atol=1e-10)
 
@@ -165,13 +180,13 @@ class TestAssembly:
         cmat = base @ base.conj().T + 3 * np.eye(3)
         coeffs = constant_coefficient_field(grid, cmat)
         u_vals = rng.standard_normal(grid.shape)
-        direct = operator_apply(coeffs, ScalarField(grid, u_vals))
+        direct = hessian_operator_apply(coeffs, ScalarField(grid, u_vals))
 
         system = assemble_linearized(coeffs, np.zeros(grid.interior_shape), grid)
         interior = u_vals[(slice(1, -1),) * 6].reshape(-1)
         boundary_only = u_vals.copy()
         boundary_only[(slice(1, -1),) * 6] = 0.0
-        bc = operator_apply(coeffs, ScalarField(grid, boundary_only))
+        bc = system.matrix.apply(boundary_only)
         got = system.matrix @ interior + bc.reshape(-1)
         assert np.allclose(got, direct.reshape(-1), atol=1e-10)
 
@@ -191,18 +206,63 @@ class TestAssembly:
         for coeffs in fields:
             system = assemble_linearized(coeffs, np.zeros(grid.interior_shape), grid)
             reference = coo_reference_matrix(coeffs, grid)
-            assert np.array_equal(system.matrix.toarray(), reference.toarray())
+            assert np.array_equal(materialize(system.matrix).toarray(), reference.toarray())
 
-    def test_products_equal_triplet_reference_n3(self):
-        # ascending offsets sum each row in column order, as CSR does
+    def test_products_match_triplet_reference_n3(self):
+        # the kernel sums a row's moves in its own order, not in column order
+        # as CSR does, so each row agrees to rounding: k moves, each adding at
+        # most eps |a_ij x_j| twice over
         rng = np.random.default_rng(13)
         grid = BoxGrid(3, ((-1, 1),) * 6, 9)
         for zero_real_01 in (False, True):
             coeffs = random_hermitian_field(grid, rng, zero_real_01)
             system = assemble_linearized(coeffs, np.zeros(grid.interior_shape), grid)
             reference = coo_reference_matrix(coeffs, grid)
+            moves = 1 + 2 * 6 + 4 * len(system.matrix.cross)
             x = rng.standard_normal(system.unknowns)
-            assert np.array_equal(system.matrix @ x, reference @ x)
+            bound = 2 * moves * np.finfo(float).eps * (abs(reference) @ np.abs(x))
+            assert np.all(np.abs(system.matrix @ x - reference @ x) <= bound)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_mmatrix_count_equals_triplet_reference(self, n):
+        rng = np.random.default_rng(30 + n)
+        grid = BoxGrid(n, ((-1, 1),) * (2 * n), 9)
+        for coeffs in (random_hermitian_field(grid, rng),
+                       random_hermitian_field(grid, rng, zero_real_01=True)):
+            # strengthen the off-diagonal entries so that some rows break
+            coeffs.values *= 1.0 + 2.0 * (1.0 - np.eye(n))
+            system = assemble_linearized(coeffs, np.zeros(grid.interior_shape), grid)
+            absolute = abs(coo_reference_matrix(coeffs, grid))
+            diagonal = absolute.diagonal()
+            off = np.asarray(absolute.sum(axis=1)).ravel() - diagonal
+            expected = int(np.sum(off > diagonal * (1 + 1e-12)))
+            assert 0 < expected < system.unknowns
+            assert system.mmatrix_violations == expected
+
+    def test_apply_equals_hessian_oracle_with_boundary_data(self):
+        rng = np.random.default_rng(15)
+        for n in (1, 2, 3):
+            grid = BoxGrid(n, ((-1, 1),) * (2 * n), 9)
+            coeffs = random_hermitian_field(grid, rng)
+            u = ScalarField(grid, rng.standard_normal(grid.shape))
+            direct = hessian_operator_apply(coeffs, u)
+            assert np.allclose(apply_operator(coeffs, u), direct, rtol=0.0,
+                               atol=1e-12 * np.abs(direct).max())
+
+    def test_assembly_peak_memory(self):
+        # the operator keeps 19 real weight fields against the field's nine
+        # complex entries per node; the checks and the audit add temporaries
+        rng = np.random.default_rng(16)
+        grid = BoxGrid(3, ((-1, 1),) * 6, 9)
+        coeffs = random_hermitian_field(grid, rng)
+        rhs = np.zeros(grid.interior_shape)
+        tracemalloc.start()
+        try:
+            assemble_linearized(coeffs, rhs, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * coeffs.values.nbytes
 
     def test_indefinite_node_is_named(self):
         # eigenvalues (0, 2, -1e-3) at one node, positive definite elsewhere
@@ -232,7 +292,8 @@ class TestSolve:
     def test_identity_system(self):
         grid = BoxGrid(1, ((0, 1), (0, 1)), 9)
         rhs = np.arange(49, dtype=float)
-        system = SparseSystem(grid, sp.identity(49, format="csr"), rhs)
+        identity = StencilOperator(grid, 1.0, [0.0, 0.0], {})
+        system = SparseSystem(grid, identity, rhs)
         out = solve_sparse(system, tol=1e-12)
         assert np.allclose(out.interior().reshape(-1), rhs)
 
@@ -245,7 +306,7 @@ class TestSolve:
 
     def test_membrane_iterative_matches_direct(self):
         grid, system = poisson_square(33)
-        direct = spla.spsolve(system.matrix.tocsc(), system.rhs)
+        direct = spla.spsolve(materialize(system.matrix), system.rhs)
         iterative = solve_sparse(system, tol=1e-12)
         assert np.abs(direct - iterative.interior().reshape(-1)).max() < 1e-10
 
@@ -263,13 +324,13 @@ class TestSolve:
         cvals[..., 1, 0] = np.conj(cvals[..., 0, 1])
         system = assemble_linearized(MatrixField(grid, cvals), rng.standard_normal(shape), grid)
         assert system.mmatrix_violations > 0
-        direct = spla.spsolve(system.matrix.tocsc(), system.rhs)
+        direct = spla.spsolve(materialize(system.matrix), system.rhs)
         iterative = solve_sparse(system, tol=1e-12)
         assert np.abs(direct - iterative.interior().reshape(-1)).max() < 1e-9 * np.abs(direct).max()
 
     def test_zero_matrix_cannot_be_preconditioned(self):
         grid = BoxGrid(1, ((0, 1), (0, 1)), 9)
-        system = SparseSystem(grid, sp.csr_matrix((49, 49)), np.ones(49))
+        system = SparseSystem(grid, StencilOperator(grid, 0.0, [0.0, 0.0], {}), np.ones(49))
         with pytest.raises(LinearSolveStalled):
             solve_sparse(system)
 
@@ -305,7 +366,7 @@ class TestSolve:
         boundary = np.zeros(grid.shape)
         mask = grid.boundary_mask()
         boundary[mask] = rng.uniform(0.0, 1.0, mask.sum())
-        bc = operator_apply(coeffs, ScalarField(grid, boundary))
+        bc = hessian_operator_apply(coeffs, ScalarField(grid, boundary))
         system = assemble_linearized(coeffs, -bc, grid)
         assert system.mmatrix_violations == 0
         out = solve_sparse(system, tol=1e-13)
@@ -364,9 +425,9 @@ class TestUpperBarrier:
         coeffs = constant_coefficient_field(grid, omega_inv.astype(complex))
         mask = grid.boundary_mask()
         phi_ext = np.where(mask, phi.values, 0.0)
-        rhs = -np.trace(omega_inv @ chi).real - operator_apply(coeffs, ScalarField(grid, phi_ext))
+        rhs = -np.trace(omega_inv @ chi).real - hessian_operator_apply(coeffs, ScalarField(grid, phi_ext))
         system = assemble_linearized(coeffs, rhs, grid)
-        expected = spla.spsolve(system.matrix.tocsc(), system.rhs)
+        expected = spla.spsolve(materialize(system.matrix), system.rhs)
         assert np.abs(out.interior().reshape(-1) - expected).max() < 1e-10
         assert np.array_equal(out.values[mask], phi.values[mask])
 

@@ -11,7 +11,7 @@ from garding.errors import (
     SubsolutionInvalid,
 )
 from garding.grid import BoxGrid, ScalarField
-from garding.linear import assemble_linearized, constant_coefficient_field, operator_apply, solve_sparse
+from garding.linear import assemble_linearized, solve_sparse
 from garding.operator import OperatorParams
 from garding.problems import manufactured_box, manufactured_radial, verify_subsolution
 from garding.radial import RadialGrid
@@ -28,7 +28,7 @@ from garding.solver import (
     sandwich_check,
 )
 
-from support import re_z1_squared
+from support import constant_coefficient_field, hessian_operator_apply, re_z1_squared
 
 
 def grid_target(n=2):
@@ -198,7 +198,7 @@ class TestBoxSolve:
         phi_ext = np.zeros(grid.shape)
         mask = grid.boundary_mask()
         phi_ext[mask] = problem.box.phi[mask]
-        bc = operator_apply(coeffs, ScalarField(grid, phi_ext))
+        bc = hessian_operator_apply(coeffs, ScalarField(grid, phi_ext))
         rhs = problem.box.psi - float(np.trace(chi).real) - bc
         system = assemble_linearized(coeffs, rhs, grid)
         direct = solve_sparse(system, tol=1e-13).values + phi_ext

@@ -211,6 +211,22 @@ class TestBuild:
         assert init is not None
         assert init.min() < 0
 
+    def test_default_subsolution_reuses_the_target(self, monkeypatch):
+        # without [subsolution] the target's arrays serve as the subsolution's,
+        # from one eigenvalue pass instead of two
+        import garding.problems as problems
+
+        eigvals_batch = problems.eigvals_batch
+        calls = []
+        monkeypatch.setattr(problems, "eigvals_batch", lambda m: calls.append(1) or eigvals_batch(m))
+        default = build_problem(parse_document(POLY_BOX)).box
+        assert len(calls) == 1
+        target = POLY_BOX.split("[solution]\n")[1].split("[psi]")[0]
+        explicit = build_problem(parse_document(POLY_BOX + "[subsolution]\n" + target)).box
+        assert len(calls) == 3
+        for name in ("psi", "phi", "subsolution", "subsolution_margin", "subsolution_M", "reference"):
+            assert getattr(default, name).tobytes() == getattr(explicit, name).tobytes()
+
     def test_sweep_levels(self):
         doc = parse_document(POLY_BOX)
         assert doc.sweep == (9, 13)

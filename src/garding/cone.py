@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import least
 from .hermitian import Spectrum, congruence_reduce_batch, eigvals_batch
 from .operator import OperatorParams, eval_ftilde
 
@@ -57,14 +58,6 @@ def admissibility_scan(g_field, omega, params: OperatorParams):
     ``g_field`` is a MatrixField; ``omega`` is a constant Hermitian metric
     matrix or None for the identity.
     """
-    mats = g_field.values
-    omega_entries = None
-    if omega is not None:
-        omega_entries = getattr(omega, "entries", np.asarray(omega))
-        if np.allclose(omega_entries, np.eye(omega_entries.shape[0])):
-            omega_entries = None
-    reduced, _ = congruence_reduce_batch(mats, omega_entries)
-    vals = eigvals_batch(reduced)
-    flat = margins_batch(vals, params.p).reshape(-1)
-    k = int(np.argmin(flat))
-    return float(flat[k]), g_field.grid.node_of_flat(k)
+    omega_entries = None if omega is None else getattr(omega, "entries", np.asarray(omega))
+    reduced, _ = congruence_reduce_batch(g_field.values, omega_entries)
+    return least(margins_batch(eigvals_batch(reduced), params.p), g_field.grid.node_of_flat)

@@ -164,6 +164,17 @@ class MatrixField:
         return HermitianMatrix(self.values[idx])
 
 
+def least(values: np.ndarray, node_of_flat) -> tuple:
+    """(least entry of ``values``, the node where it first occurs).
+
+    ``node_of_flat`` maps a flat index to its node: ``BoxGrid.node_of_flat``
+    for interior-shaped box arrays, ``int`` on the radial s-grid.
+    """
+    flat = values.reshape(-1)
+    k = int(np.argmin(flat))
+    return float(flat[k]), node_of_flat(k)
+
+
 def _interior_slices(ndim: int, offsets: dict) -> tuple:
     slices = []
     for a in range(ndim):

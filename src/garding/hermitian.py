@@ -85,20 +85,10 @@ def _check_positive(omega: HermitianMatrix, floor: float = 1e-12) -> None:
 def metric_endomorphism_eigen(omega: HermitianMatrix, g: HermitianMatrix) -> Spectrum:
     """Eigenvalues of the endomorphism ``omega^{-1} g`` via congruence reduction.
 
-    Factors omega = L L* and diagonalizes L^{-1} g L^{-*}, which is Hermitian
-    and similar to omega^{-1} g, so the spectrum is real.
+    Factors omega = L L* and takes the eigenvalues of L^{-1} g L^{-*}, which
+    is Hermitian and similar to omega^{-1} g, so the spectrum is real.
     """
-    return metric_endomorphism_system(omega, g)[0]
-
-
-def metric_endomorphism_system(omega: HermitianMatrix, g: HermitianMatrix):
-    """Spectrum plus the congruence data (L, V) with g = L V diag(vals) V* L*.
-
-    One row of the batch route: metric_reduce, then eigh_batch.
-    """
-    reduced, ell = metric_reduce(omega, g)
-    vals, vecs = eigh_batch(reduced)
-    return Spectrum(vals[0]), ell, vecs[0]
+    return Spectrum(eigvals_batch(metric_reduce(omega, g)[0])[0])
 
 
 def metric_reduce(omega: HermitianMatrix, g: HermitianMatrix):
@@ -117,15 +107,6 @@ def trace_with_metric(omega: HermitianMatrix, g: HermitianMatrix) -> float:
     """The metric trace ``sum_j omega^{j kbar} g_{kbar j} = tr(omega^{-1} g)``."""
     _check_positive(omega)
     return float(np.trace(np.linalg.solve(omega.entries, g.entries)).real)
-
-
-def eigh_batch(mats: np.ndarray):
-    """Batched Hermitian eigen-decomposition for stacked (..., n, n) arrays.
-
-    The one eigen route: scalar entry points call it on a one-matrix batch.
-    Returns (values ascending along the last axis, eigenvector matrices).
-    """
-    return np.linalg.eigh(mats)
 
 
 def eigvals_batch(mats: np.ndarray) -> np.ndarray:

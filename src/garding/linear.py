@@ -47,7 +47,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import IndefiniteCoefficients, LinearSolveStalled
-from .grid import BoxGrid, MatrixField, ScalarField, complex_hessian_field
+from .grid import BoxGrid, MatrixField, ScalarField, complex_hessian_field, least
 from .hermitian import eigvals_batch
 
 STALL_WINDOW = 50  # iterations without meaningful progress before declaring a stall
@@ -183,11 +183,8 @@ def assemble_linearized(coeffs: MatrixField | np.ndarray, rhs: ScalarField | np.
     try:
         np.linalg.cholesky(cvals)
     except np.linalg.LinAlgError:
-        mins = eigvals_batch(cvals).min(axis=-1)
-        flat = int(np.argmin(mins.reshape(-1)))
-        raise IndefiniteCoefficients(
-            f"coefficients not positive definite at node {grid.node_of_flat(flat)}"
-        ) from None
+        _, node = least(eigvals_batch(cvals)[..., 0], grid.node_of_flat)
+        raise IndefiniteCoefficients(f"coefficients not positive definite at node {node}") from None
     op = StencilOperator(grid, *real_stencil_weights(cvals, grid.spacing))
 
     rhs_vec = rhs.interior().reshape(-1) if isinstance(rhs, ScalarField) else np.asarray(rhs).reshape(-1)

@@ -21,23 +21,26 @@ The batch functions operate on stacked rows of eigenvalues and back the
 field-scale hot paths of the solver; each scalar function is a one-row call
 into its batch counterpart.
 
-Two exponents need no eigenvalues.  With A the reduced matrix of
-omega^-1 g, C(n, p) = n and M_p(A) = det(B) for B = A when p = 1 and
-B = tr(A) I - A when p = n - 1, the form in which the (n-1)-plurisubharmonic
+Matrices need no eigenvalues.  With A the reduced matrix of omega^-1 g,
+the p-th additive compound K = A^[p] (:attr:`OperatorParams.compound`) is a
+C(n, p) x C(n, p) Hermitian matrix, linear in A, whose eigenvalues are the
+p-subset sums of the eigenvalues of A (Fiedler, Czech. Math. J. 24, 1974).
+So M_p(A) = det(K) for every p: K = A for p = 1, and for p = n - 1 K is
+similar to tr(A) I - A, the form in which the (n-1)-plurisubharmonic
 literature writes the equation (Fu-Wang-Wu, Math. Res. Lett. 17, 2010;
-Tosatti-Weinkove, J. Amer. Math. Soc. 30, 2017).  Then ftilde = det(B)^(1/n),
-A lies in the cone exactly when B is positive definite, and the linearization
-is (ftilde / n) tr(B^-1 dB).  The route is fixed by (n, p)
-(:attr:`OperatorParams.determinant_route`): those exponents go through
-:func:`determinant_form_batch` and :func:`determinant_linearization_batch`,
-one LDL* factorization per matrix, and every other exponent through the
-eigenvalues (:func:`linearization_batch`).
+Tosatti-Weinkove, J. Amer. Math. Soc. 30, 2017).  Then
+ftilde = det(K)^(1/C(n, p)), A lies in the cone exactly when K is positive
+definite, and the linearization is (ftilde / C(n, p)) tr(K^-1 dK).
+:func:`determinant_form_batch` writes K and
+:func:`determinant_linearization_batch` factors it once per matrix and maps
+K^-1 back to the n x n coefficients.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -47,13 +50,11 @@ from .hermitian import (
     HermitianMatrix,
     Spectrum,
     ambient_transport_batch,
-    metric_endomorphism_system,
     metric_reduce,
 )
 
 SUM_FLOOR = 1e-300  # subset sums below this are treated as boundary values
 POSITIVE_FLOOR = np.nextafter(0.0, 1.0)  # least positive double: x < it iff x <= 0
-CLUSTER_GAP_RTOL = 1e-8  # eigenvalue-cluster threshold for derivative averaging
 
 
 @dataclass(frozen=True)
@@ -84,15 +85,34 @@ class OperatorParams:
         object.__setattr__(self, "subsets", subsets)
         assert self.subset_count == comb(self.n, self.p)
 
-    @property
-    def determinant_route(self) -> bool:
-        """Whether M_p is the determinant of an n x n matrix linear in A.
+    @cached_property
+    def compound(self) -> np.ndarray:
+        """The p-th additive compound K = A^[p] as a linear map of A.
 
-        True for p = 1 (det A) and p = n - 1 (det(tr(A) I - A)); see
-        :func:`determinant_form_batch`.  The other exponents go through
-        eigenvalues.
+        K acts on p-vectors as A does on each factor.  Rows and columns
+        follow the lexicographic subsets: the diagonal entry of S is
+        sum_{k in S} A_kk (the membership row of S), and for T = S - {k} + {i}
+        the entry K[T, S] is A_ik, negated when an odd number of the elements
+        of S - {k} lie strictly between i and k; every other entry is 0.
+        Returned as the (n^2, m^2) matrix of 0 and +-1, m = C(n, p), with
+        K.reshape(m * m) = A.reshape(n * n) @ compound.  Built on first use,
+        so radial problems, which never form K, do not pay for it.
         """
-        return self.p == 1 or self.p == self.n - 1
+        n, m = self.n, self.subset_count
+        row_of = {s: row for row, s in enumerate(self.subsets)}
+        table = np.zeros((n * n, m * m))
+        table[:: n + 1, :: m + 1] = self.membership.T
+        for col, subset in enumerate(self.subsets):
+            for k in subset:
+                rest = [j for j in subset if j != k]
+                for i in range(n):
+                    if i in subset:
+                        continue
+                    row = row_of[tuple(sorted(rest + [i]))]
+                    between = sum(min(i, k) < j < max(i, k) for j in rest)
+                    table[i * n + k, row * m + col] = (-1.0) ** between
+        table.setflags(write=False)
+        return table
 
 
 def _one_row(lam: Spectrum | np.ndarray, params: OperatorParams) -> np.ndarray:
@@ -170,29 +190,6 @@ def ftilde_grad_batch(lams: np.ndarray, params: OperatorParams):
     return ft, grads
 
 
-def _cluster_average(vals: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """Average gradient entries over near-degenerate eigenvalue clusters.
-
-    ``vals``/(N, n) ascending, ``grads``/(N, n).  First derivatives of
-    symmetric spectral functions are continuous across multiplicities, so
-    averaging within a cluster removes the eigenvector noise without
-    changing the limit.
-    """
-    n = vals.shape[-1]
-    scale = np.maximum(np.abs(vals).max(axis=-1, keepdims=True), 1e-300)
-    boundary = np.diff(vals, axis=-1) > CLUSTER_GAP_RTOL * scale
-    # cluster ids per row: 0-based, nondecreasing along the row
-    ids = np.concatenate(
-        [np.zeros(vals.shape[:-1] + (1,), dtype=np.int64), np.cumsum(boundary, axis=-1)],
-        axis=-1,
-    )
-    onehot = ids[..., :, None] == np.arange(n)
-    sums = np.einsum("...kc,...k->...c", onehot, grads)
-    counts = np.maximum(onehot.sum(axis=-2), 1)
-    means = sums / counts
-    return np.take_along_axis(means, ids, axis=-1)
-
-
 @dataclass(frozen=True)
 class LinearizationCoeffs:
     """Ambient-frame coefficients of the linearized operator and their trace.
@@ -211,108 +208,97 @@ def linearization_coeffs(
 ) -> LinearizationCoeffs:
     """First derivative of ftilde(eigenvalues of omega^{-1} g) at g.
 
-    One row of the solver's route for ``params`` (congruence reduction, then
-    determinant_form_batch and determinant_linearization_batch for p = 1 or
-    n - 1, eigh_batch and linearization_batch otherwise, then the ambient
-    transport), so that for a Hermitian perturbation h
+    One row of the solver's route (congruence reduction,
+    determinant_form_batch, determinant_linearization_batch, then the
+    ambient transport), so that for a Hermitian perturbation h
 
         d/dt ftilde(lam(omega^{-1}(g + t h))) = tr(matrix @ h).
 
     Raises OutsideCone off the cone.
     """
-    if params.determinant_route:
-        reduced, ell = metric_reduce(omega, g)
-        form, _ = determinant_form_batch(reduced, params)
-        coeffs, trace_f, _ = determinant_linearization_batch(params, form)
-    else:
-        spec, ell, vecs = metric_endomorphism_system(omega, g)
-        coeffs, trace_f, _ = linearization_batch(params, spec.values[None], vecs[None])
+    reduced, ell = metric_reduce(omega, g)
+    form, _ = determinant_form_batch(reduced, params)
+    coeffs, trace_f, _ = determinant_linearization_batch(params, form)
     return LinearizationCoeffs(
         matrix=HermitianMatrix(ambient_transport_batch(coeffs, ell)[0]),
         trace_F=float(trace_f[0]),
     )
 
 
-def linearization_batch(params: OperatorParams, vals, vecs):
-    """Field-scale linearization coefficients from precomputed eigen data.
-
-    ``vals``/(N, n) ascending and ``vecs`` from the batched eigen routine of
-    the (already congruence-reduced) matrices.  Returns (coeffs (N, n, n),
-    trace_F (N,), ftilde (N,)).
-    """
-    ft, grads = ftilde_grad_batch(vals, params)
-    grads = _cluster_average(vals, grads)
-    coeffs = np.einsum("...ik,...k,...jk->...ij", vecs, grads, vecs.conj())
-    return coeffs, grads.sum(axis=-1), ft
-
-
 def determinant_form_batch(mats: np.ndarray, params: OperatorParams):
-    """(B, tr A) for stacked reduced matrices A, on the determinant route.
+    """(K, tr A) for stacked reduced matrices A, with K = A^[p].
 
-    B = A when p = 1 and B = tr(A) I - A when p = n - 1: the eigenvalues of
-    tr(A) I - A are the (n-1)-subset sums tr(A) - lambda_j, so in both cases
-    M_p(A) = det(B), A lies in the cone exactly when B is positive definite
-    and the cone margin is the least eigenvalue of B.
+    K is written from :attr:`OperatorParams.compound`; its eigenvalues are
+    the p-subset sums, so M_p(A) = det(K), A lies in the cone exactly when K
+    is positive definite and the cone margin is the least eigenvalue of K.
     """
-    trace = np.trace(mats, axis1=-2, axis2=-1).real
-    if params.p == 1:
-        return mats, trace
-    form = -mats
-    for i in range(params.n):
-        form[..., i, i] += trace
-    return form, trace
+    n, m = params.n, params.subset_count
+    trace = np.einsum("...ii->...", mats).real
+    form = mats.reshape(-1, n * n) @ params.compound
+    return form.reshape(mats.shape[:-2] + (m, m)), trace
 
 
 def determinant_linearization_batch(params: OperatorParams, form: np.ndarray):
-    """Field-scale linearization coefficients from stacked B = determinant_form_batch(A).
+    """Field-scale linearization coefficients from stacked K = determinant_form_batch(A).
 
-    ftilde = det(B)^(1/n), and with s = ftilde / n the coefficients are
-    s (tr(B^-1) I - B^-1) for p = n - 1 and s B^-1 for p = 1, in the
-    tr(coeffs @ h) convention of :func:`linearization_batch`, whose return
-    (coeffs (..., n, n), trace_F (...), ftilde (...)) this matches.  B = L D L*
-    is factored once, vectorized over the stacked axes with Python loops
-    over n only, and B^-1 = W* D^-1 W with W = L^-1.  Raises OutsideCone when
-    a pivot of D is below SUM_FLOOR.
+    With m = C(n, p), ftilde = det(K)^(1/m) and s = ftilde / m, the
+    derivative s tr(K^-1 dK) maps back through the compound table to
+
+        C_kk = s sum_{S containing k} (K^-1)_SS,
+        C_ik = s sum over the entries K[T, S] = +-A_ik of +-(K^-1)_TS,
+
+    in the tr(coeffs @ h) convention, and trace_F = s p tr(K^-1), the sum of
+    the eigenvalue-space gradient.  Returns (coeffs (..., n, n), trace_F
+    (...), ftilde (...)).  K = L D L* is factored once, vectorized over the
+    stacked axes with Python loops over m only, and K^-1 = W* D^-1 W with
+    W = L^-1; each entry of K^-1 the map reads is formed once.  Raises
+    OutsideCone when a pivot of D is below SUM_FLOOR.
     """
-    n = params.n
+    n, m = params.n, params.subset_count
     shape = form.shape[:-2]
-    b = form.reshape(-1, n, n)
+    b = form.reshape(-1, m, m)
     low = {}  # low[i, j] = L_ij for i > j
-    piv = np.empty((n, b.shape[0]))
-    for j in range(n):
+    piv = np.empty((m, b.shape[0]))
+    for j in range(m):
         scaled = [low[j, k] * piv[k] for k in range(j)]  # L_jk d_k
         dj = b[:, j, j].real - sum((scaled[k] * low[j, k].conj()).real for k in range(j))
         if np.any(dj < SUM_FLOOR):
             bad = int(np.argmin(dj))
             raise OutsideCone(f"row {bad}: pivot {dj[bad]:.6e} at/below boundary")
         piv[j] = dj
-        for i in range(j + 1, n):
+        for i in range(j + 1, m):
             low[i, j] = (b[:, i, j] - sum(low[i, k] * scaled[k].conj() for k in range(j))) / dj
 
     w = {}  # w[i, j] = W_ij for i >= j, W = L^-1 unit lower triangular
-    for i in range(n):
+    for i in range(m):
         w[i, i] = 1.0
         for j in range(i):
             w[i, j] = -low[i, j] - sum(low[i, k] * w[k, j] for k in range(j + 1, i))
+    del low  # the map back reads only W and the inverse pivots
     inv_piv = 1.0 / piv
-
-    def inverse(i, j):  # (B^-1)_ij for i <= j
-        return sum(np.conj(w[k, i]) * w[k, j] * inv_piv[k] for k in range(j, n))
-
     ft = np.exp(np.mean(np.log(piv), axis=0))
-    scale = ft / n
-    inv_diag = [inverse(i, i).real for i in range(n)]
-    inv_trace = sum(inv_diag)
-    # p = 1: C = s B^-1; p = n - 1: C = s (tr(B^-1) I - B^-1)
-    sign, shift = (1.0, 0.0) if params.p == 1 else (-1.0, inv_trace)
-    out = np.empty(b.shape, dtype=np.complex128)
+    del piv
+
+    # not recursive: a closure that calls itself is a reference cycle, which
+    # keeps W alive after the return until the cyclic collector runs
+    def inverse(i, j):  # (K^-1)_ij
+        lo, hi = min(i, j), max(i, j)
+        entry = sum(np.conj(w[k, lo]) * w[k, hi] * inv_piv[k] for k in range(hi, m))
+        return entry if i <= j else np.conj(entry)
+
+    scale = ft / m
+    inv_diag = [inverse(s, s).real for s in range(m)]
+    out = np.empty((b.shape[0], n, n), dtype=np.complex128)
     for i in range(n):
-        out[:, i, i] = scale * (shift + sign * inv_diag[i])
-        for j in range(i + 1, n):
-            out[:, i, j] = (sign * scale) * inverse(i, j)
-            out[:, j, i] = out[:, i, j].conj()
-    trace_f = scale * inv_trace * (1 if params.p == 1 else n - 1)
-    return out.reshape(form.shape), trace_f.reshape(shape), ft.reshape(shape)
+        out[:, i, i] = scale * sum(inv_diag[s] for s in np.flatnonzero(params.membership[:, i]))
+        for k in range(i + 1, n):
+            row = params.compound[i * n + k]
+            terms = [inverse(*divmod(col, m)) for col in np.flatnonzero(row)]
+            terms = [x if sign > 0 else -x for x, sign in zip(terms, row[row != 0])]
+            out[:, i, k] = scale * (sum(terms[1:], terms[0]) if terms else 0.0)
+            out[:, k, i] = out[:, i, k].conj()
+    trace_f = scale * sum(inv_diag) * params.p
+    return out.reshape(shape + (n, n)), trace_f.reshape(shape), ft.reshape(shape)
 
 
 def arrow_form_value(g: HermitianMatrix, atol: float = 1e-12):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cone import margins_batch
 from .errors import NotAdmissible, SubsolutionInvalid, ValidationError
-from .grid import BoxGrid
+from .grid import BoxGrid, least
 from .hermitian import congruence_reduce_batch, eigvals_batch
 from .operator import OperatorParams, product_batch
 from .radial import RadialGrid, eigenvalue_rows
@@ -27,11 +27,9 @@ SUBSOLUTION_RTOL = 1e-9  # relative slack for M(subsolution) >= psi
 def _admissible_margins(vals: np.ndarray, p: int, what: str, node_of_flat, place: str):
     """Margins of ascending eigenvalue rows; NotAdmissible where the least is <= 0."""
     margins = margins_batch(vals, p)
-    flat = int(np.argmin(margins.reshape(-1)))
-    least = margins.reshape(-1)[flat]
-    if least <= 0.0:
-        node = node_of_flat(flat)
-        raise NotAdmissible(f"{what} margin {least:.6e} <= 0 at {place} {node}", node=node)
+    value, node = least(margins, node_of_flat)
+    if value <= 0.0:
+        raise NotAdmissible(f"{what} margin {value:.6e} <= 0 at {place} {node}", node=node)
     return margins
 
 
@@ -217,12 +215,10 @@ def verify_subsolution(problem: ProblemSpec) -> None:
         payload = problem.radial
         node_of_flat = int  # s-grid nodes are the flat indices
 
-    margins = payload.subsolution_margin
-    if margins.min() <= 0.0:
-        node = node_of_flat(int(np.argmin(margins.reshape(-1))))
+    margin, node = least(payload.subsolution_margin, node_of_flat)
+    if margin <= 0.0:
         raise SubsolutionInvalid(
-            f"subsolution not admissible: margin {margins.min():.6e} at node {node}",
-            node=node,
+            f"subsolution not admissible: margin {margin:.6e} at node {node}", node=node
         )
 
     deficit = payload.psi - payload.subsolution_M

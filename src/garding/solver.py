@@ -13,14 +13,14 @@ interiority (the eigenvalue-space gradient blows up on the cone boundary).
 
 Every grid state is analyzed once.  An analysis holds the cone margins,
 the minimum-margin node and the metric trace of g, plus what its
-linearization needs.  The route is fixed by (n, p): for p = 1 and p = n - 1
-a box analysis keeps B = A or tr(A) I - A, with A the reduced matrix of
-omega^-1 g, whose determinant is M_p and whose least eigenvalue is the
-margin; for other p, and radially, it keeps the eigenvalues and what maps
-spectral gradients back to the nodes.  A damping trial computes only the
-analysis.  The accepted candidate's analysis is then linearized in place
-(ftilde, trace_F, the coefficients of the linearized operator, with B or
-the eigenvectors released) and becomes the Newton state.  The anchor is
+linearization needs.  A box analysis keeps K = A^[p], the p-th additive
+compound of the reduced matrix A of omega^-1 g, whose determinant is M_p and
+whose least eigenvalue is the margin, for every p; no eigenvectors are
+computed.  A radial analysis keeps the eigenvalue rows and the order that
+sorts them.  A damping trial computes only the analysis.  The accepted
+candidate's analysis is then linearized in place (ftilde, trace_F, the
+coefficients of the linearized operator, with K released) and becomes the
+Newton state.  The anchor is
 ftilde from the subsolution's analysis, which also starts the t = 0
 attempt; each accepted step's final analysis starts the next attempt.
 
@@ -52,20 +52,11 @@ from .grid import (
     complex_hessian_field,
     face_tangential_trace_min,
     gradient_sq_max,
+    least,
 )
-from .hermitian import (
-    ambient_transport_batch,
-    congruence_reduce_batch,
-    eigh_batch,
-    eigvals_batch,
-)
+from .hermitian import ambient_transport_batch, congruence_reduce_batch, eigvals_batch
 from .linear import StencilOperator, assemble_linearized, real_stencil_weights, solve_sparse, upper_barrier
-from .operator import (
-    determinant_form_batch,
-    determinant_linearization_batch,
-    ftilde_grad_batch,
-    linearization_batch,
-)
+from .operator import determinant_form_batch, determinant_linearization_batch, ftilde_grad_batch
 from .problems import ProblemSpec, verify_subsolution
 from .radial import (
     eigenvalue_rows,
@@ -193,13 +184,12 @@ class _Analysis:
     ``margins`` are the cone margins at the interior nodes, ``min_margin``
     and ``min_node`` their least value and its node (they serve the damping
     test), and ``trace_g`` the metric trace of g per node.  The rest is what
-    ``linearize`` needs, which it releases:
+    ``linearize`` needs:
 
-    - box, p = 1 or n - 1: ``form``, the matrices B whose determinant is M_p
-      (no eigenvalues or eigenvectors are kept);
-    - box, other p: ``vals``, the ascending eigenvalue rows of omega^-1 g,
-      and ``vecs``, their eigenvectors;
-    - radial: ``vals`` and, in ``vecs``, the permutation that sorts each row.
+    - box: ``form``, the compounds K = A^[p] whose determinant is M_p, which
+      ``linearize`` releases;
+    - radial: ``vals``, the ascending eigenvalue rows, and ``order``, the
+      permutation that sorts each row.
 
     ``linearize`` adds ftilde, trace_F and the linearization coefficients
     (box: C per node; radial: the gradient entry of the radial eigenvalue).
@@ -211,18 +201,10 @@ class _Analysis:
     trace_g: np.ndarray
     form: np.ndarray | None = None
     vals: np.ndarray | None = None
-    vecs: np.ndarray | None = None
+    order: np.ndarray | None = None
     ft: np.ndarray | None = None
     trace_f: np.ndarray | None = None
     coeffs: np.ndarray | None = None
-
-
-def _analysis(margins, node_of_flat, trace_g, **fields) -> _Analysis:
-    """An analysis from its margins, with the node where the least sits."""
-    flat = int(np.argmin(margins.reshape(-1)))
-    return _Analysis(
-        margins, float(margins.reshape(-1)[flat]), node_of_flat(flat), trace_g, **fields
-    )
 
 
 def _unsorted(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -254,23 +236,14 @@ class _BoxEvaluator:
     def analyze(self, u_values: np.ndarray) -> _Analysis:
         # no temporary stays alive across the decomposition, which sets the
         # solve's peak memory: only its input, LAPACK's copy and its output
-        node_of_flat = self.grid.node_of_flat
-        if self.params.determinant_route:
-            form, trace_g = determinant_form_batch(self._reduced(u_values), self.params)
-            return _analysis(eigvals_batch(form)[..., 0], node_of_flat, trace_g, form=form)
-        vals, vecs = eigh_batch(self._reduced(u_values))
-        return _analysis(margins_batch(vals, self.params.p), node_of_flat,
-                         vals.sum(axis=-1), vals=vals, vecs=vecs)
+        form, trace_g = determinant_form_batch(self._reduced(u_values), self.params)
+        margins = eigvals_batch(form)[..., 0]
+        return _Analysis(margins, *least(margins, self.grid.node_of_flat), trace_g, form=form)
 
     def linearize(self, a: _Analysis) -> None:
-        # B or the eigenvectors are the largest arrays of a state; the
-        # coefficients replace them
-        if a.form is not None:
-            coeffs, a.trace_f, a.ft = determinant_linearization_batch(self.params, a.form)
-            a.form = None
-        else:
-            coeffs, a.trace_f, a.ft = linearization_batch(self.params, a.vals, a.vecs)
-            a.vecs = None
+        # K is the largest array of a state; the coefficients replace it
+        coeffs, a.trace_f, a.ft = determinant_linearization_batch(self.params, a.form)
+        a.form = None
         a.coeffs = ambient_transport_batch(coeffs, self.ell)
 
     def correction(self, a: _Analysis, resid: np.ndarray, rnorm: float) -> np.ndarray:
@@ -302,12 +275,12 @@ class _RadialEvaluator:
         lam = eigenvalue_rows(u1, u2, self.grid.s, self.n, self.c)
         order = np.argsort(lam, axis=-1)
         vals = np.take_along_axis(lam, order, axis=-1)
-        return _analysis(margins_batch(vals, self.params.p), int, lam.sum(axis=-1),
-                         vals=vals, vecs=order)
+        margins = margins_batch(vals, self.params.p)
+        return _Analysis(margins, *least(margins, int), lam.sum(axis=-1), vals=vals, order=order)
 
     def linearize(self, a: _Analysis) -> None:
         a.ft, grads_sorted = ftilde_grad_batch(a.vals, self.params)
-        grads = _unsorted(grads_sorted, a.vecs)
+        grads = _unsorted(grads_sorted, a.order)
         a.trace_f = grads.sum(axis=-1)
         a.coeffs = grads[:, self.n - 1]
 

@@ -7,7 +7,8 @@ language: analytic data comes from named built-in families.
 
 Sections
 --------
-[problem]       n, p, geometry (box | radial), optional label
+[problem]       n, p (at most MAX_SUBSETS p-subsets), geometry (box | radial),
+                optional label
 [box]           extent (2n lo, hi pairs flattened), resolution (odd, >= 9)
 [radial]        radius, points, chi (scalar c for chi = c * identity)
 [chi]           box only: diag = comma-separated reals (constant diagonal)
@@ -42,6 +43,9 @@ from .problems import ProblemSpec, manufactured_box, manufactured_radial
 from .radial import RadialGrid
 
 FORMAT_VERSION = 1
+# most p-subsets an exponent may have: the operator keeps one sum per subset
+# and row, and 2 000 radial rows x 10^4 sums x 8 B is about 160 MB
+MAX_SUBSETS = 10_000
 
 
 @dataclass(frozen=True)
@@ -170,6 +174,10 @@ def parse_document(text: str) -> SpecDocument:
     p = integer("problem", "p", 1)
     if p > n:
         raise ValidationError("p", f"p must satisfy 1 <= p <= n, got p={p}, n={n}")
+    if math.comb(n, p) > MAX_SUBSETS:
+        raise ValidationError(
+            "p", f"C({n}, {p}) = {math.comb(n, p)} subsets exceed the limit of {MAX_SUBSETS}"
+        )
     geometry = data["problem"].get("geometry", "box").lower()
     if geometry not in ("box", "radial"):
         raise ValidationError("geometry", f"unknown geometry {geometry!r}")

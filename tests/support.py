@@ -7,7 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from garding.analytic import Polynomial, RadialProfile
+from garding.cone import margins_batch
 from garding.grid import MatrixField, ScalarField, complex_hessian_field
+from garding.hermitian import ambient_transport_batch
+from garding.operator import ftilde_grad_batch
+
+CLUSTER_GAP_RTOL = 1e-8  # eigenvalue-cluster threshold for derivative averaging
 
 
 def re_z1_squared(n: int) -> Polynomial:
@@ -67,3 +72,39 @@ def hessian_operator_apply(coeffs: MatrixField, u: ScalarField) -> np.ndarray:
     out = np.einsum("...kj,...jk->...", coeffs.values, complex_hessian_field(u).values)
     assert np.abs(out.imag).max(initial=0.0) <= 1e-12 * max(np.abs(out.real).max(), 1.0)
     return out.real
+
+
+def cluster_average(vals: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Average gradient entries over near-degenerate eigenvalue clusters.
+
+    ``vals``/(N, n) ascending, ``grads``/(N, n).  First derivatives of
+    symmetric spectral functions are continuous across multiplicities, so
+    averaging within a cluster removes the eigenvector noise without
+    changing the limit.
+    """
+    n = vals.shape[-1]
+    scale = np.maximum(np.abs(vals).max(axis=-1, keepdims=True), 1e-300)
+    boundary = np.diff(vals, axis=-1) > CLUSTER_GAP_RTOL * scale
+    # cluster ids per row: 0-based, nondecreasing along the row
+    ids = np.concatenate(
+        [np.zeros(vals.shape[:-1] + (1,), dtype=np.int64), np.cumsum(boundary, axis=-1)],
+        axis=-1,
+    )
+    onehot = ids[..., :, None] == np.arange(n)
+    sums = np.einsum("...kc,...k->...c", onehot, grads)
+    counts = np.maximum(onehot.sum(axis=-2), 1)
+    return np.take_along_axis(sums / counts, ids, axis=-1)
+
+
+def eigen_route(params, reduced: np.ndarray, ell):
+    """(ftilde, ambient C, trace_F, margins) of reduced matrices through eigenvectors.
+
+    The spectral form of the linearization: with A = V diag(lam) V*, the
+    coefficients are V diag(grad ftilde(lam)) V*, cluster-averaged.  It
+    shares no code with the compound route it is an oracle for.
+    """
+    vals, vecs = np.linalg.eigh(reduced)
+    ft, grads = ftilde_grad_batch(vals, params)
+    grads = cluster_average(vals, grads)
+    coeffs = np.einsum("...ik,...k,...jk->...ij", vecs, grads, vecs.conj())
+    return ft, ambient_transport_batch(coeffs, ell), grads.sum(axis=-1), margins_batch(vals, params.p)

@@ -1,5 +1,6 @@
 import csv
 import io
+import time
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,20 @@ class TestValidationFailures:
     def test_invalid_p(self, tmp_path):
         status, _ = run_cli(tmp_path, BOX_SPEC.replace("p = 1", "p = 3"), "solve")
         assert status == 2
+
+    @pytest.mark.parametrize("mode", ["solve", "check-operator"])
+    def test_exponent_with_too_many_subsets(self, tmp_path, mode, capsys):
+        # C(40, 20) ~ 1.4e11 subsets: rejected before any is enumerated
+        spec = RADIAL_SPEC.replace("n = 3", "n = 40").replace("p = 2", "p = 20")
+        start = time.monotonic()
+        status, _ = run_cli(tmp_path, spec, mode)
+        assert status == 2 and time.monotonic() - start < 1.0
+        assert "C(40, 20)" in capsys.readouterr().err
+
+    def test_many_subsets_below_the_cap_solve(self, tmp_path):
+        spec = RADIAL_SPEC.replace("n = 3", "n = 8").replace("p = 2", "p = 4")
+        status, _ = run_cli(tmp_path, spec.replace("points = 201", "points = 41"), "solve")
+        assert status == 0
 
     def test_bad_tol(self, tmp_path):
         spec = write(tmp_path, "ok.spec", RADIAL_SPEC)

@@ -3,7 +3,7 @@ import pytest
 
 from garding.cone import admissibility_scan, cone_margin, in_level_set, margins_batch
 from garding.grid import BoxGrid, MatrixField, ScalarField, assemble_g
-from garding.hermitian import Spectrum
+from garding.hermitian import HermitianMatrix, Spectrum, metric_endomorphism_eigen
 from garding.operator import OperatorParams, sample_cone_points, subset_sums_batch
 
 P32 = OperatorParams(3, 2)
@@ -132,3 +132,25 @@ class TestAdmissibilityScan:
         assert margin == pytest.approx(2.0, abs=1e-12)
         margin, _ = admissibility_scan(field, omega, OperatorParams(2, 2))
         assert margin == pytest.approx(5.0, abs=1e-12)
+
+    def test_identity_metric_matches_none(self):
+        grid = BoxGrid(2, ((-1, 1),) * 4, 9)
+        rng = np.random.default_rng(12)
+        shape = grid.interior_shape + (2, 2)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        field = MatrixField(grid, a + np.swapaxes(a, -1, -2).conj() + 4 * np.eye(2))
+        for p in (1, 2):
+            params = OperatorParams(2, p)
+            assert admissibility_scan(field, np.eye(2), params) == admissibility_scan(
+                field, None, params
+            )
+
+    def test_near_identity_metric_is_reduced(self):
+        # omega within allclose's rtol of I still divides g: margin 2 / (1 + 5e-6)
+        grid = BoxGrid(2, ((-1, 1),) * 4, 9)
+        g = np.diag([2.0, 3.0]).astype(complex)
+        omega = np.diag([1.0 + 5e-6, 1.0])
+        margin, _ = admissibility_scan(self._constant_field(grid, g), omega, OperatorParams(2, 1))
+        reduced = metric_endomorphism_eigen(HermitianMatrix(omega), HermitianMatrix(g))
+        assert margin == pytest.approx(reduced.values[0], rel=1e-15, abs=0)
+        assert margin == pytest.approx(1.99999000005, rel=1e-12, abs=0)

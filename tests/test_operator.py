@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from garding.cone import margins_batch
 from garding.errors import NotArrowForm, OutsideCone
 from garding.hermitian import (
     HermitianMatrix,
     Spectrum,
     ambient_transport_batch,
     congruence_reduce_batch,
-    eigh_batch,
     eigvals_batch,
 )
 from garding.operator import (
@@ -26,12 +24,13 @@ from garding.operator import (
     ftilde_batch,
     ftilde_grad_batch,
     grad_ftilde,
-    linearization_batch,
     linearization_coeffs,
     sample_cone_points,
     structure_check,
     subset_sums,
 )
+
+from support import eigen_route
 
 P32 = OperatorParams(3, 2)
 
@@ -268,13 +267,6 @@ def random_unitaries(rng, count, n):
     return np.linalg.qr(z)[0]
 
 
-def eigen_route(params, reduced, ell):
-    """The eigen route of the box solver, kept as the oracle: (ft, C, trace_F, margins)."""
-    vals, vecs = eigh_batch(reduced)
-    coeffs, trace_f, ft = linearization_batch(params, vals, vecs)
-    return ft, ambient_transport_batch(coeffs, ell), trace_f, margins_batch(vals, params.p)
-
-
 def determinant_route(params, reduced, ell):
     form, _ = determinant_form_batch(reduced, params)
     coeffs, trace_f, ft = determinant_linearization_batch(params, form)
@@ -282,59 +274,57 @@ def determinant_route(params, reduced, ell):
 
 
 class TestDeterminantRoute:
-    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
-    @given(
-        n=st.integers(2, 6),
-        last=st.booleans(),
-        identity=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-        margin_low=st.floats(0.01, 1.0),
-    )
-    def test_matches_eigen_route(self, n, last, identity, seed, margin_low):
-        params = OperatorParams(n, n - 1 if last else 1)
+    @settings(max_examples=5, deadline=None, database=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), margin_low=st.floats(0.01, 1.0))
+    def test_matches_eigen_route(self, seed, margin_low):
+        # every 1 <= p <= n <= 6, with the identity and a random metric, in
+        # each example
         rng = np.random.default_rng(seed)
         count = 16
-        lams = sample_cone_points(rng, params, count, margin_low=margin_low, margin_high=2.0)
-        q = random_unitaries(rng, count, n)
-        reduced = np.einsum("...ik,...k,...jk->...ij", q, lams, q.conj())
-        reduced = (reduced + np.swapaxes(reduced, -1, -2).conj()) / 2.0
-        ell = None
-        if not identity:
-            w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            ell = np.linalg.cholesky(w @ w.conj().T + n * np.eye(n))
-            # the reduction of g = L A L* is A again, up to rounding
-            g = np.einsum("ab,...bc,dc->...ad", ell, reduced, ell.conj())
-            reduced, ell = congruence_reduce_batch(g, ell @ ell.conj().T)
-        expected = eigen_route(params, reduced, ell)
-        got = determinant_route(params, reduced, ell)
-        for name, want, have in zip(("ftilde", "C", "trace_F", "margins"), expected, got):
-            assert have.shape == want.shape, name
-            scale = np.abs(want).max()
-            assert np.abs(have - want).max() <= 1e-11 * scale, name
+        cases = [(n, p, identity) for n in range(1, 7) for p in range(1, n + 1)
+                 for identity in (True, False)]
+        for n, p, identity in cases:
+            params = OperatorParams(n, p)
+            lams = sample_cone_points(rng, params, count, margin_low=margin_low, margin_high=2.0)
+            q = random_unitaries(rng, count, n)
+            reduced = np.einsum("...ik,...k,...jk->...ij", q, lams, q.conj())
+            reduced = (reduced + np.swapaxes(reduced, -1, -2).conj()) / 2.0
+            ell = None
+            if not identity:
+                w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                ell = np.linalg.cholesky(w @ w.conj().T + n * np.eye(n))
+                # the reduction of g = L A L* is A again, up to rounding
+                g = np.einsum("ab,...bc,dc->...ad", ell, reduced, ell.conj())
+                reduced, ell = congruence_reduce_batch(g, ell @ ell.conj().T)
+            expected = eigen_route(params, reduced, ell)
+            got = determinant_route(params, reduced, ell)
+            for name, want, have in zip(("ftilde", "C", "trace_F", "margins"), expected, got):
+                assert have.shape == want.shape, (name, n, p)
+                scale = np.abs(want).max()
+                assert np.abs(have - want).max() <= 1e-11 * scale, (name, n, p)
 
     def test_coefficients_are_exactly_hermitian(self):
         rng = np.random.default_rng(3)
-        q = random_unitaries(rng, 50, 4)
-        lams = sample_cone_points(rng, OperatorParams(4, 3), 50)
-        reduced = np.einsum("...ik,...k,...jk->...ij", q, lams, q.conj())
-        form, _ = determinant_form_batch(reduced, OperatorParams(4, 3))
-        coeffs, _, _ = determinant_linearization_batch(OperatorParams(4, 3), form)
-        assert np.array_equal(coeffs, np.swapaxes(coeffs, -1, -2).conj())
+        for params in (OperatorParams(4, 3), OperatorParams(4, 2)):
+            q = random_unitaries(rng, 50, 4)
+            lams = sample_cone_points(rng, params, 50)
+            reduced = np.einsum("...ik,...k,...jk->...ij", q, lams, q.conj())
+            form, _ = determinant_form_batch(reduced, params)
+            coeffs, _, _ = determinant_linearization_batch(params, form)
+            assert np.array_equal(coeffs, np.swapaxes(coeffs, -1, -2).conj())
 
-    @pytest.mark.parametrize("n, p", [(2, 1), (3, 1), (3, 2), (4, 3)])
+    @pytest.mark.parametrize(
+        "n, p", [(2, 1), (3, 1), (3, 2), (4, 3), (2, 2), (3, 3), (4, 2)]
+    )
     @pytest.mark.parametrize("least, rotate", [(0.0, False), (-1e-3, True)])
     def test_non_positive_form_raises(self, n, p, least, rotate):
-        # B = A (p = 1) or tr(A) I - A (p = n - 1) gets eigenvalue ``least``
-        # at row 2 of 5; every other row is inside the cone.  An exact zero
-        # stays exact only without a rotation.
+        # K = A^[p] gets least eigenvalue ``least`` at row 2 of 5; every
+        # other row is inside the cone.  The rows are 1..n, and row 2 is
+        # shifted along (1, ..., 1) so that its p smallest entries sum to
+        # ``least``.  An exact zero stays exact only without a rotation.
         params = OperatorParams(n, p)
-        form_vals = np.tile(np.arange(1.0, n + 1.0), (5, 1))
-        form_vals[2, 0] = least
-        # A from B: B = A for p = 1; A = tr(B)/(n-1) I - B for p = n - 1
-        if p == 1:
-            lams = form_vals
-        else:
-            lams = form_vals.sum(axis=-1, keepdims=True) / (n - 1) - form_vals
+        lams = np.tile(np.arange(1.0, n + 1.0), (5, 1))
+        lams[2] += (least - p * (p + 1) / 2) / p
         q = random_unitaries(np.random.default_rng(n), 5, n) if rotate else np.eye(n)
         reduced = np.einsum("...ik,...k,...jk->...ij", q, lams, q.conj())
         form, _ = determinant_form_batch(reduced, params)

@@ -252,19 +252,18 @@ def count_calls(monkeypatch, owner, name, counts):
 
 class TestOneAnalysisPerState:
     def test_each_grid_state_is_decomposed_once(self, monkeypatch):
-        counts = {"eigh_batch": 0}
-        for name in ("eigh_batch", "eigvals_batch", "_newton_loop"):
+        counts = {}
+        for name in ("eigvals_batch", "_newton_loop"):
             count_calls(monkeypatch, solver, name, counts)
         count_calls(monkeypatch, _BoxEvaluator, "correction", counts)
         _, diag = continuity_solve(box_problem(res=9, psi_scale=0.85))
         assert counts["correction"] > 0
         failed = counts["_newton_loop"] - len(diag.states)
-        # p = 1 takes the determinant route, one eigvals_batch of B per
-        # analysis: the subsolution, each accepted candidate and the restart
-        # of each failed attempt; an accepted attempt starts from the last
-        # one's analysis.  One more call is the Hessian sup.
+        # one eigvals_batch of K = A^[p] per analysis: the subsolution, each
+        # accepted candidate and the restart of each failed attempt; an
+        # accepted attempt starts from the last one's analysis.  One more
+        # call is the Hessian sup.
         assert counts["eigvals_batch"] == 1 + counts["correction"] + failed + 1
-        assert counts["eigh_batch"] == 0
 
     def test_failed_attempt_restarts_from_a_fresh_analysis(self, monkeypatch):
         counts = {}
@@ -287,12 +286,14 @@ class TestOneAnalysisPerState:
         assert counts["eigvals_batch"] == 1 + (len(calls) - 1) + 1 + 1
         assert diag.final_residual <= 1e-8
 
-    @pytest.mark.parametrize("n, p, eigen", [(2, 1, False), (3, 2, False), (2, 2, True)])
-    def test_route_is_fixed_by_n_and_p(self, monkeypatch, n, p, eigen):
-        names = ("eigh_batch", "linearization_batch", "determinant_linearization_batch")
-        counts = dict.fromkeys(names, 0)
-        for name in names:
-            count_calls(monkeypatch, solver, name, counts)
+    @pytest.mark.parametrize("n, p", [(2, 1), (2, 2), (3, 2)])
+    def test_box_solve_needs_no_eigenvectors(self, monkeypatch, n, p):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called in a box solve")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        counts = {}
+        count_calls(monkeypatch, solver, "determinant_linearization_batch", counts)
         grid = BoxGrid(n, ((-1, 1),) * (2 * n), 9)
         problem = manufactured_box(
             norm_squared(n), np.zeros((n, n)), OperatorParams(n, p), grid, psi_scale=0.9
@@ -300,12 +301,7 @@ class TestOneAnalysisPerState:
         one_step = SolveConfig(t_step_init=1.0, t_step_max=1.0, compute_barrier=False)
         _, diag = continuity_solve(problem, one_step)
         assert diag.final_residual <= 1e-8 and diag.anchor_residual == 0.0
-        if eigen:
-            assert counts["eigh_batch"] > 0 and counts["linearization_batch"] > 0
-            assert counts["determinant_linearization_batch"] == 0
-        else:
-            assert counts["eigh_batch"] == 0 and counts["linearization_batch"] == 0
-            assert counts["determinant_linearization_batch"] > 0
+        assert counts["determinant_linearization_batch"] > 0
 
     def test_assembly_runs_no_eigen_decomposition(self, monkeypatch):
         import garding.linear as linear

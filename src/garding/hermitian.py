@@ -4,8 +4,8 @@ Matrices follow the row-k / column-j convention: ``entries[k, j]`` holds the
 (1,1)-form component with barred index k, so a complex Hessian stores
 ``entries[k, j] = d^2 u / dz^j dzbar^k``.  All Hermitian matrices here are
 Hermitian in the ordinary sense (``A == A.conj().T``) and eigenvalue routines
-are convention independent.  Every eigenvalue comes from the batched LAPACK
-routines; a scalar entry point is a call on a one-matrix batch.
+are convention independent.  Every eigenvalue comes from
+:func:`eigvals_batch`; a scalar entry point is a call on a one-matrix batch.
 """
 
 from __future__ import annotations
@@ -19,6 +19,15 @@ from .errors import MetricNotPositive, NotHermitian
 HERMITIAN_RTOL = 1e-14
 MIN_DIM = 2
 MAX_DIM = 6
+# rows per block of the closed-form eigenvalues: a block's temporaries stay
+# near a megabyte, where a whole grid of 3 x 3 rows at once would raise the
+# peak memory of a solve by tens of MB
+EIG_BLOCK = 4096
+# 3 x 3 rows with |r| above 1 - EIG_R_TOL go to LAPACK: arccos(r) has slope
+# 1 / sqrt(1 - r^2), so near a double eigenvalue the rounding of r grows by
+# up to 1 / sqrt(2 EIG_R_TOL), about 22 here; the rows kept stay within about
+# 40 eps * max|entry| of eigvalsh
+EIG_R_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -110,8 +119,78 @@ def trace_with_metric(omega: HermitianMatrix, g: HermitianMatrix) -> float:
 
 
 def eigvals_batch(mats: np.ndarray) -> np.ndarray:
-    """Batched eigenvalues only (ascending along the last axis)."""
-    return np.linalg.eigvalsh(mats)
+    """Batched eigenvalues only (ascending along the last axis).
+
+    Reads the lower triangle, as ``np.linalg.eigvalsh`` does.  Stacks of
+    1 x 1, 2 x 2 and 3 x 3 matrices take closed forms, EIG_BLOCK rows at a
+    time.  ``eigvalsh`` computes the rest: the 3 x 3 rows near a double
+    eigenvalue, where the closed form loses accuracy, every block holding a
+    non-finite entry (so NaN input fails as it does there), and every other
+    shape.
+    """
+    mats = np.asarray(mats)
+    m = mats.shape[-1] if mats.ndim >= 2 else 0
+    if m not in _CLOSED_FORMS or mats.shape[-2] != m:
+        return np.linalg.eigvalsh(mats)
+    rows = mats.reshape(-1, m, m)
+    out = np.empty(rows.shape[:-1])
+    for lo in range(0, rows.shape[0], EIG_BLOCK):
+        block, part = rows[lo : lo + EIG_BLOCK], out[lo : lo + EIG_BLOCK]
+        if np.isfinite(block).all():
+            part[...] = _CLOSED_FORMS[m](block)
+            redo = ~np.isfinite(part).all(axis=-1)
+        else:
+            redo = np.ones(block.shape[0], dtype=bool)
+        if redo.any():
+            part[redo] = np.linalg.eigvalsh(block[redo])
+    return out.reshape(mats.shape[:-1])
+
+
+def _eigvals_1(h: np.ndarray) -> np.ndarray:
+    return h[:, :, 0].real
+
+
+def _eigvals_2(h: np.ndarray) -> np.ndarray:
+    """mean -+ hypot((a - d) / 2, |b|), halved before the sum so it cannot overflow."""
+    a, d = h[:, 0, 0].real / 2.0, h[:, 1, 1].real / 2.0
+    radius = np.hypot(a - d, np.abs(h[:, 1, 0]))
+    return np.stack([a + d - radius, a + d + radius], axis=-1)
+
+
+def _eigvals_3(h: np.ndarray) -> np.ndarray:
+    """Smith's trigonometric formula (O. K. Smith, Commun. ACM 4, 1961).
+
+    With q = tr(h) / 3 and the deviator h - q I divided by its largest
+    entry t, so that no power below can overflow or underflow, B has
+    p^2 = |B|_F^2 / 6, r = det(B) / (2 p^3) in [-1, 1] and phi = arccos(r) / 3,
+    and the eigenvalues are q + 2 t p cos(phi + 2 pi / 3) <= q + 2 t p
+    cos(phi - 2 pi / 3) <= q + 2 t p cos(phi).  Rows with |r| > 1 - EIG_R_TOL
+    are NaN: the formula is ill-conditioned there (Kopp, Int. J. Mod. Phys. C
+    19, 2008).  A scalar row (t = 0) gives q three times.
+    """
+    q = (h[:, 0, 0].real + h[:, 1, 1].real + h[:, 2, 2].real) / 3.0
+    diag = h[:, [0, 1, 2], [0, 1, 2]].real - q[:, None]
+    off = h[:, [1, 2, 2], [0, 0, 1]]  # b = h_10, c = h_20, e = h_21
+    t = np.maximum(np.abs(diag).max(axis=-1), np.abs(off).max(axis=-1))
+    scalar = t == 0.0
+    t[scalar] = 1.0
+    diag /= t[:, None]
+    off = off / t[:, None]
+    sq = off.real**2 + off.imag**2
+    p = np.sqrt(((diag**2).sum(axis=-1) + 2.0 * sq.sum(axis=-1)) / 6.0)
+    a, d, f = diag.T
+    det = (a * (d * f - sq[:, 2]) - f * sq[:, 0] - d * sq[:, 1]
+           + 2.0 * (off[:, 0] * off[:, 2] * off[:, 1].conj()).real)
+    p[scalar] = 1.0  # B = 0: r = 0, and the factor t p below is 0
+    r = det / (2.0 * p**3)
+    p[scalar] = 0.0
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    phi[np.abs(r) > 1.0 - EIG_R_TOL] = np.nan
+    angles = phi[:, None] + np.array([2.0, -2.0, 0.0]) * (np.pi / 3.0)
+    return q[:, None] + (2.0 * t * p)[:, None] * np.cos(angles)
+
+
+_CLOSED_FORMS = {1: _eigvals_1, 2: _eigvals_2, 3: _eigvals_3}
 
 
 def congruence_reduce_batch(mats: np.ndarray, omega: np.ndarray | None):

@@ -53,6 +53,9 @@ from .hermitian import (
     metric_reduce,
 )
 
+# most p-subsets an exponent may have: the operator keeps one sum per subset
+# and row, and 2 000 radial rows x 10^4 sums x 8 B is about 160 MB
+MAX_SUBSETS = 10_000
 SUM_FLOOR = 1e-300  # subset sums below this are treated as boundary values
 POSITIVE_FLOOR = np.nextafter(0.0, 1.0)  # least positive double: x < it iff x <= 0
 
@@ -75,6 +78,11 @@ class OperatorParams:
             raise ValueError(f"n must be positive, got {self.n}")
         if not 1 <= self.p <= self.n:
             raise ValueError(f"p must satisfy 1 <= p <= n, got p={self.p}, n={self.n}")
+        count = comb(self.n, self.p)  # checked before any subset is enumerated
+        if count > MAX_SUBSETS:
+            raise ValueError(
+                f"C({self.n}, {self.p}) = {count} subsets exceed the limit of {MAX_SUBSETS}"
+            )
         subsets = tuple(itertools.combinations(range(self.n), self.p))
         m = np.zeros((len(subsets), self.n))
         for row, s in enumerate(subsets):
@@ -83,7 +91,7 @@ class OperatorParams:
         object.__setattr__(self, "subset_count", len(subsets))
         object.__setattr__(self, "membership", m)
         object.__setattr__(self, "subsets", subsets)
-        assert self.subset_count == comb(self.n, self.p)
+        assert self.subset_count == count
 
     @cached_property
     def compound(self) -> np.ndarray:
@@ -234,6 +242,8 @@ def determinant_form_batch(mats: np.ndarray, params: OperatorParams):
     """
     n, m = params.n, params.subset_count
     trace = np.einsum("...ii->...", mats).real
+    if params.p == 1:  # the table is the identity
+        return mats, trace
     form = mats.reshape(-1, n * n) @ params.compound
     return form.reshape(mats.shape[:-2] + (m, m)), trace
 

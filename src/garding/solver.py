@@ -234,8 +234,8 @@ class _BoxEvaluator:
         return congruence_reduce_batch(hess.values + self.chi, self.omega)[0]
 
     def analyze(self, u_values: np.ndarray) -> _Analysis:
-        # no temporary stays alive across the decomposition, which sets the
-        # solve's peak memory: only its input, LAPACK's copy and its output
+        # no temporary stays alive across the eigenvalues: only their input,
+        # their output and one block of their work
         form, trace_g = determinant_form_batch(self._reduced(u_values), self.params)
         margins = eigvals_batch(form)[..., 0]
         return _Analysis(margins, *least(margins, self.grid.node_of_flat), trace_g, form=form)

@@ -38,14 +38,11 @@ import numpy as np
 from .analytic import Polynomial, RadialProfile, norm_squared, radial_power
 from .errors import ParseError, ValidationError
 from .grid import BoxGrid
-from .operator import OperatorParams
+from .operator import MAX_SUBSETS, OperatorParams
 from .problems import ProblemSpec, manufactured_box, manufactured_radial
 from .radial import RadialGrid
 
 FORMAT_VERSION = 1
-# most p-subsets an exponent may have: the operator keeps one sum per subset
-# and row, and 2 000 radial rows x 10^4 sums x 8 B is about 160 MB
-MAX_SUBSETS = 10_000
 
 
 @dataclass(frozen=True)

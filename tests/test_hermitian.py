@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from garding.errors import MetricNotPositive, NotHermitian
 from garding.hermitian import (
+    EIG_BLOCK,
     HermitianMatrix,
     Spectrum,
     congruence_reduce_batch,
@@ -279,3 +282,82 @@ def test_congruence_reduce_batch_matches_scalar():
     for i in range(20):
         ref = metric_endomorphism_eigen(HermitianMatrix(omega), HermitianMatrix(mats[i]))
         assert np.allclose(vals[i], ref.values, atol=1e-11)
+
+
+def stressed_batch(rng, m, count, pattern, gap, scale, real):
+    """Hermitian rows U diag(lam) U* with the spectra the closed forms find hard.
+
+    ``double`` and ``triple`` make the two or three lowest eigenvalues equal
+    in the first half of the rows and ``gap`` apart in the rest, ``scalar``
+    rows are c I and ``zero`` rows are 0; every other pattern is shifted by
+    a random mean on half of the examples.
+    """
+    lam = rng.uniform(-1.0, 1.0, (count, m))
+    split = np.arange(count) >= count // 2
+    if pattern == "double" and m >= 2:
+        lam[:, 1] = lam[:, 0] + gap * split
+    elif pattern == "triple" and m >= 3:
+        lam[:, 1:3] = lam[:, :1] + gap * split[:, None] * np.array([1.0, 2.0])
+    elif pattern == "scalar":
+        lam[:] = lam[:, :1]
+    elif pattern == "zero":
+        lam[:] = 0.0
+    if pattern != "zero" and rng.random() < 0.5:
+        lam += rng.uniform(-5.0, 5.0, (count, 1))
+    if pattern in ("scalar", "zero"):
+        return scale * lam[:, :, None] * np.eye(m)
+    z = rng.standard_normal((count, m, m))
+    if not real:
+        z = z + 1j * rng.standard_normal((count, m, m))
+    u = np.linalg.qr(z)[0]
+    h = np.einsum("nik,nk,njk->nij", u, lam, u.conj())
+    return scale * (h + np.swapaxes(h, -1, -2).conj()) / 2.0
+
+
+class TestEigvalsBatch:
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(
+        m=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        pattern=st.sampled_from(["distinct", "double", "triple", "scalar", "zero"]),
+        gap_exp=st.floats(-12.0, -3.0),
+        scale_exp=st.floats(-150.0, 150.0),
+        real=st.booleans(),
+    )
+    def test_matches_eigvalsh(self, m, seed, pattern, gap_exp, scale_exp, real):
+        rng = np.random.default_rng(seed)
+        h = stressed_batch(rng, m, 64, pattern, 10.0**gap_exp, 10.0**scale_exp, real)
+        # only the lower triangle is read: put noise above the diagonal
+        noisy = np.tril(h) + np.triu(rng.uniform(-1.0, 1.0, h.shape) * np.abs(h).max(), 1)
+        before = noisy.copy()
+        got = eigvals_batch(noisy)
+        assert np.array_equal(noisy, before)
+        want = np.linalg.eigvalsh(noisy)
+        assert got.shape == want.shape and got.dtype == np.float64
+        bound = 64 * np.finfo(float).eps * np.abs(h).max(axis=(-2, -1))
+        assert np.all(np.abs(got - want) <= bound[:, None])
+        assert np.all(np.diff(got, axis=-1) >= 0.0)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_stacked_shapes_across_blocks(self, m):
+        rng = np.random.default_rng(m)
+        h = stressed_batch(rng, m, 3 * (EIG_BLOCK // 2 + 1), "distinct", 0.0, 1.0, False)
+        h = h.reshape(3, EIG_BLOCK // 2 + 1, m, m)
+        got = eigvals_batch(h)
+        assert got.shape == (3, EIG_BLOCK // 2 + 1, m)
+        assert np.abs(got - np.linalg.eigvalsh(h)).max() <= 64 * np.finfo(float).eps * 6.0
+        for shape in ((0, m, m), (2, 0, m, m)):
+            assert eigvals_batch(np.zeros(shape, complex)).shape == shape[:-1]
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_nan_input_fails_as_in_eigvalsh(self, m):
+        # a NaN in the last row of the second block
+        h = np.tile(np.eye(m, dtype=complex), (EIG_BLOCK + 5, 1, 1))
+        h[-1, m - 1, 0] = np.nan
+        if m >= 3:
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.eigvalsh(h)
+            with pytest.raises(np.linalg.LinAlgError):
+                eigvals_batch(h)
+        else:  # LAPACK returns NaN for these sizes, and so does the batch
+            assert np.array_equal(eigvals_batch(h), np.linalg.eigvalsh(h), equal_nan=True)

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -73,6 +74,14 @@ class TestSubsetSums:
             OperatorParams(3, 4)
         with pytest.raises(ValueError):
             OperatorParams(3, 0)
+
+    def test_subset_count_is_bounded_before_enumeration(self):
+        # C(40, 20) is about 1.4e11: enumerating it would exhaust memory
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceed the limit of 10000"):
+            OperatorParams(40, 20)
+        assert time.perf_counter() - start < 1.0
+        assert OperatorParams(14, 5).subset_count == 2002
 
 
 class TestEvalM:
@@ -302,6 +311,18 @@ class TestDeterminantRoute:
                 assert have.shape == want.shape, (name, n, p)
                 scale = np.abs(want).max()
                 assert np.abs(have - want).max() <= 1e-11 * scale, (name, n, p)
+
+    def test_first_compound_is_the_matrix_itself(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 3):
+            params = OperatorParams(n, 1)
+            q = random_unitaries(rng, 7, n)
+            reduced = np.einsum("...ik,...k,...jk->...ij", q, rng.uniform(1, 2, (7, n)), q.conj())
+            form, trace = determinant_form_batch(reduced, params)
+            assert form is reduced
+            table_form = (reduced.reshape(-1, n * n) @ params.compound).reshape(form.shape)
+            assert np.array_equal(form, table_form)
+            assert np.array_equal(trace, np.trace(reduced, axis1=-2, axis2=-1).real)
 
     def test_coefficients_are_exactly_hermitian(self):
         rng = np.random.default_rng(3)

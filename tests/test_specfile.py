@@ -289,3 +289,4 @@ def test_parse_document_raises_only_spec_errors(name, data):
     except (ParseError, ValidationError):
         return
     assert isinstance(doc, SpecDocument)
+    assert parse_document(emit_document(doc)) == doc

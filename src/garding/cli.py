@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -75,8 +76,10 @@ class RunConfig:
             raise errors.ValidationError("mode", f"unknown mode {self.mode!r}")
         if not self.spec_path.is_file():
             raise errors.ValidationError("spec", f"spec path {self.spec_path} not readable")
-        if self.tol is not None and self.tol <= 0:
-            raise errors.ValidationError("tol", "tolerance must be positive")
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
+            raise errors.ValidationError(
+                "tol", f"tolerance must be finite and positive, got {self.tol}"
+            )
         if self.trials < 1:
             raise errors.ValidationError("trials", f"need at least one trial, got {self.trials}")
         if self.seed < 0:

@@ -42,16 +42,30 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# unused here, but bench/child.py resolves garding.linear.spla and
-# garding.linear.complex_hessian_field to trace them
-import scipy.sparse.linalg as spla
 
+# complex_hessian_field is unused here, but bench/child.py resolves it to trace it
 from .errors import IndefiniteCoefficients, LinearSolveStalled
 from .grid import BoxGrid, MatrixField, ScalarField, complex_hessian_field, least
 from .hermitian import eigvals_batch
 
 STALL_WINDOW = 50  # iterations without meaningful progress before declaring a stall
 IMAG_CANCEL_TOL = 1e-12
+
+
+def __getattr__(name: str):
+    """``spla`` is scipy.sparse.linalg, imported only when it is asked for.
+
+    No box solve uses SciPy, so the module does not import it: SciPy is loaded
+    only by radial solves and by the bench tracer.  bench/child.py resolves
+    ``garding.linear.spla.splu`` without a default, and ``--trace 1`` would
+    crash without this binding.  It goes when ROADMAP item 1 moves the trace
+    into the library and the tracer's binding list is deleted.
+    """
+    if name == "spla":
+        import scipy.sparse.linalg
+
+        return scipy.sparse.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def real_stencil_weights(coeffs: np.ndarray, spacing) -> tuple:

@@ -56,6 +56,11 @@ from .hermitian import (
 # most p-subsets an exponent may have: the operator keeps one sum per subset
 # and row, and 2 000 radial rows x 10^4 sums x 8 B is about 160 MB
 MAX_SUBSETS = 10_000
+# most grid nodes a spec may ask for (box resolution^2n, radial points, each
+# [sweep] level): a box solve at n = 3 peaks near 1.2 kB per interior node
+# (box-n3-p2-r9: 136 MB over its imports for 7^6 interior nodes), so 2^20
+# nodes bound it near 1.2 GB; the largest shipped grid has 9^6 = 531 441
+MAX_NODES = 2**20
 SUM_FLOOR = 1e-300  # subset sums below this are treated as boundary values
 POSITIVE_FLOOR = np.nextafter(0.0, 1.0)  # least positive double: x < it iff x <= 0
 

@@ -9,6 +9,10 @@ The profile is collocated on a uniform s-grid over [0, R^2] with central
 differences; at s = 0 the radial eigenvalue degenerates to the tangential
 one (the u'' coefficient vanishes with s), so only u'(0) is needed there and
 a second-order one-sided difference closes the system.
+
+The collocated Jacobian is a SciPy CSR matrix solved by SuperLU.  SciPy is
+imported inside the two functions that need it, so a box solve never loads
+it: SciPy is loaded only by radial solves and by the bench tracer.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ValidationError
 from .hermitian import Spectrum
@@ -87,13 +89,16 @@ def eigenvalue_rows(u1: np.ndarray, u2: np.ndarray, s: np.ndarray, n: int, c: fl
     return lam
 
 
-def radial_linearized(trace_f: np.ndarray, f_radial: np.ndarray, grid: RadialGrid) -> sp.csr_matrix:
+def radial_linearized(trace_f: np.ndarray, f_radial: np.ndarray, grid: RadialGrid):
     """Derivative of the collocated residual with respect to interior values.
 
     Row i of the residual depends on the profile through u'(s_i) and
     u''(s_i); the chain rule gives coefficients trace_f for u' and
     s_i * f_radial for u''.  Unknowns are nodes 0..m-1 (node m is Dirichlet).
+    Returns an (m, m) ``scipy.sparse.csr_matrix``.
     """
+    import scipy.sparse as sp
+
     m = grid.points - 1
     ds = grid.spacing
     s = grid.s
@@ -117,7 +122,10 @@ def radial_linearized(trace_f: np.ndarray, f_radial: np.ndarray, grid: RadialGri
     return sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
 
 
-def solve_radial_linear(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+def solve_radial_linear(matrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``radial_linearized``'s CSR matrix with SuperLU."""
+    import scipy.sparse.linalg as spla
+
     return spla.splu(matrix.tocsc()).solve(rhs)
 
 

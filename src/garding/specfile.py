@@ -9,8 +9,10 @@ Sections
 --------
 [problem]       n, p (at most MAX_SUBSETS p-subsets), geometry (box | radial),
                 optional label
-[box]           extent (2n lo, hi pairs flattened), resolution (odd, >= 9)
-[radial]        radius, points, chi (scalar c for chi = c * identity)
+[box]           extent (2n lo, hi pairs flattened), resolution (odd, >= 9;
+                resolution^2n at most MAX_NODES)
+[radial]        radius, points (at most MAX_NODES), chi (scalar c for
+                chi = c * identity)
 [chi]           box only: diag = comma-separated reals (constant diagonal)
 [solution]      analytic target: builtin = quadratic | polynomial |
                 radial-power | radial-poly, plus family parameters; also
@@ -20,7 +22,7 @@ Sections
 [init]          optional initializer override for solve mode
 [solve]         optional numeric overrides (newton_tol, ...)
 [sweep]         refine-sweep levels: resolutions = ... (box) or
-                points = ... (radial)
+                points = ... (radial), each within MAX_NODES
 
 Families: ``quadratic`` (coeff c: c |z|^2 on boxes, profile c s radially),
 ``polynomial`` (terms = k, then term_1..term_k = coeff, e_1..e_2n),
@@ -38,7 +40,7 @@ import numpy as np
 from .analytic import Polynomial, RadialProfile, norm_squared, radial_power
 from .errors import ParseError, ValidationError
 from .grid import BoxGrid
-from .operator import MAX_SUBSETS, OperatorParams
+from .operator import MAX_NODES, MAX_SUBSETS, OperatorParams
 from .problems import ProblemSpec, manufactured_box, manufactured_radial
 from .radial import RadialGrid
 
@@ -99,6 +101,16 @@ def _parse_setting(token: str, line: int):
     if word in ("true", "false"):
         return word == "true"
     return _parse_number(token, line)
+
+
+def _check_nodes(field: str, level: int, dims: int) -> None:
+    """Reject a grid of ``level**dims`` nodes above MAX_NODES, before it is built."""
+    nodes = 1
+    for _ in range(dims):  # stops at the first partial product past the cap
+        nodes *= level
+        if nodes > MAX_NODES:
+            count = f"{level}^{dims}" if dims > 1 else str(level)
+            raise ValidationError(field, f"{count} grid nodes exceed the limit of {MAX_NODES}")
 
 
 def _tokenize(text: str):
@@ -199,6 +211,7 @@ def parse_document(text: str) -> SpecDocument:
             raise ValidationError(
                 "resolution", f"resolution must be odd and >= 9, got {box_resolution}"
             )
+        _check_nodes("resolution", box_resolution, 2 * n)
         diag = array("chi", "diag")
         if diag is not None:
             if len(diag) != n:
@@ -207,6 +220,7 @@ def parse_document(text: str) -> SpecDocument:
     else:
         radius = number("radial", "radius", required=True)
         points = integer("radial", "points", 1)
+        _check_nodes("points", points, 1)
         chi_scalar = number("radial", "chi", default=0.0)
 
     def function_spec(section) -> FunctionSpec | None:
@@ -250,17 +264,26 @@ def parse_document(text: str) -> SpecDocument:
     subsolution = function_spec("subsolution")
     init = function_spec("init")
 
+    sweep = None
+    sweep_key = "resolutions" if geometry == "box" else "points"
+    levels = array("sweep", sweep_key)
+    if levels is not None:
+        sweep = tuple(integer("sweep", sweep_key, 1, "sweep", x) for x in levels)
+        for level in sweep:
+            _check_nodes("sweep", level, 2 * n if geometry == "box" else 1)
+        if len(sweep) < 2:
+            raise ValidationError("sweep", "need at least two levels")
+
     psi_scale = number("psi", "scale", default=1.0)
     if psi_scale <= 0.0:
         raise ValidationError("psi", f"scale must be positive, got {psi_scale}")
     bump = array("psi", "bump_node")
     psi_bump_node = None
     if bump is not None:
-        # interior nodes: 1..res-2 per box axis, collocation nodes 0..points-2
-        if geometry == "box":
-            expected, lo, hi = 2 * n, 1, box_resolution - 2
-        else:
-            expected, lo, hi = 1, 0, points - 2
+        # interior nodes: 1..res-2 per box axis, collocation nodes 0..points-2,
+        # on the coarsest grid the document describes
+        expected, lo = (2 * n, 1) if geometry == "box" else (1, 0)
+        hi = min((box_resolution or points, *(sweep or ()))) - 2
         if len(bump) != expected:
             raise ValidationError("psi", f"bump_node needs {expected} indices")
         if not all(b == int(b) and lo <= b <= hi for b in bump):
@@ -275,14 +298,6 @@ def parse_document(text: str) -> SpecDocument:
     overrides = []
     for key in sorted(data["solve"]):
         overrides.append((key, _parse_setting(data["solve"][key], lines[("solve", key)])))
-
-    sweep = None
-    sweep_key = "resolutions" if geometry == "box" else "points"
-    levels = array("sweep", sweep_key)
-    if levels is not None:
-        sweep = tuple(integer("sweep", sweep_key, 1, "sweep", x) for x in levels)
-        if len(sweep) < 2:
-            raise ValidationError("sweep", "need at least two levels")
 
     return SpecDocument(
         format_version=FORMAT_VERSION,

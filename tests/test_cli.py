@@ -1,10 +1,16 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import garding.report
 from garding import cli, errors
@@ -228,6 +234,18 @@ class TestRefineSweep:
         status, _ = run_cli(tmp_path, RADIAL_SPEC, "refine-sweep")
         assert status == 2
 
+    @pytest.mark.parametrize("spec", [
+        pytest.param(RADIAL_SWEEP + "[psi]\nbump_node = 150\n", id="radial"),
+        pytest.param(BOX_SPEC.replace("resolution = 9", "resolution = 11")
+                     + "[psi]\nbump_node = 8, 1, 1, 1\n[sweep]\nresolutions = 9, 11\n", id="box"),
+    ])
+    def test_bump_node_outside_a_sweep_level(self, tmp_path, capsys, spec):
+        # node 150 is interior at 201 points but past the end at 101
+        status, _ = run_cli(tmp_path, spec, "refine-sweep")
+        assert status == 2
+        err = capsys.readouterr().err
+        assert "validation error: psi:" in err and "Traceback" not in err
+
 
 class TestValidationFailures:
     def test_missing_spec(self, tmp_path):
@@ -254,13 +272,36 @@ class TestValidationFailures:
         status, _ = run_cli(tmp_path, spec.replace("points = 201", "points = 41"), "solve")
         assert status == 0
 
-    def test_bad_tol(self, tmp_path):
-        spec = write(tmp_path, "ok.spec", RADIAL_SPEC)
-        status = main(
-            ["--mode", "solve", "--spec", str(spec), "--out", str(tmp_path / "o"),
-             "--tol", "-1"]
-        )
-        assert status == 2
+    def test_bad_tol(self, tmp_path, capsys):
+        # a spec newton_tol would replace the CLI's value if it went unchecked
+        spec = write(tmp_path, "ok.spec", RADIAL_SPEC + "[solve]\nnewton_tol = 1e-9\n")
+        for tol in ("nan", "inf", "-1"):
+            status = main(
+                ["--mode", "solve", "--spec", str(spec), "--out", str(tmp_path / "o"),
+                 "--tol", tol]
+            )
+            assert status == 2, tol
+            assert "validation error: tol:" in capsys.readouterr().err
+
+    BOX_N10 = BOX_SPEC.replace("n = 2", "n = 10").replace(
+        "extent = -1, 1, -1, 1, -1, 1, -1, 1", "extent = " + ", ".join(["-1, 1"] * 20)
+    )
+
+    @pytest.mark.parametrize("spec, key", [
+        pytest.param(BOX_N10, "resolution", id="box-n10-r9"),
+        pytest.param(RADIAL_SPEC.replace("points = 201", "points = 1000000000000"), "points",
+                     id="radial-points-1e12"),
+        pytest.param(BOX_SPEC + "[sweep]\nresolutions = 9, 33\n", "sweep", id="box-sweep-r33"),
+        pytest.param(RADIAL_SPEC + "[sweep]\npoints = 201, 1048577\n", "sweep",
+                     id="radial-sweep-past-cap"),
+    ])
+    def test_grid_above_the_node_cap(self, tmp_path, capsys, spec, key):
+        # 9^20 and 33^4 nodes: rejected before any array is allocated
+        start = time.monotonic()
+        status, _ = run_cli(tmp_path, spec, "solve")
+        assert status == 2 and time.monotonic() - start < 1.0
+        err = capsys.readouterr().err
+        assert f"validation error: {key}:" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("setting", [
         "t_step_init = 0", "t_growth = 0.5", "max_newton_iters = -1", "max_newton_iters = 2.5",
@@ -356,3 +397,100 @@ def test_every_error_class_has_an_exit_status(tmp_path, monkeypatch):
 
         monkeypatch.setattr(cli, "_run_solve", fail)
         assert main(argv) == EXIT_STATUS[cls], cls.__name__
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_box_solve_loads_no_scipy(tmp_path):
+    # a fresh interpreter: the suite itself has SciPy loaded already
+    spec = REPO / "bench" / "specs" / "box-n2-p1-r9.spec"
+    argv = ["--mode", "solve", "--spec", str(spec), "--out", str(tmp_path), "--no-csv"]
+    code = (
+        "import sys\n"
+        "from garding.cli import main\n"
+        f"status = main({argv!r})\n"
+        "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "[]"]
+
+
+FLOATS = st.floats(-3.0, 3.0).map(repr)
+SOLVE_LINES = st.sampled_from([
+    "newton_tol = 1e-9", "max_newton_iters = 3", "t_step_init = 0.5", "t_step_min = 0.25",
+    "compute_barrier = false", "margin_keep = 0.5", "easy_iters = 1", "barrier_N = 2",
+    "t_growth = 0.5", "newton_tol = 0", "direct_threshold = 1",
+])
+# past the node cap, like the n = 10 boxes and the sweep level 33 below
+OVERSIZE_POINTS = 10**12
+
+
+@st.composite
+def small_specs(draw):
+    """A small radial (9-41 points) or n = 2, resolution-9 box spec and a mode.
+
+    Numbers come from modest ranges that still reach every failure group:
+    inadmissible targets, cone escapes from a bad [init], bad settings and
+    grids past the node cap.
+    """
+    geometry = draw(st.sampled_from(["radial", "box"]))
+    n = draw(st.integers(1, 4)) if geometry == "radial" else draw(st.sampled_from([2, 2, 2, 10]))
+    p = draw(st.integers(1, min(n, 2) if geometry == "box" else n))
+    lines = ["format_version = 1", "[problem]", f"n = {n}", f"p = {p}", f"geometry = {geometry}"]
+    if geometry == "radial":
+        points = OVERSIZE_POINTS if draw(st.integers(0, 7)) == 0 else draw(st.integers(9, 41))
+        lines += ["[radial]", f"radius = {draw(st.floats(0.25, 2.0))!r}",
+                  f"points = {points}", f"chi = {draw(FLOATS)}"]
+        family = draw(st.sampled_from(["quadratic", "radial-power", "radial-poly"]))
+
+        def function(section):
+            body = [f"[{section}]", f"builtin = {family}"]
+            if family == "quadratic":
+                return body + [f"coeff = {draw(FLOATS)}"]
+            if family == "radial-power":
+                return body + [f"power = {draw(st.integers(1, 3))}", f"scale = {draw(FLOATS)}"]
+            coeffs = draw(st.lists(FLOATS, min_size=1, max_size=3))
+            return body + ["coeffs = " + ", ".join(coeffs)]
+
+        sweep = "points = " + ", ".join(
+            str(x) for x in draw(st.lists(st.integers(9, 41), min_size=2, max_size=3)))
+        bump = f"bump_node = {draw(st.integers(0, min(points, 41) - 2))}"
+    else:
+        lines += ["[box]", "extent = " + ", ".join(["-1, 1"] * (2 * n)), "resolution = 9"]
+        if draw(st.booleans()):
+            lines += ["[chi]", "diag = " + ", ".join(draw(FLOATS) for _ in range(n))]
+
+        def function(section):
+            return [f"[{section}]", "builtin = quadratic", f"coeff = {draw(FLOATS)}"]
+
+        sweep = "resolutions = 9, " + draw(st.sampled_from(["9", "11", "33"]))
+        bump = "bump_node = " + ", ".join(str(draw(st.integers(1, 7))) for _ in range(2 * n))
+    lines += function("solution")
+    if draw(st.booleans()):
+        lines += function("subsolution")
+    if draw(st.booleans()):
+        lines += function("init")
+    if draw(st.booleans()):
+        lines += ["[psi]", f"scale = {draw(st.floats(0.5, 2.0))!r}", bump,
+                  f"bump_factor = {draw(st.floats(0.5, 2.0))!r}"]
+    lines += ["[solve]", *draw(st.lists(SOLVE_LINES, max_size=2, unique=True))]
+    if draw(st.booleans()):
+        lines += ["[sweep]", sweep]
+    mode = draw(st.sampled_from(["solve", "verify-subsolution", "check-operator", "refine-sweep"]))
+    return "\n".join(lines) + "\n", mode
+
+
+@settings(max_examples=40, deadline=10_000, database=None, derandomize=True)
+@given(case=small_specs())
+def test_exit_status_is_in_the_contract(case):
+    text, mode = case
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "case.spec"
+        spec.write_text(text)
+        argv = ["--mode", mode, "--spec", str(spec), "--out", str(Path(tmp) / "out"),
+                "--trials", "20"]
+        assert main(argv) in (0, 2, 3, 4)

@@ -462,3 +462,10 @@ class TestUpperBarrier:
         out = upper_barrier(np.eye(1), 2 * np.eye(1), phi, grid)
         ref = upper_barrier(np.eye(1), None, phi, grid)
         assert np.abs(out.values - ref.values).max() < 1e-10
+
+
+def test_spla_binding_is_loaded_on_demand():
+    # the bench tracer resolves garding.linear.spla.splu without a default
+    assert garding.linear.spla.splu is spla.splu
+    with pytest.raises(AttributeError):
+        garding.linear.no_such_name

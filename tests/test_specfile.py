@@ -10,7 +10,7 @@ from garding.errors import ParseError, ValidationError
 from garding.problems import manufactured_radial
 from garding.radial import RadialGrid
 from garding.analytic import radial_power
-from garding.operator import OperatorParams
+from garding.operator import MAX_NODES, OperatorParams
 from garding.specfile import (
     SpecDocument,
     build_problem,
@@ -273,6 +273,17 @@ def replace_numbers(text: str, tokens: dict) -> tuple:
             line = key + sep + NUMBER.sub(swap, value)
         lines.append(line)
     return "\n".join(lines) + "\n", count
+
+
+@pytest.mark.parametrize(
+    "path", sorted([*SPEC_DIR.glob("*.spec"), *SPEC_DIR.parent.glob("bench/specs/*.spec")]),
+    ids=lambda path: path.name,
+)
+def test_shipped_grids_are_within_the_node_cap(path):
+    doc = parse_document(path.read_text())
+    sizes = (doc.points,) if doc.geometry == "radial" else (doc.box_resolution,)
+    dims = 1 if doc.geometry == "radial" else 2 * doc.n
+    assert max(level**dims for level in sizes + (doc.sweep or ())) <= MAX_NODES
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SPEC_DIR.glob("*.spec")))

@@ -55,8 +55,8 @@ IMAG_CANCEL_TOL = 1e-12
 def __getattr__(name: str):
     """``spla`` is scipy.sparse.linalg, imported only when it is asked for.
 
-    No box solve uses SciPy, so the module does not import it: SciPy is loaded
-    only by radial solves and by the bench tracer.  bench/child.py resolves
+    No solve uses SciPy, so the module does not import it: SciPy is loaded
+    only by the bench tracer, from the ``test`` extra.  bench/child.py resolves
     ``garding.linear.spla.splu`` without a default, and ``--trace 1`` would
     crash without this binding.  It goes when ROADMAP item 1 moves the trace
     into the library and the tracer's binding list is deleted.

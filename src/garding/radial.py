@@ -10,9 +10,9 @@ differences; at s = 0 the radial eigenvalue degenerates to the tangential
 one (the u'' coefficient vanishes with s), so only u'(0) is needed there and
 a second-order one-sided difference closes the system.
 
-The collocated Jacobian is a SciPy CSR matrix solved by SuperLU.  SciPy is
-imported inside the two functions that need it, so a box solve never loads
-it: SciPy is loaded only by radial solves and by the bench tracer.
+The collocated Jacobian is banded: rows 1..m-1 are tridiagonal and row 0
+holds the one-sided entries in columns 0-2.  It is kept as an (m, 4) band and
+solved by Gaussian elimination with row pivoting, in NumPy and plain floats.
 """
 
 from __future__ import annotations
@@ -61,8 +61,7 @@ def radial_eigenvalues(u1: float, u2: float, s: float, n: int, c: float) -> Spec
     """
     if s < 0.0:
         raise ValueError(f"s must be nonnegative, got {s}")
-    vals = [c + u1] * (n - 1) + [c + u1 + s * u2]
-    return Spectrum(vals)
+    return Spectrum(eigenvalue_rows(np.array([u1]), np.array([u2]), np.array([s]), n, c)[0])
 
 
 def profile_derivatives(u: np.ndarray, spacing: float):
@@ -95,38 +94,40 @@ def radial_linearized(trace_f: np.ndarray, f_radial: np.ndarray, grid: RadialGri
     Row i of the residual depends on the profile through u'(s_i) and
     u''(s_i); the chain rule gives coefficients trace_f for u' and
     s_i * f_radial for u''.  Unknowns are nodes 0..m-1 (node m is Dirichlet).
-    Returns an (m, m) ``scipy.sparse.csr_matrix``.
+    Returns the (m, 4) band: row i holds columns i-1..i+2, and only row 0
+    uses column i+2.
     """
-    import scipy.sparse as sp
-
-    m = grid.points - 1
-    ds = grid.spacing
-    s = grid.s
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
+    m, ds = grid.points - 1, grid.spacing
+    a1 = trace_f / (2.0 * ds)
+    a2 = grid.s[:m] * f_radial / ds**2
+    band = np.stack([a2 - a1, -2.0 * a2, a1 + a2, np.zeros(m)], axis=-1)
     # one-sided row at s = 0: residual depends on u'(0) only
-    c0 = trace_f[0] / (2.0 * ds)
-    rows += [0, 0, 0]
-    cols += [0, 1, 2]
-    vals += [-3.0 * c0, 4.0 * c0, -1.0 * c0]
-    for i in range(1, m):
-        a1 = trace_f[i] / (2.0 * ds)
-        a2 = s[i] * f_radial[i] / ds**2
-        entries = {i - 1: -a1 + a2, i: -2.0 * a2, i + 1: a1 + a2}
-        for j, v in entries.items():
-            if j <= m - 1:
-                rows.append(i)
-                cols.append(j)
-                vals.append(v)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+    band[0] = 0.0, -3.0 * a1[0], 4.0 * a1[0], -a1[0]
+    band[-1, 2] = 0.0  # column m is the Dirichlet node
+    return band
 
 
-def solve_radial_linear(matrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``radial_linearized``'s CSR matrix with SuperLU."""
-    import scipy.sparse.linalg as spla
+def solve_radial_linear(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``radial_linearized``'s band by Gaussian elimination with row pivoting.
 
-    return spla.splu(matrix.tocsc()).solve(rhs)
+    Neither row 0 nor the rows with trace_f / (2h) > s f_radial / h^2 are
+    diagonally dominant.  With lower bandwidth 1 and upper bandwidth 2, the
+    pivoted rows of U span columns k..k+3 (Golub & Van Loan, 4th ed., 4.3).
+    """
+    rows = np.column_stack([band, rhs]).tolist()  # columns k-1..k+2 of row k, then its rhs
+    cur, upper = [*rows[0][1:4], 0.0, rows[0][4]], []
+    for nxt in rows[1:]:  # cur is the pending row of column k - 1, laid out like nxt
+        if abs(nxt[0]) > abs(cur[0]):
+            cur, nxt = nxt, cur
+        upper.append(cur)
+        factor = nxt[0] / cur[0]
+        e = [a - factor * b for a, b in zip(nxt, cur)]
+        cur = [e[1], e[2], e[3], 0.0, e[4]]
+    upper.append(cur)
+    x = [0.0, 0.0, 0.0]  # back substitution, last unknown first: x[-j] is column k + j
+    for d, u1, u2, u3, y in reversed(upper):
+        x.append((y - u1 * x[-1] - u2 * x[-2] - u3 * x[-3]) / d)
+    return np.array(x[:2:-1])
 
 
 def radial_trace_equation_solution(c: float, n: int, boundary_value: float,
@@ -139,12 +140,15 @@ def radial_trace_equation_solution(c: float, n: int, boundary_value: float,
     return boundary_value + c * (grid.s_max - grid.s)
 
 
+def boundary_slope(u: np.ndarray, spacing: float) -> float:
+    """u'(R^2), by the second-order one-sided difference at the boundary node."""
+    return (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * spacing)
+
+
 def radial_gradient_sq_max(u: np.ndarray, grid: RadialGrid) -> float:
     """Max of |grad u|^2 = 4 s u'(s)^2 over the grid."""
     u1, _ = profile_derivatives(u, grid.spacing)
-    # include the boundary node via a one-sided difference
-    ds = grid.spacing
-    u1_end = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * ds)
+    u1_end = boundary_slope(u, grid.spacing)
     vals = 4.0 * grid.s[:-1] * u1**2
     return float(max(vals.max(), 4.0 * grid.s_max * u1_end**2))
 
@@ -158,7 +162,7 @@ def radial_hessian_spectral_radius(u: np.ndarray, grid: RadialGrid):
     s = grid.s
     interior = np.maximum(np.abs(u1), np.abs(u1 + s[:-1] * u2))
     ds = grid.spacing
-    u1_end = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * ds)
+    u1_end = boundary_slope(u, ds)
     u2_end = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / ds**2
     boundary = max(abs(u1_end), abs(u1_end + s[-1] * u2_end))
     return interior, float(boundary)

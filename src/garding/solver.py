@@ -16,8 +16,8 @@ the minimum-margin node and the metric trace of g, plus what its
 linearization needs.  A box analysis keeps K = A^[p], the p-th additive
 compound of the reduced matrix A of omega^-1 g, whose determinant is M_p and
 whose least eigenvalue is the margin, for every p; no eigenvectors are
-computed.  A radial analysis keeps the eigenvalue rows and the order that
-sorts them.  A damping trial computes only the analysis.  The accepted
+computed.  A radial analysis keeps its eigenvalue rows unsorted.  A damping
+trial computes only the analysis.  The accepted
 candidate's analysis is then linearized in place (ftilde, trace_F, the
 coefficients of the linearized operator, with K released) and becomes the
 Newton state.  The anchor is
@@ -59,6 +59,7 @@ from .linear import StencilOperator, assemble_linearized, real_stencil_weights, 
 from .operator import determinant_form_batch, determinant_linearization_batch, ftilde_grad_batch
 from .problems import ProblemSpec, verify_subsolution
 from .radial import (
+    boundary_slope,
     eigenvalue_rows,
     profile_derivatives,
     radial_gradient_sq_max,
@@ -188,8 +189,8 @@ class _Analysis:
 
     - box: ``form``, the compounds K = A^[p] whose determinant is M_p, which
       ``linearize`` releases;
-    - radial: ``vals``, the ascending eigenvalue rows, and ``order``, the
-      permutation that sorts each row.
+    - radial: ``vals``, the unsorted eigenvalue rows, tangential columns
+      first and the radial one last.
 
     ``linearize`` adds ftilde, trace_F and the linearization coefficients
     (box: C per node; radial: the gradient entry of the radial eigenvalue).
@@ -201,16 +202,9 @@ class _Analysis:
     trace_g: np.ndarray
     form: np.ndarray | None = None
     vals: np.ndarray | None = None
-    order: np.ndarray | None = None
     ft: np.ndarray | None = None
     trace_f: np.ndarray | None = None
     coeffs: np.ndarray | None = None
-
-
-def _unsorted(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
-    out = np.empty_like(rows)
-    np.put_along_axis(out, order, rows, axis=-1)
-    return out
 
 
 class _BoxEvaluator:
@@ -260,7 +254,6 @@ class _RadialEvaluator:
     """Analyses and Newton corrections on a radial problem."""
 
     def __init__(self, problem: ProblemSpec, config: SolveConfig):
-        self.config = config
         rad = problem.radial
         self.grid = rad.grid
         self.params = problem.params
@@ -273,23 +266,18 @@ class _RadialEvaluator:
     def analyze(self, u: np.ndarray) -> _Analysis:
         u1, u2 = profile_derivatives(u, self.grid.spacing)
         lam = eigenvalue_rows(u1, u2, self.grid.s, self.n, self.c)
-        order = np.argsort(lam, axis=-1)
-        vals = np.take_along_axis(lam, order, axis=-1)
-        margins = margins_batch(vals, self.params.p)
-        return _Analysis(margins, *least(margins, int), lam.sum(axis=-1), vals=vals, order=order)
+        margins = margins_batch(np.sort(lam, axis=-1), self.params.p)
+        return _Analysis(margins, *least(margins, int), lam.sum(axis=-1), vals=lam)
 
     def linearize(self, a: _Analysis) -> None:
-        a.ft, grads_sorted = ftilde_grad_batch(a.vals, self.params)
-        grads = _unsorted(grads_sorted, a.order)
+        # ftilde is symmetric: its gradient keeps the column order of the rows
+        a.ft, grads = ftilde_grad_batch(a.vals, self.params)
         a.trace_f = grads.sum(axis=-1)
         a.coeffs = grads[:, self.n - 1]
 
     def correction(self, a: _Analysis, resid: np.ndarray, rnorm: float) -> np.ndarray:
-        jac = radial_linearized(a.trace_f, a.coeffs, self.grid)
-        delta_int = solve_radial_linear(jac, -resid)
-        delta = np.zeros(self.grid.points)
-        delta[:-1] = delta_int
-        return delta
+        band = radial_linearized(a.trace_f, a.coeffs, self.grid)
+        return np.append(solve_radial_linear(band, -resid), 0.0)  # node m is Dirichlet
 
 
 def _make_evaluator(problem: ProblemSpec, config: SolveConfig):
@@ -483,9 +471,7 @@ def boundary_trace_check(u, problem: ProblemSpec) -> float:
         return face_tangential_trace_min(field_u, problem.box.chi)
     rad = problem.radial
     uv = u.values if isinstance(u, ScalarField) else np.asarray(u)
-    ds = rad.grid.spacing
-    u1_end = (3.0 * uv[-1] - 4.0 * uv[-2] + uv[-3]) / (2.0 * ds)
-    return float((problem.n - 1) * (rad.chi_scalar + u1_end))
+    return float((problem.n - 1) * (rad.chi_scalar + boundary_slope(uv, rad.grid.spacing)))
 
 
 def barrier_check(

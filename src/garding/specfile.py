@@ -11,8 +11,8 @@ Sections
                 optional label
 [box]           extent (2n lo, hi pairs flattened), resolution (odd, >= 9;
                 resolution^2n at most MAX_NODES)
-[radial]        radius, points (at most MAX_NODES), chi (scalar c for
-                chi = c * identity)
+[radial]        radius, points (within MAX_NODES and MAX_RADIAL_ENTRIES),
+                chi (scalar c for chi = c * identity)
 [chi]           box only: diag = comma-separated reals (constant diagonal)
 [solution]      analytic target: builtin = quadratic | polynomial |
                 radial-power | radial-poly, plus family parameters; also
@@ -22,7 +22,7 @@ Sections
 [init]          optional initializer override for solve mode
 [solve]         optional numeric overrides (newton_tol, ...)
 [sweep]         refine-sweep levels: resolutions = ... (box) or
-                points = ... (radial), each within MAX_NODES
+                points = ... (radial), each within the bounds above
 
 Families: ``quadratic`` (coeff c: c |z|^2 on boxes, profile c s radially),
 ``polynomial`` (terms = k, then term_1..term_k = coeff, e_1..e_2n),
@@ -40,7 +40,7 @@ import numpy as np
 from .analytic import Polynomial, RadialProfile, norm_squared, radial_power
 from .errors import ParseError, ValidationError
 from .grid import BoxGrid
-from .operator import MAX_NODES, MAX_SUBSETS, OperatorParams
+from .operator import MAX_NODES, MAX_RADIAL_ENTRIES, MAX_SUBSETS, OperatorParams
 from .problems import ProblemSpec, manufactured_box, manufactured_radial
 from .radial import RadialGrid
 
@@ -103,14 +103,18 @@ def _parse_setting(token: str, line: int):
     return _parse_number(token, line)
 
 
-def _check_nodes(field: str, level: int, dims: int) -> None:
-    """Reject a grid of ``level**dims`` nodes above MAX_NODES, before it is built."""
+def _check_grid(field: str, level: int, n: int, subsets: int, box: bool) -> None:
+    """Reject a grid past MAX_NODES or MAX_RADIAL_ENTRIES, before it is built."""
+    dims = 2 * n if box else 1
     nodes = 1
     for _ in range(dims):  # stops at the first partial product past the cap
         nodes *= level
         if nodes > MAX_NODES:
             count = f"{level}^{dims}" if dims > 1 else str(level)
             raise ValidationError(field, f"{count} grid nodes exceed the limit of {MAX_NODES}")
+    if not box and (level + n) * (n + subsets) > MAX_RADIAL_ENTRIES:
+        raise ValidationError(field, f"({level} + {n}) x ({n} + {subsets}) radial entries "
+                                     f"exceed the limit of {MAX_RADIAL_ENTRIES}")
 
 
 def _tokenize(text: str):
@@ -183,9 +187,10 @@ def parse_document(text: str) -> SpecDocument:
     p = integer("problem", "p", 1)
     if p > n:
         raise ValidationError("p", f"p must satisfy 1 <= p <= n, got p={p}, n={n}")
-    if math.comb(n, p) > MAX_SUBSETS:
+    subsets = math.comb(n, p)
+    if subsets > MAX_SUBSETS:
         raise ValidationError(
-            "p", f"C({n}, {p}) = {math.comb(n, p)} subsets exceed the limit of {MAX_SUBSETS}"
+            "p", f"C({n}, {p}) = {subsets} subsets exceed the limit of {MAX_SUBSETS}"
         )
     geometry = data["problem"].get("geometry", "box").lower()
     if geometry not in ("box", "radial"):
@@ -211,7 +216,7 @@ def parse_document(text: str) -> SpecDocument:
             raise ValidationError(
                 "resolution", f"resolution must be odd and >= 9, got {box_resolution}"
             )
-        _check_nodes("resolution", box_resolution, 2 * n)
+        _check_grid("resolution", box_resolution, n, subsets, box=True)
         diag = array("chi", "diag")
         if diag is not None:
             if len(diag) != n:
@@ -220,7 +225,7 @@ def parse_document(text: str) -> SpecDocument:
     else:
         radius = number("radial", "radius", required=True)
         points = integer("radial", "points", 1)
-        _check_nodes("points", points, 1)
+        _check_grid("points", points, n, subsets, box=False)
         chi_scalar = number("radial", "chi", default=0.0)
 
     def function_spec(section) -> FunctionSpec | None:
@@ -270,7 +275,7 @@ def parse_document(text: str) -> SpecDocument:
     if levels is not None:
         sweep = tuple(integer("sweep", sweep_key, 1, "sweep", x) for x in levels)
         for level in sweep:
-            _check_nodes("sweep", level, 2 * n if geometry == "box" else 1)
+            _check_grid("sweep", level, n, subsets, box=geometry == "box")
         if len(sweep) < 2:
             raise ValidationError("sweep", "need at least two levels")
 

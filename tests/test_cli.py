@@ -294,9 +294,14 @@ class TestValidationFailures:
         pytest.param(BOX_SPEC + "[sweep]\nresolutions = 9, 33\n", "sweep", id="box-sweep-r33"),
         pytest.param(RADIAL_SPEC + "[sweep]\npoints = 201, 1048577\n", "sweep",
                      id="radial-sweep-past-cap"),
+        pytest.param(RADIAL_SPEC.replace("n = 3\np = 2", "n = 1000000\np = 1000000"), "points",
+                     id="radial-n1e6-p1e6"),
+        pytest.param(RADIAL_SPEC.replace("n = 3\np = 2", "n = 10000\np = 1").replace(
+            "points = 201", "points = 20001"), "points", id="radial-n1e4-p1"),
     ])
     def test_grid_above_the_node_cap(self, tmp_path, capsys, spec, key):
-        # 9^20 and 33^4 nodes: rejected before any array is allocated
+        # 9^20 and 33^4 nodes, and radial rows 10^6 or 2 x 10^4 wide: rejected
+        # before any array is allocated
         start = time.monotonic()
         status, _ = run_cli(tmp_path, spec, "solve")
         assert status == 2 and time.monotonic() - start < 1.0
@@ -402,10 +407,14 @@ def test_every_error_class_has_an_exit_status(tmp_path, monkeypatch):
 REPO = Path(__file__).resolve().parent.parent
 
 
-def test_box_solve_loads_no_scipy(tmp_path):
+@pytest.mark.parametrize("mode, spec", [
+    pytest.param("solve", "bench/specs/box-n2-p1-r9.spec", id="box"),
+    # this spec makes Newton corrections, so it runs the radial band solve
+    pytest.param("radial-solve", "specs/radial-n3-p2-march.spec", id="radial"),
+])
+def test_box_solve_loads_no_scipy(tmp_path, mode, spec):
     # a fresh interpreter: the suite itself has SciPy loaded already
-    spec = REPO / "bench" / "specs" / "box-n2-p1-r9.spec"
-    argv = ["--mode", "solve", "--spec", str(spec), "--out", str(tmp_path), "--no-csv"]
+    argv = ["--mode", mode, "--spec", str(REPO / spec), "--out", str(tmp_path), "--no-csv"]
     code = (
         "import sys\n"
         "from garding.cli import main\n"

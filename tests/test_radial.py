@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from garding.analytic import norm_squared, radial_power
 from garding.errors import NotAdmissible, ValidationError
@@ -7,11 +9,14 @@ from garding.grid import BoxGrid, ScalarField, complex_hessian
 from garding.operator import OperatorParams, product_batch
 from garding.problems import manufactured_box, manufactured_radial
 from garding.radial import (
+    MIN_POINTS,
     RadialGrid,
     eigenvalue_rows,
     profile_derivatives,
     radial_eigenvalues,
+    radial_linearized,
     radial_trace_equation_solution,
+    solve_radial_linear,
 )
 
 from support import RadialOnBox, node_coords, re_z1_squared
@@ -75,6 +80,47 @@ class TestProfileDerivatives:
             RadialGrid(0.0, 101)
         with pytest.raises(ValidationError):
             RadialGrid(1.0, 5)
+
+
+class TestBandSolve:
+    """The pivoted band elimination against SuperLU on the same collocated matrix."""
+
+    @staticmethod
+    def reference(trace_f, f_radial, grid):
+        # the collocation rows written out: one-sided at s = 0, central after
+        m, h = grid.points - 1, grid.spacing
+        a1 = trace_f / (2.0 * h)
+        a2 = grid.s[:m] * f_radial / h**2
+        mat = sp.diags([(a2 - a1)[1:], -2.0 * a2, (a1 + a2)[:-1]], [-1, 0, 1], format="lil")
+        mat[0, :3] = a1[0] * np.array([-3.0, 4.0, -1.0])
+        return mat.tocsc()
+
+    @pytest.mark.parametrize("case", ["row-0-pivot", "interior-not-dominant", "min-points"])
+    def test_matches_spsolve(self, case):
+        rng = np.random.default_rng(7)
+        points = MIN_POINTS if case == "min-points" else 41
+        for _ in range(20):
+            grid = RadialGrid(rng.uniform(0.5, 2.0), points)
+            m = points - 1
+            f_radial = rng.uniform(0.5, 2.0, m)
+            trace_f = f_radial * rng.uniform(1.0, 4.0, m)
+            if case == "row-0-pivot":
+                trace_f[0] *= 0.01
+                trace_f[1] = f_radial[1]
+            elif case == "interior-not-dominant":
+                trace_f *= 12.0
+            mat = self.reference(trace_f, f_radial, grid)
+            dense = mat.toarray()
+            if case == "row-0-pivot":
+                assert abs(dense[1, 0]) > abs(dense[0, 0])
+            elif case == "interior-not-dominant":
+                diag = np.abs(np.diag(dense))
+                assert (diag[1:5] < np.abs(dense).sum(axis=1)[1:5] - diag[1:5]).all()
+            rhs = rng.standard_normal(m)
+            x = solve_radial_linear(radial_linearized(trace_f, f_radial, grid), rhs)
+            ref = spla.spsolve(mat, rhs)
+            err = np.linalg.norm(x - ref) / np.linalg.norm(ref)
+            assert err <= 1e-15 * np.linalg.cond(dense)
 
 
 class TestRadialBarrierProfile:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hermitian import complex_hessian_from
+
 
 class Polynomial:
     """Real polynomial in the 2n real coordinates, stored as monomials.
@@ -62,43 +64,23 @@ class Polynomial:
             out += term
         return out
 
+    def derivative(self, axis: int) -> "Polynomial":
+        """Exact partial derivative d/dt_axis; terms constant in t_axis drop out."""
+        terms = {}
+        for expo, c in self.terms.items():
+            if expo[axis]:
+                terms[expo[:axis] + (expo[axis] - 1,) + expo[axis + 1 :]] = c * expo[axis]
+        return Polynomial(self.nvars, terms)
+
     def d2(self, a: int, b: int, points: np.ndarray) -> np.ndarray:
         """Second partial derivative d^2/(dt_a dt_b), evaluated pointwise."""
-        pts = np.asarray(points, dtype=np.float64)
-        out = np.zeros(pts.shape[:-1])
-        for expo, c in self.terms.items():
-            e = list(expo)
-            coeff = c
-            for axis in (a, b):
-                if e[axis] == 0:
-                    coeff = 0.0
-                    break
-                coeff *= e[axis]
-                e[axis] -= 1
-            if coeff == 0.0:
-                continue
-            term = np.full(pts.shape[:-1], coeff)
-            for axis, ee in enumerate(e):
-                if ee:
-                    term = term * pts[..., axis] ** ee
-            out += term
-        return out
+        return self.derivative(a).derivative(b).value(points)
 
     def complex_hessian(self, points: np.ndarray) -> np.ndarray:
         """Exact complex Hessian rows, shape (..., n, n), entry [k, j] = d_j d_kbar."""
-        n = self.nvars // 2
         pts = np.asarray(points, dtype=np.float64)
-        out = np.zeros(pts.shape[:-1] + (n, n), dtype=np.complex128)
-        for j in range(n):
-            xj, yj = 2 * j, 2 * j + 1
-            out[..., j, j] = (self.d2(xj, xj, pts) + self.d2(yj, yj, pts)) / 4.0
-            for k in range(j + 1, n):
-                xk, yk = 2 * k, 2 * k + 1
-                re = (self.d2(xj, xk, pts) + self.d2(yj, yk, pts)) / 4.0
-                im = (self.d2(xj, yk, pts) - self.d2(yj, xk, pts)) / 4.0
-                out[..., k, j] = re + 1j * im
-                out[..., j, k] = re - 1j * im
-        return out
+        return complex_hessian_from(lambda a, b: self.d2(a, b, pts), self.nvars // 2,
+                                    pts.shape[:-1])
 
 
 def norm_squared(n: int, coeff: float = 1.0) -> Polynomial:

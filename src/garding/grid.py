@@ -14,12 +14,12 @@ the diagonal is exactly real.  Consistency is O(h^2) for C^4 functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundaryNode, ValidationError
-from .hermitian import HermitianMatrix
+from .hermitian import HermitianMatrix, complex_hessian_from
 
 MIN_RESOLUTION = 9
 
@@ -91,18 +91,11 @@ class BoxGrid:
         return np.stack(grids, axis=-1)
 
     def interior_points(self) -> np.ndarray:
-        sl = (slice(1, -1),) * self.ndim_real
-        return self.points()[sl]
+        return self.points()[(slice(1, -1),) * self.ndim_real]
 
     def boundary_mask(self) -> np.ndarray:
-        mask = np.zeros(self.shape, dtype=bool)
-        for a in range(self.ndim_real):
-            sl_lo = [slice(None)] * self.ndim_real
-            sl_lo[a] = 0
-            mask[tuple(sl_lo)] = True
-            sl_hi = [slice(None)] * self.ndim_real
-            sl_hi[a] = self.resolution - 1
-            mask[tuple(sl_hi)] = True
+        mask = np.ones(self.shape, dtype=bool)
+        mask[(slice(1, -1),) * self.ndim_real] = False
         return mask
 
     def face_distances(self) -> tuple:
@@ -139,8 +132,7 @@ class ScalarField:
         return ScalarField(self.grid, self.values.copy())
 
     def interior(self) -> np.ndarray:
-        sl = (slice(1, -1),) * self.grid.ndim_real
-        return self.values[sl]
+        return self.values[(slice(1, -1),) * self.grid.ndim_real]
 
 
 @dataclass
@@ -175,29 +167,25 @@ def least(values: np.ndarray, node_of_flat) -> tuple:
     return float(flat[k]), node_of_flat(k)
 
 
-def _interior_slices(ndim: int, offsets: dict) -> tuple:
-    slices = []
-    for a in range(ndim):
-        o = offsets.get(a, 0)
-        stop = -1 + o
-        slices.append(slice(1 + o, stop if stop != 0 else None))
-    return tuple(slices)
+def interior_slices(ndim: int, steps: dict, axes=None) -> tuple:
+    """Full-grid slices: the interior along ``axes`` (every axis when None),
+    moved by {axis: +-1}, and the whole range along the other axes."""
+    return tuple(slice(1 + steps.get(a, 0), steps.get(a, 0) - 1 or None)
+                 if axes is None or a in axes else slice(None) for a in range(ndim))
 
 
 def second_difference(values: np.ndarray, axis_a: int, axis_b: int, spacing) -> np.ndarray:
     """Discrete d^2/(dt_a dt_b) over the interior block of a full-grid array."""
-    ndim = values.ndim
-    ha = spacing[axis_a]
-    hb = spacing[axis_b]
+    ndim, ha, hb = values.ndim, spacing[axis_a], spacing[axis_b]
     if axis_a == axis_b:
-        up = values[_interior_slices(ndim, {axis_a: +1})]
-        mid = values[_interior_slices(ndim, {})]
-        dn = values[_interior_slices(ndim, {axis_a: -1})]
+        up = values[interior_slices(ndim, {axis_a: +1})]
+        mid = values[interior_slices(ndim, {})]
+        dn = values[interior_slices(ndim, {axis_a: -1})]
         return (up - 2.0 * mid + dn) / (ha * ha)
-    pp = values[_interior_slices(ndim, {axis_a: +1, axis_b: +1})]
-    pm = values[_interior_slices(ndim, {axis_a: +1, axis_b: -1})]
-    mp = values[_interior_slices(ndim, {axis_a: -1, axis_b: +1})]
-    mm = values[_interior_slices(ndim, {axis_a: -1, axis_b: -1})]
+    pp = values[interior_slices(ndim, {axis_a: +1, axis_b: +1})]
+    pm = values[interior_slices(ndim, {axis_a: +1, axis_b: -1})]
+    mp = values[interior_slices(ndim, {axis_a: -1, axis_b: +1})]
+    mm = values[interior_slices(ndim, {axis_a: -1, axis_b: -1})]
     return (pp - pm - mp + mm) / (4.0 * ha * hb)
 
 
@@ -207,26 +195,8 @@ def _hessian_block(values: np.ndarray, n: int, spacing) -> np.ndarray:
     The one Hessian stencil: ``values`` is the full grid or the 3^2n block
     around a node, and the result has the block's interior shape + (n, n).
     """
-    out = np.zeros(tuple(s - 2 for s in values.shape) + (n, n), dtype=np.complex128)
-    for j in range(n):
-        xj, yj = 2 * j, 2 * j + 1
-        out[..., j, j] = (
-            second_difference(values, xj, xj, spacing)
-            + second_difference(values, yj, yj, spacing)
-        ) / 4.0
-        for k in range(j + 1, n):
-            xk, yk = 2 * k, 2 * k + 1
-            re = (
-                second_difference(values, xj, xk, spacing)
-                + second_difference(values, yj, yk, spacing)
-            ) / 4.0
-            im = (
-                second_difference(values, xj, yk, spacing)
-                - second_difference(values, yj, xk, spacing)
-            ) / 4.0
-            out[..., k, j] = re + 1j * im
-            out[..., j, k] = re - 1j * im
-    return out
+    return complex_hessian_from(lambda a, b: second_difference(values, a, b, spacing), n,
+                                tuple(s - 2 for s in values.shape))
 
 
 def complex_hessian_field(u: ScalarField) -> MatrixField:
@@ -260,36 +230,23 @@ def assemble_g(chi, u: ScalarField) -> MatrixField:
     return hess
 
 
+def first_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """d/dt_axis at every node: central differences inside, second-order
+    one-sided at the first and last node; all are exact on quadratics."""
+    v = np.moveaxis(values, axis, 0)
+    d = np.empty_like(v)
+    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+    d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    return np.moveaxis(d, 0, axis)
+
+
 def gradient_sq_max(u: ScalarField) -> float:
-    """Max over all nodes of |grad u|^2.
-
-    Central differences inside, second-order one-sided at the two boundary
-    slabs of each axis; both are exact on quadratics, so the sup is
-    resolution independent for quadratic fields.
-    """
-    grid = u.grid
-    h = grid.spacing
-    total = np.zeros(grid.shape)
-    v = u.values
-    for a in range(grid.ndim_real):
-        d = np.empty_like(v)
-        mid = [slice(None)] * grid.ndim_real
-        up = [slice(None)] * grid.ndim_real
-        dn = [slice(None)] * grid.ndim_real
-        mid[a], up[a], dn[a] = slice(1, -1), slice(2, None), slice(0, -2)
-        d[tuple(mid)] = (v[tuple(up)] - v[tuple(dn)]) / (2.0 * h[a])
-
-        def take(idx):
-            sl = [slice(None)] * grid.ndim_real
-            sl[a] = idx
-            return v[tuple(sl)]
-
-        lo = [slice(None)] * grid.ndim_real
-        lo[a] = 0
-        d[tuple(lo)] = (-3.0 * take(0) + 4.0 * take(1) - take(2)) / (2.0 * h[a])
-        hi = [slice(None)] * grid.ndim_real
-        hi[a] = grid.resolution - 1
-        d[tuple(hi)] = (3.0 * take(-1) - 4.0 * take(-2) + take(-3)) / (2.0 * h[a])
+    """Max over all nodes of |grad u|^2 by ``first_difference`` along each axis;
+    exact on quadratics, so resolution independent for quadratic fields."""
+    total = np.zeros(u.grid.shape)
+    for a, h in enumerate(u.grid.spacing):
+        d = first_difference(u.values, a, h)
         total += d * d
     return float(total.max())
 

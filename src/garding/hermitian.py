@@ -78,6 +78,26 @@ class Spectrum:
         return len(self.values)
 
 
+def complex_hessian_from(d2, n: int, shape: tuple) -> np.ndarray:
+    """Complex Hessian rows, shape + (n, n), from real second derivatives.
+
+    ``d2(a, b)`` gives d^2/(dt_a dt_b) over ``shape``, with real axes ordered
+    x_1, y_1, x_2, y_2, ...; entry [k, j] = d^2/dz^j dzbar^k is
+    1/4 [(u_{x^j x^k} + u_{y^j y^k}) + i (u_{x^j y^k} - u_{y^j x^k})].
+    """
+    out = np.zeros(shape + (n, n), dtype=np.complex128)
+    for j in range(n):
+        xj, yj = 2 * j, 2 * j + 1
+        out[..., j, j] = (d2(xj, xj) + d2(yj, yj)) / 4.0
+        for k in range(j + 1, n):
+            xk, yk = 2 * k, 2 * k + 1
+            re = (d2(xj, xk) + d2(yj, yk)) / 4.0
+            im = (d2(xj, yk) - d2(yj, xk)) / 4.0
+            out[..., k, j] = re + 1j * im
+            out[..., j, k] = re - 1j * im
+    return out
+
+
 def herm_eigen(a: HermitianMatrix) -> Spectrum:
     """Eigenvalues of a Hermitian matrix, ascending, with multiplicity."""
     return Spectrum(eigvals_batch(a.entries[None])[0])

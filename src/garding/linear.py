@@ -45,7 +45,7 @@ import numpy as np
 
 # complex_hessian_field is unused here, but bench/child.py resolves it to trace it
 from .errors import IndefiniteCoefficients, LinearSolveStalled
-from .grid import BoxGrid, MatrixField, ScalarField, complex_hessian_field, least
+from .grid import BoxGrid, MatrixField, ScalarField, complex_hessian_field, interior_slices, least
 from .hermitian import eigvals_batch
 
 STALL_WINDOW = 50  # iterations without meaningful progress before declaring a stall
@@ -107,17 +107,12 @@ class StencilOperator:
         self.grid, self.center, self.axis, self.cross = grid, center, axis, cross
         self.shape = (math.prod(grid.interior_shape),) * 2
         self.nnz = sum(np.size(w) for w in [center, *self.axis, *cross.values()])
-        every = range(grid.ndim_real)
-
-        def moved(axes, steps: dict) -> tuple:
-            """Full-grid slices: the interior along ``axes``, moved by {axis: +-1}."""
-            return tuple(slice(1 + steps.get(a, 0), steps.get(a, 0) - 1 or None) if a in axes
-                         else slice(None) for a in every)
-
-        self._inner = moved(every, {})
+        ndim, every = grid.ndim_real, range(grid.ndim_real)
+        self._inner = interior_slices(ndim, {})
         self._pad = np.zeros(grid.shape)  # its boundary stays zero
         self._buf = np.empty(grid.interior_shape)
-        self._axis_moves = [(moved(every, {a: 1}), moved(every, {a: -1})) for a in every]
+        self._axis_moves = [(interior_slices(ndim, {a: 1}), interior_slices(ndim, {a: -1}))
+                            for a in every]
         # the pairs (a, b) sharing b share one difference along b, taken over
         # the interior of the other axes and the whole range of each paired a
         groups: dict = {}  # {b: {a: weight}}
@@ -127,8 +122,10 @@ class StencilOperator:
         for b, whole in groups.items():
             rest = [a for a in every if a not in whole]
             shape = tuple(grid.resolution if a in whole else grid.resolution - 2 for a in every)
-            pairs = [(w, moved(whole, {a: 1}), moved(whole, {a: -1})) for a, w in whole.items()]
-            self._cross_moves.append((shape, moved(rest, {b: 1}), moved(rest, {b: -1}), pairs))
+            pairs = [(w, interior_slices(ndim, {a: 1}, whole),
+                      interior_slices(ndim, {a: -1}, whole)) for a, w in whole.items()]
+            self._cross_moves.append((shape, interior_slices(ndim, {b: 1}, rest),
+                                      interior_slices(ndim, {b: -1}, rest), pairs))
         self._diff = np.empty(max((math.prod(move[0]) for move in self._cross_moves), default=0))
 
     def apply(self, values: np.ndarray) -> np.ndarray:

@@ -33,6 +33,13 @@ def _admissible_margins(vals: np.ndarray, p: int, what: str, node_of_flat, place
     return margins
 
 
+def _finite(name: str, values: np.ndarray) -> np.ndarray:
+    """``values``; ValidationError naming them if an entry is inf or NaN."""
+    if not np.isfinite(values).all():
+        raise ValidationError(name, "not finite everywhere: an input overflows a double")
+    return values
+
+
 @dataclass
 class BoxProblem:
     grid: BoxGrid
@@ -94,6 +101,7 @@ def _apply_psi_modifiers(psi: np.ndarray, scale: float, bump_node, bump_factor: 
     return psi
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow raises ValidationError below
 def manufactured_box(
     u_star,
     chi: np.ndarray,
@@ -111,7 +119,8 @@ def manufactured_box(
 
     ``u_star`` (and the optional distinct ``subsolution``) must expose
     ``value(points)`` and ``complex_hessian(points)``.  Raises NotAdmissible
-    with a witness node if the subsolution exits the cone anywhere.
+    with a witness node if the subsolution exits the cone anywhere, and
+    ValidationError if a built array is not finite.
     """
     if grid.n != params.n:
         raise ValidationError("n", f"grid dimension {grid.n} != operator dimension {params.n}")
@@ -121,22 +130,23 @@ def manufactured_box(
 
     omega_entries = None if omega is None else np.asarray(omega, dtype=np.complex128)
 
-    def values_and_eigenvalues(fn):
+    def values_and_eigenvalues(fn, what):
+        values = _finite(f"{what} values", fn.value(pts_all))
         reduced, _ = congruence_reduce_batch(chi + fn.complex_hessian(pts_int), omega_entries)
-        return fn.value(pts_all), eigvals_batch(reduced)
+        return values, eigvals_batch(_finite(f"{what} chi + complex Hessian", reduced))
 
-    target_vals, vals_t = values_and_eigenvalues(u_star)
+    target_vals, vals_t = values_and_eigenvalues(u_star, "target")
     # without a distinct subsolution the target is one, and its arrays serve
     sub_vals, vals_s = target_vals, vals_t
     if subsolution is not None:
-        sub_vals, vals_s = values_and_eigenvalues(subsolution)
+        sub_vals, vals_s = values_and_eigenvalues(subsolution, "subsolution")
 
     margins_s = _admissible_margins(vals_s, params.p, "subsolution", grid.node_of_flat, "node")
     _admissible_margins(vals_t, params.p, "target", grid.node_of_flat, "node")
 
     psi = product_batch(vals_t, params)
-    sub_m = product_batch(vals_s, params)
-    psi = _apply_psi_modifiers(psi, psi_scale, psi_bump_node, psi_bump_factor, 1)
+    psi = _finite("psi", _apply_psi_modifiers(psi, psi_scale, psi_bump_node, psi_bump_factor, 1))
+    sub_m = _finite("M_p(subsolution)", product_batch(vals_s, params))
 
     box = BoxProblem(
         grid=grid,
@@ -152,6 +162,7 @@ def manufactured_box(
     return ProblemSpec(n=params.n, p=params.p, geometry="box", box=box, label=label)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow raises ValidationError below
 def manufactured_radial(
     profile,
     c: float,
@@ -164,27 +175,27 @@ def manufactured_radial(
     psi_bump_factor: float = 1.0,
     label: str = "",
 ) -> ProblemSpec:
-    """Manufacture a radial problem from an analytic profile u(s)."""
+    """Manufacture a radial problem from an analytic profile u(s), checked as a box one is."""
     s = grid.s
     m = grid.points - 1
 
-    def analytic_rows(prof):
-        u1 = prof.d1(s[:m])
-        u2 = prof.d2(s[:m])
-        return eigenvalue_rows(u1, u2, s, params.n, c)
+    def values_and_rows(prof, what):
+        rows = eigenvalue_rows(prof.d1(s[:m]), prof.d2(s[:m]), s, params.n, c)
+        return (_finite(f"{what} values", prof.value(s)),
+                _finite(f"{what} profile derivatives", rows))
 
-    lam_t = analytic_rows(profile)
-    sub_prof = subsolution_profile if subsolution_profile is not None else profile
-    lam_s = analytic_rows(sub_prof)
+    target_vals, lam_t = values_and_rows(profile, "target")
+    sub_vals, lam_s = target_vals, lam_t
+    if subsolution_profile is not None:
+        sub_vals, lam_s = values_and_rows(subsolution_profile, "subsolution")
 
-    margins_s = _admissible_margins(
-        np.sort(lam_s, axis=-1), params.p, "subsolution", int, "s-index"
-    )
+    margins_s = _admissible_margins(np.sort(lam_s, axis=-1), params.p, "subsolution", int,
+                                    "s-index")
     _admissible_margins(np.sort(lam_t, axis=-1), params.p, "target", int, "s-index")
 
     psi = product_batch(lam_t, params)
-    sub_m = product_batch(lam_s, params)
-    psi = _apply_psi_modifiers(psi, psi_scale, psi_bump_node, psi_bump_factor, 0)
+    psi = _finite("psi", _apply_psi_modifiers(psi, psi_scale, psi_bump_node, psi_bump_factor, 0))
+    sub_m = _finite("M_p(subsolution)", product_batch(lam_s, params))
 
     radial = RadialProblem(
         n=params.n,
@@ -192,11 +203,11 @@ def manufactured_radial(
         grid=grid,
         chi_scalar=float(c),
         psi=psi,
-        boundary_value=float(profile.value(np.array(grid.s_max))),
-        subsolution=sub_prof.value(s),
+        boundary_value=float(target_vals[-1]),
+        subsolution=sub_vals,
         subsolution_margin=margins_s,
         subsolution_M=sub_m,
-        reference=profile.value(s) if reference_is_target else None,
+        reference=target_vals.copy() if reference_is_target else None,
     )
     return ProblemSpec(n=params.n, p=params.p, geometry="radial", radial=radial, label=label)
 

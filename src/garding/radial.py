@@ -5,10 +5,12 @@ u'(s) I + u''(s) (zbar tensor z), whose eigenvalues are u' with multiplicity
 n - 1 (tangential) and u' + s u'' (radial).  With chi = c * identity the
 metric eigenvalues are c + u' and c + u' + s u''.
 
-The profile is collocated on a uniform s-grid over [0, R^2] with central
-differences; at s = 0 the radial eigenvalue degenerates to the tangential
-one (the u'' coefficient vanishes with s), so only u'(0) is needed there and
-a second-order one-sided difference closes the system.
+The profile is collocated on a uniform s-grid over [0, R^2].  u' is the
+box grid's ``first_difference``: central inside and second-order one-sided
+at both ends, so it also gives u'(R^2) to the boundary diagnostics; u'' is
+central.  At s = 0 the radial eigenvalue degenerates to the tangential one
+(the u'' coefficient vanishes with s), so only u'(0) is needed there and the
+one-sided difference closes the system.
 
 The collocated Jacobian is banded: rows 1..m-1 are tridiagonal and row 0
 holds the one-sided entries in columns 0-2.  It is kept as an (m, 4) band and
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .grid import first_difference
 from .hermitian import Spectrum
 
 MIN_POINTS = 9
@@ -65,18 +68,15 @@ def radial_eigenvalues(u1: float, u2: float, s: float, n: int, c: float) -> Spec
 
 
 def profile_derivatives(u: np.ndarray, spacing: float):
-    """Central first/second differences of a profile, one-sided at s = 0.
+    """First (``first_difference``) and central second differences of a profile.
 
     Returns (u1, u2) at the collocation nodes 0..m-1 (the boundary node m is
     not collocated).  u2[0] is set to 0; it is always multiplied by s = 0.
     """
     m = len(u) - 1
-    u1 = np.zeros(m)
     u2 = np.zeros(m)
-    u1[1:] = (u[2 : m + 1] - u[0 : m - 1]) / (2.0 * spacing)
     u2[1:] = (u[2 : m + 1] - 2.0 * u[1:m] + u[0 : m - 1]) / spacing**2
-    u1[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * spacing)
-    return u1, u2
+    return first_difference(u, 0, spacing)[:m], u2
 
 
 def eigenvalue_rows(u1: np.ndarray, u2: np.ndarray, s: np.ndarray, n: int, c: float):
@@ -140,17 +140,9 @@ def radial_trace_equation_solution(c: float, n: int, boundary_value: float,
     return boundary_value + c * (grid.s_max - grid.s)
 
 
-def boundary_slope(u: np.ndarray, spacing: float) -> float:
-    """u'(R^2), by the second-order one-sided difference at the boundary node."""
-    return (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * spacing)
-
-
 def radial_gradient_sq_max(u: np.ndarray, grid: RadialGrid) -> float:
     """Max of |grad u|^2 = 4 s u'(s)^2 over the grid."""
-    u1, _ = profile_derivatives(u, grid.spacing)
-    u1_end = boundary_slope(u, grid.spacing)
-    vals = 4.0 * grid.s[:-1] * u1**2
-    return float(max(vals.max(), 4.0 * grid.s_max * u1_end**2))
+    return float((4.0 * grid.s * first_difference(u, 0, grid.spacing) ** 2).max())
 
 
 def radial_hessian_spectral_radius(u: np.ndarray, grid: RadialGrid):
@@ -158,11 +150,10 @@ def radial_hessian_spectral_radius(u: np.ndarray, grid: RadialGrid):
 
     Returns (interior values array over nodes 0..m-1, boundary value at m).
     """
-    u1, u2 = profile_derivatives(u, grid.spacing)
-    s = grid.s
+    s, ds = grid.s, grid.spacing
+    u1, u2 = profile_derivatives(u, ds)
     interior = np.maximum(np.abs(u1), np.abs(u1 + s[:-1] * u2))
-    ds = grid.spacing
-    u1_end = boundary_slope(u, ds)
+    u1_end = first_difference(u, 0, ds)[-1]
     u2_end = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / ds**2
     boundary = max(abs(u1_end), abs(u1_end + s[-1] * u2_end))
     return interior, float(boundary)

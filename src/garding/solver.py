@@ -51,6 +51,7 @@ from .grid import (
     ScalarField,
     complex_hessian_field,
     face_tangential_trace_min,
+    first_difference,
     gradient_sq_max,
     least,
 )
@@ -59,7 +60,6 @@ from .linear import StencilOperator, assemble_linearized, real_stencil_weights, 
 from .operator import determinant_form_batch, determinant_linearization_batch, ftilde_grad_batch
 from .problems import ProblemSpec, verify_subsolution
 from .radial import (
-    boundary_slope,
     eigenvalue_rows,
     profile_derivatives,
     radial_gradient_sq_max,
@@ -471,7 +471,8 @@ def boundary_trace_check(u, problem: ProblemSpec) -> float:
         return face_tangential_trace_min(field_u, problem.box.chi)
     rad = problem.radial
     uv = u.values if isinstance(u, ScalarField) else np.asarray(u)
-    return float((problem.n - 1) * (rad.chi_scalar + boundary_slope(uv, rad.grid.spacing)))
+    u1_end = first_difference(uv, 0, rad.grid.spacing)[-1]
+    return float((problem.n - 1) * (rad.chi_scalar + u1_end))
 
 
 def barrier_check(
@@ -561,11 +562,8 @@ def _c2_quantities(problem: ProblemSpec, uv: np.ndarray) -> tuple:
         hess = complex_hessian_field(ScalarField(grid, uv))
         radius = np.abs(eigvals_batch(hess.values)).max(axis=-1)
         # boundary stand-in: first interior layer adjacent to a face
-        idx = np.indices(grid.interior_shape)
-        layer = np.zeros(grid.interior_shape, dtype=bool)
-        for a in range(grid.ndim_real):
-            layer |= idx[a] == 0
-            layer |= idx[a] == grid.resolution - 3
+        layer = np.ones(grid.interior_shape, dtype=bool)
+        layer[(slice(1, -1),) * grid.ndim_real] = False
         return K, float(radius.max()), float(radius[layer].max())
     rad = problem.radial
     K = 1.0 + radial_gradient_sq_max(uv, rad.grid)

@@ -339,6 +339,12 @@ class TestValidationFailures:
         assert status == 2
 
     BUMP = BOX_SPEC + "[psi]\nbump_node = 4, 4, 4, 4\nbump_factor = 2\n"
+    # psi = M_p is a product of C(40, 2) = 780 subset sums: inf at 152 of 200 nodes
+    PSI_OVERFLOW = RADIAL_SPEC.replace("n = 3", "n = 40")
+    # 1e308 (x1^2 + y1^2) overflows at the corners, and its Hessian 2e308 everywhere
+    TARGET_OVERFLOW = BOX_SPEC.replace(
+        "builtin = quadratic\ncoeff = 1.0",
+        "builtin = polynomial\nterms = 2\nterm_1 = 1e308, 2, 0, 0, 0\nterm_2 = 1e308, 0, 2, 0, 0")
 
     @pytest.mark.parametrize("spec", [
         pytest.param(BOX_SPEC.replace("resolution = 9", "resolution = nan"), id="resolution-nan"),
@@ -358,11 +364,24 @@ class TestValidationFailures:
         pytest.param(RADIAL_SPEC.replace("format_version = 1", "format_version = 1.9"),
                      id="version-fraction"),
         pytest.param(RADIAL_SPEC + "[sweep]\npoints = 1001.7, 2001\n", id="sweep-fraction"),
+        pytest.param(PSI_OVERFLOW, id="radial-psi-overflow"),
+        pytest.param(TARGET_OVERFLOW, id="box-target-overflow"),
     ])
     def test_out_of_contract_spec_number(self, tmp_path, capsys, spec):
         status, _ = run_cli(tmp_path, spec, "solve")
         assert status == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, array", [
+        pytest.param(PSI_OVERFLOW, "psi", id="radial-psi-overflow"),
+        pytest.param(TARGET_OVERFLOW, "target values", id="box-target-overflow"),
+    ])
+    def test_non_finite_build_fails_verify_subsolution(self, tmp_path, capsys, spec, array):
+        # a NaN deficit psi - M_p(subsolution) is not > tol: it must not reach the check
+        status, _ = run_cli(tmp_path, spec, "verify-subsolution")
+        assert status == 2
+        err = capsys.readouterr().err
+        assert f"validation error: {array}: not finite" in err and "Traceback" not in err
 
     def test_unknown_solver_setting(self, tmp_path):
         spec = RADIAL_SPEC + "[solve]\ndirect_threshold = 100\n"

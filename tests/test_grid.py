@@ -10,8 +10,10 @@ from garding.grid import (
     complex_hessian,
     complex_hessian_field,
     face_tangential_trace_min,
+    first_difference,
     gradient_sq_max,
 )
+from garding.radial import RadialGrid
 
 from support import RadialOnBox, hermitian_defect, node_coords, re_z1_squared
 
@@ -153,6 +155,16 @@ class TestComplexHessian:
         e_fine = max_error(17)  # halves the spacing
         assert 3.5 <= e_coarse / e_fine <= 4.5
 
+    def test_polynomial_derivative_of_mixed_monomials(self):
+        # p = 3 x1^2 y1 x2 - 2 y1^3 + 5 x2 + 7, differentiated by hand
+        p = Polynomial(4, {(2, 1, 1, 0): 3.0, (0, 3, 0, 0): -2.0, (0, 0, 1, 0): 5.0,
+                           (0, 0, 0, 0): 7.0})
+        assert p.derivative(0).terms == {(1, 1, 1, 0): 6.0}
+        assert p.derivative(1).terms == {(2, 0, 1, 0): 3.0, (0, 2, 0, 0): -6.0}
+        assert p.derivative(2).terms == {(2, 1, 0, 0): 3.0, (0, 0, 0, 0): 5.0}
+        assert p.derivative(3).terms == {}
+        assert p.derivative(2).derivative(2).terms == {}
+
     def test_single_node_matches_field(self):
         rng = np.random.default_rng(0)
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
@@ -196,6 +208,26 @@ class TestAssembleG:
 
 
 class TestGradientAndTrace:
+    @pytest.mark.parametrize("axis", [0, 1, 2, 3, None],
+                             ids=["box-x1", "box-y1", "box-x2", "box-y2", "s-grid"])
+    def test_first_difference_is_exact_on_quadratics(self, axis):
+        # central inside and second-order one-sided at both ends: every node
+        # of a random quadratic, unequal spacings on the box
+        rng = np.random.default_rng(5)
+        if axis is None:
+            grid = RadialGrid(1.5, 41)
+            pts, h, axis = grid.s[:, None], grid.spacing, 0
+        else:
+            grid = BoxGrid(2, ((-1, 1), (0, 0.5), (-2, 1), (0.5, 1.5)), 9)
+            pts, h = grid.points(), grid.spacing[axis]
+        dim = pts.shape[-1]
+        sym = rng.standard_normal((dim, dim))
+        sym = sym + sym.T
+        lin = rng.standard_normal(dim)
+        values = rng.standard_normal() + pts @ lin + np.einsum("...i,ij,...j->...", pts, sym, pts)
+        exact = lin[axis] + 2.0 * pts @ sym[axis]
+        assert np.abs(first_difference(values, axis, h) - exact).max() <= 1e-12
+
     def test_gradient_sq_max_quadratic(self):
         # grad |z|^2 = 2 (x, y); stencils exact, sup at the corner nodes
         for res in (9, 13):

@@ -1,5 +1,7 @@
+import importlib.util
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -469,3 +471,23 @@ def test_spla_binding_is_loaded_on_demand():
     assert garding.linear.spla.splu is spla.splu
     with pytest.raises(AttributeError):
         garding.linear.no_such_name
+
+
+def test_bench_tracer_bindings_resolve():
+    # bench/child.py wraps garding bindings by name: a renamed parent crashes
+    # --trace 1 and a renamed leaf silently zeroes a per-layer metric.  The
+    # four leaves below are the known gaps of ROADMAP item 1.
+    path = Path(__file__).resolve().parent.parent / "bench" / "child.py"
+    spec = importlib.util.spec_from_file_location("bench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    unresolved = set()
+    for module, binding, _, _ in child.TRACED:
+        owner = importlib.import_module(module)
+        *parents, leaf = binding.split(".")
+        for part in parents:
+            owner = getattr(owner, part)  # raises when a parent is gone
+        if getattr(owner, leaf, None) is None:
+            unresolved.add(f"{module.removeprefix('garding.')}.{binding}")
+    assert unresolved == {"solver._BoxEvaluator.min_margin", "solver.eigh_batch",
+                          "solver.linearization_batch", "report.solution_node_fields"}

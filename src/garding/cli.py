@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import errors
-from .operator import OperatorParams, structure_check
+from .operator import MAX_TRIAL_ENTRIES, OperatorParams, structure_check
 from .problems import verify_subsolution
 from .report import Report, diagnostics_into, write_solution_csv
 from .solver import SolveConfig, c2_ratio_monitor, continuity_solve
@@ -181,6 +181,9 @@ def _run_verify_subsolution(doc, config: RunConfig) -> int:
 
 def _run_check_operator(doc, config: RunConfig) -> int:
     params = OperatorParams(doc.n, doc.p)
+    if config.trials * (doc.n + params.subset_count) > MAX_TRIAL_ENTRIES:
+        raise errors.ValidationError("trials", f"{config.trials} x ({doc.n} + C({doc.n}, {doc.p})) "
+                                     f"entries exceed the limit of {MAX_TRIAL_ENTRIES}")
     result = structure_check(params, trials=config.trials, seed=config.seed)
     report = _base_report("garding operator structure report", config, doc)
     report.record("trials", config.trials)

@@ -149,12 +149,6 @@ class MatrixField:
             raise ValueError(f"values shape {v.shape} != {expected}")
         self.values = v
 
-    def at(self, node) -> HermitianMatrix:
-        if not self.grid.is_interior(node):
-            raise BoundaryNode(f"node {node} is not interior")
-        idx = tuple(i - 1 for i in node)
-        return HermitianMatrix(self.values[idx])
-
 
 def least(values: np.ndarray, node_of_flat) -> tuple:
     """(least entry of ``values``, the node where it first occurs).

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import MetricNotPositive, NotHermitian
 
 HERMITIAN_RTOL = 1e-14
+METRIC_FLOOR = 1e-12  # least eigenvalue a metric omega must exceed
 MIN_DIM = 2
 MAX_DIM = 6
 # rows per block of the closed-form eigenvalues: a block's temporaries stay
@@ -103,11 +104,11 @@ def herm_eigen(a: HermitianMatrix) -> Spectrum:
     return Spectrum(eigvals_batch(a.entries[None])[0])
 
 
-def _check_positive(omega: HermitianMatrix, floor: float = 1e-12) -> None:
+def _check_positive(omega: HermitianMatrix) -> None:
     least = eigvals_batch(omega.entries[None])[0, 0]
-    if least <= floor:
+    if least <= METRIC_FLOOR:
         raise MetricNotPositive(
-            f"metric eigenvalue {least:.3e} not above positivity floor {floor:.1e}"
+            f"metric eigenvalue {least:.3e} not above positivity floor {METRIC_FLOOR:.1e}"
         )
 
 

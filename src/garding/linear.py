@@ -49,6 +49,7 @@ from .grid import BoxGrid, MatrixField, ScalarField, complex_hessian_field, inte
 from .hermitian import eigvals_batch
 
 STALL_WINDOW = 50  # iterations without meaningful progress before declaring a stall
+MAX_LINEAR_ITERS = 20000  # BiCGStab iteration cap of every solve
 IMAG_CANCEL_TOL = 1e-12
 
 
@@ -173,11 +174,15 @@ class SparseSystem:
     grid: BoxGrid
     matrix: StencilOperator
     rhs: np.ndarray
-    mmatrix_violations: int = 0
 
     @property
     def unknowns(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def mmatrix_violations(self) -> int:
+        """The operator's M-matrix audit, counted when it is read."""
+        return self.matrix.mmatrix_violations()
 
 
 def assemble_linearized(coeffs: MatrixField | np.ndarray, rhs: ScalarField | np.ndarray,
@@ -187,8 +192,8 @@ def assemble_linearized(coeffs: MatrixField | np.ndarray, rhs: ScalarField | np.
     ``coeffs`` holds the Hermitian coefficient matrices per interior node,
     or one constant (n, n) matrix; ``rhs`` the right-hand side at interior
     nodes (a ScalarField's interior is used when a full field is passed).
-    Rows where off-diagonal couplings overwhelm the diagonal are counted in
-    ``mmatrix_violations``.
+    Rows where off-diagonal couplings overwhelm the diagonal are counted by
+    ``mmatrix_violations`` when it is read.
     """
     cvals = coeffs.values if isinstance(coeffs, MatrixField) else np.asarray(coeffs, np.complex128)
     try:
@@ -201,8 +206,7 @@ def assemble_linearized(coeffs: MatrixField | np.ndarray, rhs: ScalarField | np.
     rhs_vec = rhs.interior().reshape(-1) if isinstance(rhs, ScalarField) else np.asarray(rhs).reshape(-1)
     if rhs_vec.shape != (op.shape[0],):
         raise ValueError(f"rhs has {rhs_vec.shape} entries, expected {op.shape[0]}")
-    return SparseSystem(grid=grid, matrix=op, rhs=rhs_vec.copy(),
-                        mmatrix_violations=op.mmatrix_violations())
+    return SparseSystem(grid=grid, matrix=op, rhs=rhs_vec.copy())
 
 
 def bicgstab(matrix, rhs, tol, max_iter, precond=None):
@@ -302,7 +306,7 @@ def mean_stencil_inverse(op: StencilOperator):
     return lambda vec: sine_all_axes(inv_lam * sine_all_axes(vec))
 
 
-def solve_sparse(system: SparseSystem, tol: float = 1e-10, max_iter: int = 20000) -> ScalarField:
+def solve_sparse(system: SparseSystem, tol: float = 1e-10) -> ScalarField:
     """Solve the interior system; returns the correction as a ScalarField.
 
     BiCGStab preconditioned by ``mean_stencil_inverse``, with the true
@@ -312,7 +316,7 @@ def solve_sparse(system: SparseSystem, tol: float = 1e-10, max_iter: int = 20000
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     x = bicgstab(
-        system.matrix, system.rhs, tol=tol, max_iter=max_iter,
+        system.matrix, system.rhs, tol=tol, max_iter=MAX_LINEAR_ITERS,
         precond=mean_stencil_inverse(system.matrix),
     )
     # the recurrence residual can drift from the true one; verify
@@ -327,8 +331,7 @@ def solve_sparse(system: SparseSystem, tol: float = 1e-10, max_iter: int = 20000
     return ScalarField(grid, full)
 
 
-def upper_barrier(chi, omega, phi: ScalarField, grid: BoxGrid,
-                  tol: float = 1e-12) -> ScalarField:
+def upper_barrier(chi, omega, phi: ScalarField, grid: BoxGrid) -> ScalarField:
     """Solve tr_omega(chi + complex Hessian of v) = 0 with v = phi on the boundary.
 
     ``chi`` and ``omega`` are constant Hermitian matrices ((n, n) arrays or
@@ -349,4 +352,4 @@ def upper_barrier(chi, omega, phi: ScalarField, grid: BoxGrid,
     # the boundary and 0 inside
     phi_ext = np.where(grid.boundary_mask(), phi.values, 0.0)
     system.rhs -= system.matrix.apply(phi_ext).reshape(-1)
-    return ScalarField(grid, solve_sparse(system, tol=tol).values + phi_ext)
+    return ScalarField(grid, solve_sparse(system, tol=1e-12).values + phi_ext)

@@ -75,7 +75,6 @@ class ProblemSpec:
     box: BoxProblem | None = None
     radial: RadialProblem | None = None
     document: object | None = None  # parsed spec text, when applicable
-    label: str = ""
     params: OperatorParams = field(init=False)
 
     def __post_init__(self):
@@ -109,11 +108,9 @@ def manufactured_box(
     grid: BoxGrid,
     omega: np.ndarray | None = None,
     subsolution=None,
-    reference_is_target: bool = True,
     psi_scale: float = 1.0,
     psi_bump_node=None,
     psi_bump_factor: float = 1.0,
-    label: str = "",
 ) -> ProblemSpec:
     """Manufacture a box problem from an analytic target.
 
@@ -126,7 +123,7 @@ def manufactured_box(
         raise ValidationError("n", f"grid dimension {grid.n} != operator dimension {params.n}")
     chi = np.asarray(chi, dtype=np.complex128)
     pts_all = grid.points()
-    pts_int = grid.interior_points()
+    pts_int = pts_all[(slice(1, -1),) * grid.ndim_real]
 
     omega_entries = None if omega is None else np.asarray(omega, dtype=np.complex128)
 
@@ -157,9 +154,9 @@ def manufactured_box(
         subsolution=sub_vals,
         subsolution_margin=margins_s,
         subsolution_M=sub_m,
-        reference=target_vals.copy() if reference_is_target else None,
+        reference=target_vals.copy(),
     )
-    return ProblemSpec(n=params.n, p=params.p, geometry="box", box=box, label=label)
+    return ProblemSpec(n=params.n, p=params.p, geometry="box", box=box)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow raises ValidationError below
@@ -169,11 +166,9 @@ def manufactured_radial(
     params: OperatorParams,
     grid: RadialGrid,
     subsolution_profile=None,
-    reference_is_target: bool = True,
     psi_scale: float = 1.0,
     psi_bump_node=None,
     psi_bump_factor: float = 1.0,
-    label: str = "",
 ) -> ProblemSpec:
     """Manufacture a radial problem from an analytic profile u(s), checked as a box one is."""
     s = grid.s
@@ -207,9 +202,9 @@ def manufactured_radial(
         subsolution=sub_vals,
         subsolution_margin=margins_s,
         subsolution_M=sub_m,
-        reference=target_vals.copy() if reference_is_target else None,
+        reference=target_vals.copy(),
     )
-    return ProblemSpec(n=params.n, p=params.p, geometry="radial", radial=radial, label=label)
+    return ProblemSpec(n=params.n, p=params.p, geometry="radial", radial=radial)
 
 
 def verify_subsolution(problem: ProblemSpec) -> None:

@@ -56,28 +56,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def diagnostics_into(report: Report, diag: SolveDiagnostics, prefix: str = "") -> None:
-    p = prefix
-    report.record(p + "K", diag.K)
-    report.record(p + "F_trace_min", diag.F_trace)
-    report.record(p + "sandwich_violation", diag.sandwich_violation)
-    report.record(p + "c0_boundary", diag.c0_boundary)
-    report.record(p + "c2_ratio", diag.c2_ratio)
-    report.record(p + "sup_hessian", diag.sup_hessian)
-    report.record(p + "boundary_sup_hessian", diag.boundary_sup_hessian)
-    report.record(p + "amgm_min_slack", diag.amgm_min_slack)
-    report.record(p + "final_residual", diag.final_residual)
-    report.record(p + "anchor_residual", diag.anchor_residual)
-    report.record(p + "homotopy_steps", len(diag.states))
-    report.record(p + "newton_iters_total", sum(s.newton_iters for s in diag.states))
-    report.record(p + "min_margin_final", diag.states[-1].min_margin)
+def diagnostics_into(report: Report, diag: SolveDiagnostics) -> None:
+    report.record("K", diag.K)
+    report.record("F_trace_min", diag.F_trace)
+    report.record("sandwich_violation", diag.sandwich_violation)
+    report.record("c0_boundary", diag.c0_boundary)
+    report.record("c2_ratio", diag.c2_ratio)
+    report.record("sup_hessian", diag.sup_hessian)
+    report.record("boundary_sup_hessian", diag.boundary_sup_hessian)
+    report.record("amgm_min_slack", diag.amgm_min_slack)
+    report.record("final_residual", diag.final_residual)
+    report.record("anchor_residual", diag.anchor_residual)
+    report.record("homotopy_steps", len(diag.states))
+    report.record("newton_iters_total", sum(s.newton_iters for s in diag.states))
+    report.record("min_margin_final", diag.states[-1].min_margin)
     if diag.barrier_report is not None:
         b = diag.barrier_report
-        report.record(p + "barrier_min_v", b.min_v)
-        report.record(p + "barrier_epsilon", b.epsilon)
-        report.record(p + "barrier_collar_nodes", b.collar_nodes)
-        report.record(p + "barrier_smooth_nodes", b.smooth_nodes)
-        report.record(p + "barrier_degenerate", b.degenerate_collar)
+        report.record("barrier_min_v", b.min_v)
+        report.record("barrier_epsilon", b.epsilon)
+        report.record("barrier_collar_nodes", b.collar_nodes)
+        report.record("barrier_smooth_nodes", b.smooth_nodes)
+        report.record("barrier_degenerate", b.degenerate_collar)
     report.line(f"t reached 1 in {len(diag.states)} accepted states; "
                 f"final residual {diag.final_residual:.3e}")
     report.line(f"sandwich violation {diag.sandwich_violation:.3e}; "

@@ -33,7 +33,7 @@ state's analysis; diagnostics never feed back into the solve.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,16 +145,12 @@ class HomotopyState:
 
 @dataclass
 class BarrierReport:
-    tau: float
-    N: float
-    delta: float
     collar_nodes: int
     smooth_nodes: int  # collar nodes whose stencil sees a single realizing face
     min_v: float
     min_v_node: tuple | None
-    max_lv_ratio: float  # max over smooth collar nodes of L v / (1 + trace_F)
-    max_lv_node: tuple | None
-    epsilon: float  # -max_lv_ratio; positive when the barrier inequality holds
+    max_lv_node: tuple | None  # where L v / (1 + trace_F) peaks over smooth collar nodes
+    epsilon: float  # -(that peak); positive when the barrier inequality holds
     degenerate_collar: bool
 
 
@@ -172,7 +168,6 @@ class SolveDiagnostics:
     anchor_residual: float
     barrier_report: BarrierReport | None
     states: list = field(default_factory=list)
-    upper_solution: np.ndarray | None = None
     # per interior node at t = 1, for the CSV: cone margin, ftilde - psi_tilde
     node_margins: np.ndarray | None = None
     node_residual: np.ndarray | None = None
@@ -368,7 +363,8 @@ def _newton_loop(ev, t: float, u_init: np.ndarray, tol: float, config: SolveConf
             alpha *= 0.5
             if alpha < config.alpha_min:
                 raise ConeEscape(
-                    f"no damping factor >= 2^-20 keeps admissibility near node {trial.min_node}",
+                    f"no damping factor >= {config.alpha_min:g} keeps admissibility "
+                    f"near node {trial.min_node}",
                     node=trial.min_node,
                 )
         u, state = candidate, trial
@@ -516,8 +512,7 @@ def _barrier_report(uv, ul_u, problem: ProblemSpec, state: _Analysis, tau, N, de
     collar = (d > 0.0) & (d < delta)
     count = int(collar.sum())
     if count == 0:
-        return BarrierReport(tau, N, float(delta), 0, 0, np.nan, None, np.nan, None,
-                             np.nan, True)
+        return BarrierReport(0, 0, np.nan, None, None, np.nan, True)
 
     vmin_idx = np.unravel_index(int(np.argmin(np.where(collar, v, np.inf))), grid.shape)
     min_v = float(v[vmin_idx])
@@ -530,26 +525,20 @@ def _barrier_report(uv, ul_u, problem: ProblemSpec, state: _Analysis, tau, N, de
     collar_smooth = (collar & smooth)[interior_sl]
     smooth_count = int(collar_smooth.sum())
     if smooth_count == 0:
-        return BarrierReport(tau, N, float(delta), count, 0, min_v,
-                             tuple(int(i) for i in vmin_idx), np.nan, None, np.nan,
+        return BarrierReport(count, 0, min_v, tuple(int(i) for i in vmin_idx), None, np.nan,
                              degenerate)
 
     lv_field = StencilOperator(grid, *real_stencil_weights(state.coeffs, grid.spacing)).apply(v)
     ratio = lv_field / (1.0 + state.trace_f)
     masked = np.where(collar_smooth, ratio, -np.inf).reshape(-1)
     max_flat = int(np.argmax(masked))
-    max_ratio = float(masked[max_flat])
     return BarrierReport(
-        tau=tau,
-        N=N,
-        delta=float(delta),
         collar_nodes=count,
         smooth_nodes=smooth_count,
         min_v=min_v,
         min_v_node=tuple(int(i) for i in vmin_idx),
-        max_lv_ratio=max_ratio,
         max_lv_node=grid.node_of_flat(max_flat),
-        epsilon=-max_ratio,
+        epsilon=-float(masked[max_flat]),
         degenerate_collar=degenerate,
     )
 
@@ -607,8 +596,7 @@ def _diagnostics(problem, ev, final: _Analysis, states, anchor_residual, config)
         final_residual=states[-1].residual_norm,
         anchor_residual=float(anchor_residual),
         barrier_report=barrier,
-        states=[replace(s, residual_history=()) for s in states],
-        upper_solution=upper_vals,
+        states=states,
         node_margins=final.margins,
         node_residual=final.ft - ev.psi_tilde,
     )

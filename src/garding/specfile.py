@@ -439,7 +439,6 @@ def build_problem(doc: SpecDocument) -> ProblemSpec:
             psi_scale=doc.psi_scale,
             psi_bump_node=doc.psi_bump_node,
             psi_bump_factor=doc.psi_bump_factor,
-            label=doc.label,
         )
     else:
         grid = RadialGrid(doc.radius, doc.points)
@@ -451,7 +450,6 @@ def build_problem(doc: SpecDocument) -> ProblemSpec:
             psi_scale=doc.psi_scale,
             psi_bump_node=None if doc.psi_bump_node is None else doc.psi_bump_node[0],
             psi_bump_factor=doc.psi_bump_factor,
-            label=doc.label,
         )
     problem.document = doc
     return problem

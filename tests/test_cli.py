@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import garding.report
 from garding import cli, errors
 from garding.cli import main
+from garding.operator import MAX_TRIAL_ENTRIES
 from garding.report import write_solution_csv
 from garding.solver import continuity_solve
 from garding.specfile import build_problem, parse_document
@@ -332,6 +333,17 @@ class TestValidationFailures:
         config = cli.RunConfig(mode="solve", spec_path=spec, out_dir=tmp_path / "out")
         sc = cli._solve_config(parse_document(spec.read_text()), config)
         assert (sc.barrier_N, sc.barrier_tau) == (60.0, 0.1)
+
+    def test_trials_past_the_entry_cap(self, tmp_path, monkeypatch, capsys):
+        # 3 + C(3, 2) = 6 entries per trial; the cap must act before any array
+        def allocate(*args, **kwargs):
+            raise AssertionError("structure_check ran past the trial cap")
+
+        monkeypatch.setattr(cli, "structure_check", allocate)
+        trials = MAX_TRIAL_ENTRIES // 6 + 1
+        status, _ = run_cli(tmp_path, RADIAL_SPEC, "check-operator", extra=["--trials", str(trials)])
+        assert status == 2
+        assert "validation error: trials:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [["--trials", "0"], ["--seed", "-1", "--trials", "10"]])
     def test_out_of_range_run_setting(self, tmp_path, extra):

@@ -278,6 +278,18 @@ class TestAssembly:
         with pytest.raises(IndefiniteCoefficients, match=re.escape(str(node))):
             assemble_linearized(coeffs, np.zeros(grid.interior_shape), grid)
 
+    def test_mmatrix_audit_runs_when_read(self, monkeypatch):
+        calls = []
+        audit = StencilOperator.mmatrix_violations
+        monkeypatch.setattr(StencilOperator, "mmatrix_violations",
+                            lambda op: calls.append(op) or audit(op))
+        grid = BoxGrid(2, ((-1, 1),) * 4, 9)
+        strong = constant_coefficient_field(grid, np.array([[1.0, 0.9], [0.9, 1.0]], dtype=complex))
+        system = assemble_linearized(strong, np.zeros(grid.interior_shape), grid)
+        assert calls == []
+        assert system.mmatrix_violations > 0
+        assert calls == [system.matrix]
+
     def test_mmatrix_violation_counter(self):
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
         mild = constant_coefficient_field(grid, np.eye(2, dtype=complex))

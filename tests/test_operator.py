@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import garding.operator as operator
 from garding.errors import NotArrowForm, OutsideCone
 from garding.hermitian import (
     HermitianMatrix,
@@ -425,6 +426,21 @@ class TestStructureCheck:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             structure_check(P32, trials=0, seed=0)
+
+    @pytest.mark.parametrize("n, p", [(8, 4), (10, 5), (12, 6)])
+    def test_boundary_tail_with_many_subsets(self, n, p):
+        # the tail ratio 2^(-10 / C(n, p)) is above 0.95 once C(n, p) > 135
+        report = structure_check(OperatorParams(n, p), trials=40, seed=3)
+        assert report.ok, report.violations[:2]
+
+    @pytest.mark.parametrize("n, p", [(3, 2), (10, 5)])
+    def test_non_vanishing_operator_fails_the_tail(self, monkeypatch, n, p):
+        # ftilde + 1 does not vanish at the boundary, whatever C(n, p) is
+        ftilde = operator.ftilde_batch
+        monkeypatch.setattr(operator, "ftilde_batch", lambda lams, params: ftilde(lams, params) + 1)
+        report = structure_check(OperatorParams(n, p), trials=32, seed=3)
+        assert report.checks["f1_boundary_rays"] == 32
+        assert sum(v.prop == "f1_boundary" for v in report.violations) == 32
 
 
 class TestGuanInequalityMonitor:

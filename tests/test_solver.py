@@ -368,6 +368,28 @@ class TestOneAnalysisPerState:
             assert state.residual_norm == float(np.abs(fresh.ft - target).max())
 
 
+class TestNoDiscardedWork:
+    def test_box_build_makes_the_points_once(self, monkeypatch):
+        counts = {}
+        count_calls(monkeypatch, BoxGrid, "points", counts)
+        box_problem(res=9)
+        assert counts == {"points": 1}
+
+    def test_states_keep_their_residual_history(self):
+        _, diag = continuity_solve(box_problem(res=9, psi_scale=0.85))
+        assert diag.states[0].residual_history[0] == diag.anchor_residual
+        assert all(s.residual_history[-1] == s.residual_norm for s in diag.states)
+
+    def test_cone_escape_names_alpha_min(self, monkeypatch):
+        problem = box_problem(res=9, psi_scale=0.85)
+        correction = _BoxEvaluator.correction
+        monkeypatch.setattr(_BoxEvaluator, "correction",
+                            lambda self, *args: 1e6 * correction(self, *args))
+        with pytest.raises(ConeEscape, match="no damping factor >= 0.25 keeps"):
+            newton_solve_at_t(problem, 1.0, problem.box.subsolution, tol=1e-8,
+                              config=SolveConfig(alpha_min=0.25))
+
+
 class TestSubsolutionFailures:
     def test_global_inflation(self):
         problem = radial_problem(psi_scale=1.1)

@@ -40,7 +40,7 @@ class NotAdmissible(GardingError):
 
 
 class SubsolutionInvalid(GardingError):
-    """Subsolution fails admissibility or the lower-bound requirement."""
+    """Subsolution fails the lower-bound requirement M(subsolution) >= psi."""
 
     def __init__(self, message: str, node=None):
         super().__init__(message)

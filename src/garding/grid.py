@@ -128,11 +128,13 @@ class ScalarField:
             raise ValueError("scalar field contains non-finite values")
         self.values = v
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
     def interior(self) -> np.ndarray:
         return self.values[(slice(1, -1),) * self.grid.ndim_real]
+
+
+def field_values(u) -> np.ndarray:
+    """The node values of a ScalarField, or of a plain (box or radial) array."""
+    return u.values if isinstance(u, ScalarField) else np.asarray(u, dtype=float)
 
 
 @dataclass
@@ -153,8 +155,8 @@ class MatrixField:
 def least(values: np.ndarray, node_of_flat) -> tuple:
     """(least entry of ``values``, the node where it first occurs).
 
-    ``node_of_flat`` maps a flat index to its node: ``BoxGrid.node_of_flat``
-    for interior-shaped box arrays, ``int`` on the radial s-grid.
+    ``node_of_flat`` is the grid's method of that name (``BoxGrid`` for
+    interior-shaped box arrays, ``RadialGrid`` on the s-grid).
     """
     flat = values.reshape(-1)
     k = int(np.argmin(flat))
@@ -208,17 +210,9 @@ def complex_hessian(u: ScalarField, node) -> HermitianMatrix:
 
 
 def assemble_g(chi, u: ScalarField) -> MatrixField:
-    """g = chi + complex Hessian of u at every interior node.
-
-    ``chi`` is a constant Hermitian matrix (HermitianMatrix or (n, n) array)
-    or an existing MatrixField on the same grid.
-    """
+    """g = chi + complex Hessian of u at every interior node, for a constant
+    Hermitian ``chi`` (HermitianMatrix or (n, n) array)."""
     hess = complex_hessian_field(u)
-    if isinstance(chi, MatrixField):
-        if chi.grid is not u.grid and chi.grid != u.grid:
-            raise ValueError("chi field lives on a different grid")
-        hess.values = hess.values + chi.values
-        return hess
     entries = getattr(chi, "entries", np.asarray(chi, dtype=np.complex128))
     hess.values = hess.values + entries
     return hess

@@ -75,9 +75,6 @@ class Spectrum:
         object.__setattr__(self, "values", v)
         self.values.setflags(write=False)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def complex_hessian_from(d2, n: int, shape: tuple) -> np.ndarray:
     """Complex Hessian rows, shape + (n, n), from real second derivatives.

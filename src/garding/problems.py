@@ -22,21 +22,23 @@ from .operator import OperatorParams, product_batch
 from .radial import RadialGrid, eigenvalue_rows
 
 SUBSOLUTION_RTOL = 1e-9  # relative slack for M(subsolution) >= psi
+# largest magnitude a built array may hold: the squares of MAX_NODES = 2^20
+# entries this size sum to at most 2^1020, so no 2-norm over a grid overflows
+MAGNITUDE_BOUND = 2.0**500
 
 
-def _admissible_margins(vals: np.ndarray, p: int, what: str, node_of_flat, place: str):
-    """Margins of ascending eigenvalue rows; NotAdmissible where the least is <= 0."""
-    margins = margins_batch(vals, p)
-    value, node = least(margins, node_of_flat)
+def _require_admissible(vals: np.ndarray, p: int, what: str, grid) -> None:
+    """NotAdmissible where the least margin of ascending eigenvalue rows is <= 0."""
+    value, node = least(margins_batch(vals, p), grid.node_of_flat)
     if value <= 0.0:
-        raise NotAdmissible(f"{what} margin {value:.6e} <= 0 at {place} {node}", node=node)
-    return margins
+        raise NotAdmissible(f"{what} margin {value:.6e} <= 0 at node {node}", node=node)
 
 
-def _finite(name: str, values: np.ndarray) -> np.ndarray:
-    """``values``; ValidationError naming them if an entry is inf or NaN."""
-    if not np.isfinite(values).all():
-        raise ValidationError(name, "not finite everywhere: an input overflows a double")
+def _finite(name: str, values):
+    """``values``; ValidationError naming them if an entry is inf, NaN or
+    larger than MAGNITUDE_BOUND."""
+    if not (np.abs(values) <= MAGNITUDE_BOUND).all():
+        raise ValidationError(name, "not finite everywhere, or beyond 2^500 in magnitude")
     return values
 
 
@@ -48,23 +50,19 @@ class BoxProblem:
     psi: np.ndarray  # target right-hand side at interior nodes
     phi: np.ndarray  # full-shape field; boundary values are authoritative
     subsolution: np.ndarray  # full-shape field
-    subsolution_margin: np.ndarray  # analytic cone margins at interior nodes
     subsolution_M: np.ndarray  # analytic operator values at interior nodes
-    reference: np.ndarray | None = None  # known solution for error reporting
+    reference: np.ndarray  # known solution for error reporting
 
 
 @dataclass
 class RadialProblem:
-    n: int
-    p: int
     grid: RadialGrid
     chi_scalar: float
     psi: np.ndarray  # values at collocation nodes 0..m-1
     boundary_value: float  # u(R^2)
     subsolution: np.ndarray  # profile values at all nodes
-    subsolution_margin: np.ndarray
     subsolution_M: np.ndarray
-    reference: np.ndarray | None = None
+    reference: np.ndarray
 
 
 @dataclass
@@ -87,6 +85,11 @@ class ProblemSpec:
         if not 1 <= self.p <= self.n:
             raise ValidationError("p", f"p must satisfy 1 <= p <= n, got {self.p}")
         self.params = OperatorParams(self.n, self.p)
+
+    @property
+    def payload(self) -> BoxProblem | RadialProblem:
+        """The box or the radial problem, whichever the geometry names."""
+        return self.box if self.geometry == "box" else self.radial
 
 
 def _apply_psi_modifiers(psi: np.ndarray, scale: float, bump_node, bump_factor: float,
@@ -117,11 +120,11 @@ def manufactured_box(
     ``u_star`` (and the optional distinct ``subsolution``) must expose
     ``value(points)`` and ``complex_hessian(points)``.  Raises NotAdmissible
     with a witness node if the subsolution exits the cone anywhere, and
-    ValidationError if a built array is not finite.
+    ValidationError if chi or a built array is not finite or exceeds MAGNITUDE_BOUND.
     """
     if grid.n != params.n:
         raise ValidationError("n", f"grid dimension {grid.n} != operator dimension {params.n}")
-    chi = np.asarray(chi, dtype=np.complex128)
+    chi = _finite("chi", np.asarray(chi, dtype=np.complex128))
     pts_all = grid.points()
     pts_int = pts_all[(slice(1, -1),) * grid.ndim_real]
 
@@ -138,8 +141,8 @@ def manufactured_box(
     if subsolution is not None:
         sub_vals, vals_s = values_and_eigenvalues(subsolution, "subsolution")
 
-    margins_s = _admissible_margins(vals_s, params.p, "subsolution", grid.node_of_flat, "node")
-    _admissible_margins(vals_t, params.p, "target", grid.node_of_flat, "node")
+    _require_admissible(vals_s, params.p, "subsolution", grid)
+    _require_admissible(vals_t, params.p, "target", grid)
 
     psi = product_batch(vals_t, params)
     psi = _finite("psi", _apply_psi_modifiers(psi, psi_scale, psi_bump_node, psi_bump_factor, 1))
@@ -152,7 +155,6 @@ def manufactured_box(
         psi=psi,
         phi=target_vals.copy(),
         subsolution=sub_vals,
-        subsolution_margin=margins_s,
         subsolution_M=sub_m,
         reference=target_vals.copy(),
     )
@@ -171,6 +173,7 @@ def manufactured_radial(
     psi_bump_factor: float = 1.0,
 ) -> ProblemSpec:
     """Manufacture a radial problem from an analytic profile u(s), checked as a box one is."""
+    c = float(_finite("chi", c))
     s = grid.s
     m = grid.points - 1
 
@@ -184,23 +187,19 @@ def manufactured_radial(
     if subsolution_profile is not None:
         sub_vals, lam_s = values_and_rows(subsolution_profile, "subsolution")
 
-    margins_s = _admissible_margins(np.sort(lam_s, axis=-1), params.p, "subsolution", int,
-                                    "s-index")
-    _admissible_margins(np.sort(lam_t, axis=-1), params.p, "target", int, "s-index")
+    _require_admissible(np.sort(lam_s, axis=-1), params.p, "subsolution", grid)
+    _require_admissible(np.sort(lam_t, axis=-1), params.p, "target", grid)
 
     psi = product_batch(lam_t, params)
     psi = _finite("psi", _apply_psi_modifiers(psi, psi_scale, psi_bump_node, psi_bump_factor, 0))
     sub_m = _finite("M_p(subsolution)", product_batch(lam_s, params))
 
     radial = RadialProblem(
-        n=params.n,
-        p=params.p,
         grid=grid,
-        chi_scalar=float(c),
+        chi_scalar=c,
         psi=psi,
         boundary_value=float(target_vals[-1]),
         subsolution=sub_vals,
-        subsolution_margin=margins_s,
         subsolution_M=sub_m,
         reference=target_vals.copy(),
     )
@@ -208,30 +207,19 @@ def manufactured_radial(
 
 
 def verify_subsolution(problem: ProblemSpec) -> None:
-    """Check admissibility and M(subsolution) >= psi; raise with a witness node.
+    """Check M(subsolution) >= psi (the build checked admissibility); raise
+    SubsolutionInvalid with a witness node.
 
     Uses the analytic operator values stored at problem build time, so the
     equality case (subsolution == target) passes exactly while genuine
     inflations of psi are caught at the offending node.
     """
-    if problem.geometry == "box":
-        payload = problem.box
-        node_of_flat = payload.grid.node_of_flat
-    else:
-        payload = problem.radial
-        node_of_flat = int  # s-grid nodes are the flat indices
-
-    margin, node = least(payload.subsolution_margin, node_of_flat)
-    if margin <= 0.0:
-        raise SubsolutionInvalid(
-            f"subsolution not admissible: margin {margin:.6e} at node {node}", node=node
-        )
-
+    payload = problem.payload
     deficit = payload.psi - payload.subsolution_M
     tol = SUBSOLUTION_RTOL * np.maximum(np.abs(payload.psi), 1.0)
     if np.any(deficit > tol):
         flat = int(np.argmax((deficit - tol).reshape(-1)))
-        node = node_of_flat(flat)
+        node = payload.grid.node_of_flat(flat)
         raise SubsolutionInvalid(
             f"psi exceeds M(subsolution) by {deficit.reshape(-1)[flat]:.6e} at node {node}",
             node=node,

@@ -55,6 +55,10 @@ class RadialGrid:
     def s(self) -> np.ndarray:
         return np.linspace(0.0, self.s_max, self.points)
 
+    def node_of_flat(self, k: int) -> int:
+        """Grid node of the k-th collocation value: the s-grid index itself."""
+        return int(k)
+
 
 def radial_eigenvalues(u1: float, u2: float, s: float, n: int, c: float) -> Spectrum:
     """Metric eigenvalues of chi = c I plus the Hessian of a radial profile.

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import ScalarField
+from .grid import field_values
 from .problems import ProblemSpec
 from .solver import SolveDiagnostics
 
@@ -90,7 +90,7 @@ def write_solution_csv(path, problem: ProblemSpec, u, diag: SolveDiagnostics) ->
     Rows are in C order with every float written as its repr and ``\\r\\n``
     line ends, byte for byte what ``csv.writer`` writes for the same rows.
     """
-    uv = u.values if isinstance(u, ScalarField) else np.asarray(u)
+    uv = field_values(u)
     if problem.geometry == "box":
         grid = problem.box.grid
         names = []

@@ -51,6 +51,7 @@ from .grid import (
     ScalarField,
     complex_hessian_field,
     face_tangential_trace_min,
+    field_values,
     first_difference,
     gradient_sq_max,
     least,
@@ -262,7 +263,8 @@ class _RadialEvaluator:
         u1, u2 = profile_derivatives(u, self.grid.spacing)
         lam = eigenvalue_rows(u1, u2, self.grid.s, self.n, self.c)
         margins = margins_batch(np.sort(lam, axis=-1), self.params.p)
-        return _Analysis(margins, *least(margins, int), lam.sum(axis=-1), vals=lam)
+        return _Analysis(margins, *least(margins, self.grid.node_of_flat), lam.sum(axis=-1),
+                         vals=lam)
 
     def linearize(self, a: _Analysis) -> None:
         # ftilde is symmetric: its gradient keeps the column order of the rows
@@ -275,6 +277,16 @@ class _RadialEvaluator:
         return np.append(solve_radial_linear(band, -resid), 0.0)  # node m is Dirichlet
 
 
+def _linearized(ev, u: np.ndarray, what: str) -> _Analysis:
+    """The linearized analysis of ``u``; ConeEscape, led by ``what``, if ``u``
+    is not admissible on the grid."""
+    a = ev.analyze(u)
+    if a.min_margin <= 0.0:
+        raise ConeEscape(f"{what} (margin {a.min_margin:.3e})", node=a.min_node)
+    ev.linearize(a)
+    return a
+
+
 def _make_evaluator(problem: ProblemSpec, config: SolveConfig):
     """Evaluator whose t = 0 anchor is ftilde from the subsolution's analysis.
 
@@ -282,19 +294,10 @@ def _make_evaluator(problem: ProblemSpec, config: SolveConfig):
     subsolution starts from it; every Newton state comes from the same
     analyze/linearize pair, so the t = 0 residual there is bitwise zero.
     """
-    if problem.geometry == "box":
-        ev, sub = _BoxEvaluator(problem, config), problem.box.subsolution
-    else:
-        ev, sub = _RadialEvaluator(problem, config), problem.radial.subsolution
-    a = ev.analyze(sub)
-    if a.min_margin <= 0.0:
-        raise ConeEscape(
-            f"subsolution not admissible on the grid (margin {a.min_margin:.3e})",
-            node=a.min_node,
-        )
-    ev.linearize(a)
-    ev.anchor = a.ft
-    ev.start = a
+    ev = (_BoxEvaluator if problem.geometry == "box" else _RadialEvaluator)(problem, config)
+    ev.start = _linearized(ev, problem.payload.subsolution,
+                           "subsolution not admissible on the grid")
+    ev.anchor = ev.start.ft
     return ev
 
 
@@ -308,13 +311,7 @@ def _newton_loop(ev, t: float, u_init: np.ndarray, tol: float, config: SolveConf
     u = u_init.copy()
     state, ev.start = ev.start, None
     if state is None:
-        state = ev.analyze(u)
-        if state.min_margin <= 0.0:
-            raise ConeEscape(
-                f"initial iterate not admissible (margin {state.min_margin:.3e})",
-                node=state.min_node,
-            )
-        ev.linearize(state)
+        state = _linearized(ev, u, "initial iterate not admissible")
     target = t * ev.psi_tilde + (1.0 - t) * ev.anchor
     history: list[float] = []
     best = np.inf
@@ -385,8 +382,7 @@ def newton_solve_at_t(
     config = config or SolveConfig()
     ev = _make_evaluator(problem, config)
     ev.start = None  # u_init is not the subsolution in general
-    u0 = u_init.values if isinstance(u_init, ScalarField) else np.asarray(u_init, dtype=float)
-    return _newton_loop(ev, t, u0, tol, config)
+    return _newton_loop(ev, t, field_values(u_init), tol, config)
 
 
 def continuity_solve(problem: ProblemSpec, config: SolveConfig | None = None):
@@ -399,11 +395,10 @@ def continuity_solve(problem: ProblemSpec, config: SolveConfig | None = None):
     config = config or SolveConfig()
     verify_subsolution(problem)
     ev = _make_evaluator(problem, config)
-    sub = problem.box.subsolution if problem.geometry == "box" else problem.radial.subsolution
 
     tol = config.tol_for(problem.geometry)
     if config.initial_values is None:
-        u = sub.copy()
+        u = problem.payload.subsolution.copy()
     else:
         u = np.asarray(config.initial_values, dtype=float).copy()
         ev.start = None  # the subsolution's analysis does not describe u
@@ -449,9 +444,7 @@ def continuity_solve(problem: ProblemSpec, config: SolveConfig | None = None):
 
 def sandwich_check(u, ul_u, ol_u) -> float:
     """Max violation of the two-sided bound ul_u <= u <= ol_u (0 when clean)."""
-    uv = u.values if isinstance(u, ScalarField) else np.asarray(u)
-    lv = ul_u.values if isinstance(ul_u, ScalarField) else np.asarray(ul_u)
-    ov = ol_u.values if isinstance(ol_u, ScalarField) else np.asarray(ol_u)
+    uv, lv, ov = field_values(u), field_values(ul_u), field_values(ol_u)
     return float(max(0.0, (lv - uv).max(), (uv - ov).max()))
 
 
@@ -466,8 +459,7 @@ def boundary_trace_check(u, problem: ProblemSpec) -> float:
         field_u = u if isinstance(u, ScalarField) else ScalarField(problem.box.grid, u)
         return face_tangential_trace_min(field_u, problem.box.chi)
     rad = problem.radial
-    uv = u.values if isinstance(u, ScalarField) else np.asarray(u)
-    u1_end = first_difference(uv, 0, rad.grid.spacing)[-1]
+    u1_end = first_difference(field_values(u), 0, rad.grid.spacing)[-1]
     return float((problem.n - 1) * (rad.chi_scalar + u1_end))
 
 
@@ -491,7 +483,7 @@ def barrier_check(
     """
     if problem.geometry != "box":
         raise RadialModeUnsupported("barrier_check requires a box problem")
-    uv = u.values if isinstance(u, ScalarField) else np.asarray(u)
+    uv = field_values(u)
     ev = _BoxEvaluator(problem, SolveConfig())
     a = ev.analyze(uv)
     ev.linearize(a)
@@ -501,7 +493,7 @@ def barrier_check(
 def _barrier_report(uv, ul_u, problem: ProblemSpec, state: _Analysis, tau, N, delta) -> BarrierReport:
     """barrier_check's body, with L taken from the linearized analysis of u."""
     grid = problem.box.grid
-    lv = ul_u.values if isinstance(ul_u, ScalarField) else np.asarray(ul_u)
+    lv = field_values(ul_u)
     if delta is None:
         delta = 0.1 * grid.diameter()
     half_width = min((hi - lo) / 2.0 for lo, hi in grid.extent)
@@ -568,7 +560,6 @@ def _diagnostics(problem, ev, final: _Analysis, states, anchor_residual, config)
         box = problem.box
         grid = box.grid
         upper_vals = upper_barrier(box.chi, box.omega, ScalarField(grid, box.phi), grid).values
-        sandwich = sandwich_check(u, box.subsolution, upper_vals)
         if config.compute_barrier:
             barrier = _barrier_report(
                 u, box.subsolution, problem, final,
@@ -579,7 +570,7 @@ def _diagnostics(problem, ev, final: _Analysis, states, anchor_residual, config)
         upper_vals = radial_trace_equation_solution(
             rad.chi_scalar, problem.n, rad.boundary_value, rad.grid
         )
-        sandwich = sandwich_check(u, rad.subsolution, upper_vals)
+    sandwich = sandwich_check(u, problem.payload.subsolution, upper_vals)
 
     K, sup_h, sup_b = _c2_quantities(problem, u)
     amgm = (problem.p / problem.n) * final.trace_g - final.ft
@@ -624,8 +615,7 @@ def c2_ratio_monitor(levels) -> list:
     if len(levels) < 2:
         raise ValueError("need at least two refinement levels")
     for problem, u in levels:
-        uv = u.values if isinstance(u, ScalarField) else np.asarray(u)
-        K, sup_h, sup_b = _c2_quantities(problem, uv)
+        K, sup_h, sup_b = _c2_quantities(problem, field_values(u))
         if problem.geometry == "box":
             spacing = max(problem.box.grid.spacing)
             label = f"res {problem.box.grid.resolution}"

@@ -400,6 +400,72 @@ class TestValidationFailures:
         status, _ = run_cli(tmp_path, spec, "solve")
         assert status == 2
 
+    POLY_BOX = BOX_SPEC.replace("builtin = quadratic\ncoeff = 1.0",
+                                "builtin = polynomial\nterms = 2\nterm_1 = 1, 2, 0, 0, 0")
+    RADIAL_POWER = "builtin = radial-power\npower = 2\nscale = 1.0"
+    # chi = 3.43e299 builds finite arrays, but a 2-norm over its 2 401 interior
+    # right-hand-side entries overflows in the upper barrier's BiCGStab
+    NEAR_FLOAT_RANGE = BOX_SPEC.replace("p = 1", "p = 2").replace(
+        "coeff = 1.0", "coeff = -3.08e132") + "[chi]\ndiag = 3.43e299, 3.43e299\n"
+
+    @pytest.mark.parametrize("spec, field", [
+        pytest.param(BOX_SPEC + "= 3\n", "empty key", id="empty-key"),
+        pytest.param(BOX_SPEC.replace("n = 2\n", ""), "n", id="missing-n"),
+        pytest.param(BOX_SPEC.replace("geometry = box", "geometry = ball"), "geometry",
+                     id="unknown-geometry"),
+        pytest.param(BOX_SPEC.replace("extent = -1, 1, -1, 1, -1, 1, -1, 1\n", ""), "extent",
+                     id="missing-extent"),
+        pytest.param(BOX_SPEC.replace("-1, 1, -1, 1, -1, 1, -1, 1", "-1, 1, -1, 1"), "extent",
+                     id="short-extent"),
+        pytest.param(BOX_SPEC + "[chi]\ndiag = 1\n", "chi", id="chi-diag-count"),
+        pytest.param(BOX_SPEC.replace("builtin = quadratic\n", ""), "solution",
+                     id="missing-builtin"),
+        pytest.param(RADIAL_SPEC.replace(RADIAL_POWER, "builtin = radial-poly"), "solution",
+                     id="radial-poly-without-coeffs"),
+        pytest.param(POLY_BOX, "solution", id="missing-term"),
+        pytest.param(POLY_BOX.replace("terms = 2", "terms = 1").replace("2, 0, 0, 0", "2, 0"),
+                     "solution", id="short-term"),
+        pytest.param(BOX_SPEC.replace("builtin = quadratic", "builtin = cubic"), "solution",
+                     id="unknown-builtin"),
+        pytest.param(BOX_SPEC.split("[solution]")[0], "solution", id="no-solution-section"),
+        pytest.param(RADIAL_SPEC + "[sweep]\npoints = 201\n", "sweep", id="one-level-sweep"),
+        pytest.param(BOX_SPEC + "[psi]\nscale = 0\n", "psi", id="psi-scale-zero"),
+        pytest.param(BOX_SPEC + "[psi]\nscale = -1\n", "psi", id="psi-scale-negative"),
+        pytest.param(BOX_SPEC + "[psi]\nbump_node = 4, 4\n", "psi", id="bump-node-length"),
+        pytest.param(BOX_SPEC.replace("builtin = quadratic\ncoeff = 1.0", RADIAL_POWER),
+                     "builtin", id="radial-family-on-a-box"),
+        pytest.param(RADIAL_SPEC.replace(RADIAL_POWER, "builtin = polynomial\nterms = 1\n"
+                                                       "term_1 = 1, 2, 0, 0, 0, 0, 0"),
+                     "builtin", id="box-family-on-a-ball"),
+        pytest.param(NEAR_FLOAT_RANGE, "chi", id="chi-beyond-the-magnitude-bound"),
+    ])
+    def test_rejected_spec_names_the_field(self, tmp_path, capsys, spec, field):
+        status, _ = run_cli(tmp_path, spec, "solve")
+        assert status == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if field == "empty key":  # a ParseError names the line instead
+            assert err.startswith("validation error: line 12: empty key")
+        else:
+            assert err.startswith(f"validation error: {field}: ")
+
+    def test_chi_within_the_magnitude_bound_solves(self, tmp_path):
+        # RuntimeWarning is an error under the test settings
+        spec = self.NEAR_FLOAT_RANGE.replace("3.43e299", "1e150").replace("-3.08e132", "-1e140")
+        status, _ = run_cli(tmp_path, spec, "solve")
+        assert status == 0
+
+
+def test_tol_flag_overrides_the_spec_newton_tol(tmp_path):
+    # newton_tol = 1e-12 alone stalls the march; the flag's 1e-3 must win
+    spec = (Path(__file__).resolve().parent.parent / "specs" / "radial-n3-p2-march.spec")
+    text = spec.read_text() + "\n[solve]\nnewton_tol = 1e-12\n"
+    status, out = run_cli(tmp_path, text, "solve", extra=["--tol", "1e-3"])
+    assert status == 0
+    report = (out / "report.txt").read_text()
+    residual = float(report.split("final_residual = ", 1)[1].split()[0])
+    assert 1e-12 < residual <= 1e-3
+
 
 EXIT_STATUS = {
     errors.ParseError: 2,

@@ -398,6 +398,19 @@ class TestSolve:
         with pytest.raises(LinearSolveStalled):
             bicgstab(matrix, rhs, tol=1e-14, max_iter=200)
 
+    def test_plateau_is_reported(self):
+        # singular and inconsistent, without breakdown: the residual stops
+        # falling and the plateau guard fires before the iteration cap
+        diag = np.linspace(1.0, 3.0, 60)
+        diag[0] = 0.0
+        with pytest.raises(LinearSolveStalled, match="residual plateau at .* over 50 iterations"):
+            bicgstab(np.diag(diag), np.ones(60), tol=1e-14, max_iter=200)
+
+    def test_iteration_cap_is_reported(self):
+        matrix = np.diag(np.linspace(1.0, 10.0, 40))
+        with pytest.raises(LinearSolveStalled, match="no convergence within 3 iterations"):
+            bicgstab(matrix, np.ones(40), tol=1e-12, max_iter=3)
+
     def test_tol_validation(self):
         grid, system = poisson_square(9)
         with pytest.raises(ValueError):

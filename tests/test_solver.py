@@ -414,6 +414,18 @@ class TestSubsolutionFailures:
         verify_subsolution(box_problem(res=9))
 
 
+class TestNewtonStagnation:
+    def test_a_flat_residual_raises_max_iters(self, monkeypatch):
+        # a zero correction leaves the residual where it is: after eight
+        # iterations without a 10% drop the loop stops instead of running on
+        ev_class = solver._RadialEvaluator
+        monkeypatch.setattr(ev_class, "correction", lambda self, a, resid, rnorm: np.zeros(self.grid.points))
+        problem = radial_problem(psi_scale=0.9)
+        with pytest.raises(MaxItersExceeded, match="Newton stagnated at residual") as exc_info:
+            newton_solve_at_t(problem, 1.0, problem.radial.subsolution, tol=1e-10)
+        assert "t=1.0000" in str(exc_info.value)
+
+
 class TestSandwich:
     def test_equal_fields(self):
         u = np.ones(5)

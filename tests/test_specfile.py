@@ -224,7 +224,7 @@ class TestBuild:
         target = POLY_BOX.split("[solution]\n")[1].split("[psi]")[0]
         explicit = build_problem(parse_document(POLY_BOX + "[subsolution]\n" + target)).box
         assert len(calls) == 3
-        for name in ("psi", "phi", "subsolution", "subsolution_margin", "subsolution_M", "reference"):
+        for name in ("psi", "phi", "subsolution", "subsolution_M", "reference"):
             assert getattr(default, name).tobytes() == getattr(explicit, name).tobytes()
 
     def test_sweep_levels(self):

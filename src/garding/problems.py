@@ -22,7 +22,7 @@ from .operator import OperatorParams, product_batch
 from .radial import RadialGrid, eigenvalue_rows
 
 SUBSOLUTION_RTOL = 1e-9  # relative slack for M(subsolution) >= psi
-# largest magnitude a built array may hold: the squares of MAX_NODES = 2^20
+# bound on the arrays 2-norms are taken over: the squares of MAX_NODES = 2^20
 # entries this size sum to at most 2^1020, so no 2-norm over a grid overflows
 MAGNITUDE_BOUND = 2.0**500
 
@@ -34,11 +34,13 @@ def _require_admissible(vals: np.ndarray, p: int, what: str, grid) -> None:
         raise NotAdmissible(f"{what} margin {value:.6e} <= 0 at node {node}", node=node)
 
 
-def _finite(name: str, values):
-    """``values``; ValidationError naming them if an entry is inf, NaN or
-    larger than MAGNITUDE_BOUND."""
-    if not (np.abs(values) <= MAGNITUDE_BOUND).all():
-        raise ValidationError(name, "not finite everywhere, or beyond 2^500 in magnitude")
+def _finite(name: str, values, bounded: bool = False):
+    """``values``; ValidationError naming them if an entry is inf, NaN or, when
+    ``bounded`` (chi, values, eigenvalues; not psi), beyond MAGNITUDE_BOUND."""
+    limit = MAGNITUDE_BOUND if bounded else np.inf
+    if not (np.isfinite(values) & (np.abs(values) <= limit)).all():
+        beyond = ", or beyond 2^500 in magnitude" if bounded else ""
+        raise ValidationError(name, "not finite everywhere" + beyond)
     return values
 
 
@@ -120,20 +122,20 @@ def manufactured_box(
     ``u_star`` (and the optional distinct ``subsolution``) must expose
     ``value(points)`` and ``complex_hessian(points)``.  Raises NotAdmissible
     with a witness node if the subsolution exits the cone anywhere, and
-    ValidationError if chi or a built array is not finite or exceeds MAGNITUDE_BOUND.
+    ValidationError if a built array is not finite or chi, values or eigenvalues exceed 2^500.
     """
     if grid.n != params.n:
         raise ValidationError("n", f"grid dimension {grid.n} != operator dimension {params.n}")
-    chi = _finite("chi", np.asarray(chi, dtype=np.complex128))
+    chi = _finite("chi", np.asarray(chi, dtype=np.complex128), bounded=True)
     pts_all = grid.points()
     pts_int = pts_all[(slice(1, -1),) * grid.ndim_real]
 
     omega_entries = None if omega is None else np.asarray(omega, dtype=np.complex128)
 
     def values_and_eigenvalues(fn, what):
-        values = _finite(f"{what} values", fn.value(pts_all))
+        values = _finite(f"{what} values", fn.value(pts_all), bounded=True)
         reduced, _ = congruence_reduce_batch(chi + fn.complex_hessian(pts_int), omega_entries)
-        return values, eigvals_batch(_finite(f"{what} chi + complex Hessian", reduced))
+        return values, eigvals_batch(_finite(f"{what} chi + complex Hessian", reduced, bounded=True))
 
     target_vals, vals_t = values_and_eigenvalues(u_star, "target")
     # without a distinct subsolution the target is one, and its arrays serve
@@ -173,14 +175,14 @@ def manufactured_radial(
     psi_bump_factor: float = 1.0,
 ) -> ProblemSpec:
     """Manufacture a radial problem from an analytic profile u(s), checked as a box one is."""
-    c = float(_finite("chi", c))
+    c = float(_finite("chi", c, bounded=True))
     s = grid.s
     m = grid.points - 1
 
     def values_and_rows(prof, what):
         rows = eigenvalue_rows(prof.d1(s[:m]), prof.d2(s[:m]), s, params.n, c)
-        return (_finite(f"{what} values", prof.value(s)),
-                _finite(f"{what} profile derivatives", rows))
+        return (_finite(f"{what} values", prof.value(s), bounded=True),
+                _finite(f"{what} profile derivatives", rows, bounded=True))
 
     target_vals, lam_t = values_and_rows(profile, "target")
     sub_vals, lam_s = target_vals, lam_t

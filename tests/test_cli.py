@@ -455,6 +455,13 @@ class TestValidationFailures:
         status, _ = run_cli(tmp_path, spec, "solve")
         assert status == 0
 
+    def test_psi_beyond_the_magnitude_bound_builds(self, tmp_path):
+        # C(10, 5) = 252 subset sums of at least 5 each: psi >= 5^252 ~ 1e176 is
+        # finite, and the solver reads it only through its 252nd root
+        spec = RADIAL_SPEC.replace("n = 3", "n = 10").replace("p = 2", "p = 5")
+        status, _ = run_cli(tmp_path, spec, "verify-subsolution")
+        assert status == 0
+
 
 def test_tol_flag_overrides_the_spec_newton_tol(tmp_path):
     # newton_tol = 1e-12 alone stalls the march; the flag's 1e-3 must win

@@ -10,7 +10,7 @@ discretization error with genuine violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,13 +25,6 @@ SUBSOLUTION_RTOL = 1e-9  # relative slack for M(subsolution) >= psi
 # bound on the arrays 2-norms are taken over: the squares of MAX_NODES = 2^20
 # entries this size sum to at most 2^1020, so no 2-norm over a grid overflows
 MAGNITUDE_BOUND = 2.0**500
-
-
-def _require_admissible(vals: np.ndarray, p: int, what: str, grid) -> None:
-    """NotAdmissible where the least margin of ascending eigenvalue rows is <= 0."""
-    value, node = least(margins_batch(vals, p), grid.node_of_flat)
-    if value <= 0.0:
-        raise NotAdmissible(f"{what} margin {value:.6e} <= 0 at node {node}", node=node)
 
 
 def _finite(name: str, values, bounded: bool = False):
@@ -69,43 +62,60 @@ class RadialProblem:
 
 @dataclass
 class ProblemSpec:
-    n: int
-    p: int
-    geometry: str  # 'box' or 'radial'
-    box: BoxProblem | None = None
-    radial: RadialProblem | None = None
+    params: OperatorParams
+    payload: BoxProblem | RadialProblem
     document: object | None = None  # parsed spec text, when applicable
-    params: OperatorParams = field(init=False)
-
-    def __post_init__(self):
-        if self.geometry not in ("box", "radial"):
-            raise ValidationError("geometry", f"unknown geometry {self.geometry!r}")
-        if self.geometry == "box" and self.box is None:
-            raise ValidationError("geometry", "box geometry without box payload")
-        if self.geometry == "radial" and self.radial is None:
-            raise ValidationError("geometry", "radial geometry without radial payload")
-        if not 1 <= self.p <= self.n:
-            raise ValidationError("p", f"p must satisfy 1 <= p <= n, got {self.p}")
-        self.params = OperatorParams(self.n, self.p)
 
     @property
-    def payload(self) -> BoxProblem | RadialProblem:
-        """The box or the radial problem, whichever the geometry names."""
-        return self.box if self.geometry == "box" else self.radial
+    def geometry(self) -> str:
+        return "box" if isinstance(self.payload, BoxProblem) else "radial"
 
+    @property
+    def n(self) -> int:
+        return self.params.n
 
-def _apply_psi_modifiers(psi: np.ndarray, scale: float, bump_node, bump_factor: float,
-                         interior_offset: int):
-    psi = psi * float(scale)
-    if bump_node is not None:
-        idx = tuple(int(i) - interior_offset for i in np.atleast_1d(bump_node))
-        if len(idx) == 1:
-            idx = idx[0]
-        psi[idx] = psi[idx] * float(bump_factor)
-    return psi
+    @property
+    def p(self) -> int:
+        return self.params.p
+
+    @property
+    def box(self) -> BoxProblem | None:
+        return self.payload if self.geometry == "box" else None
+
+    @property
+    def radial(self) -> RadialProblem | None:
+        return self.payload if self.geometry == "radial" else None
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow raises ValidationError below
+def _manufacture(read, target, subsolution, params: OperatorParams, grid, psi_scale,
+                 psi_bump_node, psi_bump_factor, *, sort_rows: bool, interior_offset: int):
+    """(target values, subsolution values, psi, M_p(subsolution)) of a problem.
+
+    ``read(fn, what)`` returns a function's checked values and eigenvalue
+    rows.  NotAdmissible where a least margin is <= 0; ``sort_rows`` sorts the
+    rows for that check only, so psi is the product over the rows as read.
+    """
+    target_vals, rows_t = read(target, "target")
+    target_vals.flags.writeable = False  # shared as phi, reference and default subsolution
+    # without a distinct subsolution the target is one, and its arrays serve
+    sub_vals, rows_s = target_vals, rows_t
+    if subsolution is not None:
+        sub_vals, rows_s = read(subsolution, "subsolution")
+    for rows, what in ((rows_s, "subsolution"), (rows_t, "target")):
+        ascending = np.sort(rows, axis=-1) if sort_rows else rows
+        value, node = least(margins_batch(ascending, params.p), grid.node_of_flat)
+        if value <= 0.0:
+            raise NotAdmissible(f"{what} margin {value:.6e} <= 0 at node {node}", node=node)
+
+    psi = product_batch(rows_t, params) * float(psi_scale)
+    if psi_bump_node is not None:
+        idx = tuple(int(i) - interior_offset for i in np.atleast_1d(psi_bump_node))
+        psi[idx] = psi[idx] * float(psi_bump_factor)
+    sub_m = product_batch(rows_s, params)
+    return target_vals, sub_vals, _finite("psi", psi), _finite("M_p(subsolution)", sub_m)
+
+
 def manufactured_box(
     u_star,
     chi: np.ndarray,
@@ -137,33 +147,14 @@ def manufactured_box(
         reduced, _ = congruence_reduce_batch(chi + fn.complex_hessian(pts_int), omega_entries)
         return values, eigvals_batch(_finite(f"{what} chi + complex Hessian", reduced, bounded=True))
 
-    target_vals, vals_t = values_and_eigenvalues(u_star, "target")
-    # without a distinct subsolution the target is one, and its arrays serve
-    sub_vals, vals_s = target_vals, vals_t
-    if subsolution is not None:
-        sub_vals, vals_s = values_and_eigenvalues(subsolution, "subsolution")
-
-    _require_admissible(vals_s, params.p, "subsolution", grid)
-    _require_admissible(vals_t, params.p, "target", grid)
-
-    psi = product_batch(vals_t, params)
-    psi = _finite("psi", _apply_psi_modifiers(psi, psi_scale, psi_bump_node, psi_bump_factor, 1))
-    sub_m = _finite("M_p(subsolution)", product_batch(vals_s, params))
-
-    box = BoxProblem(
-        grid=grid,
-        chi=chi,
-        omega=omega_entries,
-        psi=psi,
-        phi=target_vals.copy(),
-        subsolution=sub_vals,
-        subsolution_M=sub_m,
-        reference=target_vals.copy(),
-    )
-    return ProblemSpec(n=params.n, p=params.p, geometry="box", box=box)
+    target, sub, psi, sub_m = _manufacture(
+        values_and_eigenvalues, u_star, subsolution, params, grid, psi_scale, psi_bump_node,
+        psi_bump_factor, sort_rows=False, interior_offset=1)
+    box = BoxProblem(grid=grid, chi=chi, omega=omega_entries, psi=psi, phi=target,
+                     subsolution=sub, subsolution_M=sub_m, reference=target)
+    return ProblemSpec(params, box)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow raises ValidationError below
 def manufactured_radial(
     profile,
     c: float,
@@ -184,28 +175,12 @@ def manufactured_radial(
         return (_finite(f"{what} values", prof.value(s), bounded=True),
                 _finite(f"{what} profile derivatives", rows, bounded=True))
 
-    target_vals, lam_t = values_and_rows(profile, "target")
-    sub_vals, lam_s = target_vals, lam_t
-    if subsolution_profile is not None:
-        sub_vals, lam_s = values_and_rows(subsolution_profile, "subsolution")
-
-    _require_admissible(np.sort(lam_s, axis=-1), params.p, "subsolution", grid)
-    _require_admissible(np.sort(lam_t, axis=-1), params.p, "target", grid)
-
-    psi = product_batch(lam_t, params)
-    psi = _finite("psi", _apply_psi_modifiers(psi, psi_scale, psi_bump_node, psi_bump_factor, 0))
-    sub_m = _finite("M_p(subsolution)", product_batch(lam_s, params))
-
-    radial = RadialProblem(
-        grid=grid,
-        chi_scalar=c,
-        psi=psi,
-        boundary_value=float(target_vals[-1]),
-        subsolution=sub_vals,
-        subsolution_M=sub_m,
-        reference=target_vals.copy(),
-    )
-    return ProblemSpec(n=params.n, p=params.p, geometry="radial", radial=radial)
+    target, sub, psi, sub_m = _manufacture(
+        values_and_rows, profile, subsolution_profile, params, grid, psi_scale, psi_bump_node,
+        psi_bump_factor, sort_rows=True, interior_offset=0)
+    radial = RadialProblem(grid=grid, chi_scalar=c, psi=psi, boundary_value=float(target[-1]),
+                           subsolution=sub, subsolution_M=sub_m, reference=target)
+    return ProblemSpec(params, radial)
 
 
 def verify_subsolution(problem: ProblemSpec) -> None:

@@ -253,7 +253,6 @@ class _RadialEvaluator:
         rad = problem.radial
         self.grid = rad.grid
         self.params = problem.params
-        self.n = problem.n
         self.c = rad.chi_scalar
         self.psi_tilde = rad.psi ** (1.0 / self.params.subset_count)
         self.anchor = None
@@ -261,7 +260,7 @@ class _RadialEvaluator:
 
     def analyze(self, u: np.ndarray) -> _Analysis:
         u1, u2 = profile_derivatives(u, self.grid.spacing)
-        lam = eigenvalue_rows(u1, u2, self.grid.s, self.n, self.c)
+        lam = eigenvalue_rows(u1, u2, self.grid.s, self.params.n, self.c)
         margins = margins_batch(np.sort(lam, axis=-1), self.params.p)
         return _Analysis(margins, *least(margins, self.grid.node_of_flat), lam.sum(axis=-1),
                          vals=lam)
@@ -270,7 +269,7 @@ class _RadialEvaluator:
         # ftilde is symmetric: its gradient keeps the column order of the rows
         a.ft, grads = ftilde_grad_batch(a.vals, self.params)
         a.trace_f = grads.sum(axis=-1)
-        a.coeffs = grads[:, self.n - 1]
+        a.coeffs = grads[:, self.params.n - 1]
 
     def correction(self, a: _Analysis, resid: np.ndarray, rnorm: float) -> np.ndarray:
         band = radial_linearized(a.trace_f, a.coeffs, self.grid)

@@ -41,7 +41,7 @@ from .analytic import Polynomial, RadialProfile, norm_squared, radial_power
 from .errors import ParseError, ValidationError
 from .grid import BoxGrid
 from .operator import MAX_NODES, MAX_RADIAL_ENTRIES, MAX_SUBSETS, OperatorParams
-from .problems import ProblemSpec, manufactured_box, manufactured_radial
+from .problems import MAGNITUDE_BOUND, ProblemSpec, _finite, manufactured_box, manufactured_radial
 from .radial import RadialGrid
 
 FORMAT_VERSION = 1
@@ -187,6 +187,7 @@ def parse_document(text: str) -> SpecDocument:
     p = integer("problem", "p", 1)
     if p > n:
         raise ValidationError("p", f"p must satisfy 1 <= p <= n, got p={p}, n={n}")
+    # not OperatorParams(n, p): it builds the C(n, p) x n membership table before _check_grid
     subsets = math.comb(n, p)
     if subsets > MAX_SUBSETS:
         raise ValidationError(
@@ -224,6 +225,8 @@ def parse_document(text: str) -> SpecDocument:
             chi_diag = tuple(float(x) for x in diag)
     else:
         radius = number("radial", "radius", required=True)
+        if radius > MAGNITUDE_BOUND:  # radius^2 is the grid's s_max
+            raise ValidationError("radius", f"radius must be at most 2^500, got {radius}")
         points = integer("radial", "points", 1)
         _check_grid("points", points, n, subsets, box=False)
         chi_scalar = number("radial", "chi", default=0.0)
@@ -426,6 +429,8 @@ def _radial_function(spec: FunctionSpec):
 def build_problem(doc: SpecDocument) -> ProblemSpec:
     """Materialize the problem a document describes."""
     params = OperatorParams(doc.n, doc.p)
+    psi = {"psi_scale": doc.psi_scale, "psi_bump_node": doc.psi_bump_node,
+           "psi_bump_factor": doc.psi_bump_factor}
     if doc.geometry == "box":
         grid = BoxGrid(doc.n, doc.box_extent, doc.box_resolution)
         chi = np.zeros((doc.n, doc.n), dtype=np.complex128)
@@ -433,37 +438,27 @@ def build_problem(doc: SpecDocument) -> ProblemSpec:
             chi = np.diag(np.asarray(doc.chi_diag, dtype=np.complex128))
         target = _box_function(doc.solution, doc.n)
         sub = None if doc.subsolution is None else _box_function(doc.subsolution, doc.n)
-        problem = manufactured_box(
-            target, chi, params, grid,
-            subsolution=sub,
-            psi_scale=doc.psi_scale,
-            psi_bump_node=doc.psi_bump_node,
-            psi_bump_factor=doc.psi_bump_factor,
-        )
+        problem = manufactured_box(target, chi, params, grid, subsolution=sub, **psi)
     else:
         grid = RadialGrid(doc.radius, doc.points)
         target = _radial_function(doc.solution)
         sub = None if doc.subsolution is None else _radial_function(doc.subsolution)
-        problem = manufactured_radial(
-            target, doc.chi_scalar, params, grid,
-            subsolution_profile=sub,
-            psi_scale=doc.psi_scale,
-            psi_bump_node=None if doc.psi_bump_node is None else doc.psi_bump_node[0],
-            psi_bump_factor=doc.psi_bump_factor,
-        )
+        problem = manufactured_radial(target, doc.chi_scalar, params, grid,
+                                      subsolution_profile=sub, **psi)
     problem.document = doc
     return problem
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow raises ValidationError below
 def initial_values_from(doc: SpecDocument, problem: ProblemSpec):
     """Evaluate the [init] override on the problem's grid, if present."""
     if doc.init is None:
         return None
     if problem.geometry == "box":
-        fn = _box_function(doc.init, doc.n)
-        return fn.value(problem.box.grid.points())
-    fn = _radial_function(doc.init)
-    return fn.value(problem.radial.grid.s)
+        values = _box_function(doc.init, doc.n).value(problem.box.grid.points())
+    else:
+        values = _radial_function(doc.init).value(problem.radial.grid.s)
+    return _finite("init values", values, bounded=True)
 
 
 def parse_spec(text: str) -> ProblemSpec:

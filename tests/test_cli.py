@@ -438,6 +438,14 @@ class TestValidationFailures:
                                                        "term_1 = 1, 2, 0, 0, 0, 0, 0"),
                      "builtin", id="box-family-on-a-ball"),
         pytest.param(NEAR_FLOAT_RANGE, "chi", id="chi-beyond-the-magnitude-bound"),
+        pytest.param(BOX_SPEC + "[init]\nbuiltin = quadratic\ncoeff = 1e308\n", "init values",
+                     id="box-init-overflow"),
+        pytest.param(BOX_SPEC + "[init]\nbuiltin = quadratic\ncoeff = 1e200\n", "init values",
+                     id="box-init-beyond-the-magnitude-bound"),
+        pytest.param(RADIAL_SPEC + "[init]\nbuiltin = quadratic\ncoeff = 1e308\n", "init values",
+                     id="radial-init-beyond-the-magnitude-bound"),
+        pytest.param(RADIAL_SPEC.replace("radius = 1.0", "radius = 1e200"), "radius",
+                     id="radius-squared-overflow"),
     ])
     def test_rejected_spec_names_the_field(self, tmp_path, capsys, spec, field):
         status, _ = run_cli(tmp_path, spec, "solve")

@@ -375,6 +375,21 @@ class TestNoDiscardedWork:
         box_problem(res=9)
         assert counts == {"points": 1}
 
+    @pytest.mark.parametrize("build", [lambda: box_problem(res=9, psi_scale=0.85),
+                                       lambda: radial_problem(psi_scale=0.85)],
+                             ids=["box", "radial"])
+    def test_target_values_are_one_read_only_array(self, build):
+        # phi (box), the reference and the default subsolution: one copy, and
+        # a solve reads it without writing
+        problem = build()
+        payload = problem.payload
+        target = payload.reference
+        assert payload.subsolution is target and getattr(payload, "phi", target) is target
+        assert not target.flags.writeable
+        before = target.copy()
+        continuity_solve(problem)
+        assert np.array_equal(target, before)
+
     def test_states_keep_their_residual_history(self):
         _, diag = continuity_solve(box_problem(res=9, psi_scale=0.85))
         assert diag.states[0].residual_history[0] == diag.anchor_residual

@@ -21,7 +21,7 @@ import argparse
 import logging
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -87,28 +87,16 @@ class RunConfig:
             raise errors.ValidationError("seed", f"seed must be >= 0, got {self.seed}")
 
 
-# [solve] keys, which the spec parser lowercases, to SolveConfig fields;
-# initial values come from the [init] section instead
-_SOLVE_SETTINGS = {f.name.lower(): f.name for f in fields(SolveConfig) if f.name != "initial_values"}
-
-
 def _solve_config(doc, config: RunConfig) -> SolveConfig:
     sc = SolveConfig()
     for key, value in doc.solve_overrides:
         if key == "initial_values":
             raise errors.ValidationError("solve", "initial values are set in the [init] section")
-        if key not in _SOLVE_SETTINGS:
+        if key != "newton_tol":
             raise errors.ValidationError("solve", f"unknown solver setting {key!r}")
-        name = _SOLVE_SETTINGS[key]
-        current = getattr(sc, name)
-        if isinstance(value, bool) != isinstance(current, bool):
-            kind = "true or false" if isinstance(current, bool) else "a number"
-            raise errors.ValidationError(name, f"must be {kind}, got {value}")
-        if isinstance(current, int) and not isinstance(current, bool):
-            if not float(value).is_integer():
-                raise errors.ValidationError(name, f"must be an integer, got {value}")
-            value = int(value)
-        setattr(sc, name, value)
+        if isinstance(value, bool):
+            raise errors.ValidationError(key, f"must be a number, got {value}")
+        sc.newton_tol = value
     if config.tol is not None:  # the flag overrides the spec's newton_tol
         sc.newton_tol = config.tol
     sc.validate()

@@ -255,8 +255,6 @@ def face_tangential_trace_min(u: ScalarField, chi_entries: np.ndarray) -> float:
     for axis in range(grid.ndim_real):
         jn = axis // 2
         tang_dirs = [j for j in range(n) if j != jn]
-        if not tang_dirs:
-            continue
         chi_trace = float(sum(chi[j, j].real for j in tang_dirs))
         for side in (0, grid.resolution - 1):
             sl = [slice(None)] * grid.ndim_real

@@ -61,6 +61,9 @@ MAX_SUBSETS = 10_000
 # (box-n3-p2-r9: 136 MB over its imports for 7^6 interior nodes), so 2^20
 # nodes bound it near 1.2 GB; the largest shipped grid has 9^6 = 531 441
 MAX_NODES = 2**20
+# bound on the arrays 2-norms are taken over: the squares of MAX_NODES = 2^20
+# entries this size sum to at most 2^1020, so no 2-norm over a grid overflows
+MAGNITUDE_BOUND = 2.0**500
 # most (points + n) x (n + C(n, p)) per radial grid, which bounds the
 # eigenvalue rows, the subset sums and the C(n, p) x n membership table: a
 # radial Newton step peaks near 120 B per entry at n = 3, so about 0.5 GB

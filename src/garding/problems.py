@@ -18,13 +18,10 @@ from .cone import margins_batch
 from .errors import NotAdmissible, SubsolutionInvalid, ValidationError
 from .grid import BoxGrid, least
 from .hermitian import congruence_reduce_batch, eigvals_batch
-from .operator import OperatorParams, product_batch
+from .operator import MAGNITUDE_BOUND, OperatorParams, product_batch
 from .radial import RadialGrid, eigenvalue_rows
 
 SUBSOLUTION_RTOL = 1e-9  # relative slack for M(subsolution) >= psi
-# bound on the arrays 2-norms are taken over: the squares of MAX_NODES = 2^20
-# entries this size sum to at most 2^1020, so no 2-norm over a grid overflows
-MAGNITUDE_BOUND = 2.0**500
 
 
 def _finite(name: str, values, bounded: bool = False):

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import ValidationError
 from .grid import first_difference
 from .hermitian import Spectrum
+from .operator import MAGNITUDE_BOUND
 
 MIN_POINTS = 9
 
@@ -38,8 +39,8 @@ class RadialGrid:
     points: int
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValidationError("radius", f"radius must be positive, got {self.radius}")
+        if not 0.0 < self.radius <= MAGNITUDE_BOUND:  # radius^2 is s_max
+            raise ValidationError("radius", f"radius must lie in (0, 2^500], got {self.radius}")
         if self.points < MIN_POINTS:
             raise ValidationError("points", f"need at least {MIN_POINTS} points, got {self.points}")
 

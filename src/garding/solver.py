@@ -72,61 +72,42 @@ from .radial import (
 
 log = logging.getLogger(__name__)
 
-# lowest admissible t_step_min: at most 1 / t_step_min continuation steps
-# are accepted, so the floor bounds a solve's length
-T_STEP_FLOOR = 2.0**-20
+# Newton: at most MAX_NEWTON_ITERS corrections per attempt, each damped by
+# halving until the trial keeps MARGIN_KEEP of the current cone margin; no
+# damping factor below ALPHA_MIN is tried
+MAX_NEWTON_ITERS = 50
+MARGIN_KEEP = 0.1
+ALPHA_MIN = 2.0**-20
+# continuation: the first step is T_STEP_INIT; a failed attempt halves the
+# step, and an accepted one that took at most EASY_ITERS corrections grows it
+# by T_GROWTH, up to T_STEP_MAX.  No attempt is shorter than T_STEP_MIN, so at
+# most 1 / T_STEP_MIN steps are accepted, and the failed attempts number at
+# most log2(T_STEP_MAX / T_STEP_MIN) plus log2(T_GROWTH) per accepted step
+T_STEP_INIT = 0.25
+T_STEP_MIN = 1e-6
+T_STEP_MAX = 0.5
+T_GROWTH = 1.5
+EASY_ITERS = 3
+# BiCGStab's relative tolerance: 0.03 * residual / scale, clipped to this range
+LINEAR_TOL_FLOOR = 1e-12
+LINEAR_TOL_CAP = 1e-4
+# collar barrier v = (u - subsolution) + BARRIER_TAU * d - BARRIER_N * d^2 on
+# {0 < d < delta}; BARRIER_DELTA None means 0.1 * the domain diameter
+BARRIER_TAU = 0.05
+BARRIER_N = 50.0
+BARRIER_DELTA = None
 
 
 @dataclass
 class SolveConfig:
     newton_tol: float | None = None  # default 1e-8 (box) / 1e-10 (radial)
-    max_newton_iters: int = 50
-    t_step_init: float = 0.25
-    t_step_min: float = 1e-6
-    t_step_max: float = 0.5
-    t_growth: float = 1.5
-    easy_iters: int = 3
-    margin_keep: float = 0.1
-    alpha_min: float = 2.0**-20
-    linear_tol_floor: float = 1e-12
-    linear_tol_cap: float = 1e-4
     initial_values: np.ndarray | None = None
-    compute_barrier: bool = True
-    barrier_tau: float = 0.05
-    barrier_N: float = 50.0
-    barrier_delta: float | None = None  # default 0.1 * domain diameter
 
     def validate(self) -> None:
-        """Raise ValidationError for a setting outside its range.
-
-        With ``t_growth >= 1`` the continuation step shrinks only after a
-        failed step, and ``t_step_min >= T_STEP_FLOOR`` bounds both how
-        often that can happen and the number of accepted steps.
-        """
-        for name in ("newton_tol", "linear_tol_floor", "linear_tol_cap"):
-            value = getattr(self, name)
-            if value is not None and not value > 0.0:
-                raise ValidationError(name, f"tolerance must be positive, got {value}")
-        for name in ("max_newton_iters", "easy_iters"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValidationError(name, f"must be >= 0, got {value}")
-        if not T_STEP_FLOOR <= self.t_step_min <= self.t_step_init <= self.t_step_max <= 1.0:
-            raise ValidationError(
-                "t_step_init",
-                "need 2^-20 <= t_step_min <= t_step_init <= t_step_max <= 1, got "
-                f"{self.t_step_min}, {self.t_step_init}, {self.t_step_max}",
-            )
-        if not self.t_growth >= 1.0:
-            raise ValidationError("t_growth", f"must be >= 1, got {self.t_growth}")
-        for name in ("margin_keep", "alpha_min"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValidationError(name, f"must lie in (0, 1), got {value}")
-        for name in ("barrier_tau", "barrier_N", "barrier_delta"):
-            value = getattr(self, name)
-            if value is not None and not value > 0.0:
-                raise ValidationError(name, f"must be positive, got {value}")
+        """Raise ValidationError unless newton_tol is unset or positive."""
+        tol = self.newton_tol
+        if tol is not None and not tol > 0.0:
+            raise ValidationError("newton_tol", f"tolerance must be positive, got {tol}")
 
     def tol_for(self, geometry: str) -> float:
         if self.newton_tol is not None:
@@ -206,8 +187,7 @@ class _Analysis:
 class _BoxEvaluator:
     """Analyses and Newton corrections on a box problem."""
 
-    def __init__(self, problem: ProblemSpec, config: SolveConfig):
-        self.config = config
+    def __init__(self, problem: ProblemSpec):
         box = problem.box
         self.grid = box.grid
         self.params = problem.params
@@ -239,17 +219,14 @@ class _BoxEvaluator:
     def correction(self, a: _Analysis, resid: np.ndarray, rnorm: float) -> np.ndarray:
         system = assemble_linearized(MatrixField(self.grid, a.coeffs), -resid, self.grid)
         scale = max(1.0, float(np.abs(self.psi_tilde).max()))
-        lin_tol = min(
-            self.config.linear_tol_cap,
-            max(self.config.linear_tol_floor, 0.03 * rnorm / scale),
-        )
+        lin_tol = min(LINEAR_TOL_CAP, max(LINEAR_TOL_FLOOR, 0.03 * rnorm / scale))
         return solve_sparse(system, tol=lin_tol).values
 
 
 class _RadialEvaluator:
     """Analyses and Newton corrections on a radial problem."""
 
-    def __init__(self, problem: ProblemSpec, config: SolveConfig):
+    def __init__(self, problem: ProblemSpec):
         rad = problem.radial
         self.grid = rad.grid
         self.params = problem.params
@@ -286,21 +263,21 @@ def _linearized(ev, u: np.ndarray, what: str) -> _Analysis:
     return a
 
 
-def _make_evaluator(problem: ProblemSpec, config: SolveConfig):
+def _make_evaluator(problem: ProblemSpec):
     """Evaluator whose t = 0 anchor is ftilde from the subsolution's analysis.
 
     That analysis is left in ``ev.start``, so a Newton loop from the
     subsolution starts from it; every Newton state comes from the same
     analyze/linearize pair, so the t = 0 residual there is bitwise zero.
     """
-    ev = (_BoxEvaluator if problem.geometry == "box" else _RadialEvaluator)(problem, config)
+    ev = (_BoxEvaluator if problem.geometry == "box" else _RadialEvaluator)(problem)
     ev.start = _linearized(ev, problem.payload.subsolution,
                            "subsolution not admissible on the grid")
     ev.anchor = ev.start.ft
     return ev
 
 
-def _newton_loop(ev, t: float, u_init: np.ndarray, tol: float, config: SolveConfig) -> HomotopyState:
+def _newton_loop(ev, t: float, u_init: np.ndarray, tol: float) -> HomotopyState:
     """Damped Newton at fixed t from ``u_init``; returns the converged state.
 
     The loop takes ``ev.start``, the linearized analysis of ``u_init``, when
@@ -315,7 +292,7 @@ def _newton_loop(ev, t: float, u_init: np.ndarray, tol: float, config: SolveConf
     history: list[float] = []
     best = np.inf
     stagnant = 0
-    for iteration in range(config.max_newton_iters + 1):
+    for iteration in range(MAX_NEWTON_ITERS + 1):
         resid = state.ft - target
         rnorm = float(np.abs(resid).max())
         history.append(rnorm)
@@ -347,26 +324,26 @@ def _newton_loop(ev, t: float, u_init: np.ndarray, tol: float, config: SolveConf
                 min_margin=state.min_margin,
                 residual_history=tuple(history),
             )
-        if iteration == config.max_newton_iters:
+        if iteration == MAX_NEWTON_ITERS:
             break
         delta = ev.correction(state, resid, rnorm)
         alpha = 1.0
         while True:
             candidate = u + alpha * delta
             trial = ev.analyze(candidate)
-            if trial.min_margin >= config.margin_keep * state.min_margin:
+            if trial.min_margin >= MARGIN_KEEP * state.min_margin:
                 break
             alpha *= 0.5
-            if alpha < config.alpha_min:
+            if alpha < ALPHA_MIN:
                 raise ConeEscape(
-                    f"no damping factor >= {config.alpha_min:g} keeps admissibility "
+                    f"no damping factor >= {ALPHA_MIN:g} keeps admissibility "
                     f"near node {trial.min_node}",
                     node=trial.min_node,
                 )
         u, state = candidate, trial
         ev.linearize(state)
     raise MaxItersExceeded(
-        f"{config.max_newton_iters} Newton iterations at t={t:.4f}, residual {history[-1]:.3e}"
+        f"{MAX_NEWTON_ITERS} Newton iterations at t={t:.4f}, residual {history[-1]:.3e}"
     )
 
 
@@ -375,13 +352,11 @@ def newton_solve_at_t(
     t: float,
     u_init: np.ndarray | ScalarField,
     tol: float,
-    config: SolveConfig | None = None,
 ) -> HomotopyState:
     """Solve the fixed-t equation by damped Newton from an admissible start."""
-    config = config or SolveConfig()
-    ev = _make_evaluator(problem, config)
+    ev = _make_evaluator(problem)
     ev.start = None  # u_init is not the subsolution in general
-    return _newton_loop(ev, t, field_values(u_init), tol, config)
+    return _newton_loop(ev, t, field_values(u_init), tol)
 
 
 def continuity_solve(problem: ProblemSpec, config: SolveConfig | None = None):
@@ -393,7 +368,7 @@ def continuity_solve(problem: ProblemSpec, config: SolveConfig | None = None):
     """
     config = config or SolveConfig()
     verify_subsolution(problem)
-    ev = _make_evaluator(problem, config)
+    ev = _make_evaluator(problem)
 
     tol = config.tol_for(problem.geometry)
     if config.initial_values is None:
@@ -403,16 +378,16 @@ def continuity_solve(problem: ProblemSpec, config: SolveConfig | None = None):
         ev.start = None  # the subsolution's analysis does not describe u
 
     states: list[HomotopyState] = []
-    state0 = _newton_loop(ev, 0.0, u, tol, config)
+    state0 = _newton_loop(ev, 0.0, u, tol)
     states.append(state0)
     u = state0.u
     anchor_residual = state0.residual_history[0]
 
     t = 0.0
-    step = config.t_step_init
+    step = T_STEP_INIT
     failure = None
     while t < 1.0:
-        if step < config.t_step_min:
+        if step < T_STEP_MIN:
             raise ContinuationStalled(
                 f"continuation step {step:.2e} below minimum at t={t:.4f}"
             ) from failure
@@ -420,7 +395,7 @@ def continuity_solve(problem: ProblemSpec, config: SolveConfig | None = None):
         # ev.start, the analysis of u, starts the attempt; after a failed
         # attempt it is gone and the restart analyzes u again
         try:
-            st = _newton_loop(ev, t_try, u, tol, config)
+            st = _newton_loop(ev, t_try, u, tol)
         except (ConeEscape, MaxItersExceeded, LinearSolveStalled) as exc:
             step *= 0.5
             failure = exc
@@ -430,12 +405,12 @@ def continuity_solve(problem: ProblemSpec, config: SolveConfig | None = None):
         states.append(st)
         u = st.u
         t = t_try
-        if st.newton_iters <= config.easy_iters:
-            step = min(step * config.t_growth, config.t_step_max)
+        if st.newton_iters <= EASY_ITERS:
+            step = min(step * T_GROWTH, T_STEP_MAX)
 
     # the analysis at t = 1 feeds the diagnostics
     final, ev.start = ev.start, None
-    diagnostics = _diagnostics(problem, ev, final, states, anchor_residual, config)
+    diagnostics = _diagnostics(problem, ev, final, states, anchor_residual)
     if problem.geometry == "box":
         return ScalarField(problem.box.grid, u), diagnostics
     return u, diagnostics
@@ -466,9 +441,9 @@ def barrier_check(
     u,
     ul_u,
     problem: ProblemSpec,
-    tau: float = 0.05,
-    N: float = 50.0,
-    delta: float | None = None,
+    tau: float = BARRIER_TAU,
+    N: float = BARRIER_N,
+    delta: float | None = BARRIER_DELTA,
 ) -> BarrierReport:
     """Evaluate the collar barrier v = (u - ul_u) + tau * d - N * d^2.
 
@@ -483,7 +458,7 @@ def barrier_check(
     if problem.geometry != "box":
         raise RadialModeUnsupported("barrier_check requires a box problem")
     uv = field_values(u)
-    ev = _BoxEvaluator(problem, SolveConfig())
+    ev = _BoxEvaluator(problem)
     a = ev.analyze(uv)
     ev.linearize(a)
     return _barrier_report(uv, ul_u, problem, a, tau, N, delta)
@@ -503,7 +478,7 @@ def _barrier_report(uv, ul_u, problem: ProblemSpec, state: _Analysis, tau, N, de
     collar = (d > 0.0) & (d < delta)
     count = int(collar.sum())
     if count == 0:
-        return BarrierReport(0, 0, np.nan, None, None, np.nan, True)
+        return BarrierReport(0, 0, np.nan, None, None, np.nan, degenerate)
 
     vmin_idx = np.unravel_index(int(np.argmin(np.where(collar, v, np.inf))), grid.shape)
     min_v = float(v[vmin_idx])
@@ -551,7 +526,7 @@ def _c2_quantities(problem: ProblemSpec, uv: np.ndarray) -> tuple:
     return K, float(max(interior_r.max(), boundary_r)), float(boundary_r)
 
 
-def _diagnostics(problem, ev, final: _Analysis, states, anchor_residual, config) -> SolveDiagnostics:
+def _diagnostics(problem, ev, final: _Analysis, states, anchor_residual) -> SolveDiagnostics:
     """Diagnostics of the t = 1 state ``states[-1]``, read from its analysis."""
     u = states[-1].u
     barrier = None
@@ -559,11 +534,8 @@ def _diagnostics(problem, ev, final: _Analysis, states, anchor_residual, config)
         box = problem.box
         grid = box.grid
         upper_vals = upper_barrier(box.chi, box.omega, ScalarField(grid, box.phi), grid).values
-        if config.compute_barrier:
-            barrier = _barrier_report(
-                u, box.subsolution, problem, final,
-                config.barrier_tau, config.barrier_N, config.barrier_delta,
-            )
+        barrier = _barrier_report(u, box.subsolution, problem, final,
+                                  BARRIER_TAU, BARRIER_N, BARRIER_DELTA)
     else:
         rad = problem.radial
         upper_vals = radial_trace_equation_solution(

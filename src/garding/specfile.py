@@ -20,7 +20,7 @@ Sections
 [subsolution]   optional distinct subsolution, same format as [solution]
 [psi]           optional modifiers: scale, bump_node, bump_factor
 [init]          optional initializer override for solve mode
-[solve]         optional numeric overrides (newton_tol, ...)
+[solve]         optional newton_tol
 [sweep]         refine-sweep levels: resolutions = ... (box) or
                 points = ... (radial), each within the bounds above
 
@@ -40,8 +40,8 @@ import numpy as np
 from .analytic import Polynomial, RadialProfile, norm_squared, radial_power
 from .errors import ParseError, ValidationError
 from .grid import BoxGrid
-from .operator import MAX_NODES, MAX_RADIAL_ENTRIES, MAX_SUBSETS, OperatorParams
-from .problems import MAGNITUDE_BOUND, ProblemSpec, _finite, manufactured_box, manufactured_radial
+from .operator import MAGNITUDE_BOUND, MAX_NODES, MAX_RADIAL_ENTRIES, MAX_SUBSETS, OperatorParams
+from .problems import ProblemSpec, _finite, manufactured_box, manufactured_radial
 from .radial import RadialGrid
 
 FORMAT_VERSION = 1

@@ -272,7 +272,7 @@ def test_criterion_09_anchor_and_uniqueness(box_solutions):
     # keeps a healthy cone margin
     pts = grid.points()
     profile = np.prod(np.cos(np.pi * pts / 2.0), axis=-1)
-    ev = _BoxEvaluator(problem, SolveConfig())
+    ev = _BoxEvaluator(problem)
     base_margin = ev.analyze(problem.box.subsolution).min_margin
     beta = 1.0
     while beta > 1e-4:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import garding.operator
 import garding.report
 from garding import cli, errors
 from garding.cli import main
@@ -223,6 +224,19 @@ class TestCheckOperatorMode:
         )
         assert (out / "report.txt").read_bytes() == report1
 
+    def test_violations_exit_4_and_list_the_first_16(self, tmp_path, monkeypatch):
+        # a ftilde shifted by 1 breaks the structure properties in 41 of the trials
+        ftilde = garding.operator.ftilde_batch
+        monkeypatch.setattr(garding.operator, "ftilde_batch", lambda *a: ftilde(*a) + 1.0)
+        spec = (REPO / "specs" / "box-n2-p1.spec").read_text()
+        status, out = run_cli(tmp_path, spec, "check-operator",
+                              extra=["--trials", "200", "--seed", "1"])
+        assert status == 4
+        lines = (out / "report.txt").read_text().splitlines()
+        assert "violations = 41" in lines
+        assert sum(line.startswith("violation [") for line in lines) == 16
+        assert "41 violations recorded" in lines
+
 
 class TestRefineSweep:
     def test_radial_sweep(self, tmp_path):
@@ -322,17 +336,31 @@ class TestValidationFailures:
         status, _ = run_cli(tmp_path, spec, "solve")
         assert status == 2
 
+    @pytest.mark.parametrize("setting", [
+        "max_newton_iters = 50", "t_step_init = 0.25", "t_step_min = 1e-6", "t_step_max = 0.5",
+        "t_growth = 1.5", "easy_iters = 3", "margin_keep = 0.1", "alpha_min = 9.5367431640625e-07",
+        "linear_tol_floor = 1e-12", "linear_tol_cap = 1e-4", "compute_barrier = true",
+        "barrier_tau = 0.05", "barrier_N = 50", "barrier_delta = 0.4",
+    ])
+    def test_only_newton_tol_is_a_setting(self, tmp_path, capsys, setting):
+        # the continuation, damping, linear-tolerance and barrier constants are
+        # not settings; a spec naming one fails even with its value
+        status, _ = run_cli(tmp_path, BOX_SPEC + f"[solve]\n{setting}\n", "solve")
+        assert status == 2
+        key = setting.split(" = ")[0].lower()
+        assert f"unknown solver setting {key!r}" in capsys.readouterr().err
+
     def test_box_initial_values_setting_points_to_init(self, tmp_path, capsys):
         status, _ = run_cli(tmp_path, BOX_SPEC + "[solve]\ninitial_values = 1\n", "solve")
         assert status == 2
         assert "[init]" in capsys.readouterr().err
 
     def test_mixed_case_setting_is_applied(self, tmp_path):
-        # the parser lowercases keys; barrier_N must still be reachable
-        spec = write(tmp_path, "case.spec", BOX_SPEC + "[solve]\nbarrier_N = 60\nbarrier_tau = 0.1\n")
+        # the parser lowercases keys; NEWTON_TOL must still be reachable
+        spec = write(tmp_path, "case.spec", BOX_SPEC + "[solve]\nNEWTON_TOL = 1e-9\n")
         config = cli.RunConfig(mode="solve", spec_path=spec, out_dir=tmp_path / "out")
         sc = cli._solve_config(parse_document(spec.read_text()), config)
-        assert (sc.barrier_N, sc.barrier_tau) == (60.0, 0.1)
+        assert sc.newton_tol == 1e-9
 
     def test_trials_past_the_entry_cap(self, tmp_path, monkeypatch, capsys):
         # 3 + C(3, 2) = 6 entries per trial; the cap must act before any array

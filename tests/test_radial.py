@@ -81,6 +81,15 @@ class TestProfileDerivatives:
         with pytest.raises(ValidationError):
             RadialGrid(1.0, 5)
 
+    def test_radius_past_the_magnitude_bound(self):
+        # radius^2 = s_max would overflow; the build must not get that far
+        with pytest.raises(ValidationError, match="radius"):
+            manufactured_radial(radial_power(2), 1.0, OperatorParams(3, 2), RadialGrid(1e200, 201))
+
+    def test_nan_radius(self):
+        with pytest.raises(ValidationError, match="radius"):
+            RadialGrid(float("nan"), 201)
+
 
 class TestBandSolve:
     """The pivoted band elimination against SuperLU on the same collocated matrix."""

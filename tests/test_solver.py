@@ -119,24 +119,26 @@ class TestRadialSolve:
         # larger psi pushes the solution down
         assert (u_base - u_small).max() <= 1e-8
 
-    def test_continuation_stalls_with_zero_newton_budget(self):
+    def test_continuation_stalls_with_zero_newton_budget(self, monkeypatch):
         problem = radial_problem(subsolution_profile=shifted_subsolution())
+        monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 0)
         with pytest.raises(ContinuationStalled):
-            continuity_solve(problem, SolveConfig(max_newton_iters=0))
+            continuity_solve(problem)
 
-    @pytest.mark.parametrize("config", [SolveConfig(t_step_init=0.0), SolveConfig(t_growth=0.5)],
+    @pytest.mark.parametrize("name, value", [("T_STEP_INIT", 0.0), ("T_GROWTH", 0.5)],
                              ids=["zero_step", "shrinking_growth"])
-    def test_step_floor_holds_without_a_failed_step(self, config):
+    def test_step_floor_holds_without_a_failed_step(self, monkeypatch, name, value):
         # every step succeeds, but the step never reaches t = 1
+        monkeypatch.setattr(solver, name, value)
         with pytest.raises(ContinuationStalled):
-            continuity_solve(radial_problem(points=41), config)
+            continuity_solve(radial_problem(points=41))
 
-    def test_max_iters_exceeded_directly(self):
+    def test_max_iters_exceeded_directly(self, monkeypatch):
         problem = radial_problem(subsolution_profile=shifted_subsolution())
+        monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
         with pytest.raises(MaxItersExceeded):
             newton_solve_at_t(
                 problem, 1.0, problem.radial.subsolution, tol=1e-12,
-                config=SolveConfig(max_newton_iters=1),
             )
 
 
@@ -298,8 +300,9 @@ class TestOneAnalysisPerState:
         problem = manufactured_box(
             norm_squared(n), np.zeros((n, n)), OperatorParams(n, p), grid, psi_scale=0.9
         )
-        one_step = SolveConfig(t_step_init=1.0, t_step_max=1.0, compute_barrier=False)
-        _, diag = continuity_solve(problem, one_step)
+        monkeypatch.setattr(solver, "T_STEP_INIT", 1.0)
+        monkeypatch.setattr(solver, "T_STEP_MAX", 1.0)
+        _, diag = continuity_solve(problem)
         assert diag.final_residual <= 1e-8 and diag.anchor_residual == 0.0
         assert counts["determinant_linearization_batch"] > 0
 
@@ -359,7 +362,7 @@ class TestOneAnalysisPerState:
         _, diag = continuity_solve(problem)
         assert seen["analyses"] > 1 + counts["_newton_loop"] + seen["corrections"]
 
-        ev = _make_evaluator(problem, SolveConfig())
+        ev = _make_evaluator(problem)
         for state in diag.states:
             fresh = analyze(ev, state.u)
             ev.linearize(fresh)
@@ -400,9 +403,9 @@ class TestNoDiscardedWork:
         correction = _BoxEvaluator.correction
         monkeypatch.setattr(_BoxEvaluator, "correction",
                             lambda self, *args: 1e6 * correction(self, *args))
+        monkeypatch.setattr(solver, "ALPHA_MIN", 0.25)
         with pytest.raises(ConeEscape, match="no damping factor >= 0.25 keeps"):
-            newton_solve_at_t(problem, 1.0, problem.box.subsolution, tol=1e-8,
-                              config=SolveConfig(alpha_min=0.25))
+            newton_solve_at_t(problem, 1.0, problem.box.subsolution, tol=1e-8)
 
 
 class TestSubsolutionFailures:
@@ -471,6 +474,14 @@ class TestBoundaryTrace:
         val = boundary_trace_check(ScalarField(grid, flat), problem)
         assert val == pytest.approx(0.0, abs=1e-12)
 
+    def test_box_n1_has_an_empty_tangential_block(self):
+        # at n = 1 the complex-tangential block is empty, so its trace is 0, as
+        # (n - 1)(c + u') is on a ball
+        grid = BoxGrid(1, ((-1, 1),) * 2, 17)
+        problem = manufactured_box(norm_squared(1), np.zeros((1, 1)), OperatorParams(1, 1), grid)
+        _, diag = continuity_solve(problem)
+        assert diag.c0_boundary == 0.0
+
 
 class TestBarrier:
     def test_trivial_positive_barrier(self):
@@ -491,6 +502,14 @@ class TestBarrier:
             tau=0.1, N=1.0, delta=5.0,
         )
         assert report.degenerate_collar
+
+    def test_empty_collar_is_not_degenerate(self):
+        # spacing 0.25: no node lies at 0 < d < 0.1, and 0.1 is below the half width
+        problem = box_problem(res=9)
+        sub = problem.box.subsolution
+        report = barrier_check(sub, sub, problem, delta=0.1)
+        assert report.collar_nodes == 0 and np.isnan(report.min_v)
+        assert not report.degenerate_collar
 
     def test_radial_unsupported(self):
         problem = radial_problem()

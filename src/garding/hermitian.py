@@ -6,6 +6,13 @@ Matrices follow the row-k / column-j convention: ``entries[k, j]`` holds the
 Hermitian in the ordinary sense (``A == A.conj().T``) and eigenvalue routines
 are convention independent.  Every eigenvalue comes from
 :func:`eigvals_batch`; a scalar entry point is a call on a one-matrix batch.
+
+Per-node fields are plane-backed: a stack of shape (..., n, n) is the
+``np.moveaxis`` view of an (n, n, ...) array, so the kernels, which read
+and write one entry at a time across all nodes, touch one contiguous plane
+per entry.  :func:`complex_hessian_from` allocates that way and
+:func:`ambient_transport_batch` keeps it; a C-ordered stack is accepted
+everywhere and gives the same values.
 """
 
 from __future__ import annotations
@@ -82,18 +89,19 @@ def complex_hessian_from(d2, n: int, shape: tuple) -> np.ndarray:
     ``d2(a, b)`` gives d^2/(dt_a dt_b) over ``shape``, with real axes ordered
     x_1, y_1, x_2, y_2, ...; entry [k, j] = d^2/dz^j dzbar^k is
     1/4 [(u_{x^j x^k} + u_{y^j y^k}) + i (u_{x^j y^k} - u_{y^j x^k})].
+    The result is plane-backed: a view of an (n, n) + shape array.
     """
-    out = np.zeros(shape + (n, n), dtype=np.complex128)
+    out = np.empty((n, n) + shape, dtype=np.complex128)
     for j in range(n):
         xj, yj = 2 * j, 2 * j + 1
-        out[..., j, j] = (d2(xj, xj) + d2(yj, yj)) / 4.0
+        out[j, j] = (d2(xj, xj) + d2(yj, yj)) / 4.0
         for k in range(j + 1, n):
             xk, yk = 2 * k, 2 * k + 1
             re = (d2(xj, xk) + d2(yj, yk)) / 4.0
             im = (d2(xj, yk) - d2(yj, xk)) / 4.0
-            out[..., k, j] = re + 1j * im
-            out[..., j, k] = re - 1j * im
-    return out
+            out[k, j] = re + 1j * im
+            out[j, k] = re - 1j * im
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def herm_eigen(a: HermitianMatrix) -> Spectrum:
@@ -231,9 +239,12 @@ def ambient_transport_batch(coeffs: np.ndarray, ell: np.ndarray | None) -> np.nd
 
     The adjoint of :func:`congruence_reduce_batch`: returns ``L^{-*} coeffs
     L^{-1}``, so that tr(coeffs @ L^{-1} h L^{-*}) = tr(result @ h) for a
-    Hermitian h.  With ``ell`` None (identity metric) this is a no-op.
+    Hermitian h.  With ``ell`` None (identity metric) this is a no-op;
+    otherwise the result is plane-backed.
     """
     if ell is None:
         return coeffs
     ell_inv = np.linalg.inv(ell)
-    return np.einsum("ba,...bc,cd->...ad", ell_inv.conj(), coeffs, ell_inv)
+    planes = np.moveaxis(coeffs, (-2, -1), (0, 1))
+    out = np.einsum("ba,bc...,cd->ad...", ell_inv.conj(), planes, ell_inv)
+    return np.moveaxis(out, (0, 1), (-2, -1))

@@ -22,8 +22,12 @@ are not all zero (19 fields at n = 3; constants for constant coefficients).
 It applies them to a full-grid array whose boundary entries act as
 Dirichlet data (zeros for a product with interior values): a central
 difference along each axis, and for each cross pair a difference along b,
-then along a.  The coefficients are checked for positive definiteness with
-a batched Cholesky factorization; eigenvalues only name the offending node.
+then along a.  The coefficients, plane-backed when they come from a Newton
+state (see :mod:`garding.hermitian`), are checked to be finite and then to
+be positive definite with a batched Cholesky factorization, which accepts
+NaN and inf on a diagonal entry; eigenvalues only name an indefinite node.
+The Cholesky check stays on every field: pivots of the LDL* that produced
+the coefficients can pass where the coefficients are singular to rounding.
 
 Every system is solved one way: BiCGStab preconditioned by the exact
 inverse of the operator's mean axis stencil, the constant-coefficient
@@ -196,6 +200,11 @@ def assemble_linearized(coeffs: MatrixField | np.ndarray, rhs: ScalarField | np.
     ``mmatrix_violations`` when it is read.
     """
     cvals = coeffs.values if isinstance(coeffs, MatrixField) else np.asarray(coeffs, np.complex128)
+    # np.linalg.cholesky factors a stack with NaN or inf on a diagonal entry
+    finite = np.isfinite(cvals).all(axis=(-2, -1)).reshape(-1)
+    if not finite.all():
+        node = grid.node_of_flat(int(np.argmin(finite)))
+        raise IndefiniteCoefficients(f"coefficients not finite at node {node}")
     try:
         np.linalg.cholesky(cvals)
     except np.linalg.LinAlgError:

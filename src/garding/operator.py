@@ -33,7 +33,8 @@ ftilde = det(K)^(1/C(n, p)), A lies in the cone exactly when K is positive
 definite, and the linearization is (ftilde / C(n, p)) tr(K^-1 dK).
 :func:`determinant_form_batch` writes K and
 :func:`determinant_linearization_batch` factors it once per matrix and maps
-K^-1 back to the n x n coefficients.
+K^-1 back to the n x n coefficients.  Both return plane-backed stacks (see
+:mod:`garding.hermitian`) and read a plane-backed input without a copy.
 """
 
 from __future__ import annotations
@@ -259,8 +260,9 @@ def determinant_form_batch(mats: np.ndarray, params: OperatorParams):
     trace = np.einsum("...ii->...", mats).real
     if params.p == 1:  # the table is the identity
         return mats, trace
-    form = mats.reshape(-1, n * n) @ params.compound
-    return form.reshape(mats.shape[:-2] + (m, m)), trace
+    planes = np.moveaxis(mats, (-2, -1), (0, 1)).reshape(n * n, -1)
+    form = (params.compound.T @ planes).reshape((m, m) + mats.shape[:-2])
+    return np.moveaxis(form, (0, 1), (-2, -1)), trace
 
 
 def determinant_linearization_batch(params: OperatorParams, form: np.ndarray):
@@ -281,18 +283,18 @@ def determinant_linearization_batch(params: OperatorParams, form: np.ndarray):
     """
     n, m = params.n, params.subset_count
     shape = form.shape[:-2]
-    b = form.reshape(-1, m, m)
+    b = np.moveaxis(form.reshape(-1, m, m), 0, -1)  # b[i, j] is the plane of K_ij
     low = {}  # low[i, j] = L_ij for i > j
-    piv = np.empty((m, b.shape[0]))
+    piv = np.empty((m, b.shape[-1]))
     for j in range(m):
         scaled = [low[j, k] * piv[k] for k in range(j)]  # L_jk d_k
-        dj = b[:, j, j].real - sum((scaled[k] * low[j, k].conj()).real for k in range(j))
+        dj = b[j, j].real - sum((scaled[k] * low[j, k].conj()).real for k in range(j))
         if np.any(dj < SUM_FLOOR):
             bad = int(np.argmin(dj))
             raise OutsideCone(f"row {bad}: pivot {dj[bad]:.6e} at/below boundary")
         piv[j] = dj
         for i in range(j + 1, m):
-            low[i, j] = (b[:, i, j] - sum(low[i, k] * scaled[k].conj() for k in range(j))) / dj
+            low[i, j] = (b[i, j] - sum(low[i, k] * scaled[k].conj() for k in range(j))) / dj
 
     w = {}  # w[i, j] = W_ij for i >= j, W = L^-1 unit lower triangular
     for i in range(m):
@@ -313,17 +315,18 @@ def determinant_linearization_batch(params: OperatorParams, form: np.ndarray):
 
     scale = ft / m
     inv_diag = [inverse(s, s).real for s in range(m)]
-    out = np.empty((b.shape[0], n, n), dtype=np.complex128)
+    out = np.empty((n, n, b.shape[-1]), dtype=np.complex128)
     for i in range(n):
-        out[:, i, i] = scale * sum(inv_diag[s] for s in np.flatnonzero(params.membership[:, i]))
+        out[i, i] = scale * sum(inv_diag[s] for s in np.flatnonzero(params.membership[:, i]))
         for k in range(i + 1, n):
             row = params.compound[i * n + k]
             terms = [inverse(*divmod(col, m)) for col in np.flatnonzero(row)]
             terms = [x if sign > 0 else -x for x, sign in zip(terms, row[row != 0])]
-            out[:, i, k] = scale * (sum(terms[1:], terms[0]) if terms else 0.0)
-            out[:, k, i] = out[:, i, k].conj()
+            out[i, k] = scale * (sum(terms[1:], terms[0]) if terms else 0.0)
+            out[k, i] = out[i, k].conj()
     trace_f = scale * sum(inv_diag) * params.p
-    return out.reshape(shape + (n, n)), trace_f.reshape(shape), ft.reshape(shape)
+    coeffs = np.moveaxis(out, -1, 0).reshape(shape + (n, n))
+    return coeffs, trace_f.reshape(shape), ft.reshape(shape)
 
 
 def arrow_form_value(g: HermitianMatrix, atol: float = 1e-12):

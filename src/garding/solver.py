@@ -194,14 +194,16 @@ class _BoxEvaluator:
         self.chi = box.chi
         self.omega = box.omega
         self.psi_tilde = box.psi ** (1.0 / self.params.subset_count)
+        self.resid_scale = max(1.0, float(np.abs(self.psi_tilde).max()))
         self.ell = None if self.omega is None else np.linalg.cholesky(self.omega)
         self.anchor = None  # ftilde at the subsolution, set by _make_evaluator
         self.start = None  # linearized analysis the next Newton loop starts from
 
     def _reduced(self, u_values: np.ndarray) -> np.ndarray:
         """The reduced matrices of omega^-1 g at u; the Hessian dies with the call."""
-        hess = complex_hessian_field(ScalarField(self.grid, u_values))
-        return congruence_reduce_batch(hess.values + self.chi, self.omega)[0]
+        hess = complex_hessian_field(ScalarField(self.grid, u_values)).values
+        hess += self.chi
+        return congruence_reduce_batch(hess, self.omega)[0]
 
     def analyze(self, u_values: np.ndarray) -> _Analysis:
         # no temporary stays alive across the eigenvalues: only their input,
@@ -218,8 +220,7 @@ class _BoxEvaluator:
 
     def correction(self, a: _Analysis, resid: np.ndarray, rnorm: float) -> np.ndarray:
         system = assemble_linearized(MatrixField(self.grid, a.coeffs), -resid, self.grid)
-        scale = max(1.0, float(np.abs(self.psi_tilde).max()))
-        lin_tol = min(LINEAR_TOL_CAP, max(LINEAR_TOL_FLOOR, 0.03 * rnorm / scale))
+        lin_tol = min(LINEAR_TOL_CAP, max(LINEAR_TOL_FLOOR, 0.03 * rnorm / self.resid_scale))
         return solve_sparse(system, tol=lin_tol).values
 
 
@@ -353,7 +354,11 @@ def newton_solve_at_t(
     u_init: np.ndarray | ScalarField,
     tol: float,
 ) -> HomotopyState:
-    """Solve the fixed-t equation by damped Newton from an admissible start."""
+    """Solve the fixed-t equation by damped Newton from an admissible start.
+
+    Raises ValidationError unless ``tol`` is positive.
+    """
+    SolveConfig(newton_tol=tol).validate()
     ev = _make_evaluator(problem)
     ev.start = None  # u_init is not the subsolution in general
     return _newton_loop(ev, t, field_values(u_init), tol)
@@ -363,10 +368,12 @@ def continuity_solve(problem: ProblemSpec, config: SolveConfig | None = None):
     """March t from 0 to 1 with adaptive steps; return solution + diagnostics.
 
     Raises SubsolutionInvalid when the problem's subsolution fails its
-    analytic checks, ConeEscape when an initializer is not admissible, and
-    ContinuationStalled when step halving hits the minimum step.
+    analytic checks, ConeEscape when an initializer is not admissible,
+    ContinuationStalled when step halving hits the minimum step, and
+    ValidationError when ``config`` fails its check.
     """
     config = config or SolveConfig()
+    config.validate()
     verify_subsolution(problem)
     ev = _make_evaluator(problem)
 

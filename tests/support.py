@@ -48,6 +48,12 @@ class RadialOnBox:
         return u1[..., None, None] * eye + u2[..., None, None] * outer
 
 
+def plane_backed(a: np.ndarray) -> bool:
+    """True when each (k, j) entry of the (..., n, n) array ``a`` is one
+    contiguous plane: ``a`` is the moved view of a C-ordered (n, n, ...) array."""
+    return np.moveaxis(a, (-2, -1), (0, 1)).flags.c_contiguous
+
+
 def node_coords(grid, node) -> np.ndarray:
     """Real coordinates of a grid node."""
     return np.array([grid.axis_coords(a)[i] for a, i in enumerate(node)], dtype=np.float64)

@@ -21,6 +21,7 @@ from garding.linear import (
     solve_sparse,
     upper_barrier,
 )
+from garding.operator import OperatorParams, determinant_linearization_batch
 
 from support import constant_coefficient_field, hessian_operator_apply, re_z1_squared
 
@@ -277,6 +278,31 @@ class TestAssembly:
         )
         with pytest.raises(IndefiniteCoefficients, match=re.escape(str(node))):
             assemble_linearized(coeffs, np.zeros(grid.interior_shape), grid)
+
+    @pytest.mark.parametrize("n, node", [(2, (4, 2, 7, 3)), (3, (3, 1, 5, 7, 6, 2))])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_node_is_named(self, n, node, bad):
+        # np.linalg.cholesky factors a stack with NaN or inf on a diagonal entry
+        grid = BoxGrid(n, ((-1, 1),) * (2 * n), 9)
+        coeffs = constant_coefficient_field(grid, np.eye(n, dtype=complex))
+        coeffs.values[tuple(i - 1 for i in node) + (n - 1, n - 1)] = bad
+        with pytest.raises(IndefiniteCoefficients, match=re.escape(f"not finite at node {node}")):
+            assemble_linearized(coeffs, np.zeros(grid.interior_shape), grid)
+
+    def test_ldl_pivots_do_not_replace_the_cholesky_check(self):
+        # K = A = U diag(1e-17, 1) U* passes the LDL* of the linearization
+        # kernel, and so do the coefficients C it returns, yet C is singular
+        # to rounding and np.linalg.cholesky rejects it: pivots computed by
+        # the kernel cannot stand in for the definiteness check
+        c, s = np.cos(0.3), np.sin(0.3)
+        u = np.array([[c, -1j * s], [-1j * s, c]])
+        a = u @ np.diag([1e-17, 1.0]) @ u.conj().T
+        params = OperatorParams(2, 1)
+        coeffs, _, _ = determinant_linearization_batch(params, a[None])
+        determinant_linearization_batch(params, coeffs)  # every pivot >= SUM_FLOOR
+        grid = BoxGrid(2, ((-1, 1),) * 4, 9)
+        with pytest.raises(IndefiniteCoefficients, match="not positive definite"):
+            assemble_linearized(coeffs[0], np.zeros(grid.interior_shape), grid)
 
     def test_mmatrix_audit_runs_when_read(self, monkeypatch):
         calls = []

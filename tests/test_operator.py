@@ -12,6 +12,7 @@ from garding.hermitian import (
     HermitianMatrix,
     Spectrum,
     ambient_transport_batch,
+    complex_hessian_from,
     congruence_reduce_batch,
     eigvals_batch,
 )
@@ -32,7 +33,7 @@ from garding.operator import (
     subset_sums,
 )
 
-from support import eigen_route
+from support import eigen_route, plane_backed
 
 P32 = OperatorParams(3, 2)
 
@@ -357,6 +358,85 @@ class TestDeterminantRoute:
         g = HermitianMatrix(np.diag([-1.0, 0.5, 3.0]))  # subset sum -0.5
         with pytest.raises(OutsideCone):
             linearization_coeffs(HermitianMatrix(np.eye(3)), g, P32)
+
+
+class TestPlaneLayout:
+    """Every box kernel returns plane-backed (..., n, n) fields, and a
+    C-ordered input gives the values of its plane-backed copy."""
+
+    CASES = [(n, p) for n in range(1, 4) for p in range(1, n + 1)]
+
+    @staticmethod
+    def cone_matrices(params, shape, seed):
+        rng = np.random.default_rng(seed)
+        count = int(np.prod(shape))
+        q = random_unitaries(rng, count, params.n)
+        lams = sample_cone_points(rng, params, count)
+        reduced = np.einsum("...ik,...k,...jk->...ij", q, lams, q.conj())
+        reduced = (reduced + np.swapaxes(reduced, -1, -2).conj()) / 2.0
+        return reduced.reshape(shape + (params.n, params.n))
+
+    @staticmethod
+    def planes_of(mats):
+        """The plane-backed copy of C-ordered (..., n, n) matrices."""
+        moved = np.ascontiguousarray(np.moveaxis(mats, (-2, -1), (0, 1)))
+        return np.moveaxis(moved, (0, 1), (-2, -1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_complex_hessian_from(self, n):
+        rng = np.random.default_rng(n)
+        shape = (4, 5)
+        second = rng.standard_normal((2 * n, 2 * n) + shape)
+        second = second + np.swapaxes(second, 0, 1)
+        hess = complex_hessian_from(lambda a, b: second[a, b], n, shape)
+        assert hess.shape == shape + (n, n)
+        assert plane_backed(hess)
+        for k in range(n):
+            for j in range(n):
+                want = (second[2 * j, 2 * k] + second[2 * j + 1, 2 * k + 1]
+                        + 1j * (second[2 * j, 2 * k + 1] - second[2 * j + 1, 2 * k])) / 4.0
+                assert np.array_equal(hess[..., k, j], want)
+
+    @pytest.mark.parametrize("n, p", CASES)
+    def test_determinant_form_batch(self, n, p):
+        params = OperatorParams(n, p)
+        mats = self.planes_of(self.cone_matrices(params, (3, 7), seed=10 * n + p))
+        form, trace = determinant_form_batch(mats, params)
+        assert form.shape == (3, 7) + (params.subset_count,) * 2
+        assert plane_backed(form)
+        c_form, c_trace = determinant_form_batch(np.ascontiguousarray(mats), params)
+        assert np.array_equal(form, c_form) and np.array_equal(trace, c_trace)
+        # the compound table applied row by row, summed in the table's order
+        rows = np.ascontiguousarray(mats).reshape(-1, n * n)
+        table = (rows @ params.compound).reshape(form.shape)
+        if (n, p) in ((2, 1), (3, 2)):  # at most two terms per entry of K
+            assert np.array_equal(form, table)
+        assert np.abs(form - table).max() <= 4 * np.finfo(float).eps * np.abs(table).max()
+
+    @pytest.mark.parametrize("n, p", CASES)
+    def test_determinant_linearization_batch(self, n, p):
+        params = OperatorParams(n, p)
+        mats = self.planes_of(self.cone_matrices(params, (3, 7), seed=10 * n + p))
+        form, _ = determinant_form_batch(mats, params)
+        coeffs, trace_f, ft = determinant_linearization_batch(params, form)
+        assert coeffs.shape == (3, 7, n, n) and trace_f.shape == ft.shape == (3, 7)
+        assert plane_backed(coeffs)
+        c_coeffs, c_trace_f, c_ft = determinant_linearization_batch(
+            params, np.ascontiguousarray(form))
+        assert np.array_equal(coeffs, c_coeffs)
+        assert np.array_equal(trace_f, c_trace_f) and np.array_equal(ft, c_ft)
+
+    def test_ambient_transport_keeps_the_planes(self):
+        rng = np.random.default_rng(8)
+        params = OperatorParams(3, 2)
+        coeffs = self.planes_of(self.cone_matrices(params, (6, 5), seed=8))
+        w = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        ell = np.linalg.cholesky(w @ w.conj().T + 3 * np.eye(3))
+        moved = ambient_transport_batch(coeffs, ell)
+        assert plane_backed(moved)
+        ell_inv = np.linalg.inv(ell)
+        want = np.einsum("ba,...bc,cd->...ad", ell_inv.conj(), coeffs, ell_inv)
+        assert np.abs(moved - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestArrowForm:

@@ -9,6 +9,7 @@ from garding.errors import (
     MaxItersExceeded,
     RadialModeUnsupported,
     SubsolutionInvalid,
+    ValidationError,
 )
 from garding.grid import BoxGrid, ScalarField
 from garding.linear import assemble_linearized, solve_sparse
@@ -28,7 +29,12 @@ from garding.solver import (
     sandwich_check,
 )
 
-from support import constant_coefficient_field, hessian_operator_apply, re_z1_squared
+from support import (
+    constant_coefficient_field,
+    hessian_operator_apply,
+    plane_backed,
+    re_z1_squared,
+)
 
 
 def grid_target(n=2):
@@ -406,6 +412,30 @@ class TestNoDiscardedWork:
         monkeypatch.setattr(solver, "ALPHA_MIN", 0.25)
         with pytest.raises(ConeEscape, match="no damping factor >= 0.25 keeps"):
             newton_solve_at_t(problem, 1.0, problem.box.subsolution, tol=1e-8)
+
+
+class TestSettingsAreChecked:
+    def test_continuity_solve_checks_its_config(self):
+        with pytest.raises(ValidationError, match="newton_tol"):
+            continuity_solve(radial_problem(), SolveConfig(newton_tol=-1.0))
+
+    def test_newton_solve_at_t_checks_its_tolerance(self):
+        problem = radial_problem()
+        with pytest.raises(ValidationError, match="newton_tol"):
+            newton_solve_at_t(problem, 1.0, problem.radial.subsolution, tol=-1.0)
+
+
+class TestPlaneBackedStates:
+    @pytest.mark.parametrize("p, omega", [(1, None), (2, None), (1, np.diag([1.0, 2.0]))])
+    def test_analysis_and_coefficients_are_plane_backed(self, p, omega):
+        grid = BoxGrid(2, ((-1, 1),) * 4, 9)
+        problem = manufactured_box(grid_target(), 0.25 * np.eye(2), OperatorParams(2, p), grid,
+                                   omega=omega)
+        ev = _BoxEvaluator(problem)
+        a = ev.analyze(problem.box.subsolution)
+        assert plane_backed(a.form)
+        ev.linearize(a)
+        assert plane_backed(a.coeffs)
 
 
 class TestSubsolutionFailures:

@@ -53,7 +53,6 @@ from .problems import ProblemSpec, manufactured_box, manufactured_radial, verify
 from .radial import RadialGrid, radial_eigenvalues
 from .solver import (
     HomotopyState,
-    SolveConfig,
     SolveDiagnostics,
     barrier_check,
     boundary_trace_check,

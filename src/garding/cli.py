@@ -31,7 +31,7 @@ from .grid import field_values
 from .operator import MAX_TRIAL_ENTRIES, OperatorParams, structure_check
 from .problems import verify_subsolution
 from .report import Report, diagnostics_into, write_solution_csv
-from .solver import SolveConfig, c2_ratio_monitor, continuity_solve
+from .solver import c2_ratio_monitor, continuity_solve
 from .specfile import build_problem, initial_values_from, parse_document
 
 log = logging.getLogger(__name__)
@@ -87,20 +87,9 @@ class RunConfig:
             raise errors.ValidationError("seed", f"seed must be >= 0, got {self.seed}")
 
 
-def _solve_config(doc, config: RunConfig) -> SolveConfig:
-    sc = SolveConfig()
-    for key, value in doc.solve_overrides:
-        if key == "initial_values":
-            raise errors.ValidationError("solve", "initial values are set in the [init] section")
-        if key != "newton_tol":
-            raise errors.ValidationError("solve", f"unknown solver setting {key!r}")
-        if isinstance(value, bool):
-            raise errors.ValidationError(key, f"must be a number, got {value}")
-        sc.newton_tol = value
-    if config.tol is not None:  # the flag overrides the spec's newton_tol
-        sc.newton_tol = config.tol
-    sc.validate()
-    return sc
+def _newton_tol(doc, config: RunConfig) -> float | None:
+    """The ``--tol`` flag, else the spec's newton_tol (None: the solver's default)."""
+    return doc.newton_tol if config.tol is None else config.tol
 
 
 def _base_report(title: str, config: RunConfig, doc) -> Report:
@@ -127,11 +116,8 @@ def _run_solve(doc, config: RunConfig) -> int:
     if config.mode == "radial-solve" and doc.geometry != "radial":
         raise errors.ValidationError("mode", "radial-solve requires a radial spec")
     problem = build_problem(doc)
-    sc = _solve_config(doc, config)
-    init = initial_values_from(doc, problem)
-    if init is not None:
-        sc.initial_values = init
-    u, diag = continuity_solve(problem, sc)
+    u, diag = continuity_solve(problem, newton_tol=_newton_tol(doc, config),
+                               initial_values=initial_values_from(doc, problem))
     report = _base_report("garding solve report", config, doc)
     diagnostics_into(report, diag)
     err = float(np.abs(field_values(u) - problem.payload.reference).max())
@@ -197,8 +183,7 @@ def _run_refine_sweep(doc, config: RunConfig) -> int:
         else:
             level_doc = replace(doc, points=int(level))
         problem = build_problem(level_doc)
-        sc = _solve_config(level_doc, config)
-        u, diag = continuity_solve(problem, sc)
+        u, diag = continuity_solve(problem, newton_tol=_newton_tol(doc, config))
         levels.append((problem, u, diag))
     rows = c2_ratio_monitor([(p, u) for p, u, _ in levels])
     report = _base_report("garding refinement sweep report", config, doc)

@@ -22,6 +22,7 @@ from .errors import BoundaryNode, ValidationError
 from .hermitian import HermitianMatrix, complex_hessian_from
 
 MIN_RESOLUTION = 9
+MIN_SPACING = 2.0**-250  # second differences of values within 2^500 stay within 2^1002
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,8 @@ class BoxGrid:
                 f"resolution must be odd and >= {MIN_RESOLUTION}, got {self.resolution}",
             )
         object.__setattr__(self, "extent", ext)
+        if min(self.spacing) < MIN_SPACING:
+            raise ValidationError("extent", f"grid spacing {min(self.spacing):.3e} is below 2^-250")
 
     @property
     def ndim_real(self) -> int:

@@ -175,9 +175,10 @@ def subset_sums_batch(lams: np.ndarray, params: OperatorParams) -> np.ndarray:
 def _ftilde_rows(lams: np.ndarray, params: OperatorParams, floor: float):
     """(subset sums, ftilde) of stacked rows; OutsideCone unless every sum is >= ``floor``."""
     sums = subset_sums_batch(lams, params)
-    if np.any(sums < floor):
-        bad = int(np.argmin(sums.min(axis=-1)))
-        raise OutsideCone(f"row {bad}: subset sum {sums.min():.6e} at/below boundary")
+    outside = ~(sums >= floor).all(axis=-1)  # a NaN sum is outside too
+    if outside.any():
+        bad = int(np.argmax(outside))
+        raise OutsideCone(f"row {bad}: subset sum {sums[bad].min():.6e} at/below boundary")
     return sums, np.exp(np.mean(np.log(sums), axis=-1))
 
 
@@ -289,8 +290,9 @@ def determinant_linearization_batch(params: OperatorParams, form: np.ndarray):
     for j in range(m):
         scaled = [low[j, k] * piv[k] for k in range(j)]  # L_jk d_k
         dj = b[j, j].real - sum((scaled[k] * low[j, k].conj()).real for k in range(j))
-        if np.any(dj < SUM_FLOOR):
-            bad = int(np.argmin(dj))
+        outside = ~(dj >= SUM_FLOOR)  # a NaN pivot is outside too
+        if outside.any():
+            bad = int(np.argmax(outside))
             raise OutsideCone(f"row {bad}: pivot {dj[bad]:.6e} at/below boundary")
         piv[j] = dj
         for i in range(j + 1, m):

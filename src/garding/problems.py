@@ -105,11 +105,12 @@ def _manufacture(read, target, subsolution, params: OperatorParams, grid, psi_sc
         if value <= 0.0:
             raise NotAdmissible(f"{what} margin {value:.6e} <= 0 at node {node}", node=node)
 
-    psi = product_batch(rows_t, params) * float(psi_scale)
+    sub_m = product_batch(rows_s, params)
+    # a fresh array either way: the bump writes into psi
+    psi = (sub_m if rows_t is rows_s else product_batch(rows_t, params)) * float(psi_scale)
     if psi_bump_node is not None:
         idx = tuple(int(i) - interior_offset for i in np.atleast_1d(psi_bump_node))
         psi[idx] = psi[idx] * float(psi_bump_factor)
-    sub_m = product_batch(rows_s, params)
     return target_vals, sub_vals, _finite("psi", psi), _finite("M_p(subsolution)", sub_m)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grid import first_difference
+from .grid import MIN_SPACING, first_difference
 from .hermitian import Spectrum
 from .operator import MAGNITUDE_BOUND
 
@@ -43,6 +43,8 @@ class RadialGrid:
             raise ValidationError("radius", f"radius must lie in (0, 2^500], got {self.radius}")
         if self.points < MIN_POINTS:
             raise ValidationError("points", f"need at least {MIN_POINTS} points, got {self.points}")
+        if self.spacing < MIN_SPACING:
+            raise ValidationError("radius", f"s-grid spacing {self.spacing:.3e} is below 2^-250")
 
     @property
     def s_max(self) -> float:

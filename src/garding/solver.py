@@ -72,9 +72,11 @@ from .radial import (
 
 log = logging.getLogger(__name__)
 
-# Newton: at most MAX_NEWTON_ITERS corrections per attempt, each damped by
-# halving until the trial keeps MARGIN_KEEP of the current cone margin; no
-# damping factor below ALPHA_MIN is tried
+# Newton: converged at residual NEWTON_TOL unless a tolerance is given, after
+# at most MAX_NEWTON_ITERS corrections per attempt, each damped by halving
+# until the trial keeps MARGIN_KEEP of the current cone margin; no damping
+# factor below ALPHA_MIN is tried
+NEWTON_TOL = {"box": 1e-8, "radial": 1e-10}
 MAX_NEWTON_ITERS = 50
 MARGIN_KEEP = 0.1
 ALPHA_MIN = 2.0**-20
@@ -96,23 +98,6 @@ LINEAR_TOL_CAP = 1e-4
 BARRIER_TAU = 0.05
 BARRIER_N = 50.0
 BARRIER_DELTA = None
-
-
-@dataclass
-class SolveConfig:
-    newton_tol: float | None = None  # default 1e-8 (box) / 1e-10 (radial)
-    initial_values: np.ndarray | None = None
-
-    def validate(self) -> None:
-        """Raise ValidationError unless newton_tol is unset or positive."""
-        tol = self.newton_tol
-        if tol is not None and not tol > 0.0:
-            raise ValidationError("newton_tol", f"tolerance must be positive, got {tol}")
-
-    def tol_for(self, geometry: str) -> float:
-        if self.newton_tol is not None:
-            return self.newton_tol
-        return 1e-10 if geometry == "radial" else 1e-8
 
 
 @dataclass
@@ -254,11 +239,18 @@ class _RadialEvaluator:
         return np.append(solve_radial_linear(band, -resid), 0.0)  # node m is Dirichlet
 
 
+def _check_tol(tol: float) -> float:
+    """``tol``; ValidationError unless it is finite and positive."""
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValidationError("newton_tol", f"tolerance must be finite and positive, got {tol}")
+    return tol
+
+
 def _linearized(ev, u: np.ndarray, what: str) -> _Analysis:
     """The linearized analysis of ``u``; ConeEscape, led by ``what``, if ``u``
-    is not admissible on the grid."""
+    is not admissible on the grid (a NaN margin is not)."""
     a = ev.analyze(u)
-    if a.min_margin <= 0.0:
+    if not a.min_margin > 0.0:
         raise ConeEscape(f"{what} (margin {a.min_margin:.3e})", node=a.min_node)
     ev.linearize(a)
     return a
@@ -356,32 +348,33 @@ def newton_solve_at_t(
 ) -> HomotopyState:
     """Solve the fixed-t equation by damped Newton from an admissible start.
 
-    Raises ValidationError unless ``tol`` is positive.
+    Raises ValidationError unless ``tol`` is finite and positive.
     """
-    SolveConfig(newton_tol=tol).validate()
+    _check_tol(tol)
     ev = _make_evaluator(problem)
     ev.start = None  # u_init is not the subsolution in general
     return _newton_loop(ev, t, field_values(u_init), tol)
 
 
-def continuity_solve(problem: ProblemSpec, config: SolveConfig | None = None):
+def continuity_solve(problem: ProblemSpec, *, newton_tol: float | None = None,
+                     initial_values: np.ndarray | None = None):
     """March t from 0 to 1 with adaptive steps; return solution + diagnostics.
 
-    Raises SubsolutionInvalid when the problem's subsolution fails its
-    analytic checks, ConeEscape when an initializer is not admissible,
-    ContinuationStalled when step halving hits the minimum step, and
-    ValidationError when ``config`` fails its check.
+    ``newton_tol`` defaults to ``NEWTON_TOL[problem.geometry]``, and the march
+    starts from ``initial_values`` (full-grid values) or the subsolution.
+    Raises ValidationError unless ``newton_tol`` is finite and positive,
+    SubsolutionInvalid when the problem's subsolution fails its analytic
+    checks, ConeEscape when an initializer is not admissible and
+    ContinuationStalled when step halving hits the minimum step.
     """
-    config = config or SolveConfig()
-    config.validate()
+    tol = _check_tol(NEWTON_TOL[problem.geometry] if newton_tol is None else newton_tol)
     verify_subsolution(problem)
     ev = _make_evaluator(problem)
 
-    tol = config.tol_for(problem.geometry)
-    if config.initial_values is None:
+    if initial_values is None:
         u = problem.payload.subsolution.copy()
     else:
-        u = np.asarray(config.initial_values, dtype=float).copy()
+        u = np.asarray(initial_values, dtype=float).copy()
         ev.start = None  # the subsolution's analysis does not describe u
 
     states: list[HomotopyState] = []

@@ -20,7 +20,7 @@ Sections
 [subsolution]   optional distinct subsolution, same format as [solution]
 [psi]           optional modifiers: scale, bump_node, bump_factor
 [init]          optional initializer override for solve mode
-[solve]         optional newton_tol
+[solve]         optional newton_tol (the only key; checked by continuity_solve)
 [sweep]         refine-sweep levels: resolutions = ... (box) or
                 points = ... (radial), each within the bounds above
 
@@ -80,7 +80,7 @@ class SpecDocument:
     psi_bump_node: tuple | None = None
     psi_bump_factor: float = 1.0
     init: FunctionSpec | None = None
-    solve_overrides: tuple = ()
+    newton_tol: float | None = None
     sweep: tuple | None = None
 
 
@@ -93,14 +93,6 @@ def _parse_number(token: str, line: int) -> float:
     if not math.isfinite(value):
         raise ParseError(f"expected a finite number, got {token!r}", line)
     return value
-
-
-def _parse_setting(token: str, line: int):
-    """A [solve] value: true, false or a finite number."""
-    word = token.strip().lower()
-    if word in ("true", "false"):
-        return word == "true"
-    return _parse_number(token, line)
 
 
 def _check_grid(field: str, level: int, n: int, subsets: int, box: bool) -> None:
@@ -142,7 +134,6 @@ _KNOWN_SECTIONS = {
     "", "problem", "box", "radial", "chi", "solution", "subsolution",
     "psi", "init", "solve", "sweep",
 }
-_FUNCTION_SECTIONS = ("solution", "subsolution", "init")
 
 
 def parse_document(text: str) -> SpecDocument:
@@ -303,9 +294,12 @@ def parse_document(text: str) -> SpecDocument:
     if psi_bump_factor <= 0.0:
         raise ValidationError("psi", f"bump_factor must be positive, got {psi_bump_factor}")
 
-    overrides = []
     for key in sorted(data["solve"]):
-        overrides.append((key, _parse_setting(data["solve"][key], lines[("solve", key)])))
+        if key == "initial_values":
+            raise ValidationError("solve", "initial values are set in the [init] section")
+        if key != "newton_tol":
+            raise ValidationError("solve", f"unknown solver setting {key!r}")
+    newton_tol = number("solve", "newton_tol")
 
     return SpecDocument(
         format_version=FORMAT_VERSION,
@@ -325,14 +319,12 @@ def parse_document(text: str) -> SpecDocument:
         psi_bump_node=psi_bump_node,
         psi_bump_factor=psi_bump_factor,
         init=init,
-        solve_overrides=tuple(overrides),
+        newton_tol=newton_tol,
         sweep=sweep,
     )
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ", ".join(_format_value(v) for v in value)
     if isinstance(value, float) and value == int(value) and abs(value) < 1e15:
@@ -391,10 +383,9 @@ def emit_document(doc: SpecDocument) -> str:
         out.append("")
     if doc.init is not None:
         _emit_function("init", doc.init, out)
-    if doc.solve_overrides:
+    if doc.newton_tol is not None:
         out.append("[solve]")
-        for key, value in doc.solve_overrides:
-            out.append(f"{key} = {_format_value(value)}")
+        out.append(f"newton_tol = {_format_value(doc.newton_tol)}")
         out.append("")
     if doc.sweep is not None:
         out.append("[sweep]")

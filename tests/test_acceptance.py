@@ -31,7 +31,7 @@ from garding.operator import (
 from garding.problems import manufactured_box, manufactured_radial, verify_subsolution
 from garding.radial import RadialGrid
 from garding.solver import (
-    SolveConfig,
+    NEWTON_TOL,
     _BoxEvaluator,
     boundary_trace_check,
     continuity_solve,
@@ -64,7 +64,7 @@ def radial_solutions():
     for points in (1001, 2001):
         grid = RadialGrid(1.0, points)
         problem = manufactured_radial(radial_power(2), 1.0, OperatorParams(3, 2), grid)
-        u, diag = continuity_solve(problem, SolveConfig(newton_tol=1e-9))
+        u, diag = continuity_solve(problem, newton_tol=1e-9)
         out[points] = (problem, u, diag)
     out["elapsed"] = time.perf_counter() - t0
     return out
@@ -284,8 +284,8 @@ def test_criterion_09_anchor_and_uniqueness(box_solutions):
     assert margin > 0, "could not build an admissible perturbed start"
     assert np.abs(init - problem.box.subsolution).max() > 0.1  # genuinely different
 
-    tol = SolveConfig().tol_for("box")
-    u_alt, diag_alt = continuity_solve(problem, SolveConfig(initial_values=init))
+    tol = NEWTON_TOL["box"]
+    u_alt, diag_alt = continuity_solve(problem, initial_values=init)
     diff = float(np.abs(u_base.values - u_alt.values).max())
     assert diff <= 2.0 * tol, f"two starts disagree by {diff:.3e} > 2 * {tol:.1e}"
     report(9, f"anchor residual {diag.anchor_residual!r}; two admissible starts "
@@ -310,7 +310,7 @@ def test_criterion_10_failure_paths(tmp_path):
     clean = manufactured_box(grid_target(), np.zeros((2, 2)), OperatorParams(2, 1), grid)
     bad_init = -2.0 * norm_squared(2).value(grid.points())
     with pytest.raises(ConeEscape) as cone_info:
-        continuity_solve(clean, SolveConfig(initial_values=bad_init))
+        continuity_solve(clean, initial_values=bad_init)
     assert cone_info.value.node is not None
 
     # ... and exit status 3 through the CLI

@@ -350,6 +350,37 @@ class TestValidationFailures:
         key = setting.split(" = ")[0].lower()
         assert f"unknown solver setting {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["verify-subsolution", "check-operator"])
+    def test_every_mode_rejects_an_unknown_solver_setting(self, tmp_path, capsys, mode):
+        status, _ = run_cli(tmp_path, BOX_SPEC + "[solve]\nmargin_keep = 0.1\n", mode)
+        assert status == 2
+        assert "unknown solver setting 'margin_keep'" in capsys.readouterr().err
+
+    BOX_N1 = BOX_SPEC.replace("n = 2", "n = 1").replace(
+        "extent = -1, 1, -1, 1, -1, 1, -1, 1", "extent = -1e-200, 1e-200, -1e-200, 1e-200")
+    RADIAL_41 = RADIAL_SPEC.replace("points = 201", "points = 41")
+
+    @pytest.mark.parametrize("spec, key", [
+        pytest.param(BOX_N1, "extent", id="box-1e-200"),
+        pytest.param(BOX_N1.replace("1e-200", "1e-154"), "extent", id="box-1e-154"),
+        pytest.param(RADIAL_41.replace("radius = 1.0", "radius = 1e-200"), "radius",
+                     id="radial-1e-200"),
+        pytest.param(RADIAL_41.replace("radius = 1.0", "radius = 1e-160"), "radius",
+                     id="radial-1e-160"),
+    ])
+    def test_grid_spacing_below_the_floor(self, tmp_path, capsys, spec, key):
+        # second differences over such a spacing overflow or are NaN
+        status, _ = run_cli(tmp_path, spec, "solve")
+        assert status == 2
+        err = capsys.readouterr().err
+        assert f"validation error: {key}: " in err and "Warning" not in err
+
+    def test_unknown_mode(self, tmp_path, capsys):
+        spec = write(tmp_path, "ok.spec", BOX_SPEC)
+        config = cli.RunConfig(mode="bogus", spec_path=spec, out_dir=tmp_path / "out")
+        assert cli.run(config) == 2
+        assert "validation error: mode: unknown mode 'bogus'" in capsys.readouterr().err
+
     def test_box_initial_values_setting_points_to_init(self, tmp_path, capsys):
         status, _ = run_cli(tmp_path, BOX_SPEC + "[solve]\ninitial_values = 1\n", "solve")
         assert status == 2
@@ -359,8 +390,7 @@ class TestValidationFailures:
         # the parser lowercases keys; NEWTON_TOL must still be reachable
         spec = write(tmp_path, "case.spec", BOX_SPEC + "[solve]\nNEWTON_TOL = 1e-9\n")
         config = cli.RunConfig(mode="solve", spec_path=spec, out_dir=tmp_path / "out")
-        sc = cli._solve_config(parse_document(spec.read_text()), config)
-        assert sc.newton_tol == 1e-9
+        assert cli._newton_tol(parse_document(spec.read_text()), config) == 1e-9
 
     def test_trials_past_the_entry_cap(self, tmp_path, monkeypatch, capsys):
         # 3 + C(3, 2) = 6 entries per trial; the cap must act before any array

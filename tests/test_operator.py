@@ -133,6 +133,16 @@ class TestFtilde:
         with pytest.raises(OutsideCone):
             eval_ftilde(Spectrum([-1.0, -1, 5]), P32)
 
+    def test_a_nan_row_is_outside(self):
+        # a NaN subset sum fails every comparison; it must not pass as inside
+        with pytest.raises(OutsideCone, match="row 0: subset sum nan"):
+            ftilde_batch(np.array([[np.nan, 1, 1], [1, 1, 1]]), OperatorParams(3, 1))
+
+    def test_the_first_row_outside_is_named(self):
+        lams = np.array([[1.0, 1, 1], [-1, 1, 1], [-5, 1, 1]])
+        with pytest.raises(OutsideCone, match="row 1: subset sum -1"):
+            ftilde_batch(lams, OperatorParams(3, 1))
+
 
 class TestGradFtilde:
     def test_all_ones(self):
@@ -353,6 +363,12 @@ class TestDeterminantRoute:
         form, _ = determinant_form_batch(reduced, params)
         with pytest.raises(OutsideCone, match="row 2"):
             determinant_linearization_batch(params, form)
+
+    def test_a_nan_pivot_is_outside(self):
+        form = np.tile(np.eye(3, dtype=np.complex128), (4, 1, 1))
+        form[1][0, 0] = np.nan
+        with pytest.raises(OutsideCone, match="row 1: pivot nan"):
+            determinant_linearization_batch(OperatorParams(3, 1), form)
 
     def test_scalar_call_raises_off_the_cone(self):
         g = HermitianMatrix(np.diag([-1.0, 0.5, 3.0]))  # subset sum -0.5

@@ -18,7 +18,6 @@ from garding.problems import manufactured_box, manufactured_radial, verify_subso
 from garding.radial import RadialGrid
 import garding.solver as solver
 from garding.solver import (
-    SolveConfig,
     _BoxEvaluator,
     _make_evaluator,
     barrier_check,
@@ -107,12 +106,10 @@ class TestRadialSolve:
 
     def test_uniqueness_from_two_starts(self):
         problem = radial_problem(subsolution_profile=shifted_subsolution())
-        u1, _ = continuity_solve(problem, SolveConfig(newton_tol=1e-11))
+        u1, _ = continuity_solve(problem, newton_tol=1e-11)
         bump = problem.radial.grid.s * (1.0 - problem.radial.grid.s)
         init = problem.radial.subsolution + 0.1 * bump
-        u2, _ = continuity_solve(
-            problem, SolveConfig(newton_tol=1e-11, initial_values=init)
-        )
+        u2, _ = continuity_solve(problem, newton_tol=1e-11, initial_values=init)
         assert np.abs(u1 - u2).max() <= 2e-11
 
     def test_monotone_in_psi(self):
@@ -244,7 +241,7 @@ class TestBoxSolve:
         problem = box_problem(res=9)
         bad = -2.0 * norm_squared(2).value(problem.box.grid.points())
         with pytest.raises(ConeEscape) as exc_info:
-            continuity_solve(problem, SolveConfig(initial_values=bad))
+            continuity_solve(problem, initial_values=bad)
         assert exc_info.value.node is not None
 
 
@@ -417,12 +414,21 @@ class TestNoDiscardedWork:
 class TestSettingsAreChecked:
     def test_continuity_solve_checks_its_config(self):
         with pytest.raises(ValidationError, match="newton_tol"):
-            continuity_solve(radial_problem(), SolveConfig(newton_tol=-1.0))
+            continuity_solve(radial_problem(), newton_tol=-1.0)
 
     def test_newton_solve_at_t_checks_its_tolerance(self):
         problem = radial_problem()
         with pytest.raises(ValidationError, match="newton_tol"):
             newton_solve_at_t(problem, 1.0, problem.radial.subsolution, tol=-1.0)
+
+    @pytest.mark.parametrize("tol", [np.inf, np.nan])
+    def test_a_non_finite_tolerance_is_rejected(self, tol):
+        # an infinite tolerance would accept the subsolution at every t
+        problem = radial_problem(subsolution_profile=shifted_subsolution())
+        with pytest.raises(ValidationError, match="newton_tol"):
+            continuity_solve(problem, newton_tol=tol)
+        with pytest.raises(ValidationError, match="newton_tol"):
+            newton_solve_at_t(problem, 1.0, problem.radial.subsolution, tol=tol)
 
 
 class TestPlaneBackedStates:
@@ -540,6 +546,16 @@ class TestBarrier:
         report = barrier_check(sub, sub, problem, delta=0.1)
         assert report.collar_nodes == 0 and np.isnan(report.min_v)
         assert not report.degenerate_collar
+
+    def test_collar_without_a_smooth_node(self):
+        # one axis 4x longer: every collar node's stencil sees a second face
+        grid = BoxGrid(2, ((-1, 1), (-1, 1), (-1, 1), (-4, 4)), 9)
+        problem = manufactured_box(grid_target(), 0.25 * np.eye(2), OperatorParams(2, 1), grid)
+        sub = problem.box.subsolution
+        report = barrier_check(sub, sub, problem)
+        assert report.collar_nodes > 0 and report.smooth_nodes == 0
+        assert report.max_lv_node is None and np.isnan(report.epsilon)
+        assert report.min_v_node is not None
 
     def test_radial_unsupported(self):
         problem = radial_problem()

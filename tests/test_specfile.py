@@ -184,7 +184,7 @@ class TestShippedSpecs:
         text = (self.SPEC_DIR / "radial-n3-p2.spec").read_text()
         problem = parse_spec(text)
         assert problem.radial.grid.points == 2001
-        assert problem.document.solve_overrides == (("newton_tol", 1e-09),)
+        assert problem.document.newton_tol == 1e-09
         from garding.specfile import emit_document
 
         assert parse_document(emit_document(problem.document)) == problem.document
@@ -216,14 +216,16 @@ class TestBuild:
         # from one eigenvalue pass instead of two
         import garding.problems as problems
 
-        eigvals_batch = problems.eigvals_batch
-        calls = []
+        eigvals_batch, product_batch = problems.eigvals_batch, problems.product_batch
+        calls, products = [], []
         monkeypatch.setattr(problems, "eigvals_batch", lambda m: calls.append(1) or eigvals_batch(m))
+        monkeypatch.setattr(problems, "product_batch",
+                            lambda *a: products.append(1) or product_batch(*a))
         default = build_problem(parse_document(POLY_BOX)).box
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(products) == 1
         target = POLY_BOX.split("[solution]\n")[1].split("[psi]")[0]
         explicit = build_problem(parse_document(POLY_BOX + "[subsolution]\n" + target)).box
-        assert len(calls) == 3
+        assert len(calls) == 3 and len(products) == 3
         for name in ("psi", "phi", "subsolution", "subsolution_M", "reference"):
             assert getattr(default, name).tobytes() == getattr(explicit, name).tobytes()
 
@@ -233,7 +235,15 @@ class TestBuild:
 
     def test_solve_overrides_preserved(self):
         doc = parse_document(POLY_BOX)
-        assert doc.solve_overrides == (("newton_tol", 1e-09),)
+        assert doc.newton_tol == 1e-09
+
+    def test_the_parser_owns_the_solve_keys(self):
+        with pytest.raises(ParseError, match="expected a number"):
+            parse_document(MINIMAL_BOX + "[solve]\nnewton_tol = true\n")
+        with pytest.raises(ValidationError, match="unknown solver setting 'margin_keep'"):
+            parse_document(MINIMAL_BOX + "[solve]\nmargin_keep = 0.1\n")
+        with pytest.raises(ValidationError, match=r"\[init\]"):
+            parse_document(MINIMAL_BOX + "[solve]\ninitial_values = 1\n")
 
 
 def test_bump_node_accepts_every_interior_index():

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import BoundaryNode, ValidationError
 from .hermitian import HermitianMatrix, complex_hessian_from
+from .operator import MAGNITUDE_BOUND
 
 MIN_RESOLUTION = 9
 MIN_SPACING = 2.0**-250  # second differences of values within 2^500 stay within 2^1002
@@ -49,6 +50,8 @@ class BoxGrid:
         for lo, hi in ext:
             if not hi > lo:
                 raise ValidationError("extent", f"empty interval ({lo}, {hi})")
+            if max(abs(lo), abs(hi)) > MAGNITUDE_BOUND:
+                raise ValidationError("extent", f"interval ({lo}, {hi}) exceeds 2^500 in magnitude")
         if self.resolution < MIN_RESOLUTION or self.resolution % 2 == 0:
             raise ValidationError(
                 "resolution",

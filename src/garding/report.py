@@ -68,6 +68,7 @@ def diagnostics_into(report: Report, diag: SolveDiagnostics) -> None:
     report.record("final_residual", diag.final_residual)
     report.record("anchor_residual", diag.anchor_residual)
     report.record("homotopy_steps", len(diag.states))
+    report.record("rejected_steps", diag.rejected_steps)
     report.record("newton_iters_total", sum(s.newton_iters for s in diag.states))
     report.record("min_margin_final", diag.states[-1].min_margin)
     if diag.barrier_report is not None:

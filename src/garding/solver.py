@@ -80,16 +80,12 @@ NEWTON_TOL = {"box": 1e-8, "radial": 1e-10}
 MAX_NEWTON_ITERS = 50
 MARGIN_KEEP = 0.1
 ALPHA_MIN = 2.0**-20
-# continuation: the first step is T_STEP_INIT; a failed attempt halves the
-# step, and an accepted one that took at most EASY_ITERS corrections grows it
-# by T_GROWTH, up to T_STEP_MAX.  No attempt is shorter than T_STEP_MIN, so at
-# most 1 / T_STEP_MIN steps are accepted, and the failed attempts number at
-# most log2(T_STEP_MAX / T_STEP_MIN) plus log2(T_GROWTH) per accepted step
-T_STEP_INIT = 0.25
+# continuation (Deuflhard, Newton Methods for Nonlinear Problems, 2004, ch. 5):
+# the first attempt is the whole interval; a failed attempt halves the step
+# and an accepted one doubles it.  No attempt is shorter than T_STEP_MIN, so
+# at most 1 / T_STEP_MIN + 1 steps are accepted, and the failed attempts
+# number at most accepted + ceil(log2(1 / T_STEP_MIN)) = accepted + 20
 T_STEP_MIN = 1e-6
-T_STEP_MAX = 0.5
-T_GROWTH = 1.5
-EASY_ITERS = 3
 # BiCGStab's relative tolerance: 0.03 * residual / scale, clipped to this range
 LINEAR_TOL_FLOOR = 1e-12
 LINEAR_TOL_CAP = 1e-4
@@ -135,6 +131,7 @@ class SolveDiagnostics:
     anchor_residual: float
     barrier_report: BarrierReport | None
     states: list = field(default_factory=list)
+    rejected_steps: int = 0  # failed continuation attempts
     # per interior node at t = 1, for the CSV: cone margin, ftilde - psi_tilde
     node_margins: np.ndarray | None = None
     node_residual: np.ndarray | None = None
@@ -358,9 +355,9 @@ def newton_solve_at_t(
 
 def continuity_solve(problem: ProblemSpec, *, newton_tol: float | None = None,
                      initial_values: np.ndarray | None = None):
-    """March t from 0 to 1 with adaptive steps; return solution + diagnostics.
+    """Carry t from 0 to 1, trying t = 1 first; return solution + diagnostics.
 
-    ``newton_tol`` defaults to ``NEWTON_TOL[problem.geometry]``, and the march
+    ``newton_tol`` defaults to ``NEWTON_TOL[problem.geometry]``, and the solve
     starts from ``initial_values`` (full-grid values) or the subsolution.
     Raises ValidationError unless ``newton_tol`` is finite and positive,
     SubsolutionInvalid when the problem's subsolution fails its analytic
@@ -384,13 +381,9 @@ def continuity_solve(problem: ProblemSpec, *, newton_tol: float | None = None,
     anchor_residual = state0.residual_history[0]
 
     t = 0.0
-    step = T_STEP_INIT
-    failure = None
+    step = 1.0
+    rejected = 0
     while t < 1.0:
-        if step < T_STEP_MIN:
-            raise ContinuationStalled(
-                f"continuation step {step:.2e} below minimum at t={t:.4f}"
-            ) from failure
         t_try = min(1.0, t + step)
         # ev.start, the analysis of u, starts the attempt; after a failed
         # attempt it is gone and the restart analyzes u again
@@ -398,19 +391,22 @@ def continuity_solve(problem: ProblemSpec, *, newton_tol: float | None = None,
             st = _newton_loop(ev, t_try, u, tol)
         except (ConeEscape, MaxItersExceeded, LinearSolveStalled) as exc:
             step *= 0.5
-            failure = exc
+            rejected += 1
             log.debug("continuation step to t=%.4f failed (%s); step -> %.2e", t_try, exc, step)
+            # only a failed attempt shrinks the step, so the floor is met here
+            if step < T_STEP_MIN:
+                raise ContinuationStalled(
+                    f"continuation step {step:.2e} below minimum at t={t:.4f}"
+                ) from exc
             continue
-        failure = None
         states.append(st)
         u = st.u
         t = t_try
-        if st.newton_iters <= EASY_ITERS:
-            step = min(step * T_GROWTH, T_STEP_MAX)
+        step *= 2.0
 
     # the analysis at t = 1 feeds the diagnostics
     final, ev.start = ev.start, None
-    diagnostics = _diagnostics(problem, ev, final, states, anchor_residual)
+    diagnostics = _diagnostics(problem, ev, final, states, anchor_residual, rejected)
     if problem.geometry == "box":
         return ScalarField(problem.box.grid, u), diagnostics
     return u, diagnostics
@@ -526,7 +522,8 @@ def _c2_quantities(problem: ProblemSpec, uv: np.ndarray) -> tuple:
     return K, float(max(interior_r.max(), boundary_r)), float(boundary_r)
 
 
-def _diagnostics(problem, ev, final: _Analysis, states, anchor_residual) -> SolveDiagnostics:
+def _diagnostics(problem, ev, final: _Analysis, states, anchor_residual,
+                 rejected_steps) -> SolveDiagnostics:
     """Diagnostics of the t = 1 state ``states[-1]``, read from its analysis."""
     u = states[-1].u
     barrier = None
@@ -559,6 +556,7 @@ def _diagnostics(problem, ev, final: _Analysis, states, anchor_residual) -> Solv
         anchor_residual=float(anchor_residual),
         barrier_report=barrier,
         states=states,
+        rejected_steps=rejected_steps,
         node_margins=final.margins,
         node_residual=final.ft - ev.psi_tilde,
     )

@@ -20,7 +20,7 @@ Sections
 [subsolution]   optional distinct subsolution, same format as [solution]
 [psi]           optional modifiers: scale, bump_node, bump_factor
 [init]          optional initializer override for solve mode
-[solve]         optional newton_tol (the only key; checked by continuity_solve)
+[solve]         optional newton_tol (the only key; finite and positive)
 [sweep]         refine-sweep levels: resolutions = ... (box) or
                 points = ... (radial), each within the bounds above
 
@@ -300,6 +300,8 @@ def parse_document(text: str) -> SpecDocument:
         if key != "newton_tol":
             raise ValidationError("solve", f"unknown solver setting {key!r}")
     newton_tol = number("solve", "newton_tol")
+    if newton_tol is not None and not newton_tol > 0.0:  # the number is finite
+        raise ValidationError("newton_tol", f"tolerance must be finite and positive, got {newton_tol}")
 
     return SpecDocument(
         format_version=FORMAT_VERSION,

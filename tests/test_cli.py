@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import garding.operator
 import garding.report
+import garding.solver
 from garding import cli, errors
 from garding.cli import main
 from garding.operator import MAX_TRIAL_ENTRIES
@@ -88,10 +90,14 @@ class TestSolveMode:
         status, _ = run_cli(tmp_path, RADIAL_SPEC, "radial-solve")
         assert status == 0
 
-    def test_marching_spec_from_repo(self, tmp_path):
+    def test_marching_spec_from_repo(self, tmp_path, monkeypatch):
         spec = Path(__file__).resolve().parent.parent / "specs" / "radial-n3-p2-march.spec"
-        out = tmp_path / "out"
-        status = main(["--mode", "solve", "--spec", str(spec), "--out", str(out)])
+        # a subsolution shifted by 10 (s - 1), not 0.25, and a budget of three
+        # corrections make the full step fail
+        text = spec.read_text().replace("coeffs = -0.25, 0.25, 0.5", "coeffs = -10, 10, 0.5")
+        assert "coeffs = -10, 10, 0.5" in text
+        monkeypatch.setattr(garding.solver, "MAX_NEWTON_ITERS", 3)
+        status, out = run_cli(tmp_path, text, "solve")
         assert status == 0
         report = (out / "report.txt").read_text()
         kv = dict(
@@ -101,6 +107,7 @@ class TestSolveMode:
         )
         # a distinct subsolution forces a genuine march and a nonzero anchor gap
         assert int(kv["homotopy_steps"]) >= 3
+        assert int(kv["rejected_steps"]) >= 1
         assert int(kv["newton_iters_total"]) >= 2
         assert float(kv["reference_max_error"]) <= 1e-8
 
@@ -374,6 +381,25 @@ class TestValidationFailures:
         assert status == 2
         err = capsys.readouterr().err
         assert f"validation error: {key}: " in err and "Warning" not in err
+
+    def test_extent_beyond_the_magnitude_bound(self, tmp_path, capsys):
+        # the width of such an interval overflows np.linspace: the grid names
+        # the extent before any array is built
+        spec = self.BOX_N1.replace("1e-200", "1e308")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status, _ = run_cli(tmp_path, spec, "solve")
+        assert status == 2 and caught == []
+        assert "validation error: extent: interval (-1e+308, 1e+308) exceeds 2^500" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("mode", ["solve", "verify-subsolution", "check-operator"])
+    @pytest.mark.parametrize("tol", ["-1", "0"])
+    def test_every_mode_rejects_a_non_positive_tolerance(self, tmp_path, capsys, mode, tol):
+        status, _ = run_cli(tmp_path, BOX_SPEC + f"[solve]\nnewton_tol = {tol}\n", mode)
+        assert status == 2
+        assert "validation error: newton_tol: tolerance must be finite and positive" in (
+            capsys.readouterr().err)
 
     def test_unknown_mode(self, tmp_path, capsys):
         spec = write(tmp_path, "ok.spec", BOX_SPEC)

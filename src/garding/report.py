@@ -19,7 +19,7 @@ from .problems import ProblemSpec
 from .solver import SolveDiagnostics
 
 CSV_FORMAT_VERSION = 1
-CSV_CHUNK = 1 << 16  # rows formatted per write
+CSV_CHUNK = 1 << 12  # array entries made into one Python list at a time
 REPORT_FORMAT_VERSION = 1
 
 
@@ -84,6 +84,14 @@ def diagnostics_into(report: Report, diag: SolveDiagnostics) -> None:
                 f"boundary trace {diag.c0_boundary:.6f}; K {diag.K:.6f}")
 
 
+def _items(a: np.ndarray):
+    """The entries of ``a`` in C order as Python scalars, CSV_CHUNK at a time,
+    so no list spans the grid."""
+    flat = a.reshape(-1)
+    for start in range(0, flat.size, CSV_CHUNK):
+        yield from flat[start:start + CSV_CHUNK].tolist()
+
+
 def write_solution_csv(path, problem: ProblemSpec, u, diag: SolveDiagnostics) -> None:
     """Node table: coordinates, u, cone margin, normalized residual.
 
@@ -108,16 +116,10 @@ def write_solution_csv(path, problem: ProblemSpec, u, diag: SolveDiagnostics) ->
     prefixes = map(",".join, itertools.product(*[list(map(repr, c.tolist())) for c in axes]))
     mask = np.zeros(uv.shape, dtype=bool)
     mask[interior] = True
-    mask, values = mask.reshape(-1), uv.reshape(-1)
     tails = (f",{margin!r},{residual!r}" for margin, residual in
-             zip(diag.node_margins.reshape(-1).tolist(), diag.node_residual.reshape(-1).tolist()))
+             zip(_items(diag.node_margins), _items(diag.node_residual)))
     with open(path, "w", newline="") as handle:
         handle.write(f"csv_format_version={CSV_FORMAT_VERSION}" + "," * (len(names) - 1) + "\r\n")
         handle.write(",".join(names) + "\r\n")
-        # CSV_CHUNK rows at a time, so no list spans the grid; prefixes come
-        # last, so zip stops at a chunk's end without taking one more
-        for start in range(0, values.size, CSV_CHUNK):
-            rows = slice(start, start + CSV_CHUNK)
-            handle.writelines(f"{prefix},{value!r}{next(tails) if inside else ',,'}\r\n"
-                              for value, inside, prefix
-                              in zip(values[rows].tolist(), mask[rows].tolist(), prefixes))
+        handle.writelines(f"{prefix},{value!r}{next(tails) if inside else ',,'}\r\n"
+                          for value, inside, prefix in zip(_items(uv), _items(mask), prefixes))

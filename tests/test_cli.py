@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -195,6 +196,22 @@ class TestSolutionCsv:
             write_solution_csv(path, problem, u, diag)
             written.append(path.read_bytes())
         assert written[0] == written[1]
+
+    def test_no_list_spans_the_grid(self, tmp_path, monkeypatch):
+        # the writer's peak shrinks with the chunk: no column is made into
+        # one list over all 2 401 interior nodes (at least 150 kB of floats)
+        problem = build_problem(parse_document(BOX_SPEC))
+        u, diag = continuity_solve(problem)
+        peaks = []
+        for chunk in (64, 1 << 30):
+            monkeypatch.setattr(garding.report, "CSV_CHUNK", chunk)
+            tracemalloc.start()
+            try:
+                write_solution_csv(tmp_path / "fields.csv", problem, u, diag)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1] / 4
 
 
 class TestVerifyMode:

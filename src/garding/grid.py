@@ -169,11 +169,9 @@ def least(values: np.ndarray, node_of_flat) -> tuple:
     return float(flat[k]), node_of_flat(k)
 
 
-def interior_slices(ndim: int, steps: dict, axes=None) -> tuple:
-    """Full-grid slices: the interior along ``axes`` (every axis when None),
-    moved by {axis: +-1}, and the whole range along the other axes."""
-    return tuple(slice(1 + steps.get(a, 0), steps.get(a, 0) - 1 or None)
-                 if axes is None or a in axes else slice(None) for a in range(ndim))
+def interior_slices(ndim: int, steps: dict) -> tuple:
+    """Full-grid slices of the interior, moved by {axis: +-1}."""
+    return tuple(slice(1 + steps.get(a, 0), steps.get(a, 0) - 1 or None) for a in range(ndim))
 
 
 def second_difference(values: np.ndarray, axis_a: int, axis_b: int, spacing) -> np.ndarray:

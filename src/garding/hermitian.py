@@ -240,11 +240,15 @@ def ambient_transport_batch(coeffs: np.ndarray, ell: np.ndarray | None) -> np.nd
     The adjoint of :func:`congruence_reduce_batch`: returns ``L^{-*} coeffs
     L^{-1}``, so that tr(coeffs @ L^{-1} h L^{-*}) = tr(result @ h) for a
     Hermitian h.  With ``ell`` None (identity metric) this is a no-op;
-    otherwise the result is plane-backed.
+    otherwise the result is plane-backed and exactly Hermitian (rounding
+    would leave the diagonal an imaginary part that assembly rejects).
     """
     if ell is None:
         return coeffs
     ell_inv = np.linalg.inv(ell)
     planes = np.moveaxis(coeffs, (-2, -1), (0, 1))
     out = np.einsum("ba,bc...,cd->ad...", ell_inv.conj(), planes, ell_inv)
+    for k in range(out.shape[0]):
+        out[k, k].imag = 0.0
+        out[k + 1:, k] = out[k, k + 1:].conj()
     return np.moveaxis(out, (0, 1), (-2, -1))

@@ -16,18 +16,16 @@ and the discrete Hessian are Hermitian.  Unknowns are the interior nodes in
 C (row-major) order; Dirichlet data is folded into the right-hand side by
 the callers.
 
-No matrix is formed.  ``StencilOperator`` keeps the weights alone: the
+No matrix is formed.  ``StencilOperator`` keeps the weights alone (the
 centre, one field per real axis and one per axis pair whose cross weights
-are not all zero (19 fields at n = 3; constants for constant coefficients).
-It applies them to a full-grid array whose boundary entries act as
-Dirichlet data (zeros for a product with interior values): a central
-difference along each axis, and for each cross pair a difference along b,
-then along a.  The coefficients, plane-backed when they come from a Newton
-state (see :mod:`garding.hermitian`), are checked to be finite and then to
-be positive definite with a batched Cholesky factorization, which accepts
-NaN and inf on a diagonal entry; eigenvalues only name an indefinite node.
-The Cholesky check stays on every field: pivots of the LDL* that produced
-the coefficients can pass where the coefficients are singular to rounding.
+are not all zero: 19 fields at n = 3; constants for constant coefficients)
+and applies them with one flat-stride kernel.  The coefficients, plane-backed
+when they come from a Newton state (see :mod:`garding.hermitian`), are
+checked to be finite and then to be positive definite: plane-wise Cholesky
+pivots clear the clearly definite nodes, and a batched LAPACK Cholesky
+factorization decides the rest; eigenvalues only name an indefinite node.
+The check stays on every field: pivots of the LDL* that produced the
+coefficients can pass where they are singular to rounding.
 
 Every system is solved one way: BiCGStab preconditioned by the exact
 inverse of the operator's mean axis stencil, the constant-coefficient
@@ -55,16 +53,13 @@ from .hermitian import eigvals_batch
 STALL_WINDOW = 50  # iterations without meaningful progress before declaring a stall
 MAX_LINEAR_ITERS = 20000  # BiCGStab iteration cap of every solve
 IMAG_CANCEL_TOL = 1e-12
+PIVOT_MARGIN = 2.0**-26  # Cholesky pivots above this share of c_jj clear a node without LAPACK
 
 
 def __getattr__(name: str):
-    """``spla`` is scipy.sparse.linalg, imported only when it is asked for.
-
-    No solve uses SciPy, so the module does not import it: SciPy is loaded
-    only by the bench tracer, from the ``test`` extra.  bench/child.py resolves
-    ``garding.linear.spla.splu`` without a default, and ``--trace 1`` would
-    crash without this binding.  It goes when ROADMAP item 1 moves the trace
-    into the library and the tracer's binding list is deleted.
+    """``spla`` is scipy.sparse.linalg, imported only when it is asked for:
+    no solve uses SciPy, but bench/child.py resolves ``garding.linear.spla.splu``
+    for ``--trace 1``.  It goes with the tracer's binding list (ROADMAP item 1).
     """
     if name == "spla":
         import scipy.sparse.linalg
@@ -106,54 +101,69 @@ class StencilOperator:
     """L v = tr(C complex_hessian(v)) at the interior nodes, from the weights
     ``real_stencil_weights`` returns (interior-shaped arrays or constants).
     ``shape`` and ``@`` act on interior vectors; ``nnz`` counts the weights.
+
+    ``@`` and ``apply`` share one kernel on interior values in C order.  A
+    step along axis a is one pass at a's flat stride s, ``op(x[2s:],
+    x[:-2s], out=out[s:-s])``; its two a-faces are then rewritten from the
+    values beyond them: zero for ``@``, the Dirichlet layers for ``apply``,
+    and for a cross pair (a, b) the step along b of those.
     """
 
     def __init__(self, grid: BoxGrid, center, axis, cross: dict):
         self.grid, self.center, self.axis, self.cross = grid, center, axis, cross
         self.shape = (math.prod(grid.interior_shape),) * 2
         self.nnz = sum(np.size(w) for w in [center, *self.axis, *cross.values()])
-        ndim, every = grid.ndim_real, range(grid.ndim_real)
-        self._inner = interior_slices(ndim, {})
-        self._pad = np.zeros(grid.shape)  # its boundary stays zero
-        self._buf = np.empty(grid.interior_shape)
-        self._axis_moves = [(interior_slices(ndim, {a: 1}), interior_slices(ndim, {a: -1}))
-                            for a in every]
-        # the pairs (a, b) sharing b share one difference along b, taken over
-        # the interior of the other axes and the whole range of each paired a
-        groups: dict = {}  # {b: {a: weight}}
+        ndim, m = grid.ndim_real, grid.resolution - 2
+        self._strides = [m ** (ndim - 1 - a) for a in range(ndim)]
+        self._groups: dict = {}  # {b: {a: weight}}: the pairs sharing b share one step along b
         for (a, b), w in cross.items():
-            groups.setdefault(b, {})[a] = w
-        self._cross_moves = []
-        for b, whole in groups.items():
-            rest = [a for a in every if a not in whole]
-            shape = tuple(grid.resolution if a in whole else grid.resolution - 2 for a in every)
-            pairs = [(w, interior_slices(ndim, {a: 1}, whole),
-                      interior_slices(ndim, {a: -1}, whole)) for a, w in whole.items()]
-            self._cross_moves.append((shape, interior_slices(ndim, {b: 1}, rest),
-                                      interior_slices(ndim, {b: -1}, rest), pairs))
-        self._diff = np.empty(max((math.prod(move[0]) for move in self._cross_moves), default=0))
+            self._groups.setdefault(b, {})[a] = w
+        self._buf, self._diff = np.empty((2,) + grid.interior_shape)
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """L at the interior nodes of a full-grid array, whose boundary
-        entries act as Dirichlet data; returns an interior-shaped array."""
-        out = self.center * values[self._inner]
-        buf = self._buf
-        for w, (up, dn) in zip(self.axis, self._axis_moves):
-            np.add(values[up], values[dn], out=buf)
+    def _step(self, op, x: np.ndarray, a: int, beyond: tuple, out: np.ndarray) -> None:
+        """out = op(x(+e_a), x(-e_a)), with ``beyond`` the values past a's two faces."""
+        s, x, out = self._strides[a], x.reshape(-1), out.reshape(-1)
+        op(x[2 * s:], x[:-2 * s], out=out[s:-s])
+        lines = (-1, self.grid.resolution - 2, s)
+        x, out = x.reshape(lines), out.reshape(lines)
+        op(x[:, 1], beyond[0], out=out[:, 0])
+        op(beyond[1], x[:, -2], out=out[:, -1])
+
+    def _kernel(self, x: np.ndarray, beyond) -> np.ndarray:
+        """L on C-ordered interior values; ``beyond(a, b)`` gives the values
+        past the faces of axis a, stepped along b unless b is None."""
+        out = self.center * x
+        buf, d = self._buf, self._diff
+        for a, w in enumerate(self.axis):
+            self._step(np.add, x, a, beyond(a, None), buf)
             buf *= w
             out += buf
-        for shape, up, dn, pairs in self._cross_moves:
-            d = self._diff[:math.prod(shape)].reshape(shape)
-            np.subtract(values[up], values[dn], out=d)
-            for w, d_up, d_dn in pairs:
-                np.subtract(d[d_up], d[d_dn], out=buf)
+        for b, pairs in self._groups.items():
+            self._step(np.subtract, x, b, beyond(b, None), d)
+            for a, w in pairs.items():
+                self._step(np.subtract, d, a, beyond(a, b), buf)
                 buf *= w
                 out += buf
         return out
 
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """L at the interior nodes of a full-grid array, whose boundary
+        entries act as Dirichlet data; returns an interior-shaped array."""
+
+        def layer(a, side, move):
+            sl = list(interior_slices(values.ndim, move))
+            sl[a] = side
+            return values[tuple(sl)].reshape(-1, self._strides[a])
+
+        def layers(a, b):
+            if b is None:
+                return layer(a, 0, {}), layer(a, -1, {})
+            return tuple(layer(a, side, {b: 1}) - layer(a, side, {b: -1}) for side in (0, -1))
+
+        return self._kernel(np.ascontiguousarray(values[interior_slices(values.ndim, {})]), layers)
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        self._pad[self._inner] = x.reshape(self.grid.interior_shape)
-        return self.apply(self._pad).reshape(-1)
+        return self._kernel(x.reshape(self.grid.interior_shape), lambda a, b: (0.0, 0.0)).reshape(-1)
 
     def mmatrix_violations(self) -> int:
         """Rows whose off-diagonal |weights| exceed |centre|.
@@ -189,6 +199,26 @@ class SparseSystem:
         return self.matrix.mmatrix_violations()
 
 
+def _clearly_positive(cvals: np.ndarray) -> np.ndarray:
+    """Nodes whose Cholesky pivots d_j = c_jj - sum_k |l_jk|^2, with
+    l_ij = (c_ij - sum_k l_ik conj(l_jk)) / sqrt(d_j), all exceed PIVOT_MARGIN
+    c_jj: positive in any rounding.  Formed column by column, one plane per
+    entry; NaN pivots are not clear."""
+    planes = np.moveaxis(cvals, (-2, -1), (0, 1))
+    low: dict = {}  # {(i, j): l_ij}, i > j
+    clear = np.ones(planes.shape[2:], dtype=bool)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # such nodes go to LAPACK
+        for j in range(planes.shape[0]):
+            diag = planes[j, j].real
+            pivot = diag - sum(low[j, k].real ** 2 + low[j, k].imag ** 2 for k in range(j))
+            clear &= pivot > PIVOT_MARGIN * diag
+            inv_root = 1.0 / np.sqrt(pivot)
+            for i in range(j + 1, planes.shape[0]):
+                dot = sum(low[i, k] * low[j, k].conj() for k in range(j))
+                low[i, j] = (planes[i, j] - dot) * inv_root
+    return clear
+
+
 def assemble_linearized(coeffs: MatrixField | np.ndarray, rhs: ScalarField | np.ndarray,
                         grid: BoxGrid) -> SparseSystem:
     """The linearized operator with zero Dirichlet data, and its right-hand side.
@@ -205,8 +235,10 @@ def assemble_linearized(coeffs: MatrixField | np.ndarray, rhs: ScalarField | np.
     if not finite.all():
         node = grid.node_of_flat(int(np.argmin(finite)))
         raise IndefiniteCoefficients(f"coefficients not finite at node {node}")
-    try:
-        np.linalg.cholesky(cvals)
+    try:  # only the nodes the pivots cannot clear go to LAPACK
+        clear = _clearly_positive(cvals)
+        if not clear.all():
+            np.linalg.cholesky(cvals[~clear])
     except np.linalg.LinAlgError:
         _, node = least(eigvals_batch(cvals)[..., 0], grid.node_of_flat)
         raise IndefiniteCoefficients(f"coefficients not positive definite at node {node}") from None
@@ -218,12 +250,19 @@ def assemble_linearized(coeffs: MatrixField | np.ndarray, rhs: ScalarField | np.
     return SparseSystem(grid=grid, matrix=op, rhs=rhs_vec.copy())
 
 
+def _require_finite(norm: float) -> float:
+    if not math.isfinite(norm):
+        raise LinearSolveStalled(f"bicgstab breakdown: residual norm is {norm}")
+    return norm
+
+
 def bicgstab(matrix, rhs, tol, max_iter, precond=None):
     """Stabilized bi-conjugate gradients with optional preconditioning.
 
     Converges when the true-residual 2-norm drops below ``tol * ||rhs||``.
-    Raises LinearSolveStalled on breakdown, on a residual plateau over
-    STALL_WINDOW iterations, or at the iteration cap.
+    Raises LinearSolveStalled on breakdown, on a non-finite residual norm,
+    on a residual plateau over STALL_WINDOW iterations, or at the iteration
+    cap.  The breakdown tests read ``not (|x| >= 1e-300)``, so NaN fails them.
     """
     b_norm = float(np.linalg.norm(rhs))
     if b_norm == 0.0:
@@ -234,11 +273,11 @@ def bicgstab(matrix, rhs, tol, max_iter, precond=None):
     rho = alpha = omega = 1.0
     v = np.zeros_like(rhs)
     p = np.zeros_like(rhs)
-    best = float(np.linalg.norm(r))
+    best = _require_finite(b_norm)  # the residual norm of x = 0
     since_progress = 0
     for _ in range(max_iter):
         rho_new = float(r0 @ r)
-        if abs(rho_new) < 1e-300:
+        if not abs(rho_new) >= 1e-300:
             raise LinearSolveStalled("bicgstab breakdown: rho ~ 0")
         beta = (rho_new / rho) * (alpha / omega)
         rho = rho_new
@@ -246,23 +285,22 @@ def bicgstab(matrix, rhs, tol, max_iter, precond=None):
         ph = precond(p) if precond is not None else p
         v = matrix @ ph
         denom = float(r0 @ v)
-        if abs(denom) < 1e-300:
+        if not abs(denom) >= 1e-300:
             raise LinearSolveStalled("bicgstab breakdown: r0 . v ~ 0")
         alpha = rho / denom
         s = r - alpha * v
-        s_norm = float(np.linalg.norm(s))
+        s_norm = _require_finite(float(np.linalg.norm(s)))
         if s_norm <= tol * b_norm:
-            x = x + alpha * ph
-            return x
+            return x + alpha * ph
         sh = precond(s) if precond is not None else s
         t = matrix @ sh
         tt = float(t @ t)
-        if tt < 1e-300:
+        if not tt >= 1e-300:
             raise LinearSolveStalled("bicgstab breakdown: t ~ 0")
         omega = float(t @ s) / tt
         x = x + alpha * ph + omega * sh
         r = s - omega * t
-        r_norm = float(np.linalg.norm(r))
+        r_norm = _require_finite(float(np.linalg.norm(r)))
         if r_norm <= tol * b_norm:
             return x
         if r_norm < 0.999 * best:
@@ -293,8 +331,7 @@ def mean_stencil_inverse(op: StencilOperator):
     LinearSolveStalled unless they all have one sign.
     """
     grid = op.grid
-    m = grid.resolution - 2
-    ndim = grid.ndim_real
+    m, ndim = grid.resolution - 2, grid.ndim_real
     cosines = np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
     lam = np.full((m,) * ndim, float(np.mean(op.center)))
     for a, w in enumerate(op.axis):
@@ -324,20 +361,16 @@ def solve_sparse(system: SparseSystem, tol: float = 1e-10) -> ScalarField:
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    x = bicgstab(
-        system.matrix, system.rhs, tol=tol, max_iter=MAX_LINEAR_ITERS,
-        precond=mean_stencil_inverse(system.matrix),
-    )
+    precond = mean_stencil_inverse(system.matrix)
+    x = bicgstab(system.matrix, system.rhs, tol=tol, max_iter=MAX_LINEAR_ITERS, precond=precond)
     # the recurrence residual can drift from the true one; verify
     scale = max(float(np.linalg.norm(system.rhs)), 1e-300)
     rel = float(np.linalg.norm(system.matrix @ x - system.rhs)) / scale
-    if rel > 50.0 * tol:
+    if not rel <= 50.0 * tol:
         raise LinearSolveStalled(f"true residual {rel:.3e} drifted above tolerance")
-    grid = system.grid
-    full = np.zeros(grid.shape)
-    sl = (slice(1, -1),) * grid.ndim_real
-    full[sl] = x.reshape(grid.interior_shape)
-    return ScalarField(grid, full)
+    full = np.zeros(system.grid.shape)
+    full[interior_slices(full.ndim, {})] = x.reshape(system.grid.interior_shape)
+    return ScalarField(system.grid, full)
 
 
 def upper_barrier(chi, omega, phi: ScalarField, grid: BoxGrid) -> ScalarField:

@@ -80,6 +80,39 @@ def hessian_operator_apply(coeffs: MatrixField, u: ScalarField) -> np.ndarray:
     return out.real
 
 
+def padded_stencil_apply(op, values: np.ndarray) -> np.ndarray:
+    """``op`` at the interior nodes of a full-grid array, read through views
+    of it shifted along each axis: the stencil kernel as it was before it
+    moved to flat strides, kept as a bitwise oracle.  It performs the same
+    floating-point operations in the same order as ``StencilOperator``."""
+    ndim = op.grid.ndim_real
+
+    def moved(steps, axes=range(ndim)):
+        # the interior along ``axes``, moved by {axis: +-1}, and the whole
+        # range along the other axes
+        return tuple(slice(1 + steps.get(a, 0), steps.get(a, 0) - 1 or None)
+                     if a in axes else slice(None) for a in range(ndim))
+
+    out = op.center * values[moved({})]
+    for a, w in enumerate(op.axis):
+        buf = values[moved({a: 1})] + values[moved({a: -1})]
+        buf *= w
+        out += buf
+    # the pairs (a, b) sharing b share one difference along b, taken over
+    # the interior of the other axes and the whole range of each paired a
+    groups: dict = {}  # {b: {a: weight}}
+    for (a, b), w in op.cross.items():
+        groups.setdefault(b, {})[a] = w
+    for b, whole in groups.items():
+        rest = [a for a in range(ndim) if a not in whole]
+        d = values[moved({b: 1}, rest)] - values[moved({b: -1}, rest)]
+        for a, w in whole.items():
+            buf = d[moved({a: 1}, whole)] - d[moved({a: -1}, whole)]
+            buf *= w
+            out += buf
+    return out
+
+
 def cluster_average(vals: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """Average gradient entries over near-degenerate eigenvalue clusters.
 

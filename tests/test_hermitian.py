@@ -4,10 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from garding.errors import MetricNotPositive, NotHermitian
+from garding.grid import BoxGrid
+from garding.linear import real_stencil_weights
 from garding.hermitian import (
     EIG_BLOCK,
     HermitianMatrix,
     Spectrum,
+    ambient_transport_batch,
     congruence_reduce_batch,
     eigvals_batch,
     herm_eigen,
@@ -282,6 +285,25 @@ def test_congruence_reduce_batch_matches_scalar():
     for i in range(20):
         ref = metric_endomorphism_eigen(HermitianMatrix(omega), HermitianMatrix(mats[i]))
         assert np.allclose(vals[i], ref.values, atol=1e-11)
+
+
+def test_ambient_transport_is_exactly_hermitian_at_scale():
+    # coefficients of size 1e6 under a general omega: rounding alone gave the
+    # diagonal an imaginary part near 1e-10, above IMAG_CANCEL_TOL
+    rng = np.random.default_rng(32)
+    n = 3
+    grid = BoxGrid(n, ((-1, 1),) * (2 * n), 9)
+    coeffs = np.stack([random_hermitian(rng, n) for _ in range(400)])
+    coeffs = 1e6 * (coeffs @ coeffs + np.eye(n))
+    omega = random_hermitian(rng, n)
+    ell = np.linalg.cholesky(omega @ omega + np.eye(n))
+    moved = ambient_transport_batch(coeffs, ell)
+    real_stencil_weights(moved, grid.spacing)  # raises on an imaginary diagonal
+    assert np.array_equal(moved, np.swapaxes(moved, -1, -2).conj())
+    ell_inv = np.linalg.inv(ell)
+    want = np.einsum("ba,...bc,cd->...ad", ell_inv.conj(), coeffs, ell_inv)
+    assert np.abs(moved - want).max() <= 1e-14 * np.abs(want).max()
+    assert ambient_transport_batch(coeffs, None) is coeffs
 
 
 def stressed_batch(rng, m, count, pattern, gap, scale, real):

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import garding.linear
 from garding.analytic import norm_squared
@@ -17,13 +19,19 @@ from garding.linear import (
     StencilOperator,
     assemble_linearized,
     bicgstab,
+    mean_stencil_inverse,
     real_stencil_weights,
     solve_sparse,
     upper_barrier,
 )
 from garding.operator import OperatorParams, determinant_linearization_batch
 
-from support import constant_coefficient_field, hessian_operator_apply, re_z1_squared
+from support import (
+    constant_coefficient_field,
+    hessian_operator_apply,
+    padded_stencil_apply,
+    re_z1_squared,
+)
 
 
 def coo_reference_matrix(coeffs, grid):
@@ -328,6 +336,104 @@ class TestAssembly:
         assert system.mmatrix_violations > 0
 
 
+@st.composite
+def stencil_cases(draw):
+    """A box with unequal extents and a Hermitian coefficient field on it.
+
+    The field is per-node random, per-node with purely imaginary (0, 1)
+    entries (the x1 x2 and y1 y2 cross keys are all zero), diagonal (no
+    cross key at all) or one constant matrix (constant weights).  At n = 3
+    only resolution 9 is drawn: 9^6 interior nodes of resolution 11 hold
+    76 MB of coefficients before the oracles add their own.
+    """
+    n = draw(st.integers(1, 3))
+    resolution = 9 if n == 3 else draw(st.sampled_from([9, 11]))
+    extent = tuple((lo, lo + draw(st.floats(0.25, 3.0)))
+                   for lo in draw(st.lists(st.floats(-2.0, 0.0), min_size=2 * n, max_size=2 * n)))
+    grid = BoxGrid(n, extent, resolution)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "zero_real_01", "diagonal", "constant"]))
+    if kind == "constant":
+        base = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return grid, constant_coefficient_field(grid, base @ base.conj().T + n * np.eye(n)), rng
+    coeffs = random_hermitian_field(grid, rng, zero_real_01=kind == "zero_real_01" and n > 1)
+    if kind == "diagonal":
+        coeffs.values *= np.eye(n)
+    return grid, coeffs, rng
+
+
+class TestKernel:
+    @settings(max_examples=24, deadline=None, database=None, derandomize=True)
+    @given(case=stencil_cases())
+    def test_kernel_equals_padded_oracle_bitwise(self, case):
+        grid, coeffs, rng = case
+        op = StencilOperator(grid, *real_stencil_weights(coeffs.values, grid.spacing))
+        values = rng.standard_normal(grid.shape)
+        applied = op.apply(values)
+        assert applied.tobytes() == padded_stencil_apply(op, values).tobytes()
+
+        x = rng.standard_normal(op.shape[0])
+        padded = np.zeros(grid.shape)
+        padded[(slice(1, -1),) * grid.ndim_real] = x.reshape(grid.interior_shape)
+        assert (op @ x).tobytes() == padded_stencil_apply(op, padded).reshape(-1).tobytes()
+
+        direct = hessian_operator_apply(coeffs, ScalarField(grid, values))
+        assert np.allclose(applied, direct, rtol=0.0, atol=1e-12 * np.abs(direct).max())
+
+
+def near_singular_draws(rng, n, count):
+    """Hermitian matrices whose least eigenvalue lies 1e-17 to 1e-4 of the
+    largest away from zero, on either side, in a random unitary frame."""
+    shape = (count, n, n)
+    q, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    eigs = rng.uniform(0.01, 1.0, (count, n))
+    eigs[:, 0] = 1.0
+    eigs[:, -1] = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-17.0, -4.0, count)
+    mats = np.einsum("...ik,...k,...jk->...ij", q, eigs, q.conj())
+    return (mats + np.swapaxes(mats, -1, -2).conj()) / 2.0
+
+
+def lapack_accepts(mat) -> bool:
+    try:
+        np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+class TestDefiniteness:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_decisions_equal_lapack_near_singular(self, n):
+        # a node the pivots clear must be one LAPACK accepts; the rest go to
+        # LAPACK, so the two decisions agree on every draw
+        mats = near_singular_draws(np.random.default_rng(40 + n), n, 3000)
+        clear = garding.linear._clearly_positive(mats)
+        accepted = np.array([lapack_accepts(mat) for mat in mats])
+        assert not np.any(clear & ~accepted)
+        # the draws reach both sides of the margin and both LAPACK decisions
+        assert clear.any() and (~clear & accepted).any() and (~accepted).any()
+
+    def test_pivots_alone_would_disagree_with_lapack(self, monkeypatch):
+        # positive pivots without the margin accept matrices LAPACK rejects
+        mats = near_singular_draws(np.random.default_rng(43), 3, 3000)
+        accepted = np.array([lapack_accepts(mat) for mat in mats])
+        monkeypatch.setattr(garding.linear, "PIVOT_MARGIN", 0.0)
+        assert np.any(garding.linear._clearly_positive(mats) & ~accepted)
+
+    def test_clearly_positive_field_makes_no_lapack_call(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+        grid = BoxGrid(3, ((-1, 1),) * 6, 9)
+        coeffs = random_hermitian_field(grid, np.random.default_rng(17))
+        assemble_linearized(coeffs, np.zeros(grid.interior_shape), grid)
+        assert calls == []
+        # one positive definite node inside the margin: LAPACK sees it alone
+        coeffs.values[2, 3, 1, 0, 4, 5] = [[1, 1, 0], [1, 1 + 1e-12, 0], [0, 0, 1]]
+        assemble_linearized(coeffs, np.zeros(grid.interior_shape), grid)
+        assert calls == [(1, 3, 3)]
+
+
 class TestSolve:
     def test_identity_system(self):
         grid = BoxGrid(1, ((0, 1), (0, 1)), 9)
@@ -431,6 +537,29 @@ class TestSolve:
         diag[0] = 0.0
         with pytest.raises(LinearSolveStalled, match="residual plateau at .* over 50 iterations"):
             bicgstab(np.diag(diag), np.ones(60), tol=1e-14, max_iter=200)
+
+    @pytest.mark.parametrize("where", ["rhs", "weight"])
+    def test_nan_breaks_down_within_two_products(self, where):
+        # NaN fails every breakdown test, so it cannot run the plateau window
+        grid = BoxGrid(1, ((0, 1), (0, 1)), 17)
+        center = np.full(grid.interior_shape, -1.0)
+        rhs = np.ones(center.size)
+        if where == "rhs":
+            rhs[40] = np.nan
+        else:
+            center[3, 5] = np.nan
+        op = StencilOperator(grid, center, [0.25, 0.25], {})
+        products = []
+
+        class Counted:
+            def __matmul__(self, x):
+                products.append(1)
+                return op @ x
+
+        clean = mean_stencil_inverse(StencilOperator(grid, -1.0, [0.25, 0.25], {}))
+        with pytest.raises(LinearSolveStalled, match="breakdown"):
+            bicgstab(Counted(), rhs, tol=1e-12, max_iter=200, precond=clean)
+        assert len(products) <= 2
 
     def test_iteration_cap_is_reported(self):
         matrix = np.diag(np.linspace(1.0, 10.0, 40))

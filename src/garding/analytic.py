@@ -2,8 +2,8 @@
 
 Manufactured problems need the right-hand side sampled from exact second
 derivatives, not discrete ones, so every built-in family exposes ``value``
-and ``complex_hessian`` evaluated analytically at stacked coordinate rows
-(shape (..., 2n), real axes ordered x_1, y_1, x_2, y_2, ...).
+and ``complex_hessian`` evaluated analytically on 2n per-axis coordinate
+arrays that broadcast (``BoxGrid.coords``; real axes x_1, y_1, x_2, y_2, ...).
 """
 
 from __future__ import annotations
@@ -53,14 +53,14 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def value(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        out = np.zeros(pts.shape[:-1])
+    def value(self, coords) -> np.ndarray:
+        """Values at the broadcast shape of the 2n coordinate arrays ``coords``."""
+        out = np.zeros(np.broadcast_shapes(*map(np.shape, coords)))
         for expo, c in self.terms.items():
-            term = np.full(pts.shape[:-1], c)
+            term = c
             for a, e in enumerate(expo):
                 if e:
-                    term = term * pts[..., a] ** e
+                    term = term * np.asarray(coords[a], dtype=np.float64) ** e
             out += term
         return out
 
@@ -72,15 +72,22 @@ class Polynomial:
                 terms[expo[:axis] + (expo[axis] - 1,) + expo[axis + 1 :]] = c * expo[axis]
         return Polynomial(self.nvars, terms)
 
-    def d2(self, a: int, b: int, points: np.ndarray) -> np.ndarray:
-        """Second partial derivative d^2/(dt_a dt_b), evaluated pointwise."""
-        return self.derivative(a).derivative(b).value(points)
+    def d2(self, a: int, b: int, coords) -> np.ndarray:
+        """d^2/(dt_a dt_b) at the broadcast shape of the coordinates it depends on."""
+        poly = self.derivative(a).derivative(b)
+        used = {i for expo in poly.terms for i, e in enumerate(expo) if e}
+        return poly.value([c if i in used else 0.0 for i, c in enumerate(coords)])
 
-    def complex_hessian(self, points: np.ndarray) -> np.ndarray:
-        """Exact complex Hessian rows, shape (..., n, n), entry [k, j] = d_j d_kbar."""
-        pts = np.asarray(points, dtype=np.float64)
-        return complex_hessian_from(lambda a, b: self.d2(a, b, pts), self.nvars // 2,
-                                    pts.shape[:-1])
+    def complex_hessian(self, coords) -> np.ndarray:
+        """Exact complex Hessian, entry [k, j] = d_j d_kbar, at the broadcast
+        shape of the second derivatives (at least 2n axes): a target whose
+        second derivatives vary along few axes gives few distinct rows."""
+        m = self.nvars
+        d2 = {(a, b): self.d2(a, b, coords)
+              for a in range(m) for b in range(a, m) if a == b or a // 2 != b // 2}
+        shape = np.broadcast_shapes(*(v.shape for v in d2.values()))
+        return complex_hessian_from(lambda a, b: d2[a, b], m // 2,
+                                    (1,) * (m - len(shape)) + shape)
 
 
 def norm_squared(n: int, coeff: float = 1.0) -> Polynomial:

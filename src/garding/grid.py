@@ -90,14 +90,12 @@ class BoxGrid:
         idx = np.unravel_index(k, self.interior_shape)
         return tuple(int(i) + 1 for i in idx)
 
-    def points(self) -> np.ndarray:
-        """All node coordinates, shape (*grid shape, 2n)."""
-        grids = np.meshgrid(*[self.axis_coords(a) for a in range(self.ndim_real)],
-                            indexing="ij")
-        return np.stack(grids, axis=-1)
-
-    def interior_points(self) -> np.ndarray:
-        return self.points()[(slice(1, -1),) * self.ndim_real]
+    def coords(self, interior: bool = False) -> tuple:
+        """The 2n per-axis node coordinates: axis a's varies along axis a only,
+        and they broadcast to the grid shape (the interior shape with ``interior``)."""
+        cut = slice(1, -1) if interior else slice(None)
+        return tuple(np.meshgrid(*[self.axis_coords(a)[cut] for a in range(self.ndim_real)],
+                                 indexing="ij", sparse=True))
 
     def boundary_mask(self) -> np.ndarray:
         mask = np.ones(self.shape, dtype=bool)
@@ -108,8 +106,7 @@ class BoxGrid:
         """The distance to the nearest face and to the second nearest, over
         the full grid, from one running pass over the real axes."""
         least = second = np.full(self.shape, np.inf)
-        for a, (lo, hi) in enumerate(self.extent):
-            c = self.axis_coords(a).reshape((-1,) + (1,) * (self.ndim_real - 1 - a))
+        for (lo, hi), c in zip(self.extent, self.coords()):
             d = np.minimum(c - lo, hi - c)
             second = np.minimum(second, np.maximum(least, d))
             least = np.minimum(least, d)

@@ -86,12 +86,14 @@ class ProblemSpec:
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow raises ValidationError below
 def _manufacture(read, target, subsolution, params: OperatorParams, grid, psi_scale,
-                 psi_bump_node, psi_bump_factor, *, sort_rows: bool, interior_offset: int):
+                 psi_bump_node, psi_bump_factor, *, shape: tuple, sort_rows: bool,
+                 interior_offset: int):
     """(target values, subsolution values, psi, M_p(subsolution)) of a problem.
 
     ``read(fn, what)`` returns a function's checked values and eigenvalue
-    rows.  NotAdmissible where a least margin is <= 0; ``sort_rows`` sorts the
-    rows for that check only, so psi is the product over the rows as read.
+    rows, whose shape broadcasts to the node ``shape`` that psi and M_p(sub)
+    take last.  NotAdmissible where a least margin is <= 0; ``sort_rows``
+    sorts the rows for that check only, so psi is the product over the rows as read.
     """
     target_vals, rows_t = read(target, "target")
     target_vals.flags.writeable = False  # shared as phi, reference and default subsolution
@@ -101,17 +103,21 @@ def _manufacture(read, target, subsolution, params: OperatorParams, grid, psi_sc
         sub_vals, rows_s = read(subsolution, "subsolution")
     for rows, what in ((rows_s, "subsolution"), (rows_t, "target")):
         ascending = np.sort(rows, axis=-1) if sort_rows else rows
-        value, node = least(margins_batch(ascending, params.p), grid.node_of_flat)
+        # at the node shape, so the witness is the first least node in C order
+        margins = np.broadcast_to(margins_batch(ascending, params.p), shape)
+        value, node = least(margins, grid.node_of_flat)
         if value <= 0.0:
             raise NotAdmissible(f"{what} margin {value:.6e} <= 0 at node {node}", node=node)
 
     sub_m = product_batch(rows_s, params)
     # a fresh array either way: the bump writes into psi
-    psi = (sub_m if rows_t is rows_s else product_batch(rows_t, params)) * float(psi_scale)
+    psi = np.multiply(sub_m if rows_t is rows_s else product_batch(rows_t, params),
+                      float(psi_scale), out=np.empty(shape))
     if psi_bump_node is not None:
         idx = tuple(int(i) - interior_offset for i in np.atleast_1d(psi_bump_node))
         psi[idx] = psi[idx] * float(psi_bump_factor)
-    return target_vals, sub_vals, _finite("psi", psi), _finite("M_p(subsolution)", sub_m)
+    return (target_vals, sub_vals, _finite("psi", psi),
+            _finite("M_p(subsolution)", np.broadcast_to(sub_m, shape).copy()))
 
 
 def manufactured_box(
@@ -128,26 +134,25 @@ def manufactured_box(
     """Manufacture a box problem from an analytic target.
 
     ``u_star`` (and the optional distinct ``subsolution``) must expose
-    ``value(points)`` and ``complex_hessian(points)``.  Raises NotAdmissible
-    with a witness node if the subsolution exits the cone anywhere, and
+    ``value(coords)`` and ``complex_hessian(coords)`` (``BoxGrid.coords``).  Raises
+    NotAdmissible with a witness node if the subsolution exits the cone anywhere, and
     ValidationError if a built array is not finite or chi, values or eigenvalues exceed 2^500.
     """
     if grid.n != params.n:
         raise ValidationError("n", f"grid dimension {grid.n} != operator dimension {params.n}")
     chi = _finite("chi", np.asarray(chi, dtype=np.complex128), bounded=True)
-    pts_all = grid.points()
-    pts_int = pts_all[(slice(1, -1),) * grid.ndim_real]
-
     omega_entries = None if omega is None else np.asarray(omega, dtype=np.complex128)
 
     def values_and_eigenvalues(fn, what):
-        values = _finite(f"{what} values", fn.value(pts_all), bounded=True)
-        reduced, _ = congruence_reduce_batch(chi + fn.complex_hessian(pts_int), omega_entries)
+        # the rows have the broadcast shape of fn's second derivatives
+        values = _finite(f"{what} values", fn.value(grid.coords()), bounded=True)
+        hessian = chi + fn.complex_hessian(grid.coords(interior=True))
+        reduced, _ = congruence_reduce_batch(hessian, omega_entries)
         return values, eigvals_batch(_finite(f"{what} chi + complex Hessian", reduced, bounded=True))
 
     target, sub, psi, sub_m = _manufacture(
         values_and_eigenvalues, u_star, subsolution, params, grid, psi_scale, psi_bump_node,
-        psi_bump_factor, sort_rows=False, interior_offset=1)
+        psi_bump_factor, shape=grid.interior_shape, sort_rows=False, interior_offset=1)
     box = BoxProblem(grid=grid, chi=chi, omega=omega_entries, psi=psi, phi=target,
                      subsolution=sub, subsolution_M=sub_m, reference=target)
     return ProblemSpec(params, box)
@@ -175,7 +180,7 @@ def manufactured_radial(
 
     target, sub, psi, sub_m = _manufacture(
         values_and_rows, profile, subsolution_profile, params, grid, psi_scale, psi_bump_node,
-        psi_bump_factor, sort_rows=True, interior_offset=0)
+        psi_bump_factor, shape=(m,), sort_rows=True, interior_offset=0)
     radial = RadialProblem(grid=grid, chi_scalar=c, psi=psi, boundary_value=float(target[-1]),
                            subsolution=sub, subsolution_M=sub_m, reference=target)
     return ProblemSpec(params, radial)

@@ -337,6 +337,16 @@ def _newton_loop(ev, t: float, u_init: np.ndarray, tol: float) -> HomotopyState:
     )
 
 
+def _with_dirichlet_data(problem: ProblemSpec, values) -> np.ndarray:
+    """A copy of the start ``values`` with the problem's Dirichlet data on its boundary."""
+    u = np.array(field_values(values), dtype=float)
+    if problem.geometry == "box":
+        np.copyto(u, problem.box.phi, where=problem.box.grid.boundary_mask())
+    else:
+        u[-1] = problem.radial.boundary_value
+    return u
+
+
 def newton_solve_at_t(
     problem: ProblemSpec,
     t: float,
@@ -350,7 +360,7 @@ def newton_solve_at_t(
     _check_tol(tol)
     ev = _make_evaluator(problem)
     ev.start = None  # u_init is not the subsolution in general
-    return _newton_loop(ev, t, field_values(u_init), tol)
+    return _newton_loop(ev, t, _with_dirichlet_data(problem, u_init), tol)
 
 
 def continuity_solve(problem: ProblemSpec, *, newton_tol: float | None = None,
@@ -358,7 +368,7 @@ def continuity_solve(problem: ProblemSpec, *, newton_tol: float | None = None,
     """Carry t from 0 to 1, trying t = 1 first; return solution + diagnostics.
 
     ``newton_tol`` defaults to ``NEWTON_TOL[problem.geometry]``, and the solve
-    starts from ``initial_values`` (full-grid values) or the subsolution.
+    starts from ``initial_values`` (boundary reset to the Dirichlet data) or the subsolution.
     Raises ValidationError unless ``newton_tol`` is finite and positive,
     SubsolutionInvalid when the problem's subsolution fails its analytic
     checks, ConeEscape when an initializer is not admissible and
@@ -371,7 +381,7 @@ def continuity_solve(problem: ProblemSpec, *, newton_tol: float | None = None,
     if initial_values is None:
         u = problem.payload.subsolution.copy()
     else:
-        u = np.asarray(initial_values, dtype=float).copy()
+        u = _with_dirichlet_data(problem, initial_values)
         ev.start = None  # the subsolution's analysis does not describe u
 
     states: list[HomotopyState] = []

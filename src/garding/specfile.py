@@ -19,13 +19,13 @@ Sections
                 provides the boundary data and the default subsolution
 [subsolution]   optional distinct subsolution, same format as [solution]
 [psi]           optional modifiers: scale, bump_node, bump_factor
-[init]          optional initializer override for solve mode
+[init]          optional start for solve mode; the boundary keeps the target's values
 [solve]         optional newton_tol (the only key; finite and positive)
 [sweep]         refine-sweep levels: resolutions = ... (box) or
                 points = ... (radial), each within the bounds above
 
 Families: ``quadratic`` (coeff c: c |z|^2 on boxes, profile c s radially),
-``polynomial`` (terms = k, then term_1..term_k = coeff, e_1..e_2n),
+``polynomial`` (terms = k, then term_1..term_k = coeff, e_1..e_2n; e_i in 0, 1, ...),
 ``radial-power`` (power k, scale a: a s^k / k), ``radial-poly``
 (coeffs = c_0, c_1, ...: sum c_j s^j).
 """
@@ -247,10 +247,9 @@ def parse_document(text: str) -> SpecDocument:
                 row = array(section, f"term_{i}")
                 if row is None:
                     raise ValidationError(section, f"missing term_{i}")
-                if len(row) != 2 * n + 1:
-                    raise ValidationError(
-                        section, f"term_{i} needs 1 + {2 * n} numbers, got {len(row)}"
-                    )
+                if len(row) != 2 * n + 1 or not all(e == int(e) >= 0 for e in row[1:]):
+                    raise ValidationError(section, f"term_{i} needs a coefficient and {2 * n} "
+                                                   f"non-negative integer exponents, got {row}")
                 terms.append(tuple(float(x) for x in row))
             params.append(("terms", tuple(terms)))
         else:
@@ -448,7 +447,7 @@ def initial_values_from(doc: SpecDocument, problem: ProblemSpec):
     if doc.init is None:
         return None
     if problem.geometry == "box":
-        values = _box_function(doc.init, doc.n).value(problem.box.grid.points())
+        values = _box_function(doc.init, doc.n).value(problem.box.grid.coords())
     else:
         values = _radial_function(doc.init).value(problem.radial.grid.s)
     return _finite("init values", values, bounded=True)

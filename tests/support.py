@@ -9,7 +9,7 @@ import numpy as np
 from garding.analytic import Polynomial, RadialProfile
 from garding.cone import margins_batch
 from garding.grid import MatrixField, ScalarField, complex_hessian_field
-from garding.hermitian import ambient_transport_batch
+from garding.hermitian import ambient_transport_batch, complex_hessian_from
 from garding.operator import ftilde_grad_batch
 
 CLUSTER_GAP_RTOL = 1e-8  # eigenvalue-cluster threshold for derivative averaging
@@ -24,6 +24,12 @@ def re_z1_squared(n: int) -> Polynomial:
     return Polynomial(2 * n, {tuple(e_x): 1.0, tuple(e_y): -1.0})
 
 
+def stack_coords(coords) -> np.ndarray:
+    """Per-axis coordinates (``BoxGrid.coords``) stacked into point rows,
+    shape (*broadcast shape, 2n)."""
+    return np.stack(np.broadcast_arrays(*coords), axis=-1)
+
+
 @dataclass(frozen=True)
 class RadialOnBox:
     """A radial profile evaluated as a function on C^n coordinates."""
@@ -31,14 +37,13 @@ class RadialOnBox:
     profile: RadialProfile
     n: int
 
-    def value(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        s = np.sum(pts**2, axis=-1)
+    def value(self, coords) -> np.ndarray:
+        s = np.sum(stack_coords(coords) ** 2, axis=-1)
         return self.profile.value(s)
 
-    def complex_hessian(self, points: np.ndarray) -> np.ndarray:
+    def complex_hessian(self, coords) -> np.ndarray:
         # d_j d_kbar u(|z|^2) = u' delta_jk + u'' zbar_j z_k, entry [k, j]
-        pts = np.asarray(points, dtype=np.float64)
+        pts = stack_coords(coords)
         s = np.sum(pts**2, axis=-1)
         z = pts[..., 0::2] + 1j * pts[..., 1::2]
         u1 = self.profile.d1(s)
@@ -46,6 +51,35 @@ class RadialOnBox:
         eye = np.eye(self.n, dtype=np.complex128)
         outer = np.einsum("...j,...k->...kj", z.conj(), z)
         return u1[..., None, None] * eye + u2[..., None, None] * outer
+
+
+@dataclass(frozen=True)
+class StackedPolynomial:
+    """A Polynomial evaluated term by term on stacked point rows at the full
+    shape of its coordinates, as the build did before it read per-axis
+    coordinates: a bitwise oracle for the broadcast build."""
+
+    poly: Polynomial
+
+    def value(self, coords) -> np.ndarray:
+        return _stacked_value(self.poly, stack_coords(coords))
+
+    def complex_hessian(self, coords) -> np.ndarray:
+        pts = stack_coords(coords)
+        return complex_hessian_from(
+            lambda a, b: _stacked_value(self.poly.derivative(a).derivative(b), pts),
+            self.poly.nvars // 2, pts.shape[:-1])
+
+
+def _stacked_value(poly: Polynomial, pts: np.ndarray) -> np.ndarray:
+    out = np.zeros(pts.shape[:-1])
+    for expo, c in poly.terms.items():
+        term = np.full(pts.shape[:-1], c)
+        for a, e in enumerate(expo):
+            if e:
+                term = term * pts[..., a] ** e
+        out += term
+    return out
 
 
 def plane_backed(a: np.ndarray) -> bool:

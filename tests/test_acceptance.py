@@ -39,7 +39,7 @@ from garding.solver import (
 )
 from garding.hermitian import Spectrum
 
-from support import re_z1_squared
+from support import re_z1_squared, stack_coords
 
 
 def report(number: int, text: str) -> None:
@@ -174,9 +174,9 @@ def test_criterion_04_discretization_order():
     bilinear = f1 * f2
     for res in (9, 17):
         grid = BoxGrid(2, ((-1, 1),) * 4, res)
-        u = ScalarField(grid, bilinear.value(grid.points()))
+        u = ScalarField(grid, bilinear.value(grid.coords()))
         h = complex_hessian_field(u)
-        exact = bilinear.complex_hessian(grid.interior_points())
+        exact = bilinear.complex_hessian(grid.coords(interior=True))
         assert np.abs(h.values - exact).max() <= 1e-12
 
     # refinement ratio on a quartic probe with nonvanishing truncation error
@@ -186,9 +186,9 @@ def test_criterion_04_discretization_order():
 
     def max_err(res):
         grid = BoxGrid(2, ((-1, 1),) * 4, res)
-        u = ScalarField(grid, probe.value(grid.points()))
+        u = ScalarField(grid, probe.value(grid.coords()))
         h = complex_hessian_field(u)
-        return np.abs(h.values - probe.complex_hessian(grid.interior_points())).max()
+        return np.abs(h.values - probe.complex_hessian(grid.coords(interior=True))).max()
 
     e9 = max_err(9)
     e17 = max_err(17)
@@ -270,7 +270,7 @@ def test_criterion_09_anchor_and_uniqueness(box_solutions):
     assert gap.min() >= -1e-12
     # 0.9 * gap * bump, with the bump profile scaled back until the start
     # keeps a healthy cone margin
-    pts = grid.points()
+    pts = stack_coords(grid.coords())
     profile = np.prod(np.cos(np.pi * pts / 2.0), axis=-1)
     ev = _BoxEvaluator(problem)
     base_margin = ev.analyze(problem.box.subsolution).min_margin
@@ -308,7 +308,7 @@ def test_criterion_10_failure_paths(tmp_path):
 
     # non-admissible initializer -> ConeEscape at the API level
     clean = manufactured_box(grid_target(), np.zeros((2, 2)), OperatorParams(2, 1), grid)
-    bad_init = -2.0 * norm_squared(2).value(grid.points())
+    bad_init = -2.0 * norm_squared(2).value(grid.coords())
     with pytest.raises(ConeEscape) as cone_info:
         continuity_solve(clean, initial_values=bad_init)
     assert cone_info.value.node is not None

@@ -24,6 +24,8 @@ from garding.report import write_solution_csv
 from garding.solver import continuity_solve
 from garding.specfile import build_problem, parse_document
 
+from support import stack_coords
+
 RADIAL_SPEC = """format_version = 1
 [problem]
 n = 3
@@ -128,6 +130,43 @@ class TestSolveMode:
         status, _ = run_cli(tmp_path, spec, "solve")
         assert status == 3
 
+    N1_SPEC = """format_version = 1
+[problem]
+n = 1
+p = 1
+geometry = box
+[box]
+extent = -1, 1, -1, 1
+resolution = 9
+[solution]
+builtin = quadratic
+coeff = 1.0
+[psi]
+scale = 0.9
+"""
+
+    def test_init_keeps_the_dirichlet_data(self, tmp_path):
+        # an [init] 2% above the target, on the boundary too: the solve keeps
+        # the target's boundary values and reaches the solution it reaches
+        # without [init] (it took 0.1397 and a 0.04 sandwich violation)
+        reports = []
+        for name, spec in (("plain", self.N1_SPEC),
+                           ("init", self.N1_SPEC + "[init]\nbuiltin = quadratic\ncoeff = 1.02\n")):
+            (tmp_path / name).mkdir()
+            status, out = run_cli(tmp_path / name, spec, "solve")
+            assert status == 0
+            reports.append(dict(line.split(" = ", 1)
+                                for line in (out / "report.txt").read_text().splitlines()
+                                if " = " in line))
+        for report in reports:
+            assert report["reference_max_error"] == "0.11645220588235289"
+            assert report["sandwich_violation"] == "0.0"
+
+    def test_init_off_the_cone_inside_exits_3(self, tmp_path):
+        spec = self.N1_SPEC + "[init]\nbuiltin = quadratic\ncoeff = 1.1\n"
+        status, _ = run_cli(tmp_path, spec, "solve")
+        assert status == 3
+
     @pytest.mark.parametrize("spec_text", [RADIAL_SPEC, BOX_SPEC], ids=["radial", "box"])
     def test_determinism_byte_identical(self, tmp_path, spec_text):
         status1, out1 = run_cli(tmp_path, spec_text, "solve", name="a.spec")
@@ -146,7 +185,7 @@ def reference_csv_rows(problem, u, diag):
     rows = []
     if problem.geometry == "box":
         grid = problem.box.grid
-        pts = grid.points()
+        pts = stack_coords(grid.coords())
         for node in np.ndindex(grid.shape):
             row = [repr(float(c)) for c in pts[node]] + [repr(float(u.values[node]))]
             if grid.is_interior(node):
@@ -423,6 +462,25 @@ class TestValidationFailures:
         config = cli.RunConfig(mode="bogus", spec_path=spec, out_dir=tmp_path / "out")
         assert cli.run(config) == 2
         assert "validation error: mode: unknown mode 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["solution", "subsolution", "init"])
+    @pytest.mark.parametrize("exponent", ["1.5", "-1"])
+    def test_polynomial_exponents_are_non_negative_integers(self, tmp_path, capsys, section,
+                                                            exponent):
+        # 1.5 was truncated to 1 and -1 read as x^-1; both solved and exited 0
+        polynomial = (f"builtin = polynomial\nterms = 2\nterm_1 = 1, 2, 0\n"
+                      f"term_2 = 0.01, {exponent}, 0\n")
+        spec = ("format_version = 1\n[problem]\nn = 1\np = 1\ngeometry = box\n"
+                "[box]\nextent = 0.5, 1, 0.5, 1\nresolution = 9\n"
+                "[solution]\nbuiltin = quadratic\n")
+        if section == "solution":
+            spec = spec.replace("builtin = quadratic\n", polynomial)
+        else:
+            spec += f"[{section}]\n{polynomial}"
+        status, _ = run_cli(tmp_path, spec, "solve")
+        assert status == 2
+        err = capsys.readouterr().err
+        assert f"{section}: term_2 needs a coefficient and 2 non-negative integer exponents" in err
 
     def test_box_initial_values_setting_points_to_init(self, tmp_path, capsys):
         status, _ = run_cli(tmp_path, BOX_SPEC + "[solve]\ninitial_values = 1\n", "solve")

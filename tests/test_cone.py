@@ -6,6 +6,8 @@ from garding.grid import BoxGrid, MatrixField, ScalarField, assemble_g
 from garding.hermitian import HermitianMatrix, Spectrum, metric_endomorphism_eigen
 from garding.operator import OperatorParams, sample_cone_points, subset_sums_batch
 
+from support import stack_coords
+
 P32 = OperatorParams(3, 2)
 
 
@@ -116,7 +118,7 @@ class TestAdmissibilityScan:
     def test_manufactured_half_norm_field(self):
         # u = |z|^2 / 2 with chi = 0 has Hessian I/2, margin p/2 everywhere
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
-        pts = grid.points()
+        pts = stack_coords(grid.coords())
         u = ScalarField(grid, 0.5 * np.sum(pts**2, axis=-1))
         g = assemble_g(np.zeros((2, 2)), u)
         for p in (1, 2):

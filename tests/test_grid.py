@@ -15,11 +15,11 @@ from garding.grid import (
 )
 from garding.radial import RadialGrid
 
-from support import RadialOnBox, hermitian_defect, node_coords, re_z1_squared
+from support import RadialOnBox, hermitian_defect, node_coords, re_z1_squared, stack_coords
 
 
 def field_from(grid, func):
-    return ScalarField(grid, func.value(grid.points()))
+    return ScalarField(grid, func.value(grid.coords()))
 
 
 def per_node_hessian(u, node):
@@ -134,7 +134,7 @@ class TestComplexHessian:
             grid = BoxGrid(2, ((-1, 1),) * 4, res)
             u = field_from(grid, prod)
             h = complex_hessian_field(u)
-            exact = prod.complex_hessian(grid.interior_points())
+            exact = prod.complex_hessian(grid.coords(interior=True))
             assert np.abs(h.values - exact).max() <= 1e-12
 
     def test_second_order_convergence(self):
@@ -148,7 +148,7 @@ class TestComplexHessian:
             grid = BoxGrid(2, ((-1, 1),) * 4, res)
             u = field_from(grid, probe)
             h = complex_hessian_field(u)
-            exact = probe.complex_hessian(grid.interior_points())
+            exact = probe.complex_hessian(grid.coords(interior=True))
             return np.abs(h.values - exact).max()
 
         e_coarse = max_error(9)
@@ -180,9 +180,9 @@ class TestComplexHessian:
         # the radial Hessian formula and the grid Hessian agree at nodes
         grid = BoxGrid(2, ((-1.5, 1.5),) * 4, 13)
         fn = RadialOnBox(radial_power(2), 2)
-        u = ScalarField(grid, fn.value(grid.points()))
+        u = ScalarField(grid, fn.value(grid.coords()))
         h = complex_hessian_field(u)
-        exact = fn.complex_hessian(grid.interior_points())
+        exact = fn.complex_hessian(grid.coords(interior=True))
         hsq = max(grid.spacing) ** 2
         assert np.abs(h.values - exact).max() <= 3.0 * hsq
 
@@ -219,7 +219,7 @@ class TestGradientAndTrace:
             pts, h, axis = grid.s[:, None], grid.spacing, 0
         else:
             grid = BoxGrid(2, ((-1, 1), (0, 0.5), (-2, 1), (0.5, 1.5)), 9)
-            pts, h = grid.points(), grid.spacing[axis]
+            pts, h = stack_coords(grid.coords()), grid.spacing[axis]
         dim = pts.shape[-1]
         sym = rng.standard_normal((dim, dim))
         sym = sym + sym.T

@@ -31,6 +31,7 @@ from support import (
     hessian_operator_apply,
     padded_stencil_apply,
     re_z1_squared,
+    stack_coords,
 )
 
 
@@ -140,14 +141,14 @@ class TestAssembly:
     def test_quarter_laplacian_on_norm_squared(self):
         grid = BoxGrid(1, ((-1, 1), (-1, 1)), 9)
         coeffs = constant_coefficient_field(grid, np.eye(1, dtype=complex))
-        u = ScalarField(grid, norm_squared(1).value(grid.points()))
+        u = ScalarField(grid, norm_squared(1).value(grid.coords()))
         applied = apply_operator(coeffs, u)
         assert np.allclose(applied, 1.0, atol=1e-13)
 
     def test_pluriharmonic_in_kernel(self):
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
         coeffs = constant_coefficient_field(grid, np.eye(2, dtype=complex))
-        u = ScalarField(grid, re_z1_squared(2).value(grid.points()))
+        u = ScalarField(grid, re_z1_squared(2).value(grid.coords()))
         assert np.allclose(apply_operator(coeffs, u), 0.0, atol=1e-13)
 
     def test_matrix_consistent_with_apply(self):
@@ -178,7 +179,7 @@ class TestAssembly:
         cvals[..., 0, 0] = d[..., 0]
         cvals[..., 1, 1] = d[..., 1]
         coeffs = MatrixField(grid, cvals)
-        u = ScalarField(grid, norm_squared(2).value(grid.points()))
+        u = ScalarField(grid, norm_squared(2).value(grid.coords()))
         applied = apply_operator(coeffs, u)
         # complex Hessian of |z|^2 is the identity: L u = trace of coefficients
         assert np.allclose(applied, d.sum(axis=-1), atol=1e-10)
@@ -596,7 +597,7 @@ class TestUpperBarrier:
         # the barrier matrix is its own mean axis stencil, so the
         # preconditioner is its exact inverse
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
-        pts = grid.points()
+        pts = stack_coords(grid.coords())
         phi = ScalarField(grid, pts[..., 0] ** 2 - 0.5 * pts[..., 3] + 0.3 * pts[..., 1] * pts[..., 2])
         chi = np.array([[1.0, 0.2j], [-0.2j, 0.5]])
         counts = count_preconditioner_applications(monkeypatch)
@@ -621,7 +622,7 @@ class TestUpperBarrier:
 
     def test_harmonic_linear_function_exact(self):
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
-        x1 = grid.points()[..., 0]
+        x1 = stack_coords(grid.coords())[..., 0]
         phi = ScalarField(grid, x1.copy())
         out = upper_barrier(np.zeros((2, 2)), None, phi, grid)
         assert np.abs(out.values - x1).max() < 1e-10
@@ -630,7 +631,7 @@ class TestUpperBarrier:
         # with chi = I (n = 1) the equation is lap v = -4 on the square;
         # v = 4 * membrane + harmonic extension of phi
         grid = BoxGrid(1, ((0, 1), (0, 1)), 65)
-        pts = grid.points()
+        pts = stack_coords(grid.coords())
         phi_vals = pts[..., 0] ** 2 - pts[..., 1] ** 2  # harmonic
         phi = ScalarField(grid, phi_vals)
         out = upper_barrier(np.eye(1), None, phi, grid)

@@ -45,7 +45,7 @@ class TestRadialEigenvalues:
         # u = |z|^4 / 2 on an n = 2 grid through a node with |z|^2 = 1
         grid = BoxGrid(2, ((-1.5, 1.5),) * 4, 13)
         fn = RadialOnBox(radial_power(2), 2)
-        u = ScalarField(grid, fn.value(grid.points()))
+        u = ScalarField(grid, fn.value(grid.coords()))
         node = (10, 6, 6, 6)  # (1, 0, 0, 0): s = 1
         assert np.allclose(node_coords(grid, node), [1.0, 0, 0, 0])
         h = complex_hessian(u, node)
@@ -150,7 +150,7 @@ class TestManufacturedProblems:
         assert np.allclose(problem.box.psi, 1.0)
         # phi is the boundary trace of the target
         mask = grid.boundary_mask()
-        expected = norm_squared(2).value(grid.points())
+        expected = norm_squared(2).value(grid.coords())
         assert np.allclose(problem.box.phi[mask], expected[mask])
 
     def test_pluriharmonic_with_identity_chi(self):

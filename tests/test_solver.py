@@ -126,6 +126,20 @@ class TestRadialSolve:
         u2, _ = continuity_solve(problem, newton_tol=1e-11, initial_values=init)
         assert np.abs(u1 - u2).max() <= 2e-11
 
+    def test_a_start_keeps_the_dirichlet_data(self):
+        # a start whose last node is off the boundary value: the solve keeps
+        # the problem's value there and reaches the solution of the other start
+        problem = radial_problem(subsolution_profile=shifted_subsolution())
+        u1, _ = continuity_solve(problem, newton_tol=1e-11)
+        init = problem.radial.subsolution.copy()
+        init[-1] += 0.1
+        u2, _ = continuity_solve(problem, newton_tol=1e-11, initial_values=init)
+        assert u2[-1] == problem.radial.boundary_value
+        assert np.abs(u1 - u2).max() <= 2e-11
+        state = newton_solve_at_t(problem, 1.0, init, tol=1e-10)
+        assert state.u[-1] == problem.radial.boundary_value
+        assert init[-1] == problem.radial.boundary_value + 0.1  # the start is not written
+
     def test_monotone_in_psi(self):
         base = radial_problem(subsolution_profile=shifted_subsolution())
         smaller = radial_problem(
@@ -265,7 +279,7 @@ class TestBoxSolve:
 
     def test_cone_escape_on_bad_initializer(self):
         problem = box_problem(res=9)
-        bad = -2.0 * norm_squared(2).value(problem.box.grid.points())
+        bad = -2.0 * norm_squared(2).value(problem.box.grid.coords())
         with pytest.raises(ConeEscape) as exc_info:
             continuity_solve(problem, initial_values=bad)
         assert exc_info.value.node is not None
@@ -447,11 +461,21 @@ class TestOneAnalysisPerState:
 
 
 class TestNoDiscardedWork:
-    def test_box_build_makes_the_points_once(self, monkeypatch):
-        counts = {}
-        count_calls(monkeypatch, BoxGrid, "points", counts)
+    def test_box_build_makes_no_stacked_points(self, monkeypatch):
+        # the build reads per-axis coordinates, each varying along its own
+        # axis only; the grid offers no stacked (..., 2n) point array
+        shapes = []
+        coords = BoxGrid.coords
+
+        def recorded(self, *args, **kwargs):
+            out = coords(self, *args, **kwargs)
+            shapes.extend(c.shape for c in out)
+            return out
+
+        monkeypatch.setattr(BoxGrid, "coords", recorded)
         box_problem(res=9)
-        assert counts == {"points": 1}
+        assert shapes and all(sum(k > 1 for k in shape) == 1 for shape in shapes)
+        assert not hasattr(BoxGrid, "points") and not hasattr(BoxGrid, "interior_points")
 
     @pytest.mark.parametrize("build", [lambda: box_problem(res=9, psi_scale=0.85),
                                        lambda: radial_problem(psi_scale=0.85)],
@@ -578,7 +602,7 @@ class TestBoundaryTrace:
         # pluriharmonic boundary data: tangential Hessian block cancels
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
         problem = box_problem(res=9)
-        flat = re_z1_squared(2).value(grid.points())
+        flat = re_z1_squared(2).value(grid.coords())
         val = boundary_trace_check(ScalarField(grid, flat), problem)
         assert val == pytest.approx(0.0, abs=1e-12)
 

@@ -46,7 +46,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import NotArrowForm, OutsideCone
+from .errors import OutsideCone
 from .hermitian import (
     HermitianMatrix,
     Spectrum,
@@ -331,8 +331,8 @@ def determinant_linearization_batch(params: OperatorParams, form: np.ndarray):
     return coeffs, trace_f.reshape(shape), ft.reshape(shape)
 
 
-def arrow_form_value(g: HermitianMatrix, atol: float = 1e-12):
-    """Expand the (n-1)-subset product of an arrow-form matrix.
+def arrow_form_value(g: np.ndarray, atol: float = 1e-12):
+    """Expand the (n-1)-subset product of an (n, n) arrow-form Hermitian matrix.
 
     For g with diagonal leading (n-1) x (n-1) block the product form
     factorizes as
@@ -341,16 +341,17 @@ def arrow_form_value(g: HermitianMatrix, atol: float = 1e-12):
         corr = sum_{i<n} |g_{n i}|^2 * prod_{b != i, b < n} (tr g - g_bb)
 
     and lhs - corr equals prod_i (tr g - lam_i(g)), the (n-1)-exponent
-    operator value.  Raises NotArrowForm when an off-diagonal entry of the
+    operator value.  Raises ValueError when an off-diagonal entry of the
     leading block exceeds ``atol``.
     """
-    a = g.entries
-    n = g.dim
+    a = np.asarray(g)
+    n = a.shape[0]
     lead = a[: n - 1, : n - 1]
     off = lead - np.diag(np.diag(lead))
     worst = np.abs(off).max() if n > 2 else 0.0
     if n > 2 and worst > atol:
-        raise NotArrowForm(f"leading-block off-diagonal entry {worst:.3e} > {atol:.1e}")
+        raise ValueError(f"not an arrow form: leading-block off-diagonal entry "
+                         f"{worst:.3e} > {atol:.1e}")
     tr = np.trace(a).real
     diag = np.diag(a).real
     factors = tr - diag

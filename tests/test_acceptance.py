@@ -95,8 +95,7 @@ def test_criterion_01_arrow_form_oracle():
             a = np.diag(diag.astype(complex))
             a[n - 1, : n - 1] = last
             a[: n - 1, n - 1] = last.conj()
-            g = HermitianMatrix(a)
-            lhs, corr = arrow_form_value(g)
+            lhs, corr = arrow_form_value(a)
             vals = np.linalg.eigvalsh(a)
             expected = float(np.prod(np.trace(a).real - vals))
             rel = abs((lhs - corr) - expected) / max(abs(expected), abs(lhs), 1e-30)

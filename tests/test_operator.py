@@ -9,28 +9,22 @@ from hypothesis import strategies as st
 import garding.operator as operator
 from garding.errors import OutsideCone
 from garding.hermitian import (
-    HermitianMatrix,
-    Spectrum,
     ambient_transport_batch,
     complex_hessian_from,
     congruence_reduce_batch,
     eigvals_batch,
 )
 from garding.operator import (
-    LinearizationCoeffs,
     OperatorParams,
     arrow_form_value,
     determinant_form_batch,
     determinant_linearization_batch,
-    eval_M,
-    eval_ftilde,
     ftilde_batch,
     ftilde_grad_batch,
-    grad_ftilde,
-    linearization_coeffs,
+    product_batch,
     sample_cone_points,
     structure_check,
-    subset_sums,
+    subset_sums_batch,
 )
 
 from support import eigen_route, plane_backed
@@ -44,6 +38,20 @@ def brute_force_product(lam, n, p):
     for s in itertools.combinations(range(n), p):
         prod *= sum(lam[i] for i in s)
     return prod
+
+
+def row(lam):
+    """One eigenvalue vector as a one-row batch."""
+    return np.array([lam], dtype=float)
+
+
+def linearization(omega, g, params):
+    """(coefficients, trace_F) of ftilde(eigenvalues of omega^-1 g) at one g:
+    one row of the solver's route, with g symmetrized first."""
+    reduced, ell = congruence_reduce_batch(((g + g.conj().T) / 2.0)[None], omega)
+    form, _ = determinant_form_batch(reduced, params)
+    coeffs, trace_f, _ = determinant_linearization_batch(params, form)
+    return ambient_transport_batch(coeffs, ell)[0], trace_f[0]
 
 
 def fd_gradient(lam, params, step=1e-6):
@@ -62,14 +70,14 @@ def fd_gradient(lam, params, step=1e-6):
 
 class TestSubsetSums:
     def test_all_ones(self):
-        assert np.array_equal(subset_sums(Spectrum([1.0, 1, 1]), P32), [2, 2, 2])
+        assert np.array_equal(subset_sums_batch(row([1.0, 1, 1]), P32)[0], [2, 2, 2])
 
     def test_lex_order(self):
         # pairs {0,1}, {0,2}, {1,2} of (0, 1, 2)
-        assert np.array_equal(subset_sums(Spectrum([0.0, 1, 2]), P32), [1, 2, 3])
+        assert np.array_equal(subset_sums_batch(row([0.0, 1, 2]), P32)[0], [1, 2, 3])
 
     def test_boundary_factor(self):
-        assert np.array_equal(subset_sums(Spectrum([-1.0, 1, 3]), P32), [0, 2, 4])
+        assert np.array_equal(subset_sums_batch(row([-1.0, 1, 3]), P32)[0], [0, 2, 4])
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -88,18 +96,18 @@ class TestSubsetSums:
 
 class TestEvalM:
     def test_all_ones(self):
-        assert eval_M(Spectrum([1.0, 1, 1]), P32) == pytest.approx(8.0)
+        assert product_batch(row([1.0, 1, 1]), P32)[0] == pytest.approx(8.0)
 
     def test_with_zero_factor(self):
-        assert eval_M(Spectrum([0.0, 1, 2]), P32) == pytest.approx(6.0)
-        assert eval_M(Spectrum([-1.0, 1, 3]), P32) == 0.0
+        assert product_batch(row([0.0, 1, 2]), P32)[0] == pytest.approx(6.0)
+        assert product_batch(row([-1.0, 1, 3]), P32)[0] == 0.0
 
     def test_p1_is_determinant_product(self):
         p21 = OperatorParams(2, 1)
         rng = np.random.default_rng(0)
         for _ in range(20):
             a, b = rng.uniform(-2, 2, 2)
-            assert eval_M(Spectrum([a, b]), p21) == pytest.approx(a * b)
+            assert product_batch(row([a, b]), p21)[0] == pytest.approx(a * b)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
@@ -107,31 +115,31 @@ class TestEvalM:
             params = OperatorParams(n, p)
             for _ in range(30):
                 lam = np.sort(rng.uniform(-1, 3, n))
-                assert eval_M(Spectrum(lam), params) == pytest.approx(
+                assert product_batch(row(lam), params)[0] == pytest.approx(
                     brute_force_product(lam, n, p), rel=1e-12
                 )
 
 
 class TestFtilde:
     def test_all_ones(self):
-        assert eval_ftilde(Spectrum([1.0, 1, 1]), P32) == pytest.approx(2.0)
+        assert ftilde_batch(row([1.0, 1, 1]), P32)[0] == pytest.approx(2.0)
 
     def test_homogeneity_instance(self):
-        assert eval_ftilde(Spectrum([0.5, 0.5, 0.5]), P32) == pytest.approx(1.0)
+        assert ftilde_batch(row([0.5, 0.5, 0.5]), P32)[0] == pytest.approx(1.0)
 
     def test_near_boundary(self):
         # value frozen from the direct-product oracle just inside the cone
         lam = [1e-9, 1.0, 2.0]
         expected = brute_force_product(lam, 3, 2) ** (1 / 3)
-        got = eval_ftilde(Spectrum(lam), P32)
+        got = ftilde_batch(row(lam), P32)[0]
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(6.0 ** (1 / 3), rel=1e-6)
 
     def test_outside_raises(self):
         with pytest.raises(OutsideCone):
-            eval_ftilde(Spectrum([-1.0, 1, 3]), P32)
+            ftilde_batch(row([-1.0, 1, 3]), P32)
         with pytest.raises(OutsideCone):
-            eval_ftilde(Spectrum([-1.0, -1, 5]), P32)
+            ftilde_batch(row([-1.0, -1, 5]), P32)
 
     def test_a_nan_row_is_outside(self):
         # a NaN subset sum fails every comparison; it must not pass as inside
@@ -146,7 +154,7 @@ class TestFtilde:
 
 class TestGradFtilde:
     def test_all_ones(self):
-        got = grad_ftilde(Spectrum([1.0, 1, 1]), P32)
+        got = ftilde_grad_batch(row([1.0, 1, 1]), P32)[1][0]
         assert np.allclose(got, [2 / 3, 2 / 3, 2 / 3], atol=1e-14)
 
     def test_formula_instantiation(self):
@@ -155,7 +163,7 @@ class TestGradFtilde:
         expected = (ft / 3) * np.array(
             [1 / 1.001 + 1 / 2.001, 1 / 1.001 + 1 / 3.0, 1 / 2.001 + 1 / 3.0]
         )
-        got = grad_ftilde(Spectrum(lam), P32)
+        got = ftilde_grad_batch(row(lam), P32)[1][0]
         assert np.allclose(got, expected, rtol=1e-12)
         assert np.allclose(got, fd_gradient(lam, P32), rtol=1e-5)
 
@@ -164,15 +172,13 @@ class TestGradFtilde:
         for n, p in [(2, 1), (3, 2), (4, 3), (5, 2)]:
             params = OperatorParams(n, p)
             lams = sample_cone_points(rng, params, 200)
-            for lam in lams:
-                spec = Spectrum(lam)
-                f = grad_ftilde(spec, params)
-                ft = eval_ftilde(spec, params)
-                assert np.dot(f, spec.values) == pytest.approx(ft, rel=1e-11)
+            for lam in np.sort(lams, axis=-1):
+                ft, f = ftilde_grad_batch(row(lam), params)
+                assert np.dot(f[0], lam) == pytest.approx(ft[0], rel=1e-11)
 
     def test_outside_raises(self):
         with pytest.raises(OutsideCone):
-            grad_ftilde(Spectrum([-1.0, 1, 3]), P32)
+            ftilde_grad_batch(row([-1.0, 1, 3]), P32)
 
     def test_matches_fd(self):
         rng = np.random.default_rng(3)
@@ -180,7 +186,7 @@ class TestGradFtilde:
             params = OperatorParams(n, p)
             lams = sample_cone_points(rng, params, 30, margin_low=0.3)
             for lam in lams:
-                got = grad_ftilde(Spectrum(lam), params)
+                got = ftilde_grad_batch(row(np.sort(lam)), params)[1][0]
                 assert np.allclose(got, fd_gradient(np.sort(lam), params), rtol=1e-5)
 
 
@@ -198,31 +204,25 @@ class TestPermutationSymmetry:
 
 class TestLinearization:
     def test_identity_point(self):
-        coeffs = linearization_coeffs(
-            HermitianMatrix(np.eye(3)), HermitianMatrix(np.eye(3)), P32
-        )
-        assert isinstance(coeffs, LinearizationCoeffs)
-        assert np.allclose(coeffs.matrix.entries, np.diag([2 / 3, 2 / 3, 2 / 3]))
-        assert coeffs.trace_F == pytest.approx(2.0)
+        coeffs, trace_f = linearization(np.eye(3), np.eye(3), P32)
+        assert np.allclose(coeffs, np.diag([2 / 3, 2 / 3, 2 / 3]))
+        assert trace_f == pytest.approx(2.0)
 
     def test_diagonal_g_gives_diagonal_coeffs(self):
-        g = HermitianMatrix(np.diag([1e-6, 1.0, 2.0]))
-        coeffs = linearization_coeffs(HermitianMatrix(np.eye(3)), g, P32)
-        f = grad_ftilde(Spectrum([1e-6, 1.0, 2.0]), P32)
-        assert np.allclose(coeffs.matrix.entries, np.diag(f), atol=1e-12)
+        coeffs, _ = linearization(np.eye(3), np.diag([1e-6, 1.0, 2.0]), P32)
+        f = ftilde_grad_batch(row([1e-6, 1.0, 2.0]), P32)[1][0]
+        assert np.allclose(coeffs, np.diag(f), atol=1e-12)
 
     def test_unitary_equivariance(self):
         rng = np.random.default_rng(5)
         g = np.diag([0.5, 1.0, 2.5]).astype(complex)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        eye = HermitianMatrix(np.eye(3))
-        c0 = linearization_coeffs(eye, HermitianMatrix(g), P32).matrix.entries
-        c1 = linearization_coeffs(eye, HermitianMatrix(q.conj().T @ g @ q), P32).matrix.entries
+        c0, _ = linearization(np.eye(3), g, P32)
+        c1, _ = linearization(np.eye(3), q.conj().T @ g @ q, P32)
         assert np.allclose(c1, q.conj().T @ c0 @ q, atol=1e-12)
 
     def test_directional_derivative_identity_metric(self):
         rng = np.random.default_rng(6)
-        eye3 = HermitianMatrix(np.eye(3))
         eps = 1e-5
         for _ in range(25):
             lam = sample_cone_points(rng, P32, 1, margin_low=0.3)[0]
@@ -232,8 +232,8 @@ class TestLinearization:
             g = (q * lam) @ q.conj().T
             h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             h = (h + h.conj().T) / 2
-            coeffs = linearization_coeffs(eye3, HermitianMatrix(g), P32)
-            analytic = np.trace(coeffs.matrix.entries @ h).real
+            coeffs, _ = linearization(np.eye(3), g, P32)
+            analytic = np.trace(coeffs @ h).real
             fp = ftilde_batch(np.linalg.eigvalsh(g + eps * h)[None, :], P32)[0]
             fm = ftilde_batch(np.linalg.eigvalsh(g - eps * h)[None, :], P32)[0]
             fd = (fp - fm) / (2 * eps)
@@ -251,14 +251,12 @@ class TestLinearization:
             g0 = (g0 + g0.conj().T) / 2
             # shift g0 inside the cone relative to omega
             vals = np.linalg.eigvalsh(np.linalg.solve(omega, g0))
-            shift = (1.0 - Spectrum(vals).values[:p].sum() / p)
+            shift = (1.0 - vals[:p].sum() / p)
             g = g0 + shift * omega
             h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             h = (h + h.conj().T) / 2
-            coeffs = linearization_coeffs(
-                HermitianMatrix(omega), HermitianMatrix(g), params
-            )
-            analytic = np.trace(coeffs.matrix.entries @ h).real
+            coeffs, _ = linearization((omega + omega.conj().T) / 2.0, g, params)
+            analytic = np.trace(coeffs @ h).real
 
             def ft_of(gm):
                 vals = np.linalg.eigvalsh(
@@ -278,9 +276,9 @@ class TestLinearization:
                 rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             )
             g = (q * lam) @ q.conj().T
-            coeffs = linearization_coeffs(HermitianMatrix(np.eye(3)), HermitianMatrix(g), P32)
-            assert np.linalg.eigvalsh(coeffs.matrix.entries)[0] > 0
-            assert coeffs.trace_F >= 2 - 1e-10
+            coeffs, trace_f = linearization(np.eye(3), g, P32)
+            assert np.linalg.eigvalsh(coeffs)[0] > 0
+            assert trace_f >= 2 - 1e-10
 
 
 def random_unitaries(rng, count, n):
@@ -371,9 +369,9 @@ class TestDeterminantRoute:
             determinant_linearization_batch(OperatorParams(3, 1), form)
 
     def test_scalar_call_raises_off_the_cone(self):
-        g = HermitianMatrix(np.diag([-1.0, 0.5, 3.0]))  # subset sum -0.5
+        g = np.diag([-1.0, 0.5, 3.0])  # subset sum -0.5
         with pytest.raises(OutsideCone):
-            linearization_coeffs(HermitianMatrix(np.eye(3)), g, P32)
+            linearization(np.eye(3), g, P32)
 
 
 class TestPlaneLayout:

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from garding.analytic import Polynomial, norm_squared, radial_power
-from garding.errors import BoundaryNode, ValidationError
+from garding.errors import ValidationError
 from garding.grid import (
     BoxGrid,
     ScalarField,
-    assemble_g,
-    complex_hessian,
     complex_hessian_field,
     face_tangential_trace_min,
     first_difference,
@@ -100,12 +98,6 @@ class TestComplexHessian:
         h = complex_hessian_field(u)
         assert np.allclose(h.values, 0.0, atol=1e-13)
 
-    def test_boundary_node_rejected(self):
-        grid = BoxGrid(2, ((-1, 1),) * 4, 9)
-        u = field_from(grid, norm_squared(2))
-        with pytest.raises(BoundaryNode):
-            complex_hessian(u, (0, 4, 4, 4))
-
     def test_mixed_product_point_values(self):
         # u = |z_1|^2 |z_2|^2 at z = (1, 1): exact Hessian [[1, 1], [1, 1]]
         f1 = Polynomial(4, {(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0})
@@ -120,9 +112,9 @@ class TestComplexHessian:
         u = field_from(grid, prod)
         node = (10, 6, 10, 6)
         assert np.allclose(node_coords(grid, node), pt)
-        h = complex_hessian(u, node)
+        h = complex_hessian_field(u).values[tuple(i - 1 for i in node)]
         hsq = max(grid.spacing) ** 2
-        assert np.abs(h.entries - exact).max() <= 2.0 * hsq
+        assert np.abs(h - exact).max() <= 2.0 * hsq
 
     def test_bilinear_quartic_is_stencil_exact(self):
         # every monomial of |z_1|^2 |z_2|^2 has degree <= 2 per variable, so
@@ -171,9 +163,7 @@ class TestComplexHessian:
         u = ScalarField(grid, rng.standard_normal(grid.shape))
         h = complex_hessian_field(u)
         for node in [(1, 1, 1, 1), (4, 3, 2, 5), (7, 7, 7, 7)]:
-            single = complex_hessian(u, node)
             idx = tuple(i - 1 for i in node)
-            assert np.allclose(single.entries, h.values[idx], atol=1e-14)
             assert np.allclose(h.values[idx], per_node_hessian(u, node), atol=1e-14)
 
     def test_radial_profile_agreement(self):
@@ -188,23 +178,25 @@ class TestComplexHessian:
 
 
 class TestAssembleG:
+    """g = chi + the field Hessian, as the solver forms it at every interior node."""
+
     def test_chi_plus_zero(self):
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
         u = ScalarField(grid, np.zeros(grid.shape))
-        g = assemble_g(np.eye(2), u)
-        assert np.allclose(g.values, np.eye(2))
+        g = np.eye(2) + complex_hessian_field(u).values
+        assert np.allclose(g, np.eye(2))
 
     def test_zero_chi_norm_squared(self):
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
         u = field_from(grid, norm_squared(2))
-        g = assemble_g(np.zeros((2, 2)), u)
-        assert np.allclose(g.values, np.eye(2), atol=1e-13)
+        g = np.zeros((2, 2)) + complex_hessian_field(u).values
+        assert np.allclose(g, np.eye(2), atol=1e-13)
 
     def test_diagonal_chi(self):
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
         u = field_from(grid, norm_squared(2))
-        g = assemble_g(np.diag([1.0, 2.0]), u)
-        assert np.allclose(g.values, np.diag([2.0, 3.0]), atol=1e-13)
+        g = np.diag([1.0, 2.0]) + complex_hessian_field(u).values
+        assert np.allclose(g, np.diag([2.0, 3.0]), atol=1e-13)
 
 
 class TestGradientAndTrace:

@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 
 from garding.analytic import norm_squared, radial_power
 from garding.errors import NotAdmissible, ValidationError
-from garding.grid import BoxGrid, ScalarField, complex_hessian
+from garding.grid import BoxGrid, ScalarField, complex_hessian_field
 from garding.operator import OperatorParams, product_batch
 from garding.problems import manufactured_box, manufactured_radial
 from garding.radial import (
@@ -13,7 +13,6 @@ from garding.radial import (
     RadialGrid,
     eigenvalue_rows,
     profile_derivatives,
-    radial_eigenvalues,
     radial_linearized,
     radial_trace_equation_solution,
     solve_radial_linear,
@@ -22,24 +21,22 @@ from garding.radial import (
 from support import RadialOnBox, node_coords, re_z1_squared
 
 
+def radial_eigenvalues(u1, u2, s, n, c):
+    """Ascending metric eigenvalues at one node: a one-row ``eigenvalue_rows``."""
+    return np.sort(eigenvalue_rows(np.array([u1]), np.array([u2]), np.array([s]), n, c)[0])
+
+
 class TestRadialEigenvalues:
     def test_linear_profile_gives_ones(self):
         # u = s means u = |z|^2: identity Hessian
-        spec = radial_eigenvalues(1.0, 0.0, 0.7, n=4, c=0.0)
-        assert np.allclose(spec.values, np.ones(4))
+        assert np.allclose(radial_eigenvalues(1.0, 0.0, 0.7, n=4, c=0.0), np.ones(4))
 
     def test_quadratic_profile_point_values(self):
         # u = s^2 / 2 at s = 1 with c = 1: (2, 2, 3)
-        spec = radial_eigenvalues(1.0, 1.0, 1.0, n=3, c=1.0)
-        assert np.allclose(spec.values, [2.0, 2.0, 3.0])
+        assert np.allclose(radial_eigenvalues(1.0, 1.0, 1.0, n=3, c=1.0), [2.0, 2.0, 3.0])
 
     def test_center_degenerates(self):
-        spec = radial_eigenvalues(0.5, 123.0, 0.0, n=3, c=0.25)
-        assert np.allclose(spec.values, 0.75)
-
-    def test_negative_s_rejected(self):
-        with pytest.raises(ValueError):
-            radial_eigenvalues(1.0, 0.0, -0.1, 3, 0.0)
+        assert np.allclose(radial_eigenvalues(0.5, 123.0, 0.0, n=3, c=0.25), 0.75)
 
     def test_matches_box_hessian_eigenvalues(self):
         # u = |z|^4 / 2 on an n = 2 grid through a node with |z|^2 = 1
@@ -48,9 +45,9 @@ class TestRadialEigenvalues:
         u = ScalarField(grid, fn.value(grid.coords()))
         node = (10, 6, 6, 6)  # (1, 0, 0, 0): s = 1
         assert np.allclose(node_coords(grid, node), [1.0, 0, 0, 0])
-        h = complex_hessian(u, node)
-        got = np.sort(np.linalg.eigvalsh(h.entries))
-        want = radial_eigenvalues(1.0, 1.0, 1.0, n=2, c=0.0).values
+        h = complex_hessian_field(u).values[tuple(i - 1 for i in node)]
+        got = np.sort(np.linalg.eigvalsh(h))
+        want = radial_eigenvalues(1.0, 1.0, 1.0, n=2, c=0.0)
         hsq = max(grid.spacing) ** 2
         assert np.abs(got - want).max() <= 3.0 * hsq
 

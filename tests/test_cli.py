@@ -186,9 +186,10 @@ def reference_csv_rows(problem, u, diag):
     if problem.geometry == "box":
         grid = problem.box.grid
         pts = stack_coords(grid.coords())
+        boundary = grid.boundary_mask()
         for node in np.ndindex(grid.shape):
             row = [repr(float(c)) for c in pts[node]] + [repr(float(u.values[node]))]
-            if grid.is_interior(node):
+            if not boundary[node]:
                 idx = tuple(i - 1 for i in node)
                 row += [repr(float(diag.node_margins[idx])), repr(float(diag.node_residual[idx]))]
             else:

@@ -10,47 +10,37 @@ comparison sandwich, collar barriers, boundary trace bounds and
 second-order ratio monitors.
 """
 
-from .cone import ConeMargin, admissibility_scan, cone_margin, in_level_set
 from .errors import (
-    BoundaryNode,
     ConeEscape,
     ContinuationStalled,
     GardingError,
     IndefiniteCoefficients,
     LinearSolveStalled,
     MaxItersExceeded,
-    MetricNotPositive,
     NotAdmissible,
-    NotArrowForm,
-    NotHermitian,
     OutsideCone,
     ParseError,
     RadialModeUnsupported,
     SubsolutionInvalid,
     ValidationError,
 )
-from .grid import BoxGrid, MatrixField, ScalarField, assemble_g, complex_hessian
-from .hermitian import (
-    HermitianMatrix,
-    Spectrum,
-    herm_eigen,
-    metric_endomorphism_eigen,
-    trace_with_metric,
-)
+from .grid import BoxGrid, MatrixField, ScalarField, complex_hessian_field
+from .hermitian import congruence_reduce_batch, eigvals_batch
 from .linear import SparseSystem, assemble_linearized, solve_sparse, upper_barrier
 from .operator import (
-    LinearizationCoeffs,
     OperatorParams,
     arrow_form_value,
-    eval_M,
-    eval_ftilde,
-    grad_ftilde,
-    linearization_coeffs,
+    determinant_form_batch,
+    determinant_linearization_batch,
+    ftilde_batch,
+    ftilde_grad_batch,
+    margins_batch,
+    product_batch,
     structure_check,
-    subset_sums,
+    subset_sums_batch,
 )
 from .problems import ProblemSpec, manufactured_box, manufactured_radial, verify_subsolution
-from .radial import RadialGrid, radial_eigenvalues
+from .radial import RadialGrid
 from .solver import (
     HomotopyState,
     SolveDiagnostics,

@@ -3,8 +3,7 @@
 Exit status contract (frozen for CI scripting):
   0  success
   2  validation failure (unreadable spec, parse error, out-of-contract value,
-     non-Hermitian or non-positive input matrices, a request the geometry or
-     stencil does not support)
+     a request the geometry does not support)
   3  solver failure (cone escape, stalled continuation, iteration caps,
      linear-solver stall, indefinite linearization coefficients, an
      eigenvalue vector outside the cone)
@@ -46,9 +45,6 @@ EXIT_CONTRACT = 4
 _VALIDATION_ERRORS = (
     errors.ParseError,
     errors.ValidationError,
-    errors.NotHermitian,
-    errors.MetricNotPositive,
-    errors.BoundaryNode,
     errors.RadialModeUnsupported,
 )
 _SOLVER_ERRORS = (
@@ -59,7 +55,7 @@ _SOLVER_ERRORS = (
     errors.IndefiniteCoefficients,
     errors.OutsideCone,
 )
-_CONTRACT_ERRORS = (errors.SubsolutionInvalid, errors.NotAdmissible, errors.NotArrowForm)
+_CONTRACT_ERRORS = (errors.SubsolutionInvalid, errors.NotAdmissible)
 
 
 @dataclass

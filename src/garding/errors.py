@@ -11,24 +11,8 @@ class GardingError(Exception):
     """Base class for all package errors."""
 
 
-class NotHermitian(GardingError):
-    """Matrix asymmetry exceeds the construction tolerance."""
-
-
-class MetricNotPositive(GardingError):
-    """Background metric is not positive definite."""
-
-
 class OutsideCone(GardingError):
     """Eigenvalue vector is outside (or on the boundary of) the cone."""
-
-
-class NotArrowForm(GardingError):
-    """Matrix is not in arrow form (diagonal leading block, full last row/column)."""
-
-
-class BoundaryNode(GardingError):
-    """Interior-only stencil requested at a boundary node."""
 
 
 class NotAdmissible(GardingError):

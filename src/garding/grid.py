@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryNode, ValidationError
-from .hermitian import HermitianMatrix, complex_hessian_from
+from .errors import ValidationError
+from .hermitian import complex_hessian_from
 from .operator import MAGNITUDE_BOUND
 
 MIN_RESOLUTION = 9
@@ -81,9 +81,6 @@ class BoxGrid:
     def axis_coords(self, axis: int) -> np.ndarray:
         lo, hi = self.extent[axis]
         return np.linspace(lo, hi, self.resolution)
-
-    def is_interior(self, node) -> bool:
-        return all(1 <= i <= self.resolution - 2 for i in node)
 
     def node_of_flat(self, k: int) -> tuple:
         """Grid node of the k-th entry of a flattened interior-shaped array."""
@@ -186,37 +183,11 @@ def second_difference(values: np.ndarray, axis_a: int, axis_b: int, spacing) -> 
     return (pp - pm - mp + mm) / (4.0 * ha * hb)
 
 
-def _hessian_block(values: np.ndarray, n: int, spacing) -> np.ndarray:
-    """Discrete complex Hessian over the interior of a block of grid values.
-
-    The one Hessian stencil: ``values`` is the full grid or the 3^2n block
-    around a node, and the result has the block's interior shape + (n, n).
-    """
-    return complex_hessian_from(lambda a, b: second_difference(values, a, b, spacing), n,
-                                tuple(s - 2 for s in values.shape))
-
-
 def complex_hessian_field(u: ScalarField) -> MatrixField:
     """Discrete complex Hessian of u at every interior node."""
-    return MatrixField(u.grid, _hessian_block(u.values, u.grid.n, u.grid.spacing))
-
-
-def complex_hessian(u: ScalarField, node) -> HermitianMatrix:
-    """Discrete complex Hessian at a single interior node (its 3^2n block)."""
     grid = u.grid
-    if not grid.is_interior(node):
-        raise BoundaryNode(f"node {node} is on the boundary")
-    block = u.values[tuple(slice(i - 1, i + 2) for i in node)]
-    return HermitianMatrix(_hessian_block(block, grid.n, grid.spacing).reshape(grid.n, grid.n))
-
-
-def assemble_g(chi, u: ScalarField) -> MatrixField:
-    """g = chi + complex Hessian of u at every interior node, for a constant
-    Hermitian ``chi`` (HermitianMatrix or (n, n) array)."""
-    hess = complex_hessian_field(u)
-    entries = getattr(chi, "entries", np.asarray(chi, dtype=np.complex128))
-    hess.values = hess.values + entries
-    return hess
+    return MatrixField(grid, complex_hessian_from(
+        lambda a, b: second_difference(u.values, a, b, grid.spacing), grid.n, grid.interior_shape))
 
 
 def first_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:

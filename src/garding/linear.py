@@ -376,19 +376,18 @@ def solve_sparse(system: SparseSystem, tol: float = 1e-10) -> ScalarField:
 def upper_barrier(chi, omega, phi: ScalarField, grid: BoxGrid) -> ScalarField:
     """Solve tr_omega(chi + complex Hessian of v) = 0 with v = phi on the boundary.
 
-    ``chi`` and ``omega`` are constant Hermitian matrices ((n, n) arrays or
-    HermitianMatrix); ``phi`` supplies boundary values (its interior is
+    ``chi`` is a constant Hermitian (n, n) array and ``omega`` one or None
+    for the identity; ``phi`` supplies boundary values (its interior is
     ignored).  The result caps every admissible solution from above.
     """
-    chi_e = getattr(chi, "entries", np.asarray(chi, dtype=np.complex128))
+    chi = np.asarray(chi, dtype=np.complex128)
     if omega is None:
         omega_inv = np.eye(grid.n, dtype=np.complex128)
     else:
-        omega_e = getattr(omega, "entries", np.asarray(omega, dtype=np.complex128))
-        omega_inv = np.linalg.inv(omega_e)
+        omega_inv = np.linalg.inv(np.asarray(omega, dtype=np.complex128))
         omega_inv = (omega_inv + omega_inv.conj().T) / 2.0
 
-    rhs = np.full(grid.interior_shape, -float(np.trace(omega_inv @ chi_e).real))
+    rhs = np.full(grid.interior_shape, -float(np.trace(omega_inv @ chi).real))
     system = assemble_linearized(omega_inv, rhs, grid)
     # fold the Dirichlet data: solve for v - phi_ext with phi_ext = phi on
     # the boundary and 0 inside

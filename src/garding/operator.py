@@ -15,11 +15,11 @@ is positive, vanishes on the cone boundary, and has gradient
 
 where sigma_S is the subset sum.  Subsets are enumerated in lexicographic
 order throughout (itertools.combinations order); this ordering is part of
-the documented output contract of :func:`subset_sums`.
+the documented output contract of :func:`subset_sums_batch`.
 
-The batch functions operate on stacked rows of eigenvalues and back the
-field-scale hot paths of the solver; each scalar function is a one-row call
-into its batch counterpart.
+The functions operate on stacked rows of eigenvalues and back the
+field-scale hot paths of the solver; one eigenvalue vector is a one-row
+batch.
 
 Matrices need no eigenvalues.  With A the reduced matrix of omega^-1 g,
 the p-th additive compound K = A^[p] (:attr:`OperatorParams.compound`) is a
@@ -47,12 +47,6 @@ from math import comb
 import numpy as np
 
 from .errors import OutsideCone
-from .hermitian import (
-    HermitianMatrix,
-    Spectrum,
-    ambient_transport_batch,
-    metric_reduce,
-)
 
 # most p-subsets an exponent may have: one sum per subset and row (MAX_NODES
 # holds a box to n <= 3; MAX_RADIAL_ENTRIES bounds the radial rows)
@@ -139,37 +133,20 @@ class OperatorParams:
         return table
 
 
-def _one_row(lam: Spectrum | np.ndarray, params: OperatorParams) -> np.ndarray:
-    """A scalar argument as a one-row batch."""
-    v = lam.values if isinstance(lam, Spectrum) else np.asarray(lam, dtype=np.float64)
-    if v.shape[-1] != params.n:
-        raise ValueError(f"length {v.shape[-1]} does not match n={params.n}")
-    return v[None, :]
-
-
-def subset_sums(lam: Spectrum, params: OperatorParams) -> np.ndarray:
-    """All p-subset sums of lam, in lexicographic subset order."""
-    return subset_sums_batch(_one_row(lam, params), params)[0]
-
-
-def eval_M(lam: Spectrum, params: OperatorParams) -> float:
-    """The raw product of subset sums (one row of :func:`product_batch`)."""
-    return float(product_batch(_one_row(lam, params), params)[0])
-
-
-def eval_ftilde(lam: Spectrum, params: OperatorParams) -> float:
-    """The normalized operator M^(1/C(n,p)) (one row of :func:`ftilde_batch`)."""
-    return float(ftilde_batch(_one_row(lam, params), params)[0])
-
-
-def grad_ftilde(lam: Spectrum, params: OperatorParams) -> np.ndarray:
-    """Analytic gradient (f_1, ..., f_n) of ftilde at a strict cone point."""
-    return ftilde_grad_batch(_one_row(lam, params), params)[1][0]
-
-
 def subset_sums_batch(lams: np.ndarray, params: OperatorParams) -> np.ndarray:
     """Rows of p-subset sums for stacked eigenvalue rows (N, n) -> (N, m)."""
     return lams @ params.membership.T
+
+
+def margins_batch(vals: np.ndarray, p: int) -> np.ndarray:
+    """Cone margins of stacked ascending eigenvalue rows (N, n) -> (N,).
+
+    The margin of an ascending row is the sum of its p smallest entries,
+    which is the least p-subset sum, so a margin > 0 is cone membership at
+    O(n) instead of O(C(n, p)) cost.  A zero margin (the cone boundary)
+    counts as outside: the derivative formulas need strict interiority.
+    """
+    return vals[..., :p].sum(axis=-1)
 
 
 def _ftilde_rows(lams: np.ndarray, params: OperatorParams, floor: float):
@@ -213,41 +190,6 @@ def ftilde_grad_batch(lams: np.ndarray, params: OperatorParams):
     sums, ft = _ftilde_rows(lams, params, SUM_FLOOR)
     grads = (ft / params.subset_count)[..., None] * ((1.0 / sums) @ params.membership)
     return ft, grads
-
-
-@dataclass(frozen=True)
-class LinearizationCoeffs:
-    """Ambient-frame coefficients of the linearized operator and their trace.
-
-    ``matrix`` pairs with a Hermitian perturbation h as tr(matrix @ h); it is
-    positive definite at interior cone points, and ``trace_F`` is the
-    eigenvalue-space gradient sum, at least p for the normalized operator.
-    """
-
-    matrix: HermitianMatrix
-    trace_F: float
-
-
-def linearization_coeffs(
-    omega: HermitianMatrix, g: HermitianMatrix, params: OperatorParams
-) -> LinearizationCoeffs:
-    """First derivative of ftilde(eigenvalues of omega^{-1} g) at g.
-
-    One row of the solver's route (congruence reduction,
-    determinant_form_batch, determinant_linearization_batch, then the
-    ambient transport), so that for a Hermitian perturbation h
-
-        d/dt ftilde(lam(omega^{-1}(g + t h))) = tr(matrix @ h).
-
-    Raises OutsideCone off the cone.
-    """
-    reduced, ell = metric_reduce(omega, g)
-    form, _ = determinant_form_batch(reduced, params)
-    coeffs, trace_f, _ = determinant_linearization_batch(params, form)
-    return LinearizationCoeffs(
-        matrix=HermitianMatrix(ambient_transport_batch(coeffs, ell)[0]),
-        trace_F=float(trace_f[0]),
-    )
 
 
 def determinant_form_batch(mats: np.ndarray, params: OperatorParams):

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import margins_batch
 from .errors import NotAdmissible, SubsolutionInvalid, ValidationError
 from .grid import BoxGrid, least
 from .hermitian import congruence_reduce_batch, eigvals_batch
-from .operator import MAGNITUDE_BOUND, OperatorParams, product_batch
+from .operator import MAGNITUDE_BOUND, OperatorParams, margins_batch, product_batch
 from .radial import RadialGrid, eigenvalue_rows
 
 SUBSOLUTION_RTOL = 1e-9  # relative slack for M(subsolution) >= psi

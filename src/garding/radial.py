@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .grid import MIN_SPACING, first_difference
-from .hermitian import Spectrum
 from .operator import MAGNITUDE_BOUND
 
 MIN_POINTS = 9
@@ -61,17 +60,6 @@ class RadialGrid:
     def node_of_flat(self, k: int) -> int:
         """Grid node of the k-th collocation value: the s-grid index itself."""
         return int(k)
-
-
-def radial_eigenvalues(u1: float, u2: float, s: float, n: int, c: float) -> Spectrum:
-    """Metric eigenvalues of chi = c I plus the Hessian of a radial profile.
-
-    ``u1 = u'(s)`` and ``u2 = u''(s)``; the tangential eigenvalue c + u1 has
-    multiplicity n - 1 and the radial one is c + u1 + s * u2.
-    """
-    if s < 0.0:
-        raise ValueError(f"s must be nonnegative, got {s}")
-    return Spectrum(eigenvalue_rows(np.array([u1]), np.array([u2]), np.array([s]), n, c)[0])
 
 
 def profile_derivatives(u: np.ndarray, spacing: float):

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone import margins_batch
 from .errors import (
     ConeEscape,
     ContinuationStalled,
@@ -58,7 +57,12 @@ from .grid import (
 )
 from .hermitian import ambient_transport_batch, congruence_reduce_batch, eigvals_batch
 from .linear import StencilOperator, assemble_linearized, real_stencil_weights, solve_sparse, upper_barrier
-from .operator import determinant_form_batch, determinant_linearization_batch, ftilde_grad_batch
+from .operator import (
+    determinant_form_batch,
+    determinant_linearization_batch,
+    ftilde_grad_batch,
+    margins_batch,
+)
 from .problems import ProblemSpec, verify_subsolution
 from .radial import (
     eigenvalue_rows,

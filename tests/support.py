@@ -7,10 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from garding.analytic import Polynomial, RadialProfile
-from garding.cone import margins_batch
 from garding.grid import MatrixField, ScalarField, complex_hessian_field
 from garding.hermitian import ambient_transport_batch, complex_hessian_from
-from garding.operator import ftilde_grad_batch
+from garding.operator import ftilde_grad_batch, margins_batch
 
 CLUSTER_GAP_RTOL = 1e-8  # eigenvalue-cluster threshold for derivative averaging
 

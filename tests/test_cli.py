@@ -645,9 +645,6 @@ def test_tol_flag_overrides_the_spec_newton_tol(tmp_path):
 EXIT_STATUS = {
     errors.ParseError: 2,
     errors.ValidationError: 2,
-    errors.NotHermitian: 2,
-    errors.MetricNotPositive: 2,
-    errors.BoundaryNode: 2,
     errors.RadialModeUnsupported: 2,
     errors.ConeEscape: 3,
     errors.ContinuationStalled: 3,
@@ -657,7 +654,6 @@ EXIT_STATUS = {
     errors.OutsideCone: 3,
     errors.SubsolutionInvalid: 4,
     errors.NotAdmissible: 4,
-    errors.NotArrowForm: 4,
 }
 
 

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from garding.cone import margins_batch
 from garding.errors import OutsideCone
 from garding.grid import BoxGrid, MatrixField, ScalarField, complex_hessian_field, least
 from garding.hermitian import congruence_reduce_batch, eigvals_batch
-from garding.operator import OperatorParams, ftilde_batch, sample_cone_points, subset_sums_batch
+from garding.operator import (
+    OperatorParams,
+    ftilde_batch,
+    margins_batch,
+    sample_cone_points,
+    subset_sums_batch,
+)
 
 from support import stack_coords
 

@@ -20,7 +20,7 @@ from .hermitian import congruence_reduce_batch, eigvals_batch
 from .operator import MAGNITUDE_BOUND, OperatorParams, margins_batch, product_batch
 from .radial import RadialGrid, eigenvalue_rows
 
-SUBSOLUTION_RTOL = 1e-9  # relative slack for M(subsolution) >= psi
+SUBSOLUTION_RTOL = 1e-9  # relative slack for M(sub) >= psi and for sub = phi on the boundary
 
 
 def _finite(name: str, values, bounded: bool = False):
@@ -186,12 +186,15 @@ def manufactured_radial(
 
 
 def verify_subsolution(problem: ProblemSpec) -> None:
-    """Check M(subsolution) >= psi (the build checked admissibility); raise
+    """Check M(subsolution) >= psi (the build checked admissibility) and that
+    the subsolution takes the Dirichlet data phi on the boundary; raise
     SubsolutionInvalid with a witness node.
 
     Uses the analytic operator values stored at problem build time, so the
     equality case (subsolution == target) passes exactly while genuine
-    inflations of psi are caught at the offending node.
+    inflations of psi are caught at the offending node.  A subsolution off
+    phi on the boundary would make the solve keep its boundary values, not
+    phi's.
     """
     payload = problem.payload
     deficit = payload.psi - payload.subsolution_M
@@ -201,5 +204,20 @@ def verify_subsolution(problem: ProblemSpec) -> None:
         node = payload.grid.node_of_flat(flat)
         raise SubsolutionInvalid(
             f"psi exceeds M(subsolution) by {deficit.reshape(-1)[flat]:.6e} at node {node}",
+            node=node,
+        )
+    if problem.geometry == "box":
+        on_boundary = payload.grid.boundary_mask()
+        sub, phi = payload.subsolution[on_boundary], payload.phi[on_boundary]
+    else:
+        sub, phi = payload.subsolution[-1:], np.array([payload.boundary_value])
+    gap = np.abs(sub - phi)
+    excess = gap - SUBSOLUTION_RTOL * np.maximum(np.abs(phi), 1.0)
+    if np.any(excess > 0.0):
+        k = int(np.argmax(excess))
+        node = payload.grid.points - 1 if problem.geometry == "radial" else tuple(
+            int(i) for i in np.unravel_index(np.flatnonzero(on_boundary)[k], payload.grid.shape))
+        raise SubsolutionInvalid(
+            f"subsolution differs from the boundary data by {gap[k]:.6e} at node {node}",
             node=node,
         )

@@ -167,6 +167,19 @@ scale = 0.9
         status, _ = run_cli(tmp_path, spec, "solve")
         assert status == 3
 
+    @pytest.mark.parametrize("mode", ["solve", "verify-subsolution"])
+    def test_a_subsolution_off_the_boundary_data_exits_4(self, tmp_path, mode):
+        # |z|^2 - 0.5 has the target's Hessian but lies 0.5 below it on the
+        # boundary; the solve kept those values and exited 0 at error 0.5
+        spec = self.N1_SPEC + ("[subsolution]\nbuiltin = polynomial\nterms = 3\n"
+                               "term_1 = 1, 2, 0\nterm_2 = 1, 0, 2\nterm_3 = -0.5, 0, 0\n")
+        status, out = run_cli(tmp_path, spec, mode)
+        assert status == 4
+        if mode == "verify-subsolution":
+            report = (out / "report.txt").read_text()
+            assert "subsolution differs from the boundary data by 5.000000e-01" in report
+            assert "witness_node = (0, 4)" in report
+
     @pytest.mark.parametrize("spec_text", [RADIAL_SPEC, BOX_SPEC], ids=["radial", "box"])
     def test_determinism_byte_identical(self, tmp_path, spec_text):
         status1, out1 = run_cli(tmp_path, spec_text, "solve", name="a.spec")

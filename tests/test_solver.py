@@ -563,6 +563,16 @@ class TestSubsolutionFailures:
         verify_subsolution(radial_problem())
         verify_subsolution(box_problem(res=9))
 
+    def test_a_subsolution_off_the_boundary_value_radial(self):
+        # the Hessian of shifted_subsolution(), but 0.05 below the target at s = 1
+        problem = radial_problem(subsolution_profile=RadialProfile((-0.3, 0.25, 0.5)))
+        with pytest.raises(SubsolutionInvalid, match="boundary data by 5.0") as exc_info:
+            verify_subsolution(problem)
+        assert exc_info.value.node == 200
+        with pytest.raises(SubsolutionInvalid):
+            continuity_solve(problem)
+        verify_subsolution(radial_problem(subsolution_profile=shifted_subsolution()))
+
 
 class TestNewtonStagnation:
     def test_a_flat_residual_raises_max_iters(self, monkeypatch):

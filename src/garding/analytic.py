@@ -29,6 +29,8 @@ class Polynomial:
         for expo, c in (terms or {}).items():
             if len(expo) != nvars:
                 raise ValueError(f"exponent tuple {expo} has wrong length")
+            if not all(e >= 0 and float(e).is_integer() for e in expo):
+                raise ValueError(f"exponents must be non-negative integers, got {expo}")
             key = tuple(int(e) for e in expo)
             if c != 0.0:
                 self.terms[key] = self.terms.get(key, 0.0) + float(c)

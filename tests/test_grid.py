@@ -157,6 +157,13 @@ class TestComplexHessian:
         assert p.derivative(3).terms == {}
         assert p.derivative(2).derivative(2).terms == {}
 
+    @pytest.mark.parametrize("expo", [(1.5, 0), (-1, 0)], ids=["fractional", "negative"])
+    def test_polynomial_rejects_a_non_integer_or_negative_exponent(self, expo):
+        # (1.5, 0) was truncated to x and (-1, 0) kept as 1 / x
+        with pytest.raises(ValueError, match="non-negative integers"):
+            Polynomial(2, {expo: 1.0})
+        assert Polynomial(2, {(2.0, 0): 1.0}).terms == {(2, 0): 1.0}
+
     def test_single_node_matches_field(self):
         rng = np.random.default_rng(0)
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)

@@ -30,6 +30,8 @@ RUNS = (
     ("solve", "bench/specs/box-n3-p2-r9.spec"),
     ("radial-solve", "specs/radial-n3-p2-march.spec"),
     ("refine-sweep", "specs/radial-n3-p2.spec"),
+    ("verify-subsolution", "specs/radial-n3-p2-march.spec"),
+    ("check-operator", "specs/box-n2-p1.spec"),
 )
 FILES = ("report.txt", "fields.csv")
 

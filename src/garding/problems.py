@@ -206,17 +206,22 @@ def verify_subsolution(problem: ProblemSpec) -> None:
             f"psi exceeds M(subsolution) by {deficit.reshape(-1)[flat]:.6e} at node {node}",
             node=node,
         )
-    if problem.geometry == "box":
+    if problem.geometry == "radial":
+        sub, phi = payload.subsolution[-1:], np.array([payload.boundary_value])
+    elif payload.subsolution is payload.phi:  # the default subsolution: no full-grid pass
+        return
+    else:
         on_boundary = payload.grid.boundary_mask()
         sub, phi = payload.subsolution[on_boundary], payload.phi[on_boundary]
-    else:
-        sub, phi = payload.subsolution[-1:], np.array([payload.boundary_value])
     gap = np.abs(sub - phi)
     excess = gap - SUBSOLUTION_RTOL * np.maximum(np.abs(phi), 1.0)
     if np.any(excess > 0.0):
         k = int(np.argmax(excess))
-        node = payload.grid.points - 1 if problem.geometry == "radial" else tuple(
-            int(i) for i in np.unravel_index(np.flatnonzero(on_boundary)[k], payload.grid.shape))
+        if problem.geometry == "radial":
+            node = payload.grid.points - 1
+        else:
+            flat = np.flatnonzero(on_boundary)[k]
+            node = tuple(int(i) for i in np.unravel_index(flat, payload.grid.shape))
         raise SubsolutionInvalid(
             f"subsolution differs from the boundary data by {gap[k]:.6e} at node {node}",
             node=node,

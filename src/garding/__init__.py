@@ -24,7 +24,7 @@ from .errors import (
     SubsolutionInvalid,
     ValidationError,
 )
-from .grid import BoxGrid, MatrixField, ScalarField, complex_hessian_field
+from .grid import BoxGrid, complex_hessian_field
 from .hermitian import congruence_reduce_batch, eigvals_batch
 from .linear import SparseSystem, assemble_linearized, solve_sparse, upper_barrier
 from .operator import (

@@ -113,45 +113,6 @@ class BoxGrid:
         return float(np.sqrt(sum((hi - lo) ** 2 for lo, hi in self.extent)))
 
 
-@dataclass
-class ScalarField:
-    """Real values attached to every grid node."""
-
-    grid: BoxGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != self.grid.shape:
-            raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("scalar field contains non-finite values")
-        self.values = v
-
-    def interior(self) -> np.ndarray:
-        return self.values[(slice(1, -1),) * self.grid.ndim_real]
-
-
-def field_values(u) -> np.ndarray:
-    """The node values of a ScalarField, or of a plain (box or radial) array."""
-    return u.values if isinstance(u, ScalarField) else np.asarray(u, dtype=float)
-
-
-@dataclass
-class MatrixField:
-    """Hermitian matrices attached to interior nodes, stored stacked."""
-
-    grid: BoxGrid
-    values: np.ndarray  # (*interior shape, n, n) complex
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        expected = self.grid.interior_shape + (self.grid.n, self.grid.n)
-        if v.shape != expected:
-            raise ValueError(f"values shape {v.shape} != {expected}")
-        self.values = v
-
-
 def least(values: np.ndarray, node_of_flat) -> tuple:
     """(least entry of ``values``, the node where it first occurs).
 
@@ -183,11 +144,11 @@ def second_difference(values: np.ndarray, axis_a: int, axis_b: int, spacing) -> 
     return (pp - pm - mp + mm) / (4.0 * ha * hb)
 
 
-def complex_hessian_field(u: ScalarField) -> MatrixField:
-    """Discrete complex Hessian of u at every interior node."""
-    grid = u.grid
-    return MatrixField(grid, complex_hessian_from(
-        lambda a, b: second_difference(u.values, a, b, grid.spacing), grid.n, grid.interior_shape))
+def complex_hessian_field(u: np.ndarray, grid: BoxGrid) -> np.ndarray:
+    """Discrete complex Hessian of the full-grid values u at every interior
+    node, an (*interior_shape, n, n) complex array."""
+    return complex_hessian_from(
+        lambda a, b: second_difference(u, a, b, grid.spacing), grid.n, grid.interior_shape)
 
 
 def first_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -201,17 +162,17 @@ def first_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return np.moveaxis(d, 0, axis)
 
 
-def gradient_sq_max(u: ScalarField) -> float:
+def gradient_sq_max(u: np.ndarray, grid: BoxGrid) -> float:
     """Max over all nodes of |grad u|^2 by ``first_difference`` along each axis;
     exact on quadratics, so resolution independent for quadratic fields."""
-    total = np.zeros(u.grid.shape)
-    for a, h in enumerate(u.grid.spacing):
-        d = first_difference(u.values, a, h)
+    total = np.zeros(grid.shape)
+    for a, h in enumerate(grid.spacing):
+        d = first_difference(u, a, h)
         total += d * d
     return float(total.max())
 
 
-def face_tangential_trace_min(u: ScalarField, chi_entries: np.ndarray) -> float:
+def face_tangential_trace_min(u: np.ndarray, grid: BoxGrid, chi: np.ndarray) -> float:
     """Minimum over face nodes of the complex-tangential trace of g.
 
     For a face perpendicular to a real axis of the complex direction j, the
@@ -220,10 +181,9 @@ def face_tangential_trace_min(u: ScalarField, chi_entries: np.ndarray) -> float:
     face, so this is computable from boundary data alone.  Face nodes with a
     tangential index on an edge are skipped.
     """
-    grid = u.grid
     n = grid.n
     best = np.inf
-    chi = np.asarray(chi_entries, dtype=np.complex128)
+    chi = np.asarray(chi, dtype=np.complex128)
     for axis in range(grid.ndim_real):
         jn = axis // 2
         tang_dirs = [j for j in range(n) if j != jn]
@@ -231,7 +191,7 @@ def face_tangential_trace_min(u: ScalarField, chi_entries: np.ndarray) -> float:
         for side in (0, grid.resolution - 1):
             sl = [slice(None)] * grid.ndim_real
             sl[axis] = side
-            face = u.values[tuple(sl)]
+            face = u[tuple(sl)]
             face_axes = [a for a in range(grid.ndim_real) if a != axis]
             pos = {a: i for i, a in enumerate(face_axes)}
             spacing = [grid.spacing[a] for a in face_axes]

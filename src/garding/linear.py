@@ -47,7 +47,7 @@ import numpy as np
 
 # complex_hessian_field is unused here, but bench/child.py resolves it to trace it
 from .errors import IndefiniteCoefficients, LinearSolveStalled
-from .grid import BoxGrid, MatrixField, ScalarField, complex_hessian_field, interior_slices, least
+from .grid import BoxGrid, complex_hessian_field, interior_slices, least
 from .hermitian import eigvals_batch
 
 STALL_WINDOW = 50  # iterations without meaningful progress before declaring a stall
@@ -219,17 +219,16 @@ def _clearly_positive(cvals: np.ndarray) -> np.ndarray:
     return clear
 
 
-def assemble_linearized(coeffs: MatrixField | np.ndarray, rhs: ScalarField | np.ndarray,
-                        grid: BoxGrid) -> SparseSystem:
+def assemble_linearized(coeffs: np.ndarray, rhs: np.ndarray, grid: BoxGrid) -> SparseSystem:
     """The linearized operator with zero Dirichlet data, and its right-hand side.
 
     ``coeffs`` holds the Hermitian coefficient matrices per interior node,
-    or one constant (n, n) matrix; ``rhs`` the right-hand side at interior
-    nodes (a ScalarField's interior is used when a full field is passed).
-    Rows where off-diagonal couplings overwhelm the diagonal are counted by
-    ``mmatrix_violations`` when it is read.
+    an (*interior_shape, n, n) array, or one constant (n, n) matrix; ``rhs``
+    the right-hand side at the interior nodes.  Rows where off-diagonal
+    couplings overwhelm the diagonal are counted by ``mmatrix_violations``
+    when it is read.
     """
-    cvals = coeffs.values if isinstance(coeffs, MatrixField) else np.asarray(coeffs, np.complex128)
+    cvals = np.asarray(coeffs, np.complex128)
     # np.linalg.cholesky factors a stack with NaN or inf on a diagonal entry
     finite = np.isfinite(cvals).all(axis=(-2, -1)).reshape(-1)
     if not finite.all():
@@ -244,7 +243,7 @@ def assemble_linearized(coeffs: MatrixField | np.ndarray, rhs: ScalarField | np.
         raise IndefiniteCoefficients(f"coefficients not positive definite at node {node}") from None
     op = StencilOperator(grid, *real_stencil_weights(cvals, grid.spacing))
 
-    rhs_vec = rhs.interior().reshape(-1) if isinstance(rhs, ScalarField) else np.asarray(rhs).reshape(-1)
+    rhs_vec = np.asarray(rhs).reshape(-1)
     if rhs_vec.shape != (op.shape[0],):
         raise ValueError(f"rhs has {rhs_vec.shape} entries, expected {op.shape[0]}")
     return SparseSystem(grid=grid, matrix=op, rhs=rhs_vec.copy())
@@ -352,15 +351,16 @@ def mean_stencil_inverse(op: StencilOperator):
     return lambda vec: sine_all_axes(inv_lam * sine_all_axes(vec))
 
 
-def solve_sparse(system: SparseSystem, tol: float = 1e-10) -> ScalarField:
-    """Solve the interior system; returns the correction as a ScalarField.
+def solve_sparse(system: SparseSystem, tol: float = 1e-10) -> np.ndarray:
+    """Solve the interior system; returns the correction on the full grid.
 
     BiCGStab preconditioned by ``mean_stencil_inverse``, with the true
-    residual checked at the end.  The returned field is zero on the
-    boundary, matching the zero-Dirichlet assembly convention.
+    residual checked at the end.  The returned array is zero on the
+    boundary, matching the zero-Dirichlet assembly convention.  Raises
+    ValueError unless ``tol`` is finite and positive.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     precond = mean_stencil_inverse(system.matrix)
     x = bicgstab(system.matrix, system.rhs, tol=tol, max_iter=MAX_LINEAR_ITERS, precond=precond)
     # the recurrence residual can drift from the true one; verify
@@ -370,15 +370,16 @@ def solve_sparse(system: SparseSystem, tol: float = 1e-10) -> ScalarField:
         raise LinearSolveStalled(f"true residual {rel:.3e} drifted above tolerance")
     full = np.zeros(system.grid.shape)
     full[interior_slices(full.ndim, {})] = x.reshape(system.grid.interior_shape)
-    return ScalarField(system.grid, full)
+    return full
 
 
-def upper_barrier(chi, omega, phi: ScalarField, grid: BoxGrid) -> ScalarField:
+def upper_barrier(chi, omega, phi: np.ndarray, grid: BoxGrid) -> np.ndarray:
     """Solve tr_omega(chi + complex Hessian of v) = 0 with v = phi on the boundary.
 
     ``chi`` is a constant Hermitian (n, n) array and ``omega`` one or None
-    for the identity; ``phi`` supplies boundary values (its interior is
-    ignored).  The result caps every admissible solution from above.
+    for the identity; ``phi`` is a full-grid array that supplies boundary
+    values (its interior is ignored).  Returns v on the full grid; it caps
+    every admissible solution from above.
     """
     chi = np.asarray(chi, dtype=np.complex128)
     if omega is None:
@@ -391,6 +392,6 @@ def upper_barrier(chi, omega, phi: ScalarField, grid: BoxGrid) -> ScalarField:
     system = assemble_linearized(omega_inv, rhs, grid)
     # fold the Dirichlet data: solve for v - phi_ext with phi_ext = phi on
     # the boundary and 0 inside
-    phi_ext = np.where(grid.boundary_mask(), phi.values, 0.0)
+    phi_ext = np.where(grid.boundary_mask(), phi, 0.0)
     system.rhs -= system.matrix.apply(phi_ext).reshape(-1)
-    return ScalarField(grid, solve_sparse(system, tol=1e-12).values + phi_ext)
+    return solve_sparse(system, tol=1e-12) + phi_ext

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import field_values
 from .problems import ProblemSpec
 from .solver import SolveDiagnostics
 
@@ -92,14 +91,13 @@ def _items(a: np.ndarray):
         yield from flat[start:start + CSV_CHUNK].tolist()
 
 
-def write_solution_csv(path, problem: ProblemSpec, u, diag: SolveDiagnostics) -> None:
+def write_solution_csv(path, problem: ProblemSpec, u: np.ndarray, diag: SolveDiagnostics) -> None:
     """Node table: coordinates, u, cone margin, normalized residual.
 
     The margins and residuals are the solve's own, carried on ``diag``.
     Rows are in C order with every float written as its repr and ``\\r\\n``
     line ends, byte for byte what ``csv.writer`` writes for the same rows.
     """
-    uv = field_values(u)
     if problem.geometry == "box":
         grid = problem.box.grid
         names = []
@@ -114,7 +112,7 @@ def write_solution_csv(path, problem: ProblemSpec, u, diag: SolveDiagnostics) ->
     names += ["u", "cone_margin", "ftilde_residual"]
     # coordinate strings are made once per axis, not once per node
     prefixes = map(",".join, itertools.product(*[list(map(repr, c.tolist())) for c in axes]))
-    mask = np.zeros(uv.shape, dtype=bool)
+    mask = np.zeros(u.shape, dtype=bool)
     mask[interior] = True
     tails = (f",{margin!r},{residual!r}" for margin, residual in
              zip(_items(diag.node_margins), _items(diag.node_residual)))
@@ -122,4 +120,4 @@ def write_solution_csv(path, problem: ProblemSpec, u, diag: SolveDiagnostics) ->
         handle.write(f"csv_format_version={CSV_FORMAT_VERSION}" + "," * (len(names) - 1) + "\r\n")
         handle.write(",".join(names) + "\r\n")
         handle.writelines(f"{prefix},{value!r}{next(tails) if inside else ',,'}\r\n"
-                          for value, inside, prefix in zip(_items(uv), _items(mask), prefixes))
+                          for value, inside, prefix in zip(_items(u), _items(mask), prefixes))

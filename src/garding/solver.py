@@ -46,11 +46,8 @@ from .errors import (
     ValidationError,
 )
 from .grid import (
-    MatrixField,
-    ScalarField,
     complex_hessian_field,
     face_tangential_trace_min,
-    field_values,
     first_difference,
     gradient_sq_max,
     least,
@@ -187,7 +184,7 @@ class _BoxEvaluator:
 
     def _reduced(self, u_values: np.ndarray) -> np.ndarray:
         """The reduced matrices of omega^-1 g at u; the Hessian dies with the call."""
-        hess = complex_hessian_field(ScalarField(self.grid, u_values)).values
+        hess = complex_hessian_field(u_values, self.grid)
         hess += self.chi
         return congruence_reduce_batch(hess, self.omega)[0]
 
@@ -205,9 +202,9 @@ class _BoxEvaluator:
         a.coeffs = ambient_transport_batch(coeffs, self.ell)
 
     def correction(self, a: _Analysis, resid: np.ndarray, rnorm: float) -> np.ndarray:
-        system = assemble_linearized(MatrixField(self.grid, a.coeffs), -resid, self.grid)
+        system = assemble_linearized(a.coeffs, -resid, self.grid)
         lin_tol = min(LINEAR_TOL_CAP, max(LINEAR_TOL_FLOOR, 0.03 * rnorm / self.resid_scale))
-        return solve_sparse(system, tol=lin_tol).values
+        return solve_sparse(system, tol=lin_tol)
 
 
 class _RadialEvaluator:
@@ -342,24 +339,31 @@ def _newton_loop(ev, t: float, u_init: np.ndarray, tol: float) -> HomotopyState:
 
 
 def _with_dirichlet_data(problem: ProblemSpec, values) -> np.ndarray:
-    """A copy of the start ``values`` with the problem's Dirichlet data on its boundary."""
-    u = np.array(field_values(values), dtype=float)
+    """A copy of the start ``values`` with the problem's Dirichlet data on its boundary.
+
+    Raises ValidationError unless ``values`` has the shape of the problem's
+    grid (the full grid on a box, the s-grid on a ball) and is finite once
+    the Dirichlet data is written.
+    """
+    u = np.array(values, dtype=float)
+    shape = problem.payload.subsolution.shape
+    if u.shape != shape:
+        raise ValidationError("initial_values", f"shape {u.shape}, expected {shape}")
     if problem.geometry == "box":
         np.copyto(u, problem.box.phi, where=problem.box.grid.boundary_mask())
     else:
         u[-1] = problem.radial.boundary_value
+    if not np.isfinite(u).all():
+        raise ValidationError("initial_values", "start values are not finite")
     return u
 
 
-def newton_solve_at_t(
-    problem: ProblemSpec,
-    t: float,
-    u_init: np.ndarray | ScalarField,
-    tol: float,
-) -> HomotopyState:
+def newton_solve_at_t(problem: ProblemSpec, t: float, u_init: np.ndarray,
+                      tol: float) -> HomotopyState:
     """Solve the fixed-t equation by damped Newton from an admissible start.
 
-    Raises ValidationError unless ``tol`` is finite and positive.
+    Raises ValidationError unless ``tol`` is finite and positive and
+    ``u_init`` is a finite array of the grid's shape.
     """
     _check_tol(tol)
     ev = _make_evaluator(problem)
@@ -369,14 +373,16 @@ def newton_solve_at_t(
 
 def continuity_solve(problem: ProblemSpec, *, newton_tol: float | None = None,
                      initial_values: np.ndarray | None = None):
-    """Carry t from 0 to 1, trying t = 1 first; return solution + diagnostics.
+    """Carry t from 0 to 1, trying t = 1 first; return (u, diagnostics).
 
+    u holds the node values: the full grid on a box, the s-grid on a ball.
     ``newton_tol`` defaults to ``NEWTON_TOL[problem.geometry]``, and the solve
     starts from ``initial_values`` (boundary reset to the Dirichlet data) or the subsolution.
-    Raises ValidationError unless ``newton_tol`` is finite and positive,
-    SubsolutionInvalid when the problem's subsolution fails its analytic
-    checks, ConeEscape when an initializer is not admissible and
-    ContinuationStalled when step halving hits the minimum step.
+    Raises ValidationError unless ``newton_tol`` is finite and positive and
+    ``initial_values`` is a finite array of u's shape, SubsolutionInvalid
+    when the problem's subsolution fails its analytic checks, ConeEscape
+    when an initializer is not admissible and ContinuationStalled when step
+    halving hits the minimum step.
     """
     tol = _check_tol(NEWTON_TOL[problem.geometry] if newton_tol is None else newton_tol)
     verify_subsolution(problem)
@@ -420,19 +426,15 @@ def continuity_solve(problem: ProblemSpec, *, newton_tol: float | None = None,
 
     # the analysis at t = 1 feeds the diagnostics
     final, ev.start = ev.start, None
-    diagnostics = _diagnostics(problem, ev, final, states, anchor_residual, rejected)
-    if problem.geometry == "box":
-        return ScalarField(problem.box.grid, u), diagnostics
-    return u, diagnostics
+    return u, _diagnostics(problem, ev, final, states, anchor_residual, rejected)
 
 
-def sandwich_check(u, ul_u, ol_u) -> float:
+def sandwich_check(u: np.ndarray, ul_u: np.ndarray, ol_u: np.ndarray) -> float:
     """Max violation of the two-sided bound ul_u <= u <= ol_u (0 when clean)."""
-    uv, lv, ov = field_values(u), field_values(ul_u), field_values(ol_u)
-    return float(max(0.0, (lv - uv).max(), (uv - ov).max()))
+    return float(max(0.0, (ul_u - u).max(), (u - ol_u).max()))
 
 
-def boundary_trace_check(u, problem: ProblemSpec) -> float:
+def boundary_trace_check(u: np.ndarray, problem: ProblemSpec) -> float:
     """Minimum complex-tangential trace of g over the boundary.
 
     Box problems scan all face nodes (faces are flat, so the tangential
@@ -440,16 +442,15 @@ def boundary_trace_check(u, problem: ProblemSpec) -> float:
     (n-1)-fold tangential trace (n - 1) * (c + u'(R^2)).
     """
     if problem.geometry == "box":
-        field_u = u if isinstance(u, ScalarField) else ScalarField(problem.box.grid, u)
-        return face_tangential_trace_min(field_u, problem.box.chi)
+        return face_tangential_trace_min(u, problem.box.grid, problem.box.chi)
     rad = problem.radial
-    u1_end = first_difference(field_values(u), 0, rad.grid.spacing)[-1]
+    u1_end = first_difference(u, 0, rad.grid.spacing)[-1]
     return float((problem.n - 1) * (rad.chi_scalar + u1_end))
 
 
 def barrier_check(
-    u,
-    ul_u,
+    u: np.ndarray,
+    ul_u: np.ndarray,
     problem: ProblemSpec,
     tau: float = BARRIER_TAU,
     N: float = BARRIER_N,
@@ -467,24 +468,22 @@ def barrier_check(
     """
     if problem.geometry != "box":
         raise RadialModeUnsupported("barrier_check requires a box problem")
-    uv = field_values(u)
     ev = _BoxEvaluator(problem)
-    a = ev.analyze(uv)
+    a = ev.analyze(u)
     ev.linearize(a)
-    return _barrier_report(uv, ul_u, problem, a, tau, N, delta)
+    return _barrier_report(u, ul_u, problem, a, tau, N, delta)
 
 
-def _barrier_report(uv, ul_u, problem: ProblemSpec, state: _Analysis, tau, N, delta) -> BarrierReport:
+def _barrier_report(u, ul_u, problem: ProblemSpec, state: _Analysis, tau, N, delta) -> BarrierReport:
     """barrier_check's body, with L taken from the linearized analysis of u."""
     grid = problem.box.grid
-    lv = field_values(ul_u)
     if delta is None:
         delta = 0.1 * grid.diameter()
     half_width = min((hi - lo) / 2.0 for lo, hi in grid.extent)
     degenerate = delta >= half_width
 
     d, second = grid.face_distances()
-    v = (uv - lv) + tau * d - N * d * d
+    v = (u - ul_u) + tau * d - N * d * d
     collar = (d > 0.0) & (d < delta)
     count = int(collar.sum())
     if count == 0:
@@ -519,20 +518,19 @@ def _barrier_report(uv, ul_u, problem: ProblemSpec, state: _Analysis, tau, N, de
     )
 
 
-def _c2_quantities(problem: ProblemSpec, uv: np.ndarray) -> tuple:
+def _c2_quantities(problem: ProblemSpec, u: np.ndarray) -> tuple:
     """(K, Hessian sup, boundary Hessian sup) of u, with K = 1 + sup |grad u|^2."""
     if problem.geometry == "box":
         grid = problem.box.grid
-        K = 1.0 + gradient_sq_max(ScalarField(grid, uv))
-        hess = complex_hessian_field(ScalarField(grid, uv))
-        radius = np.abs(eigvals_batch(hess.values)).max(axis=-1)
+        K = 1.0 + gradient_sq_max(u, grid)
+        radius = np.abs(eigvals_batch(complex_hessian_field(u, grid))).max(axis=-1)
         # boundary stand-in: first interior layer adjacent to a face
         layer = np.ones(grid.interior_shape, dtype=bool)
         layer[(slice(1, -1),) * grid.ndim_real] = False
         return K, float(radius.max()), float(radius[layer].max())
     rad = problem.radial
-    K = 1.0 + radial_gradient_sq_max(uv, rad.grid)
-    interior_r, boundary_r = radial_hessian_spectral_radius(uv, rad.grid)
+    K = 1.0 + radial_gradient_sq_max(u, rad.grid)
+    interior_r, boundary_r = radial_hessian_spectral_radius(u, rad.grid)
     return K, float(max(interior_r.max(), boundary_r)), float(boundary_r)
 
 
@@ -543,8 +541,7 @@ def _diagnostics(problem, ev, final: _Analysis, states, anchor_residual,
     barrier = None
     if problem.geometry == "box":
         box = problem.box
-        grid = box.grid
-        upper_vals = upper_barrier(box.chi, box.omega, ScalarField(grid, box.phi), grid).values
+        upper_vals = upper_barrier(box.chi, box.omega, box.phi, box.grid)
         barrier = _barrier_report(u, box.subsolution, problem, final,
                                   BARRIER_TAU, BARRIER_N, BARRIER_DELTA)
     else:
@@ -598,7 +595,7 @@ def c2_ratio_monitor(levels) -> list:
     if len(levels) < 2:
         raise ValueError("need at least two refinement levels")
     for problem, u in levels:
-        K, sup_h, sup_b = _c2_quantities(problem, field_values(u))
+        K, sup_h, sup_b = _c2_quantities(problem, u)
         if problem.geometry == "box":
             spacing = max(problem.box.grid.spacing)
             label = f"res {problem.box.grid.resolution}"

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from garding.analytic import Polynomial, RadialProfile
-from garding.grid import MatrixField, ScalarField, complex_hessian_field
+from garding.grid import complex_hessian_field
 from garding.hermitian import ambient_transport_batch, complex_hessian_from
 from garding.operator import ftilde_grad_batch, margins_batch
 
@@ -92,23 +92,27 @@ def node_coords(grid, node) -> np.ndarray:
     return np.array([grid.axis_coords(a)[i] for a, i in enumerate(node)], dtype=np.float64)
 
 
-def hermitian_defect(field) -> float:
-    """Largest entry of |H - H*| over a MatrixField."""
-    return float(np.abs(field.values - np.swapaxes(field.values, -1, -2).conj()).max())
+def interior(values: np.ndarray) -> np.ndarray:
+    """The interior block of a full-grid box array."""
+    return values[(slice(1, -1),) * values.ndim]
 
 
-def constant_coefficient_field(grid, matrix: np.ndarray) -> MatrixField:
+def hermitian_defect(field: np.ndarray) -> float:
+    """Largest entry of |H - H*| over a stack of matrices."""
+    return float(np.abs(field - np.swapaxes(field, -1, -2).conj()).max())
+
+
+def constant_coefficient_field(grid, matrix: np.ndarray) -> np.ndarray:
     """One Hermitian matrix at every interior node."""
-    vals = np.broadcast_to(
+    return np.broadcast_to(
         np.asarray(matrix, dtype=np.complex128), grid.interior_shape + matrix.shape
     ).copy()
-    return MatrixField(grid, vals)
 
 
-def hessian_operator_apply(coeffs: MatrixField, u: ScalarField) -> np.ndarray:
+def hessian_operator_apply(coeffs: np.ndarray, u: np.ndarray, grid) -> np.ndarray:
     """tr(C @ complex_hessian(u)) at interior nodes, through the full complex
     Hessian; an oracle for the stencil-weight operator."""
-    out = np.einsum("...kj,...jk->...", coeffs.values, complex_hessian_field(u).values)
+    out = np.einsum("...kj,...jk->...", coeffs, complex_hessian_field(u, grid))
     assert np.abs(out.imag).max(initial=0.0) <= 1e-12 * max(np.abs(out.real).max(), 1.0)
     return out.real
 

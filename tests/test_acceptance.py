@@ -16,7 +16,7 @@ import pytest
 from garding.analytic import Polynomial, norm_squared, radial_power
 from garding.cli import main
 from garding.errors import ConeEscape, SubsolutionInvalid
-from garding.grid import BoxGrid, ScalarField, complex_hessian_field
+from garding.grid import BoxGrid, complex_hessian_field
 from garding.linear import upper_barrier
 from garding.operator import (
     OperatorParams,
@@ -173,10 +173,10 @@ def test_criterion_04_discretization_order():
     bilinear = f1 * f2
     for res in (9, 17):
         grid = BoxGrid(2, ((-1, 1),) * 4, res)
-        u = ScalarField(grid, bilinear.value(grid.coords()))
-        h = complex_hessian_field(u)
+        u = bilinear.value(grid.coords())
+        h = complex_hessian_field(u, grid)
         exact = bilinear.complex_hessian(grid.coords(interior=True))
-        assert np.abs(h.values - exact).max() <= 1e-12
+        assert np.abs(h - exact).max() <= 1e-12
 
     # refinement ratio on a quartic probe with nonvanishing truncation error
     probe = norm_squared(2) * norm_squared(2) + Polynomial(
@@ -185,9 +185,9 @@ def test_criterion_04_discretization_order():
 
     def max_err(res):
         grid = BoxGrid(2, ((-1, 1),) * 4, res)
-        u = ScalarField(grid, probe.value(grid.coords()))
-        h = complex_hessian_field(u)
-        return np.abs(h.values - probe.complex_hessian(grid.coords(interior=True))).max()
+        u = probe.value(grid.coords())
+        h = complex_hessian_field(u, grid)
+        return np.abs(h - probe.complex_hessian(grid.coords(interior=True))).max()
 
     e9 = max_err(9)
     e17 = max_err(17)
@@ -217,7 +217,7 @@ def test_criterion_06_grid_manufactured(box_solutions):
     errs = {}
     for res in (13, 17):
         problem, u, diag = box_solutions[res]
-        errs[res] = float(np.abs(u.values - problem.box.reference).max())
+        errs[res] = float(np.abs(u - problem.box.reference).max())
         assert diag.final_residual <= 1e-7
     assert errs[17] < errs[13], f"no refinement decrease: {errs}"
     assert errs[17] <= 5e-3, f"res-17 error {errs[17]:.3e}"
@@ -228,13 +228,13 @@ def test_criterion_06_grid_manufactured(box_solutions):
 
 def test_criterion_07_sandwich_and_amgm(box_solutions):
     problem, u, diag = box_solutions[17]
-    err = float(np.abs(u.values - problem.box.reference).max())
+    err = float(np.abs(u - problem.box.reference).max())
     assert diag.sandwich_violation <= 1e-6 + err
     assert diag.amgm_min_slack >= -1e-10
     # independent recomputation of the sandwich against a fresh barrier
     grid = problem.box.grid
-    ol = upper_barrier(problem.box.chi, None, ScalarField(grid, problem.box.phi), grid)
-    violation = sandwich_check(u, problem.box.subsolution, ol.values)
+    ol = upper_barrier(problem.box.chi, None, problem.box.phi, grid)
+    violation = sandwich_check(u, problem.box.subsolution, ol)
     assert violation <= 1e-6 + err
     report(7, f"sandwich violation {diag.sandwich_violation:.2e} <= 1e-6 + {err:.2e}; "
               f"AM-GM slack {diag.amgm_min_slack:.2e} >= -1e-10")
@@ -264,8 +264,8 @@ def test_criterion_09_anchor_and_uniqueness(box_solutions):
     assert diag.anchor_residual <= 1e-14, f"anchor residual {diag.anchor_residual!r}"
 
     grid = problem.box.grid
-    ol = upper_barrier(problem.box.chi, None, ScalarField(grid, problem.box.phi), grid)
-    gap = ol.values - problem.box.subsolution
+    ol = upper_barrier(problem.box.chi, None, problem.box.phi, grid)
+    gap = ol - problem.box.subsolution
     assert gap.min() >= -1e-12
     # 0.9 * gap * bump, with the bump profile scaled back until the start
     # keeps a healthy cone margin
@@ -285,7 +285,7 @@ def test_criterion_09_anchor_and_uniqueness(box_solutions):
 
     tol = NEWTON_TOL["box"]
     u_alt, diag_alt = continuity_solve(problem, initial_values=init)
-    diff = float(np.abs(u_base.values - u_alt.values).max())
+    diff = float(np.abs(u_base - u_alt).max())
     assert diff <= 2.0 * tol, f"two starts disagree by {diff:.3e} > 2 * {tol:.1e}"
     report(9, f"anchor residual {diag.anchor_residual!r}; two admissible starts "
               f"agree to {diff:.2e} <= 2 x {tol:.0e}")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from garding.errors import OutsideCone
-from garding.grid import BoxGrid, MatrixField, ScalarField, complex_hessian_field, least
+from garding.grid import BoxGrid, complex_hessian_field, least
 from garding.hermitian import congruence_reduce_batch, eigvals_batch
 from garding.operator import (
     OperatorParams,
@@ -27,10 +27,10 @@ def in_level_set(lam, psi_tilde, params=P32):
     return margin_of(lam, params) > 0.0 and ftilde_batch(np.array([lam]), params)[0] >= psi_tilde
 
 
-def admissibility_scan(field, omega, params):
+def admissibility_scan(field, grid, omega, params):
     """(least cone margin over a matrix field, its node), as the solver scans a state."""
-    reduced, _ = congruence_reduce_batch(field.values, omega)
-    return least(margins_batch(eigvals_batch(reduced), params.p), field.grid.node_of_flat)
+    reduced, _ = congruence_reduce_batch(field, omega)
+    return least(margins_batch(eigvals_batch(reduced), params.p), grid.node_of_flat)
 
 
 class TestConeMargin:
@@ -102,22 +102,21 @@ class TestConeInclusions:
 
 class TestAdmissibilityScan:
     def _constant_field(self, grid, mat):
-        vals = np.broadcast_to(mat, grid.interior_shape + mat.shape).copy()
-        return MatrixField(grid, vals)
+        return np.broadcast_to(mat, grid.interior_shape + mat.shape).copy()
 
     def test_constant_identity(self):
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
         field = self._constant_field(grid, np.eye(2, dtype=complex))
         for p in (1, 2):
-            margin, node = admissibility_scan(field, None, OperatorParams(2, p))
+            margin, node = admissibility_scan(field, grid, None, OperatorParams(2, p))
             assert margin == pytest.approx(float(p))
 
     def test_single_bad_node(self):
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
         # diag(-1, 1, 3) truncated to n=2 analogue: diag(-1, 1) with p=1
         field = self._constant_field(grid, np.diag([2.0, 3.0]).astype(complex))
-        field.values[3, 4, 2, 5] = np.diag([-1.0, 1.0])
-        margin, node = admissibility_scan(field, None, OperatorParams(2, 1))
+        field[3, 4, 2, 5] = np.diag([-1.0, 1.0])
+        margin, node = admissibility_scan(field, grid, None, OperatorParams(2, 1))
         assert margin == pytest.approx(-1.0)
         assert node == (4, 5, 3, 6)
 
@@ -125,8 +124,8 @@ class TestAdmissibilityScan:
         grid = BoxGrid(3, ((-1, 1),) * 6, 9)
         field = self._constant_field(grid, np.eye(3, dtype=complex))
         idx = (0, 1, 2, 3, 4, 5)
-        field.values[idx] = np.diag([-1.0, 1.0, 3.0])
-        margin, node = admissibility_scan(field, None, P32)
+        field[idx] = np.diag([-1.0, 1.0, 3.0])
+        margin, node = admissibility_scan(field, grid, None, P32)
         assert margin == pytest.approx(0.0)
         assert node == tuple(i + 1 for i in idx)
 
@@ -134,10 +133,10 @@ class TestAdmissibilityScan:
         # u = |z|^2 / 2 with chi = 0 has Hessian I/2, margin p/2 everywhere
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
         pts = stack_coords(grid.coords())
-        u = ScalarField(grid, 0.5 * np.sum(pts**2, axis=-1))
-        g = complex_hessian_field(u)  # chi = 0
+        u = 0.5 * np.sum(pts**2, axis=-1)
+        g = complex_hessian_field(u, grid)  # chi = 0
         for p in (1, 2):
-            margin, _ = admissibility_scan(g, None, OperatorParams(2, p))
+            margin, _ = admissibility_scan(g, grid, None, OperatorParams(2, p))
             assert margin == pytest.approx(p / 2, abs=1e-12)
 
     def test_scan_with_metric(self):
@@ -145,9 +144,9 @@ class TestAdmissibilityScan:
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
         field = self._constant_field(grid, np.diag([3.0, 8.0]).astype(complex))
         omega = np.diag([1.0, 4.0])
-        margin, _ = admissibility_scan(field, omega, OperatorParams(2, 1))
+        margin, _ = admissibility_scan(field, grid, omega, OperatorParams(2, 1))
         assert margin == pytest.approx(2.0, abs=1e-12)
-        margin, _ = admissibility_scan(field, omega, OperatorParams(2, 2))
+        margin, _ = admissibility_scan(field, grid, omega, OperatorParams(2, 2))
         assert margin == pytest.approx(5.0, abs=1e-12)
 
     def test_identity_metric_matches_none(self):
@@ -155,11 +154,11 @@ class TestAdmissibilityScan:
         rng = np.random.default_rng(12)
         shape = grid.interior_shape + (2, 2)
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        field = MatrixField(grid, a + np.swapaxes(a, -1, -2).conj() + 4 * np.eye(2))
+        field = a + np.swapaxes(a, -1, -2).conj() + 4 * np.eye(2)
         for p in (1, 2):
             params = OperatorParams(2, p)
-            assert admissibility_scan(field, np.eye(2), params) == admissibility_scan(
-                field, None, params
+            assert admissibility_scan(field, grid, np.eye(2), params) == admissibility_scan(
+                field, grid, None, params
             )
 
     def test_near_identity_metric_is_reduced(self):
@@ -167,7 +166,8 @@ class TestAdmissibilityScan:
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
         g = np.diag([2.0, 3.0]).astype(complex)
         omega = np.diag([1.0 + 5e-6, 1.0])
-        margin, _ = admissibility_scan(self._constant_field(grid, g), omega, OperatorParams(2, 1))
+        field = self._constant_field(grid, g)
+        margin, _ = admissibility_scan(field, grid, omega, OperatorParams(2, 1))
         reduced = eigvals_batch(congruence_reduce_batch(g[None], omega)[0])[0]
         assert margin == pytest.approx(reduced[0], rel=1e-15, abs=0)
         assert margin == pytest.approx(1.99999000005, rel=1e-12, abs=0)

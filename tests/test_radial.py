@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 
 from garding.analytic import norm_squared, radial_power
 from garding.errors import NotAdmissible, ValidationError
-from garding.grid import BoxGrid, ScalarField, complex_hessian_field
+from garding.grid import BoxGrid, complex_hessian_field
 from garding.operator import OperatorParams, product_batch
 from garding.problems import manufactured_box, manufactured_radial
 from garding.radial import (
@@ -42,10 +42,10 @@ class TestRadialEigenvalues:
         # u = |z|^4 / 2 on an n = 2 grid through a node with |z|^2 = 1
         grid = BoxGrid(2, ((-1.5, 1.5),) * 4, 13)
         fn = RadialOnBox(radial_power(2), 2)
-        u = ScalarField(grid, fn.value(grid.coords()))
+        u = fn.value(grid.coords())
         node = (10, 6, 6, 6)  # (1, 0, 0, 0): s = 1
         assert np.allclose(node_coords(grid, node), [1.0, 0, 0, 0])
-        h = complex_hessian_field(u).values[tuple(i - 1 for i in node)]
+        h = complex_hessian_field(u, grid)[tuple(i - 1 for i in node)]
         got = np.sort(np.linalg.eigvalsh(h))
         want = radial_eigenvalues(1.0, 1.0, 1.0, n=2, c=0.0)
         hsq = max(grid.spacing) ** 2

@@ -17,7 +17,7 @@ from garding.errors import (
     SubsolutionInvalid,
     ValidationError,
 )
-from garding.grid import BoxGrid, ScalarField
+from garding.grid import BoxGrid
 from garding.linear import assemble_linearized, solve_sparse
 from garding.operator import OperatorParams
 from garding.problems import manufactured_box, manufactured_radial, verify_subsolution
@@ -44,6 +44,7 @@ from support import (
 
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
+BENCH_SPEC_DIR = SPEC_DIR.parent / "bench" / "specs"
 
 
 def grid_target(n=2):
@@ -183,7 +184,7 @@ class TestBoxSolve:
     def test_equality_case_recovers_target(self):
         problem = box_problem(res=13)
         u, diag = continuity_solve(problem)
-        err = np.abs(u.values - problem.box.reference).max()
+        err = np.abs(u - problem.box.reference).max()
         assert err <= 5e-3
         assert diag.final_residual <= 1e-8
         assert diag.anchor_residual == 0.0
@@ -194,7 +195,7 @@ class TestBoxSolve:
         for res in (9, 13):
             problem = box_problem(res=res)
             u, _ = continuity_solve(problem)
-            errs[res] = np.abs(u.values - problem.box.reference).max()
+            errs[res] = np.abs(u - problem.box.reference).max()
         assert errs[13] < errs[9]
 
     def test_nontrivial_homotopy(self, monkeypatch):
@@ -206,14 +207,14 @@ class TestBoxSolve:
         assert len(diag.states) >= 3
         assert diag.rejected_steps >= 1
         # smaller psi lifts the solution above the subsolution
-        assert (u.values - problem.box.subsolution).min() >= -1e-10
+        assert (u - problem.box.subsolution).min() >= -1e-10
 
     def test_diagnostics_contracts(self):
         problem = box_problem(res=9)
         u, diag = continuity_solve(problem)
         assert diag.K >= 1.0
         assert diag.F_trace >= 1 - 1e-10  # p = 1
-        err = np.abs(u.values - problem.box.reference).max()
+        err = np.abs(u - problem.box.reference).max()
         assert diag.sandwich_violation <= 1e-8 + err
         assert diag.c0_boundary > 0
         assert diag.amgm_min_slack >= -1e-10
@@ -225,7 +226,7 @@ class TestBoxSolve:
         smaller = box_problem(res=9, psi_scale=0.9)
         u_base, _ = continuity_solve(base)
         u_small, _ = continuity_solve(smaller)
-        assert (u_base.values - u_small.values).max() <= 1e-7
+        assert (u_base - u_small).max() <= 1e-7
 
     def test_p_equals_n_reduces_to_linear_solve(self):
         # p = n: the operator is the metric trace and Newton is exact in one
@@ -240,11 +241,11 @@ class TestBoxSolve:
         phi_ext = np.zeros(grid.shape)
         mask = grid.boundary_mask()
         phi_ext[mask] = problem.box.phi[mask]
-        bc = hessian_operator_apply(coeffs, ScalarField(grid, phi_ext))
+        bc = hessian_operator_apply(coeffs, phi_ext, grid)
         rhs = problem.box.psi - float(np.trace(chi).real) - bc
         system = assemble_linearized(coeffs, rhs, grid)
-        direct = solve_sparse(system, tol=1e-13).values + phi_ext
-        assert np.abs(u.values - direct).max() <= 1e-8
+        direct = solve_sparse(system, tol=1e-13) + phi_ext
+        assert np.abs(u - direct).max() <= 1e-8
 
     def test_general_metric_solve(self):
         # anisotropic constant metric: the congruence reduction and the
@@ -256,7 +257,7 @@ class TestBoxSolve:
         )
         u, diag = continuity_solve(problem)
         assert diag.final_residual <= 1e-8
-        err = np.abs(u.values - problem.box.reference).max()
+        err = np.abs(u - problem.box.reference).max()
         assert err <= 5e-3
         assert all(s.min_margin > 0 for s in diag.states)
         assert diag.amgm_min_slack >= -1e-10
@@ -275,7 +276,7 @@ class TestBoxSolve:
         assert diag.final_residual <= 1e-8
         assert len(diag.states) >= 3
         assert diag.rejected_steps >= 1
-        assert (u.values - problem.box.subsolution).min() >= -1e-9
+        assert (u - problem.box.subsolution).min() >= -1e-9
 
     def test_cone_escape_on_bad_initializer(self):
         problem = box_problem(res=9)
@@ -526,6 +527,26 @@ class TestSettingsAreChecked:
         with pytest.raises(ValidationError, match="newton_tol"):
             newton_solve_at_t(problem, 1.0, problem.radial.subsolution, tol=tol)
 
+    @pytest.mark.parametrize("start", ["box NaN node", "radial short", "radial 2-D"])
+    def test_a_bad_start_is_rejected(self, start):
+        # a start must have the grid's shape and be finite inside; the
+        # Dirichlet data overwrites only its boundary
+        if start == "box NaN node":
+            spec = BENCH_SPEC_DIR / "box-n3-p2-r9.spec"
+        else:
+            spec = SPEC_DIR / "radial-n3-p2.spec"
+        problem = build_problem(parse_document(spec.read_text()))
+        u = problem.payload.subsolution
+        if start == "box NaN node":
+            u = u.copy()
+            u[4, 4, 4, 4, 4, 4] = np.nan
+        else:
+            u = u[:1996] if start == "radial short" else u[None]
+        with pytest.raises(ValidationError, match="initial_values"):
+            continuity_solve(problem, initial_values=u)
+        with pytest.raises(ValidationError, match="initial_values"):
+            newton_solve_at_t(problem, 1.0, u, tol=1e-8)
+
 
 class TestPlaneBackedStates:
     @pytest.mark.parametrize("p, omega", [(1, None), (2, None), (1, np.diag([1.0, 2.0]))])
@@ -613,7 +634,7 @@ class TestBoundaryTrace:
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
         problem = box_problem(res=9)
         flat = re_z1_squared(2).value(grid.coords())
-        val = boundary_trace_check(ScalarField(grid, flat), problem)
+        val = boundary_trace_check(flat, problem)
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_box_n1_has_an_empty_tangential_block(self):

@@ -6,8 +6,8 @@ Each argument is a ``src`` directory holding the ``garding`` package, for
 example ``src`` of this checkout and ``src`` of a ``git archive`` of its
 parent commit.  Every run in ``RUNS`` calls ``python -m garding.cli`` with
 ``--seed 1`` and ``PYTHONPATH`` set to one tree, on the spec files of this
-checkout.  The exit status, standard output, ``report.txt`` and
-``fields.csv`` of each run are compared byte for byte.  Prints IDENTICAL and
+checkout.  The exit status, standard output, standard error, ``report.txt``
+and ``fields.csv`` of each run are compared byte for byte.  Prints IDENTICAL and
 exits 0, or names each run and output that differs and exits 1.
 """
 
@@ -43,7 +43,8 @@ def outputs(src: Path, mode: str, spec: str, out: Path) -> dict:
         [sys.executable, "-m", "garding.cli", "--mode", mode, "--spec", str(ROOT / spec),
          "--out", str(out), "--seed", "1"],
         env=dict(os.environ, PYTHONPATH=str(src)), cwd=out, capture_output=True, check=False)
-    found = {"exit status": str(done.returncode).encode(), "stdout": done.stdout}
+    found = {"exit status": str(done.returncode).encode(), "stdout": done.stdout,
+             "stderr": done.stderr}
     for name in FILES:
         found[name] = (out / name).read_bytes() if (out / name).is_file() else None
     return found

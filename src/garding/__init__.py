@@ -11,6 +11,7 @@ second-order ratio monitors.
 """
 
 from .errors import (
+    BelowRoundingFloor,
     ConeEscape,
     ContinuationStalled,
     GardingError,

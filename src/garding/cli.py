@@ -4,7 +4,8 @@ Exit status contract (frozen for CI scripting):
   0  success
   2  validation failure (unreadable spec, parse error, out-of-contract value,
      a request the geometry does not support)
-  3  solver failure (cone escape, stalled continuation, iteration caps,
+  3  solver failure (cone escape, stalled continuation, iteration caps, a
+     Newton tolerance below the residual's rounding floor,
      linear-solver stall, indefinite linearization coefficients, an
      eigenvalue vector outside the cone)
   4  diagnostic-contract violation (invalid subsolution, structure-check
@@ -47,6 +48,7 @@ _VALIDATION_ERRORS = (
     errors.RadialModeUnsupported,
 )
 _SOLVER_ERRORS = (
+    errors.BelowRoundingFloor,
     errors.ConeEscape,
     errors.ContinuationStalled,
     errors.MaxItersExceeded,
@@ -115,7 +117,7 @@ def _run_solve(doc, config: RunConfig) -> int:
                                initial_values=initial_values_from(doc, problem))
     report = _base_report("garding solve report", config, doc)
     diagnostics_into(report, diag)
-    err = float(np.abs(u - problem.payload.reference).max())
+    err = float(np.abs(u - problem.phi).max())
     report.record("reference_max_error", err)
     report.line(f"max error against the manufactured target: {err:.3e}")
     if config.csv:

@@ -51,6 +51,10 @@ class MaxItersExceeded(GardingError):
     """Newton iteration cap reached before the residual tolerance."""
 
 
+class BelowRoundingFloor(GardingError):
+    """Newton tolerance below the rounding floor of the residual evaluation."""
+
+
 class ContinuationStalled(GardingError):
     """Homotopy step size shrank below the minimum."""
 

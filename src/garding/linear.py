@@ -190,10 +190,6 @@ class SparseSystem:
     rhs: np.ndarray
 
     @property
-    def unknowns(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def mmatrix_violations(self) -> int:
         """The operator's M-matrix audit, counted when it is read."""
         return self.matrix.mmatrix_violations()

@@ -1,11 +1,15 @@
-"""Problem containers and manufactured-solution generation.
+"""The problem record and manufactured-solution generation.
 
-A manufactured problem samples the right-hand side from the exact complex
-Hessian of an analytic target, takes the boundary trace of the target as
-Dirichlet data, and defaults the subsolution to the target itself (the
-equality case of the lower-bound requirement).  The analytic values of the
-operator at the subsolution are stored so validity checks do not confuse
-discretization error with genuine violations.
+A Dirichlet problem is one flat record, ``ProblemSpec``: the operator
+parameters, the grid (a box, or a ball's s-grid; it sets the geometry), chi,
+psi, the boundary data phi and a subsolution.  A manufactured problem
+samples the right-hand side from the exact complex Hessian of an analytic
+target and takes the target's values as phi: on the boundary they are the
+Dirichlet data, and inside they are the known solution.  The subsolution
+defaults to the target itself (the equality case of the lower-bound
+requirement).  The analytic values of the operator at the subsolution are
+stored so validity checks do not confuse discretization error with genuine
+violations.
 """
 
 from __future__ import annotations
@@ -34,37 +38,28 @@ def _finite(name: str, values, bounded: bool = False):
 
 
 @dataclass
-class BoxProblem:
-    grid: BoxGrid
-    chi: np.ndarray  # constant (n, n) Hermitian background form
-    omega: np.ndarray | None  # constant Hermitian metric; None = identity
-    psi: np.ndarray  # target right-hand side at interior nodes
-    phi: np.ndarray  # full-shape field; boundary values are authoritative
-    subsolution: np.ndarray  # full-shape field
-    subsolution_M: np.ndarray  # analytic operator values at interior nodes
-    reference: np.ndarray  # known solution for error reporting
-
-
-@dataclass
-class RadialProblem:
-    grid: RadialGrid
-    chi_scalar: float
-    psi: np.ndarray  # values at collocation nodes 0..m-1
-    boundary_value: float  # u(R^2)
-    subsolution: np.ndarray  # profile values at all nodes
-    subsolution_M: np.ndarray
-    reference: np.ndarray
-
-
-@dataclass
 class ProblemSpec:
+    """M_p(chi + i ddbar u) = psi with u = phi on the boundary of ``grid``.
+
+    ``chi`` is the constant (n, n) form on a box and the scalar c of chi =
+    c * identity on a ball; ``omega`` is a box's constant metric (None: the
+    identity).  ``phi`` and ``subsolution`` have the grid's shape; ``psi``
+    and ``subsolution_M`` (M_p(subsolution), analytic) are at the interior
+    (box) or collocation (ball) nodes.
+    """
+
     params: OperatorParams
-    payload: BoxProblem | RadialProblem
-    document: object | None = None  # parsed spec text, when applicable
+    grid: BoxGrid | RadialGrid
+    chi: np.ndarray | float
+    psi: np.ndarray
+    phi: np.ndarray
+    subsolution: np.ndarray
+    subsolution_M: np.ndarray
+    omega: np.ndarray | None = None
 
     @property
     def geometry(self) -> str:
-        return "box" if isinstance(self.payload, BoxProblem) else "radial"
+        return "box" if isinstance(self.grid, BoxGrid) else "radial"
 
     @property
     def n(self) -> int:
@@ -73,14 +68,6 @@ class ProblemSpec:
     @property
     def p(self) -> int:
         return self.params.p
-
-    @property
-    def box(self) -> BoxProblem | None:
-        return self.payload if self.geometry == "box" else None
-
-    @property
-    def radial(self) -> RadialProblem | None:
-        return self.payload if self.geometry == "radial" else None
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow raises ValidationError below
@@ -95,7 +82,7 @@ def _manufacture(read, target, subsolution, params: OperatorParams, grid, psi_sc
     sorts the rows for that check only, so psi is the product over the rows as read.
     """
     target_vals, rows_t = read(target, "target")
-    target_vals.flags.writeable = False  # shared as phi, reference and default subsolution
+    target_vals.flags.writeable = False  # shared as phi and the default subsolution
     # without a distinct subsolution the target is one, and its arrays serve
     sub_vals, rows_s = target_vals, rows_t
     if subsolution is not None:
@@ -152,9 +139,7 @@ def manufactured_box(
     target, sub, psi, sub_m = _manufacture(
         values_and_eigenvalues, u_star, subsolution, params, grid, psi_scale, psi_bump_node,
         psi_bump_factor, shape=grid.interior_shape, sort_rows=False, interior_offset=1)
-    box = BoxProblem(grid=grid, chi=chi, omega=omega_entries, psi=psi, phi=target,
-                     subsolution=sub, subsolution_M=sub_m, reference=target)
-    return ProblemSpec(params, box)
+    return ProblemSpec(params, grid, chi, psi, target, sub, sub_m, omega_entries)
 
 
 def manufactured_radial(
@@ -180,9 +165,7 @@ def manufactured_radial(
     target, sub, psi, sub_m = _manufacture(
         values_and_rows, profile, subsolution_profile, params, grid, psi_scale, psi_bump_node,
         psi_bump_factor, shape=(m,), sort_rows=True, interior_offset=0)
-    radial = RadialProblem(grid=grid, chi_scalar=c, psi=psi, boundary_value=float(target[-1]),
-                           subsolution=sub, subsolution_M=sub_m, reference=target)
-    return ProblemSpec(params, radial)
+    return ProblemSpec(params, grid, c, psi, target, sub, sub_m)
 
 
 def verify_subsolution(problem: ProblemSpec) -> None:
@@ -196,32 +179,25 @@ def verify_subsolution(problem: ProblemSpec) -> None:
     phi on the boundary would make the solve keep its boundary values, not
     phi's.
     """
-    payload = problem.payload
-    deficit = payload.psi - payload.subsolution_M
-    tol = SUBSOLUTION_RTOL * np.maximum(np.abs(payload.psi), 1.0)
+    deficit = problem.psi - problem.subsolution_M
+    tol = SUBSOLUTION_RTOL * np.maximum(np.abs(problem.psi), 1.0)
     if np.any(deficit > tol):
         flat = int(np.argmax((deficit - tol).reshape(-1)))
-        node = payload.grid.node_of_flat(flat)
+        node = problem.grid.node_of_flat(flat)
         raise SubsolutionInvalid(
             f"psi exceeds M(subsolution) by {deficit.reshape(-1)[flat]:.6e} at node {node}",
             node=node,
         )
-    if problem.geometry == "radial":
-        sub, phi = payload.subsolution[-1:], np.array([payload.boundary_value])
-    elif payload.subsolution is payload.phi:  # the default subsolution: no full-grid pass
+    if problem.subsolution is problem.phi:  # the default subsolution: no boundary pass
         return
-    else:
-        on_boundary = payload.grid.boundary_mask()
-        sub, phi = payload.subsolution[on_boundary], payload.phi[on_boundary]
+    on_boundary = problem.grid.boundary_mask()
+    sub, phi = problem.subsolution[on_boundary], problem.phi[on_boundary]
     gap = np.abs(sub - phi)
     excess = gap - SUBSOLUTION_RTOL * np.maximum(np.abs(phi), 1.0)
     if np.any(excess > 0.0):
         k = int(np.argmax(excess))
-        if problem.geometry == "radial":
-            node = payload.grid.points - 1
-        else:
-            flat = np.flatnonzero(on_boundary)[k]
-            node = tuple(int(i) for i in np.unravel_index(flat, payload.grid.shape))
+        idx = np.unravel_index(np.flatnonzero(on_boundary)[k], problem.grid.shape)
+        node = tuple(int(i) for i in idx) if problem.geometry == "box" else int(idx[0])
         raise SubsolutionInvalid(
             f"subsolution differs from the boundary data by {gap[k]:.6e} at node {node}",
             node=node,

@@ -57,6 +57,14 @@ class RadialGrid:
     def s(self) -> np.ndarray:
         return np.linspace(0.0, self.s_max, self.points)
 
+    @property
+    def shape(self) -> tuple:
+        return (self.points,)
+
+    def boundary_mask(self) -> np.ndarray:
+        """True at the Dirichlet node s = R^2, the last one."""
+        return np.arange(self.points) == self.points - 1
+
     def node_of_flat(self, k: int) -> int:
         """Grid node of the k-th collocation value: the s-grid index itself."""
         return int(k)

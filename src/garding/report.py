@@ -98,22 +98,19 @@ def write_solution_csv(path, problem: ProblemSpec, u: np.ndarray, diag: SolveDia
     Rows are in C order with every float written as its repr and ``\\r\\n``
     line ends, byte for byte what ``csv.writer`` writes for the same rows.
     """
+    grid = problem.grid
     if problem.geometry == "box":
-        grid = problem.box.grid
         names = []
         for j in range(grid.n):
             names += [f"x{j + 1}", f"y{j + 1}"]
         axes = [grid.axis_coords(a) for a in range(grid.ndim_real)]
-        interior = (slice(1, -1),) * grid.ndim_real
     else:
         names = ["s"]
-        axes = [problem.radial.grid.s]
-        interior = (slice(0, -1),)
+        axes = [grid.s]
     names += ["u", "cone_margin", "ftilde_residual"]
     # coordinate strings are made once per axis, not once per node
     prefixes = map(",".join, itertools.product(*[list(map(repr, c.tolist())) for c in axes]))
-    mask = np.zeros(u.shape, dtype=bool)
-    mask[interior] = True
+    mask = ~grid.boundary_mask()
     tails = (f",{margin!r},{residual!r}" for margin, residual in
              zip(_items(diag.node_margins), _items(diag.node_residual)))
     with open(path, "w", newline="") as handle:

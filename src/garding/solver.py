@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    BelowRoundingFloor,
     ConeEscape,
     ContinuationStalled,
     LinearSolveStalled,
@@ -81,6 +82,9 @@ NEWTON_TOL = {"box": 1e-8, "radial": 1e-10}
 MAX_NEWTON_ITERS = 50
 MARGIN_KEEP = 0.1
 ALPHA_MIN = 2.0**-20
+# a Newton loop that stops decreasing within FLOOR_MULTIPLE times the rounding
+# floor of its residual, above the tolerance, raises BelowRoundingFloor
+FLOOR_MULTIPLE = 4.0
 # continuation (Deuflhard, Newton Methods for Nonlinear Problems, 2004, ch. 5):
 # the first attempt is the whole interval; a failed attempt halves the step
 # and an accepted one doubles it.  No attempt is shorter than T_STEP_MIN, so
@@ -167,20 +171,35 @@ class _Analysis:
     coeffs: np.ndarray | None = None
 
 
-class _BoxEvaluator:
+class _Evaluator:
+    """What the box and radial evaluators share: the problem's grid, operator
+    and chi, the normalized target psi_tilde and the residual's rounding floor."""
+
+    def __init__(self, problem: ProblemSpec):
+        self.grid = problem.grid
+        self.params = problem.params
+        self.chi = problem.chi
+        self.psi_tilde = problem.psi ** (1.0 / self.params.subset_count)
+        self.anchor = None  # ftilde at the subsolution, set by _make_evaluator
+        self.start = None  # linearized analysis the next Newton loop starts from
+
+    def rounding_floor(self, a: _Analysis, u: np.ndarray) -> float:
+        """The rounding error of the residual at the linearized analysis ``a``
+        of ``u``: trace_F * eps * max|u| / h^2 at its largest node, since
+        ftilde is of degree one in second differences that round to
+        eps * max|u| / h^2 (Kelley 1995, ch. 5)."""
+        h = min(np.atleast_1d(self.grid.spacing))
+        return float(a.trace_f.max()) * np.finfo(float).eps * float(np.abs(u).max()) / h**2
+
+
+class _BoxEvaluator(_Evaluator):
     """Analyses and Newton corrections on a box problem."""
 
     def __init__(self, problem: ProblemSpec):
-        box = problem.box
-        self.grid = box.grid
-        self.params = problem.params
-        self.chi = box.chi
-        self.omega = box.omega
-        self.psi_tilde = box.psi ** (1.0 / self.params.subset_count)
+        super().__init__(problem)
+        self.omega = problem.omega
         self.resid_scale = max(1.0, float(np.abs(self.psi_tilde).max()))
         self.ell = None if self.omega is None else np.linalg.cholesky(self.omega)
-        self.anchor = None  # ftilde at the subsolution, set by _make_evaluator
-        self.start = None  # linearized analysis the next Newton loop starts from
 
     def _reduced(self, u_values: np.ndarray) -> np.ndarray:
         """The reduced matrices of omega^-1 g at u; the Hessian dies with the call."""
@@ -207,21 +226,12 @@ class _BoxEvaluator:
         return solve_sparse(system, tol=lin_tol)
 
 
-class _RadialEvaluator:
+class _RadialEvaluator(_Evaluator):
     """Analyses and Newton corrections on a radial problem."""
-
-    def __init__(self, problem: ProblemSpec):
-        rad = problem.radial
-        self.grid = rad.grid
-        self.params = problem.params
-        self.c = rad.chi_scalar
-        self.psi_tilde = rad.psi ** (1.0 / self.params.subset_count)
-        self.anchor = None
-        self.start = None
 
     def analyze(self, u: np.ndarray) -> _Analysis:
         u1, u2 = profile_derivatives(u, self.grid.spacing)
-        lam = eigenvalue_rows(u1, u2, self.grid.s, self.params.n, self.c)
+        lam = eigenvalue_rows(u1, u2, self.grid.s, self.params.n, self.chi)
         margins = margins_batch(np.sort(lam, axis=-1), self.params.p)
         return _Analysis(margins, *least(margins, self.grid.node_of_flat), lam.sum(axis=-1),
                          vals=lam)
@@ -262,8 +272,7 @@ def _make_evaluator(problem: ProblemSpec):
     analyze/linearize pair, so the t = 0 residual there is bitwise zero.
     """
     ev = (_BoxEvaluator if problem.geometry == "box" else _RadialEvaluator)(problem)
-    ev.start = _linearized(ev, problem.payload.subsolution,
-                           "subsolution not admissible on the grid")
+    ev.start = _linearized(ev, problem.subsolution, "subsolution not admissible on the grid")
     ev.anchor = ev.start.ft
     return ev
 
@@ -292,9 +301,14 @@ def _newton_loop(ev, t: float, u_init: np.ndarray, tol: float) -> HomotopyState:
             stagnant = 0
         else:
             stagnant += 1
-            if stagnant >= 8:
-                # rounding floor of the residual evaluation; more iterations
-                # cannot help
+            floor = ev.rounding_floor(state, u)
+            if tol < rnorm <= FLOOR_MULTIPLE * floor:
+                # a shorter homotopy step cannot lower the floor: no retry
+                raise BelowRoundingFloor(
+                    f"newton_tol {tol:.1e} is below the residual's rounding floor "
+                    f"{floor:.1e} on this grid (Newton stagnated at {rnorm:.3e}, t={t:.4f})"
+                )
+            if stagnant >= 8:  # above the floor: a shorter step may help
                 raise MaxItersExceeded(
                     f"Newton stagnated at residual {rnorm:.3e} (tol {tol:.1e}) at t={t:.4f}"
                 )
@@ -346,13 +360,10 @@ def _with_dirichlet_data(problem: ProblemSpec, values) -> np.ndarray:
     the Dirichlet data is written.
     """
     u = np.array(values, dtype=float)
-    shape = problem.payload.subsolution.shape
+    shape = problem.grid.shape
     if u.shape != shape:
         raise ValidationError("initial_values", f"shape {u.shape}, expected {shape}")
-    if problem.geometry == "box":
-        np.copyto(u, problem.box.phi, where=problem.box.grid.boundary_mask())
-    else:
-        u[-1] = problem.radial.boundary_value
+    np.copyto(u, problem.phi, where=problem.grid.boundary_mask())
     if not np.isfinite(u).all():
         raise ValidationError("initial_values", "start values are not finite")
     return u
@@ -381,15 +392,16 @@ def continuity_solve(problem: ProblemSpec, *, newton_tol: float | None = None,
     Raises ValidationError unless ``newton_tol`` is finite and positive and
     ``initial_values`` is a finite array of u's shape, SubsolutionInvalid
     when the problem's subsolution fails its analytic checks, ConeEscape
-    when an initializer is not admissible and ContinuationStalled when step
-    halving hits the minimum step.
+    when an initializer is not admissible, ContinuationStalled when step
+    halving hits the minimum step and BelowRoundingFloor, without a retry,
+    when Newton stagnates at the rounding floor above ``newton_tol``.
     """
     tol = _check_tol(NEWTON_TOL[problem.geometry] if newton_tol is None else newton_tol)
     verify_subsolution(problem)
     ev = _make_evaluator(problem)
 
     if initial_values is None:
-        u = problem.payload.subsolution.copy()
+        u = problem.subsolution.copy()
     else:
         u = _with_dirichlet_data(problem, initial_values)
         ev.start = None  # the subsolution's analysis does not describe u
@@ -442,10 +454,9 @@ def boundary_trace_check(u: np.ndarray, problem: ProblemSpec) -> float:
     (n-1)-fold tangential trace (n - 1) * (c + u'(R^2)).
     """
     if problem.geometry == "box":
-        return face_tangential_trace_min(u, problem.box.grid, problem.box.chi)
-    rad = problem.radial
-    u1_end = first_difference(u, 0, rad.grid.spacing)[-1]
-    return float((problem.n - 1) * (rad.chi_scalar + u1_end))
+        return face_tangential_trace_min(u, problem.grid, problem.chi)
+    u1_end = first_difference(u, 0, problem.grid.spacing)[-1]
+    return float((problem.n - 1) * (problem.chi + u1_end))
 
 
 def barrier_check(
@@ -476,7 +487,7 @@ def barrier_check(
 
 def _barrier_report(u, ul_u, problem: ProblemSpec, state: _Analysis, tau, N, delta) -> BarrierReport:
     """barrier_check's body, with L taken from the linearized analysis of u."""
-    grid = problem.box.grid
+    grid = problem.grid
     if delta is None:
         delta = 0.1 * grid.diameter()
     half_width = min((hi - lo) / 2.0 for lo, hi in grid.extent)
@@ -520,17 +531,16 @@ def _barrier_report(u, ul_u, problem: ProblemSpec, state: _Analysis, tau, N, del
 
 def _c2_quantities(problem: ProblemSpec, u: np.ndarray) -> tuple:
     """(K, Hessian sup, boundary Hessian sup) of u, with K = 1 + sup |grad u|^2."""
+    grid = problem.grid
     if problem.geometry == "box":
-        grid = problem.box.grid
         K = 1.0 + gradient_sq_max(u, grid)
         radius = np.abs(eigvals_batch(complex_hessian_field(u, grid))).max(axis=-1)
         # boundary stand-in: first interior layer adjacent to a face
         layer = np.ones(grid.interior_shape, dtype=bool)
         layer[(slice(1, -1),) * grid.ndim_real] = False
         return K, float(radius.max()), float(radius[layer].max())
-    rad = problem.radial
-    K = 1.0 + radial_gradient_sq_max(u, rad.grid)
-    interior_r, boundary_r = radial_hessian_spectral_radius(u, rad.grid)
+    K = 1.0 + radial_gradient_sq_max(u, grid)
+    interior_r, boundary_r = radial_hessian_spectral_radius(u, grid)
     return K, float(max(interior_r.max(), boundary_r)), float(boundary_r)
 
 
@@ -540,16 +550,13 @@ def _diagnostics(problem, ev, final: _Analysis, states, anchor_residual,
     u = states[-1].u
     barrier = None
     if problem.geometry == "box":
-        box = problem.box
-        upper_vals = upper_barrier(box.chi, box.omega, box.phi, box.grid)
-        barrier = _barrier_report(u, box.subsolution, problem, final,
+        upper_vals = upper_barrier(problem.chi, problem.omega, problem.phi, problem.grid)
+        barrier = _barrier_report(u, problem.subsolution, problem, final,
                                   BARRIER_TAU, BARRIER_N, BARRIER_DELTA)
     else:
-        rad = problem.radial
-        upper_vals = radial_trace_equation_solution(
-            rad.chi_scalar, problem.n, rad.boundary_value, rad.grid
-        )
-    sandwich = sandwich_check(u, problem.payload.subsolution, upper_vals)
+        upper_vals = radial_trace_equation_solution(problem.chi, problem.n, problem.phi[-1],
+                                                    problem.grid)
+    sandwich = sandwich_check(u, problem.subsolution, upper_vals)
 
     K, sup_h, sup_b = _c2_quantities(problem, u)
     amgm = (problem.p / problem.n) * final.trace_g - final.ft
@@ -596,12 +603,11 @@ def c2_ratio_monitor(levels) -> list:
         raise ValueError("need at least two refinement levels")
     for problem, u in levels:
         K, sup_h, sup_b = _c2_quantities(problem, u)
+        grid = problem.grid
         if problem.geometry == "box":
-            spacing = max(problem.box.grid.spacing)
-            label = f"res {problem.box.grid.resolution}"
+            spacing, label = max(grid.spacing), f"res {grid.resolution}"
         else:
-            spacing = problem.radial.grid.spacing
-            label = f"points {problem.radial.grid.points}"
+            spacing, label = grid.spacing, f"points {grid.points}"
         rows.append(
             RefinementRow(
                 label=label,

@@ -430,15 +430,11 @@ def build_problem(doc: SpecDocument) -> ProblemSpec:
             chi = np.diag(np.asarray(doc.chi_diag, dtype=np.complex128))
         target = _box_function(doc.solution, doc.n)
         sub = None if doc.subsolution is None else _box_function(doc.subsolution, doc.n)
-        problem = manufactured_box(target, chi, params, grid, subsolution=sub, **psi)
-    else:
-        grid = RadialGrid(doc.radius, doc.points)
-        target = _radial_function(doc.solution)
-        sub = None if doc.subsolution is None else _radial_function(doc.subsolution)
-        problem = manufactured_radial(target, doc.chi_scalar, params, grid,
-                                      subsolution_profile=sub, **psi)
-    problem.document = doc
-    return problem
+        return manufactured_box(target, chi, params, grid, subsolution=sub, **psi)
+    grid = RadialGrid(doc.radius, doc.points)
+    target = _radial_function(doc.solution)
+    sub = None if doc.subsolution is None else _radial_function(doc.subsolution)
+    return manufactured_radial(target, doc.chi_scalar, params, grid, subsolution_profile=sub, **psi)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow raises ValidationError below
@@ -447,9 +443,9 @@ def initial_values_from(doc: SpecDocument, problem: ProblemSpec):
     if doc.init is None:
         return None
     if problem.geometry == "box":
-        values = _box_function(doc.init, doc.n).value(problem.box.grid.coords())
+        values = _box_function(doc.init, doc.n).value(problem.grid.coords())
     else:
-        values = _radial_function(doc.init).value(problem.radial.grid.s)
+        values = _radial_function(doc.init).value(problem.grid.s)
     return _finite("init values", values, bounded=True)
 
 

@@ -201,10 +201,10 @@ def test_criterion_04_discretization_order():
 
 def test_criterion_05_radial_manufactured(radial_solutions):
     problem, u, diag = radial_solutions[2001]
-    s = problem.radial.grid.s[:-1]
+    s = problem.grid.s[:-1]
     expected_psi = (2 + 2 * s) * (2 + 3 * s) ** 2
-    assert np.abs(problem.radial.psi - expected_psi).max() <= 1e-12 * expected_psi.max()
-    err = np.abs(u - problem.radial.reference).max()
+    assert np.abs(problem.psi - expected_psi).max() <= 1e-12 * expected_psi.max()
+    err = np.abs(u - problem.phi).max()
     assert err <= 1e-6, f"max error {err:.3e}"
     assert diag.final_residual <= 1e-9
     assert all(st.min_margin > 0 for st in diag.states)
@@ -217,7 +217,7 @@ def test_criterion_06_grid_manufactured(box_solutions):
     errs = {}
     for res in (13, 17):
         problem, u, diag = box_solutions[res]
-        errs[res] = float(np.abs(u - problem.box.reference).max())
+        errs[res] = float(np.abs(u - problem.phi).max())
         assert diag.final_residual <= 1e-7
     assert errs[17] < errs[13], f"no refinement decrease: {errs}"
     assert errs[17] <= 5e-3, f"res-17 error {errs[17]:.3e}"
@@ -228,13 +228,13 @@ def test_criterion_06_grid_manufactured(box_solutions):
 
 def test_criterion_07_sandwich_and_amgm(box_solutions):
     problem, u, diag = box_solutions[17]
-    err = float(np.abs(u - problem.box.reference).max())
+    err = float(np.abs(u - problem.phi).max())
     assert diag.sandwich_violation <= 1e-6 + err
     assert diag.amgm_min_slack >= -1e-10
     # independent recomputation of the sandwich against a fresh barrier
-    grid = problem.box.grid
-    ol = upper_barrier(problem.box.chi, None, problem.box.phi, grid)
-    violation = sandwich_check(u, problem.box.subsolution, ol)
+    grid = problem.grid
+    ol = upper_barrier(problem.chi, None, problem.phi, grid)
+    violation = sandwich_check(u, problem.subsolution, ol)
     assert violation <= 1e-6 + err
     report(7, f"sandwich violation {diag.sandwich_violation:.2e} <= 1e-6 + {err:.2e}; "
               f"AM-GM slack {diag.amgm_min_slack:.2e} >= -1e-10")
@@ -263,25 +263,25 @@ def test_criterion_09_anchor_and_uniqueness(box_solutions):
     problem, u_base, diag = box_solutions[13]
     assert diag.anchor_residual <= 1e-14, f"anchor residual {diag.anchor_residual!r}"
 
-    grid = problem.box.grid
-    ol = upper_barrier(problem.box.chi, None, problem.box.phi, grid)
-    gap = ol - problem.box.subsolution
+    grid = problem.grid
+    ol = upper_barrier(problem.chi, None, problem.phi, grid)
+    gap = ol - problem.subsolution
     assert gap.min() >= -1e-12
     # 0.9 * gap * bump, with the bump profile scaled back until the start
     # keeps a healthy cone margin
     pts = stack_coords(grid.coords())
     profile = np.prod(np.cos(np.pi * pts / 2.0), axis=-1)
     ev = _BoxEvaluator(problem)
-    base_margin = ev.analyze(problem.box.subsolution).min_margin
+    base_margin = ev.analyze(problem.subsolution).min_margin
     beta = 1.0
     while beta > 1e-4:
-        init = problem.box.subsolution + 0.9 * gap * (beta * profile)
+        init = problem.subsolution + 0.9 * gap * (beta * profile)
         margin = ev.analyze(init).min_margin
         if margin >= 0.3 * base_margin:
             break
         beta *= 0.5
     assert margin > 0, "could not build an admissible perturbed start"
-    assert np.abs(init - problem.box.subsolution).max() > 0.1  # genuinely different
+    assert np.abs(init - problem.subsolution).max() > 0.1  # genuinely different
 
     tol = NEWTON_TOL["box"]
     u_alt, diag_alt = continuity_solve(problem, initial_values=init)

@@ -199,7 +199,7 @@ def reference_csv_rows(problem, u, diag):
     empty margin and residual cells off the interior."""
     rows = []
     if problem.geometry == "box":
-        grid = problem.box.grid
+        grid = problem.grid
         pts = stack_coords(grid.coords())
         boundary = grid.boundary_mask()
         for node in np.ndindex(grid.shape):
@@ -211,7 +211,7 @@ def reference_csv_rows(problem, u, diag):
                 row += ["", ""]
             rows.append(row)
     else:
-        s = problem.radial.grid.s
+        s = problem.grid.s
         for i in range(len(s)):
             row = [repr(float(s[i])), repr(float(u[i]))]
             if i < len(s) - 1:
@@ -657,12 +657,24 @@ def test_tol_flag_overrides_the_spec_newton_tol(tmp_path):
     assert 1e-12 < residual <= 1e-3
 
 
+def test_a_tolerance_below_the_rounding_floor_exits_3(tmp_path, capsys):
+    # stagnation at the floor halved the homotopy step to its minimum for
+    # about 1 s and was reported as a stalled continuation at t = 0.2079
+    spec = (Path(__file__).resolve().parent.parent / "specs" / "radial-n3-p2.spec")
+    status, out = run_cli(tmp_path, spec.read_text(), "solve", extra=["--tol", "1e-10"])
+    assert status == 3
+    assert ("newton_tol 1.0e-10 is below the residual's rounding floor 8.9e-10 on this grid"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 EXIT_STATUS = {
     errors.ParseError: 2,
     errors.ValidationError: 2,
     errors.RadialModeUnsupported: 2,
     errors.ConeEscape: 3,
     errors.ContinuationStalled: 3,
+    errors.BelowRoundingFloor: 3,
     errors.MaxItersExceeded: 3,
     errors.LinearSolveStalled: 3,
     errors.IndefiniteCoefficients: 3,

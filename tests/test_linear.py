@@ -230,7 +230,7 @@ class TestAssembly:
             system = assemble_linearized(coeffs, np.zeros(grid.interior_shape), grid)
             reference = coo_reference_matrix(coeffs, grid)
             moves = 1 + 2 * 6 + 4 * len(system.matrix.cross)
-            x = rng.standard_normal(system.unknowns)
+            x = rng.standard_normal(system.matrix.shape[0])
             bound = 2 * moves * np.finfo(float).eps * (abs(reference) @ np.abs(x))
             assert np.all(np.abs(system.matrix @ x - reference @ x) <= bound)
 
@@ -247,7 +247,7 @@ class TestAssembly:
             diagonal = absolute.diagonal()
             off = np.asarray(absolute.sum(axis=1)).ravel() - diagonal
             expected = int(np.sum(off > diagonal * (1 + 1e-12)))
-            assert 0 < expected < system.unknowns
+            assert 0 < expected < system.matrix.shape[0]
             assert system.mmatrix_violations == expected
 
     def test_apply_equals_hessian_oracle_with_boundary_data(self):
@@ -483,7 +483,7 @@ class TestSolve:
     def test_manufactured_solution_recovery(self):
         rng = np.random.default_rng(2)
         grid, system = poisson_square(17)
-        x_star = rng.standard_normal(system.unknowns)
+        x_star = rng.standard_normal(system.matrix.shape[0])
         system.rhs = system.matrix @ x_star
         out = solve_sparse(system, tol=1e-12)
         assert np.allclose(interior(out).reshape(-1), x_star, atol=1e-9)
@@ -491,8 +491,8 @@ class TestSolve:
     def test_linearity(self):
         rng = np.random.default_rng(3)
         grid, system = poisson_square(17)
-        b1 = rng.standard_normal(system.unknowns)
-        b2 = rng.standard_normal(system.unknowns)
+        b1 = rng.standard_normal(system.matrix.shape[0])
+        b2 = rng.standard_normal(system.matrix.shape[0])
         a = 2.75
 
         def solve_with(rhs):

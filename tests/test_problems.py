@@ -67,7 +67,7 @@ def build(target, sub, chi, params, grid, omega, kwargs):
     """The built box fields, or the class, message and node of the refusal."""
     try:
         box = manufactured_box(target, chi, params, grid, omega=omega, subsolution=sub,
-                               **kwargs).box
+                               **kwargs)
     except (NotAdmissible, ValidationError) as exc:
         return type(exc), str(exc), getattr(exc, "node", None)
     assert box.psi.flags.writeable and not box.phi.flags.writeable

@@ -144,27 +144,27 @@ class TestManufacturedProblems:
         problem = manufactured_box(
             norm_squared(2), np.zeros((2, 2)), OperatorParams(2, 1), grid
         )
-        assert np.allclose(problem.box.psi, 1.0)
+        assert np.allclose(problem.psi, 1.0)
         # phi is the boundary trace of the target
         mask = grid.boundary_mask()
         expected = norm_squared(2).value(grid.coords())
-        assert np.allclose(problem.box.phi[mask], expected[mask])
+        assert np.allclose(problem.phi[mask], expected[mask])
 
     def test_pluriharmonic_with_identity_chi(self):
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
         problem = manufactured_box(
             re_z1_squared(2), np.eye(2), OperatorParams(2, 1), grid
         )
-        assert np.allclose(problem.box.psi, 1.0)
+        assert np.allclose(problem.psi, 1.0)
 
     def test_radial_psi_formula(self):
         grid = RadialGrid(1.0, 101)
         problem = manufactured_radial(radial_power(2), 1.0, OperatorParams(3, 2), grid)
         s = grid.s[:-1]
-        assert np.allclose(problem.radial.psi, (2 + 2 * s) * (2 + 3 * s) ** 2)
+        assert np.allclose(problem.psi, (2 + 2 * s) * (2 + 3 * s) ** 2)
         # cross-check one node against the subset-sum product route
         rows = eigenvalue_rows(s, np.ones_like(s), grid.s, 3, 1.0)
-        assert np.allclose(product_batch(rows, OperatorParams(3, 2)), problem.radial.psi)
+        assert np.allclose(product_batch(rows, OperatorParams(3, 2)), problem.psi)
 
     def test_not_admissible_witness(self):
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
@@ -176,4 +176,4 @@ class TestManufacturedProblems:
     def test_subsolution_equality_default(self):
         grid = RadialGrid(1.0, 101)
         problem = manufactured_radial(radial_power(2), 1.0, OperatorParams(3, 2), grid)
-        assert np.array_equal(problem.radial.psi, problem.radial.subsolution_M)
+        assert np.array_equal(problem.psi, problem.subsolution_M)

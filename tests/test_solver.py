@@ -1,4 +1,5 @@
 import math
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from garding.analytic import RadialProfile, norm_squared, radial_power
 from garding.errors import (
+    BelowRoundingFloor,
     ConeEscape,
     ContinuationStalled,
     LinearSolveStalled,
@@ -22,7 +24,7 @@ from garding.linear import assemble_linearized, solve_sparse
 from garding.operator import OperatorParams
 from garding.problems import manufactured_box, manufactured_radial, verify_subsolution
 from garding.radial import RadialGrid
-from garding.specfile import build_problem, parse_document
+from garding.specfile import build_problem, parse_document, parse_spec
 import garding.solver as solver
 from garding.solver import (
     _BoxEvaluator,
@@ -72,6 +74,24 @@ def radial_problem(points=201, **kwargs):
     return manufactured_radial(radial_power(2), 1.0, OperatorParams(3, 2), grid, **kwargs)
 
 
+# |z|^2 on [-1, 1]^2 at resolution 65 with psi scaled by 0.9: one Newton
+# correction reaches the rounding floor of the residual
+N1_BOX_SPEC = """format_version = 1
+[problem]
+n = 1
+p = 1
+geometry = box
+[box]
+extent = -1, 1, -1, 1
+resolution = 65
+[solution]
+builtin = quadratic
+coeff = 1.0
+[psi]
+scale = 0.9
+"""
+
+
 def shifted_subsolution(c=0.25):
     # u* + c (s - 1): componentwise larger Hessian eigenvalues, same boundary
     return RadialProfile((-c, c, 0.5))
@@ -81,7 +101,7 @@ class TestRadialSolve:
     def test_equality_case_recovers_target(self):
         problem = radial_problem()
         u, diag = continuity_solve(problem)
-        assert np.abs(u - problem.radial.reference).max() <= 1e-9
+        assert np.abs(u - problem.phi).max() <= 1e-9
         assert diag.final_residual <= 1e-10
         assert diag.anchor_residual == 0.0
         assert all(s.min_margin > 0 for s in diag.states)
@@ -93,7 +113,7 @@ class TestRadialSolve:
         monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 3)
         u, diag = continuity_solve(problem)
         # the quadratic target is the exact discrete solution
-        assert np.abs(u - problem.radial.reference).max() <= 1e-8
+        assert np.abs(u - problem.phi).max() <= 1e-8
         assert diag.final_residual <= 1e-10
         assert len(diag.states) >= 3  # actually marched through t
         assert diag.rejected_steps >= 1
@@ -102,7 +122,7 @@ class TestRadialSolve:
     def test_superlinear_tail(self):
         problem = radial_problem(subsolution_profile=shifted_subsolution())
         state = newton_solve_at_t(
-            problem, 1.0, problem.radial.subsolution, tol=1e-10
+            problem, 1.0, problem.subsolution, tol=1e-10
         )
         hist = state.residual_history
         assert len(hist) >= 3
@@ -122,24 +142,40 @@ class TestRadialSolve:
     def test_uniqueness_from_two_starts(self):
         problem = radial_problem(subsolution_profile=shifted_subsolution())
         u1, _ = continuity_solve(problem, newton_tol=1e-11)
-        bump = problem.radial.grid.s * (1.0 - problem.radial.grid.s)
-        init = problem.radial.subsolution + 0.1 * bump
+        bump = problem.grid.s * (1.0 - problem.grid.s)
+        init = problem.subsolution + 0.1 * bump
         u2, _ = continuity_solve(problem, newton_tol=1e-11, initial_values=init)
         assert np.abs(u1 - u2).max() <= 2e-11
 
-    def test_a_start_keeps_the_dirichlet_data(self):
-        # a start whose last node is off the boundary value: the solve keeps
-        # the problem's value there and reaches the solution of the other start
-        problem = radial_problem(subsolution_profile=shifted_subsolution())
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: radial_problem(subsolution_profile=shifted_subsolution()),
+                     id="radial"),
+        pytest.param(lambda: box_problem(res=9), id="box"),
+    ])
+    def test_a_start_keeps_the_dirichlet_data(self, build):
+        # one grid contract for both geometries: phi has the grid's shape, psi
+        # one entry per node off the boundary mask, and a start takes phi on
+        # the mask and keeps every other node
+        problem = build()
+        on_boundary = problem.grid.boundary_mask()
+        assert problem.phi.shape == problem.grid.shape
+        assert (~on_boundary).sum() == problem.psi.size
+        start = problem.subsolution + 0.1
+        u = solver._with_dirichlet_data(problem, start)
+        assert np.array_equal(u[on_boundary], problem.phi[on_boundary])
+        assert np.array_equal(u[~on_boundary], start[~on_boundary])
+        # a start off the boundary data: the solve keeps the problem's values
+        # there and reaches the solution of the other start
         u1, _ = continuity_solve(problem, newton_tol=1e-11)
-        init = problem.radial.subsolution.copy()
-        init[-1] += 0.1
+        init = problem.subsolution.copy()
+        init[on_boundary] += 0.1
         u2, _ = continuity_solve(problem, newton_tol=1e-11, initial_values=init)
-        assert u2[-1] == problem.radial.boundary_value
+        assert np.array_equal(u2[on_boundary], problem.phi[on_boundary])
         assert np.abs(u1 - u2).max() <= 2e-11
         state = newton_solve_at_t(problem, 1.0, init, tol=1e-10)
-        assert state.u[-1] == problem.radial.boundary_value
-        assert init[-1] == problem.radial.boundary_value + 0.1  # the start is not written
+        assert np.array_equal(state.u[on_boundary], problem.phi[on_boundary])
+        # the start is not written
+        assert np.array_equal(init[on_boundary], problem.phi[on_boundary] + 0.1)
 
     def test_monotone_in_psi(self):
         base = radial_problem(subsolution_profile=shifted_subsolution())
@@ -159,8 +195,9 @@ class TestRadialSolve:
 
     def test_failed_attempts_stay_within_the_bound(self, monkeypatch):
         # at the default tolerance 1e-10 (the spec asks for 1e-9) the shipped
-        # 2001-point problem reaches the rounding floor of its residual near
-        # t = 0.208, and the step halves down to T_STEP_MIN there
+        # 2001-point problem reaches the rounding floor of its residual; with
+        # the floor test off, the step halves down to T_STEP_MIN near t = 0.208
+        monkeypatch.setattr(solver, "FLOOR_MULTIPLE", 0.0)
         problem = build_problem(parse_document((SPEC_DIR / "radial-n3-p2.spec").read_text()))
         counts = {}
         count_calls(monkeypatch, solver, "_newton_loop", counts)
@@ -176,7 +213,7 @@ class TestRadialSolve:
         monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
         with pytest.raises(MaxItersExceeded):
             newton_solve_at_t(
-                problem, 1.0, problem.radial.subsolution, tol=1e-12,
+                problem, 1.0, problem.subsolution, tol=1e-12,
             )
 
 
@@ -184,7 +221,7 @@ class TestBoxSolve:
     def test_equality_case_recovers_target(self):
         problem = box_problem(res=13)
         u, diag = continuity_solve(problem)
-        err = np.abs(u - problem.box.reference).max()
+        err = np.abs(u - problem.phi).max()
         assert err <= 5e-3
         assert diag.final_residual <= 1e-8
         assert diag.anchor_residual == 0.0
@@ -195,7 +232,7 @@ class TestBoxSolve:
         for res in (9, 13):
             problem = box_problem(res=res)
             u, _ = continuity_solve(problem)
-            errs[res] = np.abs(u - problem.box.reference).max()
+            errs[res] = np.abs(u - problem.phi).max()
         assert errs[13] < errs[9]
 
     def test_nontrivial_homotopy(self, monkeypatch):
@@ -207,14 +244,14 @@ class TestBoxSolve:
         assert len(diag.states) >= 3
         assert diag.rejected_steps >= 1
         # smaller psi lifts the solution above the subsolution
-        assert (u - problem.box.subsolution).min() >= -1e-10
+        assert (u - problem.subsolution).min() >= -1e-10
 
     def test_diagnostics_contracts(self):
         problem = box_problem(res=9)
         u, diag = continuity_solve(problem)
         assert diag.K >= 1.0
         assert diag.F_trace >= 1 - 1e-10  # p = 1
-        err = np.abs(u - problem.box.reference).max()
+        err = np.abs(u - problem.phi).max()
         assert diag.sandwich_violation <= 1e-8 + err
         assert diag.c0_boundary > 0
         assert diag.amgm_min_slack >= -1e-10
@@ -240,9 +277,9 @@ class TestBoxSolve:
         coeffs = constant_coefficient_field(grid, np.eye(2, dtype=complex))
         phi_ext = np.zeros(grid.shape)
         mask = grid.boundary_mask()
-        phi_ext[mask] = problem.box.phi[mask]
+        phi_ext[mask] = problem.phi[mask]
         bc = hessian_operator_apply(coeffs, phi_ext, grid)
-        rhs = problem.box.psi - float(np.trace(chi).real) - bc
+        rhs = problem.psi - float(np.trace(chi).real) - bc
         system = assemble_linearized(coeffs, rhs, grid)
         direct = solve_sparse(system, tol=1e-13) + phi_ext
         assert np.abs(u - direct).max() <= 1e-8
@@ -257,7 +294,7 @@ class TestBoxSolve:
         )
         u, diag = continuity_solve(problem)
         assert diag.final_residual <= 1e-8
-        err = np.abs(u - problem.box.reference).max()
+        err = np.abs(u - problem.phi).max()
         assert err <= 5e-3
         assert all(s.min_margin > 0 for s in diag.states)
         assert diag.amgm_min_slack >= -1e-10
@@ -276,11 +313,11 @@ class TestBoxSolve:
         assert diag.final_residual <= 1e-8
         assert len(diag.states) >= 3
         assert diag.rejected_steps >= 1
-        assert (u - problem.box.subsolution).min() >= -1e-9
+        assert (u - problem.subsolution).min() >= -1e-9
 
     def test_cone_escape_on_bad_initializer(self):
         problem = box_problem(res=9)
-        bad = -2.0 * norm_squared(2).value(problem.box.grid.coords())
+        bad = -2.0 * norm_squared(2).value(problem.grid.coords())
         with pytest.raises(ConeEscape) as exc_info:
             continuity_solve(problem, initial_values=bad)
         assert exc_info.value.node is not None
@@ -482,12 +519,11 @@ class TestNoDiscardedWork:
                                        lambda: radial_problem(psi_scale=0.85)],
                              ids=["box", "radial"])
     def test_target_values_are_one_read_only_array(self, build):
-        # phi (box), the reference and the default subsolution: one copy, and
-        # a solve reads it without writing
+        # phi and the default subsolution: one copy, and a solve reads it
+        # without writing
         problem = build()
-        payload = problem.payload
-        target = payload.reference
-        assert payload.subsolution is target and getattr(payload, "phi", target) is target
+        target = problem.phi
+        assert problem.subsolution is target
         assert not target.flags.writeable
         before = target.copy()
         continuity_solve(problem)
@@ -505,7 +541,7 @@ class TestNoDiscardedWork:
                             lambda self, *args: 1e6 * correction(self, *args))
         monkeypatch.setattr(solver, "ALPHA_MIN", 0.25)
         with pytest.raises(ConeEscape, match="no damping factor >= 0.25 keeps"):
-            newton_solve_at_t(problem, 1.0, problem.box.subsolution, tol=1e-8)
+            newton_solve_at_t(problem, 1.0, problem.subsolution, tol=1e-8)
 
 
 class TestSettingsAreChecked:
@@ -516,7 +552,7 @@ class TestSettingsAreChecked:
     def test_newton_solve_at_t_checks_its_tolerance(self):
         problem = radial_problem()
         with pytest.raises(ValidationError, match="newton_tol"):
-            newton_solve_at_t(problem, 1.0, problem.radial.subsolution, tol=-1.0)
+            newton_solve_at_t(problem, 1.0, problem.subsolution, tol=-1.0)
 
     @pytest.mark.parametrize("tol", [np.inf, np.nan])
     def test_a_non_finite_tolerance_is_rejected(self, tol):
@@ -525,7 +561,7 @@ class TestSettingsAreChecked:
         with pytest.raises(ValidationError, match="newton_tol"):
             continuity_solve(problem, newton_tol=tol)
         with pytest.raises(ValidationError, match="newton_tol"):
-            newton_solve_at_t(problem, 1.0, problem.radial.subsolution, tol=tol)
+            newton_solve_at_t(problem, 1.0, problem.subsolution, tol=tol)
 
     @pytest.mark.parametrize("start", ["box NaN node", "radial short", "radial 2-D"])
     def test_a_bad_start_is_rejected(self, start):
@@ -536,7 +572,7 @@ class TestSettingsAreChecked:
         else:
             spec = SPEC_DIR / "radial-n3-p2.spec"
         problem = build_problem(parse_document(spec.read_text()))
-        u = problem.payload.subsolution
+        u = problem.subsolution
         if start == "box NaN node":
             u = u.copy()
             u[4, 4, 4, 4, 4, 4] = np.nan
@@ -555,7 +591,7 @@ class TestPlaneBackedStates:
         problem = manufactured_box(grid_target(), 0.25 * np.eye(2), OperatorParams(2, p), grid,
                                    omega=omega)
         ev = _BoxEvaluator(problem)
-        a = ev.analyze(problem.box.subsolution)
+        a = ev.analyze(problem.subsolution)
         assert plane_backed(a.form)
         ev.linearize(a)
         assert plane_backed(a.coeffs)
@@ -603,8 +639,31 @@ class TestNewtonStagnation:
         monkeypatch.setattr(ev_class, "correction", lambda self, a, resid, rnorm: np.zeros(self.grid.points))
         problem = radial_problem(psi_scale=0.9)
         with pytest.raises(MaxItersExceeded, match="Newton stagnated at residual") as exc_info:
-            newton_solve_at_t(problem, 1.0, problem.radial.subsolution, tol=1e-10)
+            newton_solve_at_t(problem, 1.0, problem.subsolution, tol=1e-10)
         assert "t=1.0000" in str(exc_info.value)
+
+    @pytest.mark.parametrize("spec, tol, floor", [
+        pytest.param((SPEC_DIR / "radial-n3-p2.spec").read_text(), 1e-10, "8.9e-10", id="radial"),
+        # eps * max|u| / h^2 = 2^-52 * 2 * 32^2 = 4.5e-13, and trace_F = 1 at n = 1
+        pytest.param(N1_BOX_SPEC, 1e-13, "4.5e-13", id="box"),
+    ])
+    def test_a_tolerance_below_the_rounding_floor_is_not_retried(self, monkeypatch, spec, tol,
+                                                                  floor):
+        # stagnation at the floor halved the homotopy step 31 times (radial,
+        # about 1 s) or 20 times (box) before ContinuationStalled; a shorter
+        # step cannot lower the floor, so the first attempt, t = 1, is the only one
+        problem = parse_spec(spec)
+        attempts = []
+        loop = solver._newton_loop
+        monkeypatch.setattr(solver, "_newton_loop",
+                            lambda ev, t, u, tol: attempts.append(t) or loop(ev, t, u, tol))
+        start = time.perf_counter()
+        with pytest.raises(BelowRoundingFloor,
+                           match=f"newton_tol {tol:.1e} is below the residual's rounding "
+                                 f"floor {floor} on this grid"):
+            continuity_solve(problem, newton_tol=tol)
+        assert time.perf_counter() - start < 0.1
+        assert attempts == [0.0, 1.0]  # the t = 0 solve, then one attempt
 
 
 class TestSandwich:
@@ -626,7 +685,7 @@ class TestBoundaryTrace:
         problem_like = manufactured_box(
             norm_squared(3), np.zeros((3, 3)), OperatorParams(3, 2), grid
         )
-        val = boundary_trace_check(problem_like.box.phi, problem_like)
+        val = boundary_trace_check(problem_like.phi, problem_like)
         assert val == pytest.approx(2.0, abs=1e-12)
 
     def test_detector_zero_trace(self):
@@ -650,7 +709,7 @@ class TestBarrier:
     def test_trivial_positive_barrier(self):
         problem = box_problem(res=13)
         report = barrier_check(
-            problem.box.subsolution, problem.box.subsolution, problem,
+            problem.subsolution, problem.subsolution, problem,
             tau=0.1, N=0.2, delta=0.3,
         )
         # u = subsolution: v = d (tau - N d) > 0 on the collar
@@ -661,7 +720,7 @@ class TestBarrier:
     def test_degenerate_collar_flagged(self):
         problem = box_problem(res=9)
         report = barrier_check(
-            problem.box.subsolution, problem.box.subsolution, problem,
+            problem.subsolution, problem.subsolution, problem,
             tau=0.1, N=1.0, delta=5.0,
         )
         assert report.degenerate_collar
@@ -669,7 +728,7 @@ class TestBarrier:
     def test_empty_collar_is_not_degenerate(self):
         # spacing 0.25: no node lies at 0 < d < 0.1, and 0.1 is below the half width
         problem = box_problem(res=9)
-        sub = problem.box.subsolution
+        sub = problem.subsolution
         report = barrier_check(sub, sub, problem, delta=0.1)
         assert report.collar_nodes == 0 and np.isnan(report.min_v)
         assert not report.degenerate_collar
@@ -678,7 +737,7 @@ class TestBarrier:
         # one axis 4x longer: every collar node's stencil sees a second face
         grid = BoxGrid(2, ((-1, 1), (-1, 1), (-1, 1), (-4, 4)), 9)
         problem = manufactured_box(grid_target(), 0.25 * np.eye(2), OperatorParams(2, 1), grid)
-        sub = problem.box.subsolution
+        sub = problem.subsolution
         report = barrier_check(sub, sub, problem)
         assert report.collar_nodes > 0 and report.smooth_nodes == 0
         assert report.max_lv_node is None and np.isnan(report.epsilon)
@@ -687,7 +746,7 @@ class TestBarrier:
     def test_radial_unsupported(self):
         problem = radial_problem()
         with pytest.raises(RadialModeUnsupported):
-            barrier_check(problem.radial.subsolution, problem.radial.subsolution, problem)
+            barrier_check(problem.subsolution, problem.subsolution, problem)
 
 
 class TestRatioMonitor:
@@ -699,7 +758,7 @@ class TestRatioMonitor:
             problem = manufactured_box(
                 norm_squared(2), np.zeros((2, 2)), OperatorParams(2, 1), grid
             )
-            problems.append((problem, problem.box.reference))
+            problems.append((problem, problem.phi))
         rows = c2_ratio_monitor(problems)
         assert rows[0].sup_hessian == pytest.approx(rows[1].sup_hessian, rel=1e-10)
         assert rows[0].ratio_interior == pytest.approx(rows[1].ratio_interior, rel=1e-10)

@@ -85,23 +85,23 @@ class TestParse:
         problem = parse_spec(MINIMAL_BOX)
         assert problem.geometry == "box"
         assert problem.n == 2 and problem.p == 1
-        assert problem.box.grid.resolution == 17
+        assert problem.grid.resolution == 17
         # quadratic target: psi = det(identity) = 1 everywhere
-        assert np.allclose(problem.box.psi, 1.0)
+        assert np.allclose(problem.psi, 1.0)
 
     def test_radial_matches_manufactured(self):
         problem = parse_spec(RADIAL)
         ref = manufactured_radial(
             radial_power(2), 1.0, OperatorParams(3, 2), RadialGrid(1.0, 201)
         )
-        assert np.allclose(problem.radial.psi, ref.radial.psi)
-        assert np.allclose(problem.radial.subsolution, ref.radial.subsolution)
-        assert problem.radial.boundary_value == ref.radial.boundary_value
+        assert np.allclose(problem.psi, ref.psi)
+        assert np.allclose(problem.subsolution, ref.subsolution)
+        assert problem.phi[-1] == ref.phi[-1]
 
     def test_polynomial_with_chi(self):
         problem = parse_spec(POLY_BOX)
         # |z|^2 with chi = diag(0.5, 0.5): psi = det(1.5 I) * 0.9
-        assert np.allclose(problem.box.psi, 1.5 * 1.5 * 0.9)
+        assert np.allclose(problem.psi, 1.5 * 1.5 * 0.9)
 
     def test_p_too_large(self):
         bad = MINIMAL_BOX.replace("p = 1", "p = 4")
@@ -177,29 +177,29 @@ class TestShippedSpecs:
         )
         grid = BoxGrid(2, ((-1, 1),) * 4, 17)
         ref = manufactured_box(target, np.zeros((2, 2)), OperatorParams(2, 1), grid)
-        assert np.allclose(problem.box.psi, ref.box.psi, rtol=0, atol=1e-13)
-        assert np.allclose(problem.box.phi, ref.box.phi, rtol=0, atol=1e-13)
+        assert np.allclose(problem.psi, ref.psi, rtol=0, atol=1e-13)
+        assert np.allclose(problem.phi, ref.phi, rtol=0, atol=1e-13)
 
     def test_radial_spec_round_trips(self):
         text = (self.SPEC_DIR / "radial-n3-p2.spec").read_text()
         problem = parse_spec(text)
-        assert problem.radial.grid.points == 2001
-        assert problem.document.newton_tol == 1e-09
+        assert problem.grid.points == 2001
+        assert parse_document(text).newton_tol == 1e-09
         from garding.specfile import emit_document
 
-        assert parse_document(emit_document(problem.document)) == problem.document
+        assert parse_document(emit_document(parse_document(text))) == parse_document(text)
 
     def test_march_spec_has_distinct_subsolution(self):
         text = (self.SPEC_DIR / "radial-n3-p2-march.spec").read_text()
         problem = parse_spec(text)
-        doc = problem.document
+        doc = parse_document(text)
         assert doc.subsolution.builtin == "radial-poly"
         assert parse_document(emit_document(doc)) == doc
         # subsolution dominates the target: same boundary value, bigger M
-        assert problem.radial.subsolution[-1] == pytest.approx(
-            problem.radial.boundary_value
+        assert problem.subsolution[-1] == pytest.approx(
+            problem.phi[-1]
         )
-        assert np.all(problem.radial.subsolution_M >= problem.radial.psi - 1e-12)
+        assert np.all(problem.subsolution_M >= problem.psi - 1e-12)
 
 
 class TestBuild:
@@ -221,12 +221,12 @@ class TestBuild:
         monkeypatch.setattr(problems, "eigvals_batch", lambda m: calls.append(1) or eigvals_batch(m))
         monkeypatch.setattr(problems, "product_batch",
                             lambda *a: products.append(1) or product_batch(*a))
-        default = build_problem(parse_document(POLY_BOX)).box
+        default = build_problem(parse_document(POLY_BOX))
         assert len(calls) == 1 and len(products) == 1
         target = POLY_BOX.split("[solution]\n")[1].split("[psi]")[0]
-        explicit = build_problem(parse_document(POLY_BOX + "[subsolution]\n" + target)).box
+        explicit = build_problem(parse_document(POLY_BOX + "[subsolution]\n" + target))
         assert len(calls) == 3 and len(products) == 3
-        for name in ("psi", "phi", "subsolution", "subsolution_M", "reference"):
+        for name in ("psi", "phi", "subsolution", "subsolution_M"):
             assert getattr(default, name).tobytes() == getattr(explicit, name).tobytes()
 
     def test_sweep_levels(self):

@@ -5,8 +5,9 @@
 Each argument is a ``src`` directory holding the ``garding`` package, for
 example ``src`` of this checkout and ``src`` of a ``git archive`` of its
 parent commit.  Every run in ``RUNS`` calls ``python -m garding.cli`` with
-``--seed 1`` and ``PYTHONPATH`` set to one tree, on the spec files of this
-checkout.  The exit status, standard output, standard error, ``report.txt``
+``--seed 1`` and ``PYTHONPATH`` set to one tree, on a spec file of this
+checkout.  A run with extra spec text appends it to a copy of the spec in the
+temporary directory; both trees read that one copy.  The exit status, standard output, standard error, ``report.txt``
 and ``fields.csv`` of each run are compared byte for byte.  Prints IDENTICAL and
 exits 0, or names each run and output that differs and exits 1.
 """
@@ -21,7 +22,11 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RUNS = (
+# spec text appended to bench/specs/box-n2-p1-r9.spec: a start other than
+# the subsolution, and a subsolution above psi but off phi on the boundary
+INIT = "[init]\nbuiltin = quadratic\ncoeff = 0.8\n"
+OFF_BOUNDARY = "[subsolution]\nbuiltin = quadratic\ncoeff = 5\n"
+RUNS = (  # (mode, spec, appended spec text)
     ("solve", "specs/box-n2-p1.spec"),
     ("solve", "specs/radial-n3-p2.spec"),
     ("solve", "specs/radial-n3-p2-march.spec"),
@@ -32,15 +37,31 @@ RUNS = (
     ("refine-sweep", "specs/radial-n3-p2.spec"),
     ("verify-subsolution", "specs/radial-n3-p2-march.spec"),
     ("check-operator", "specs/box-n2-p1.spec"),
+    ("solve", "bench/specs/box-n2-p1-r9.spec", INIT),
+    ("solve", "bench/specs/box-n2-p1-r9.spec", OFF_BOUNDARY),
+    ("verify-subsolution", "bench/specs/box-n2-p1-r9.spec", OFF_BOUNDARY),
+    ("refine-sweep", "bench/specs/box-n2-p1-r9.spec", "[sweep]\nresolutions = 9, 11\n"),
 )
 FILES = ("report.txt", "fields.csv")
 
 
-def outputs(src: Path, mode: str, spec: str, out: Path) -> dict:
+def spec_file(spec: str, extra: str, tmp: Path) -> Path:
+    """The spec a run reads: this checkout's file, or a copy of it with
+    ``extra`` appended, under ``tmp`` with the same file name (the report
+    records it)."""
+    if not extra:
+        return ROOT / spec
+    tmp.mkdir()
+    path = tmp / Path(spec).name
+    path.write_text((ROOT / spec).read_text() + "\n" + extra)
+    return path
+
+
+def outputs(src: Path, mode: str, spec: Path, out: Path) -> dict:
     """{output name: bytes, or None when the run wrote no such file}."""
     out.mkdir()
     done = subprocess.run(
-        [sys.executable, "-m", "garding.cli", "--mode", mode, "--spec", str(ROOT / spec),
+        [sys.executable, "-m", "garding.cli", "--mode", mode, "--spec", str(spec),
          "--out", str(out), "--seed", "1"],
         env=dict(os.environ, PYTHONPATH=str(src)), cwd=out, capture_output=True, check=False)
     found = {"exit status": str(done.returncode).encode(), "stdout": done.stdout,
@@ -57,11 +78,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     differ = []
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (mode, spec) in enumerate(RUNS):
-            parent, change = (outputs(src.resolve(), mode, spec, Path(tmp) / f"{side}-{i}")
+        for i, (mode, spec, *extra) in enumerate(RUNS):
+            extra = "".join(extra)
+            path = spec_file(spec, extra, Path(tmp) / f"spec-{i}")
+            parent, change = (outputs(src.resolve(), mode, path, Path(tmp) / f"{side}-{i}")
                               for side, src in (("parent", args.parent_src),
                                                 ("change", args.change_src)))
-            differ += [f"{mode} {spec}: {name} differs" for name in parent
+            run = f"{mode} {spec}" + (f" + {extra.splitlines()[0]}" if extra else "")
+            differ += [f"{run}: {name} differs" for name in parent
                        if parent[name] != change[name]]
     print("\n".join(differ) or "IDENTICAL")
     return 1 if differ else 0

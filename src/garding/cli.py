@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,6 +83,12 @@ class RunConfig:
             raise errors.ValidationError("trials", f"need at least one trial, got {self.trials}")
         if self.seed < 0:
             raise errors.ValidationError("seed", f"seed must be >= 0, got {self.seed}")
+        # checked before any build: a solve would otherwise die in mkdir at its end
+        existing = next(p for p in (self.out_dir, *self.out_dir.parents) if os.path.lexists(p))
+        if not existing.is_dir():
+            raise errors.ValidationError(
+                "out", f"output directory {self.out_dir}: {existing} is not a directory"
+            )
 
 
 def _newton_tol(doc, config: RunConfig) -> float | None:

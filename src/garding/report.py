@@ -4,7 +4,11 @@ Reports pair a human-readable summary with a machine-readable
 ``[key_values]`` block (sorted ``key = value`` lines, floats via repr), and
 contain no timestamps or timings, so identical inputs produce byte-identical
 files.  CSV dumps carry one row per grid node; cone margin and residual
-columns are empty on boundary nodes, where they are not defined.
+columns are empty on boundary nodes, where they are not defined.  The CSV is
+built CSV_CHUNK rows at a time from NumPy and ``str.join`` calls: each
+distinct float of a chunk (by bit pattern) is formatted by repr once, which
+pays off because boundary nodes carry the Dirichlet data, the targets are
+mirror-symmetric and converged residuals take few values.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .problems import ProblemSpec
 from .solver import SolveDiagnostics
 
 CSV_FORMAT_VERSION = 1
-CSV_CHUNK = 1 << 12  # array entries made into one Python list at a time
+CSV_CHUNK = 1 << 12  # rows made into Python lists, and written, at a time
 REPORT_FORMAT_VERSION = 1
 
 
@@ -83,12 +87,24 @@ def diagnostics_into(report: Report, diag: SolveDiagnostics) -> None:
                 f"boundary trace {diag.c0_boundary:.6f}; K {diag.K:.6f}")
 
 
-def _items(a: np.ndarray):
-    """The entries of ``a`` in C order as Python scalars, CSV_CHUNK at a time,
-    so no list spans the grid."""
-    flat = a.reshape(-1)
-    for start in range(0, flat.size, CSV_CHUNK):
-        yield from flat[start:start + CSV_CHUNK].tolist()
+def _reprs(values: np.ndarray, end: str) -> np.ndarray:
+    """repr of each float64 entry followed by ``end``, as an object array,
+    with each distinct bit pattern formatted once.  Uniqueness is taken on
+    the int64 view, so -0.0 stays apart from 0.0 (float equality would merge
+    them)."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = [repr(x) + end for x in bits.view(np.float64).tolist()]
+    return np.array(texts, dtype=object)[inverse]
+
+
+def _coordinate_tables(axes: list) -> list:
+    """Coordinate cells of the leading and of the trailing axes (one table
+    for a single axis), each joined and followed by a comma: a node's
+    coordinates are one entry of each table."""
+    texts = [list(map(repr, c.tolist())) for c in axes]
+    half = (len(texts) + 1) // 2
+    return [np.array([",".join(p) + "," for p in itertools.product(*group)], dtype=object)
+            for group in (texts[:half], texts[half:]) if group]
 
 
 def write_solution_csv(path, problem: ProblemSpec, u: np.ndarray, diag: SolveDiagnostics) -> None:
@@ -97,6 +113,10 @@ def write_solution_csv(path, problem: ProblemSpec, u: np.ndarray, diag: SolveDia
     The margins and residuals are the solve's own, carried on ``diag``.
     Rows are in C order with every float written as its repr and ``\\r\\n``
     line ends, byte for byte what ``csv.writer`` writes for the same rows.
+    The rows are made and written CSV_CHUNK at a time, so no list spans the
+    grid.  Within a chunk each float column is formatted once per distinct
+    value, and the cells, each ending in its separator, are joined by one
+    ``str.join``: no Python code runs per row.
     """
     grid = problem.grid
     if problem.geometry == "box":
@@ -108,13 +128,27 @@ def write_solution_csv(path, problem: ProblemSpec, u: np.ndarray, diag: SolveDia
         names = ["s"]
         axes = [grid.s]
     names += ["u", "cone_margin", "ftilde_residual"]
-    # coordinate strings are made once per axis, not once per node
-    prefixes = map(",".join, itertools.product(*[list(map(repr, c.tolist())) for c in axes]))
-    mask = ~grid.boundary_mask()
-    tails = (f",{margin!r},{residual!r}" for margin, residual in
-             zip(_items(diag.node_margins), _items(diag.node_residual)))
+    tables = _coordinate_tables(axes)
+    inside = ~grid.boundary_mask().reshape(-1)
+    values = np.asarray(u, dtype=np.float64).reshape(-1)
+    margins = np.asarray(diag.node_margins, dtype=np.float64).reshape(-1)
+    residuals = np.asarray(diag.node_residual, dtype=np.float64).reshape(-1)
     with open(path, "w", newline="") as handle:
         handle.write(f"csv_format_version={CSV_FORMAT_VERSION}" + "," * (len(names) - 1) + "\r\n")
         handle.write(",".join(names) + "\r\n")
-        handle.writelines(f"{prefix},{value!r}{next(tails) if inside else ',,'}\r\n"
-                          for value, inside, prefix in zip(_items(u), _items(mask), prefixes))
+        first = 0  # interior entries written so far
+        for start in range(0, values.size, CSV_CHUNK):
+            stop = min(start + CSV_CHUNK, values.size)
+            rows_inside = inside[start:stop]
+            last = first + int(np.count_nonzero(rows_inside))
+            cells = np.empty((stop - start, len(tables) + 3), dtype=object)
+            nodes = np.unravel_index(np.arange(start, stop), [len(t) for t in tables])
+            for column, (table, i) in enumerate(zip(tables, nodes)):
+                cells[:, column] = table[i]
+            cells[:, -3] = _reprs(values[start:stop], ",")
+            cells[:, -2] = ","  # empty margin and residual cells off the interior
+            cells[:, -1] = "\r\n"
+            cells[rows_inside, -2] = _reprs(margins[first:last], ",")
+            cells[rows_inside, -1] = _reprs(residuals[first:last], "\r\n")
+            first = last
+            handle.write("".join(cells.ravel().tolist()))

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -268,6 +269,54 @@ class TestSolutionCsv:
                 tracemalloc.stop()
         assert peaks[0] < peaks[1] / 4
 
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 30])
+    @pytest.mark.parametrize("spec_text", [RADIAL_SPEC, BOX_SPEC], ids=["radial", "box"])
+    def test_edge_values_match_the_reference(self, tmp_path, monkeypatch, spec_text, chunk):
+        # signed zeros side by side, NaNs of two payloads and both signs, the
+        # infinities, the least subnormal and last-bit neighbours in every chunk
+        problem = build_problem(parse_document(spec_text))
+        monkeypatch.setattr(garding.report, "CSV_CHUNK", chunk)
+        rng = np.random.default_rng(3)
+        fields = [rng.choice(EDGE_VALUES, size=shape)
+                  for shape in (problem.phi.shape, problem.psi.shape, problem.psi.shape)]
+        for values in fields:
+            values.reshape(-1)[:EDGE_VALUES.size] = EDGE_VALUES
+        assert_csv_matches_reference(tmp_path / "fields.csv", problem, *fields)
+
+    @pytest.mark.parametrize("spec_text", [RADIAL_SPEC, BOX_SPEC], ids=["radial", "box"])
+    @given(pool=st.lists(st.integers(-(1 << 63), (1 << 63) - 1), min_size=1, max_size=12),
+           seed=st.integers(0, 1 << 32), chunk=st.sampled_from([1, 7, 64, 4096]))
+    @settings(max_examples=12, deadline=None, database=None, derandomize=True)
+    def test_drawn_bit_patterns_match_the_reference(self, spec_text, pool, seed, chunk):
+        # few drawn bit patterns spread over the grid, so values repeat within
+        # a chunk as the solve's do; any pattern may be a NaN or a subnormal
+        problem = build_problem(parse_document(spec_text))
+        values = np.concatenate([np.array(pool, dtype=np.int64).view(np.float64), EDGE_VALUES])
+        rng = np.random.default_rng(seed)
+        fields = [rng.choice(values, size=shape)
+                  for shape in (problem.phi.shape, problem.psi.shape, problem.psi.shape)]
+        with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+            patch.setattr(garding.report, "CSV_CHUNK", chunk)
+            assert_csv_matches_reference(Path(tmp) / "fields.csv", problem, *fields)
+
+
+_EDGE_BITS = [0x7FF8000000000001, 0xFFF0000000000002]  # NaNs: quiet and signalling payloads
+EDGE_VALUES = np.concatenate([
+    np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.0, np.nextafter(1.0, 2.0),
+              0.1, np.nextafter(0.1, 1.0), -2.5e-308, np.nextafter(-2.5e-308, 0.0), np.nan]),
+    np.array(_EDGE_BITS, dtype=np.uint64).view(np.float64),
+])
+
+
+def assert_csv_matches_reference(path, problem, u, margins, residuals):
+    """Write ``u`` with the crafted margins and residuals and compare the rows
+    byte for byte with ``csv.writer`` applied to the per-node reference."""
+    diag = types.SimpleNamespace(node_margins=margins, node_residual=residuals)
+    write_solution_csv(path, problem, u, diag)
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows(reference_csv_rows(problem, u, diag))
+    assert path.read_bytes().split(b"\r\n", 2)[2] == expected.getvalue().encode()
+
 
 class TestVerifyMode:
     def test_valid_subsolution(self, tmp_path):
@@ -478,6 +527,31 @@ class TestValidationFailures:
         config = cli.RunConfig(mode="bogus", spec_path=spec, out_dir=tmp_path / "out")
         assert cli.run(config) == 2
         assert "validation error: mode: unknown mode 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("below", ["", "sub/dir"], ids=["file", "under-a-file"])
+    @pytest.mark.parametrize("mode", cli.MODES)
+    def test_an_out_that_is_not_a_directory_exits_2_first(self, tmp_path, monkeypatch, capsys,
+                                                           mode, below):
+        # a solve ran to its end, then died in mkdir with FileExistsError (exit 1)
+        def never(*args, **kwargs):
+            raise AssertionError(f"{mode} ran before the --out check")
+
+        for name in ("build_problem", "continuity_solve", "structure_check"):
+            monkeypatch.setattr(cli, name, never)
+        taken = write(tmp_path, "taken", "a file\n")
+        out = taken / below if below else taken
+        spec = write(tmp_path, "case.spec", RADIAL_SWEEP)
+        assert main(["--mode", mode, "--spec", str(spec), "--out", str(out)]) == 2
+        assert (f"validation error: out: output directory {out}: {taken} is not a directory"
+                in capsys.readouterr().err)
+        assert taken.read_text() == "a file\n"
+
+    def test_an_out_through_a_dangling_link_exits_2(self, tmp_path, capsys):
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "missing")
+        spec = write(tmp_path, "case.spec", RADIAL_SPEC)
+        assert main(["--mode", "solve", "--spec", str(spec), "--out", str(link / "out")]) == 2
+        assert f"{link} is not a directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section", ["solution", "subsolution", "init"])
     @pytest.mark.parametrize("exponent", ["1.5", "-1"])

@@ -99,8 +99,8 @@ def _reprs(values: np.ndarray, end: str) -> np.ndarray:
 
 def _coordinate_tables(axes: list) -> list:
     """Coordinate cells of the leading and of the trailing axes (one table
-    for a single axis), each joined and followed by a comma: a node's
-    coordinates are one entry of each table."""
+    for the radial grid's single axis), each joined and followed by a comma:
+    a node's coordinates are one entry of each table."""
     texts = [list(map(repr, c.tolist())) for c in axes]
     half = (len(texts) + 1) // 2
     return [np.array([",".join(p) + "," for p in itertools.product(*group)], dtype=object)
@@ -116,7 +116,7 @@ def write_solution_csv(path, problem: ProblemSpec, u: np.ndarray, diag: SolveDia
     The rows are made and written CSV_CHUNK at a time, so no list spans the
     grid.  Within a chunk each float column is formatted once per distinct
     value, and the cells, each ending in its separator, are joined by one
-    ``str.join``: no Python code runs per row.
+    ``str.join``: Python code runs per distinct value, never per row.
     """
     grid = problem.grid
     if problem.geometry == "box":

@@ -22,7 +22,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -176,22 +176,16 @@ def _run_check_operator(doc, config: RunConfig) -> int:
 
 
 def _run_refine_sweep(doc, config: RunConfig) -> int:
-    if doc.sweep is None:
+    if not doc.sweep:
         raise errors.ValidationError("sweep", "refine-sweep needs a [sweep] section")
-    from dataclasses import replace
-
     levels = []
-    for level in doc.sweep:
-        if doc.geometry == "box":
-            level_doc = replace(doc, box_resolution=int(level))
-        else:
-            level_doc = replace(doc, points=int(level))
-        problem = build_problem(level_doc)
+    for grid in doc.sweep:
+        problem = build_problem(replace(doc, grid=grid))
         u, diag = continuity_solve(problem, newton_tol=_newton_tol(doc, config))
         levels.append((problem, u, diag))
     rows = c2_ratio_monitor([(p, u) for p, u, _ in levels])
     report = _base_report("garding refinement sweep report", config, doc)
-    report.record("levels", tuple(int(x) for x in doc.sweep))
+    report.record("levels", tuple(grid.shape[0] for grid in doc.sweep))
     for row, (problem, u, diag) in zip(rows, levels):
         tag = row.label.replace(" ", "_")
         report.record(f"{tag}_spacing", row.spacing)

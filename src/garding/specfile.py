@@ -5,14 +5,20 @@ Plain UTF-8 ``key = value`` lines grouped under ``[section]`` headers;
 versioned by a top-level ``format_version = 1`` key.  No expression
 language: analytic data comes from named built-in families.
 
+``parse_document`` checks every spec value, so every mode rejects the same
+specs: it builds the ``BoxGrid`` or ``RadialGrid`` of the domain and of each
+``[sweep]`` level, whose constructors own the grid checks, and the builder
+of each family, which rejects a family the geometry lacks.  Only the checks
+on built arrays (finite, within MAGNITUDE_BOUND) wait for ``build_problem``.
+
 Sections
 --------
 [problem]       n, p (at most MAX_SUBSETS p-subsets), geometry (box | radial),
                 optional label
 [box]           extent (2n lo, hi pairs flattened), resolution (odd, >= 9;
                 resolution^2n at most MAX_NODES)
-[radial]        radius, points (within MAX_NODES and MAX_RADIAL_ENTRIES),
-                chi (scalar c for chi = c * identity)
+[radial]        radius (in (0, 2^500]), points (>= 9, within MAX_NODES and
+                MAX_RADIAL_ENTRIES), chi (scalar c for chi = c * identity)
 [chi]           box only: diag = comma-separated reals (constant diagonal)
 [solution]      analytic target: builtin = quadratic | polynomial |
                 radial-power | radial-poly, plus family parameters; also
@@ -26,25 +32,26 @@ Sections
 
 Families: ``quadratic`` (coeff c: c |z|^2 on boxes, profile c s radially),
 ``polynomial`` (terms = k, then term_1..term_k = coeff, e_1..e_2n; e_i in 0, 1, ...),
-``radial-power`` (power k, scale a: a s^k / k), ``radial-poly``
+``radial-power`` (power k <= MAX_POWER, scale a: a s^k / k), ``radial-poly``
 (coeffs = c_0, c_1, ...: sum c_j s^j).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analytic import Polynomial, RadialProfile, norm_squared, radial_power
 from .errors import ParseError, ValidationError
 from .grid import BoxGrid
-from .operator import MAGNITUDE_BOUND, MAX_NODES, MAX_RADIAL_ENTRIES, MAX_SUBSETS, OperatorParams
+from .operator import MAX_NODES, MAX_RADIAL_ENTRIES, MAX_SUBSETS, OperatorParams
 from .problems import ProblemSpec, _finite, manufactured_box, manufactured_radial
 from .radial import RadialGrid
 
 FORMAT_VERSION = 1
+MAX_POWER = 1024  # a radial-power profile keeps power + 1 dense coefficients
 
 
 @dataclass(frozen=True)
@@ -63,15 +70,13 @@ class FunctionSpec:
 
 @dataclass(frozen=True)
 class SpecDocument:
-    format_version: int
+    """A parsed spec: its domain is the grid it was checked as."""
+
     n: int
     p: int
     geometry: str
+    grid: BoxGrid | RadialGrid
     label: str = ""
-    box_extent: tuple | None = None
-    box_resolution: int | None = None
-    radius: float | None = None
-    points: int | None = None
     chi_scalar: float | None = None
     chi_diag: tuple | None = None
     solution: FunctionSpec | None = None
@@ -81,7 +86,7 @@ class SpecDocument:
     psi_bump_factor: float = 1.0
     init: FunctionSpec | None = None
     newton_tol: float | None = None
-    sweep: tuple | None = None
+    sweep: tuple = ()  # the [sweep] level grids
 
 
 def _parse_number(token: str, line: int) -> float:
@@ -189,10 +194,16 @@ def parse_document(text: str) -> SpecDocument:
         raise ValidationError("geometry", f"unknown geometry {geometry!r}")
     label = data["problem"].get("label", "")
 
-    box_extent = box_resolution = None
-    radius = points = chi_scalar = None
-    chi_diag = None
-    if geometry == "box":
+    box = geometry == "box"
+
+    def grid_size(section, key, field=None, value=None):
+        """A whole-number grid size within the node caps; the grid checks the rest."""
+        size = integer(section, key, 1, field, value)
+        _check_grid(field or key, size, n, subsets, box)
+        return size
+
+    chi_scalar = chi_diag = None
+    if box:
         flat = array("box", "extent")
         if flat is None:
             raise ValidationError("extent", "missing from [box]")
@@ -200,15 +211,7 @@ def parse_document(text: str) -> SpecDocument:
             raise ValidationError(
                 "extent", f"expected {4 * n} numbers (lo, hi per real axis), got {len(flat)}"
             )
-        box_extent = tuple(
-            (float(flat[2 * i]), float(flat[2 * i + 1])) for i in range(2 * n)
-        )
-        box_resolution = integer("box", "resolution", 9)
-        if box_resolution % 2 == 0:
-            raise ValidationError(
-                "resolution", f"resolution must be odd and >= 9, got {box_resolution}"
-            )
-        _check_grid("resolution", box_resolution, n, subsets, box=True)
+        grid = BoxGrid(n, tuple(zip(flat[::2], flat[1::2])), grid_size("box", "resolution"))
         diag = array("chi", "diag")
         if diag is not None:
             if len(diag) != n:
@@ -216,10 +219,7 @@ def parse_document(text: str) -> SpecDocument:
             chi_diag = tuple(float(x) for x in diag)
     else:
         radius = number("radial", "radius", required=True)
-        if radius > MAGNITUDE_BOUND:  # radius^2 is the grid's s_max
-            raise ValidationError("radius", f"radius must be at most 2^500, got {radius}")
-        points = integer("radial", "points", 1)
-        _check_grid("points", points, n, subsets, box=False)
+        grid = RadialGrid(radius, grid_size("radial", "points"))
         chi_scalar = number("radial", "chi", default=0.0)
 
     def function_spec(section) -> FunctionSpec | None:
@@ -234,7 +234,10 @@ def parse_document(text: str) -> SpecDocument:
         if builtin == "quadratic":
             params.append(("coeff", number(section, "coeff", default=1.0)))
         elif builtin == "radial-power":
-            params.append(("power", float(integer(section, "power", 1, section))))
+            power = integer(section, "power", 1, section)
+            if power > MAX_POWER:
+                raise ValidationError(section, f"power must be at most {MAX_POWER}, got {power}")
+            params.append(("power", float(power)))
             params.append(("scale", number(section, "scale", default=1.0)))
         elif builtin == "radial-poly":
             coeffs = array(section, "coeffs")
@@ -254,7 +257,10 @@ def parse_document(text: str) -> SpecDocument:
             params.append(("terms", tuple(terms)))
         else:
             raise ValidationError(section, f"unknown builtin {builtin!r}")
-        return FunctionSpec(builtin=builtin, params=tuple(params))
+        spec = FunctionSpec(builtin=builtin, params=tuple(params))
+        # the builder rejects a family the geometry lacks
+        _box_function(spec, n) if box else _radial_function(spec)
+        return spec
 
     solution = function_spec("solution")
     if solution is None:
@@ -262,15 +268,14 @@ def parse_document(text: str) -> SpecDocument:
     subsolution = function_spec("subsolution")
     init = function_spec("init")
 
-    sweep = None
-    sweep_key = "resolutions" if geometry == "box" else "points"
+    sweep = ()
+    size_key, sweep_key = ("resolution", "resolutions") if box else ("points", "points")
     levels = array("sweep", sweep_key)
     if levels is not None:
-        sweep = tuple(integer("sweep", sweep_key, 1, "sweep", x) for x in levels)
-        for level in sweep:
-            _check_grid("sweep", level, n, subsets, box=geometry == "box")
-        if len(sweep) < 2:
+        if len(levels) < 2:
             raise ValidationError("sweep", "need at least two levels")
+        sweep = tuple(replace(grid, **{size_key: grid_size("sweep", sweep_key, "sweep", x)})
+                      for x in levels)
 
     psi_scale = number("psi", "scale", default=1.0)
     if psi_scale <= 0.0:
@@ -280,8 +285,8 @@ def parse_document(text: str) -> SpecDocument:
     if bump is not None:
         # interior nodes: 1..res-2 per box axis, collocation nodes 0..points-2,
         # on the coarsest grid the document describes
-        expected, lo = (2 * n, 1) if geometry == "box" else (1, 0)
-        hi = min((box_resolution or points, *(sweep or ()))) - 2
+        expected, lo = (2 * n, 1) if box else (1, 0)
+        hi = min(g.shape[0] for g in (grid, *sweep)) - 2
         if len(bump) != expected:
             raise ValidationError("psi", f"bump_node needs {expected} indices")
         if not all(b == int(b) and lo <= b <= hi for b in bump):
@@ -303,15 +308,11 @@ def parse_document(text: str) -> SpecDocument:
         raise ValidationError("newton_tol", f"tolerance must be finite and positive, got {newton_tol}")
 
     return SpecDocument(
-        format_version=FORMAT_VERSION,
         n=n,
         p=p,
         geometry=geometry,
+        grid=grid,
         label=label,
-        box_extent=box_extent,
-        box_resolution=box_resolution,
-        radius=radius,
-        points=points,
         chi_scalar=chi_scalar,
         chi_diag=chi_diag,
         solution=solution,
@@ -347,7 +348,7 @@ def _emit_function(name: str, spec: FunctionSpec, out: list) -> None:
 
 
 def emit_document(doc: SpecDocument) -> str:
-    out = [f"format_version = {doc.format_version}", ""]
+    out = [f"format_version = {FORMAT_VERSION}", ""]
     out.append("[problem]")
     out.append(f"n = {doc.n}")
     out.append(f"p = {doc.p}")
@@ -357,9 +358,9 @@ def emit_document(doc: SpecDocument) -> str:
     out.append("")
     if doc.geometry == "box":
         out.append("[box]")
-        flat = tuple(x for pair in doc.box_extent for x in pair)
+        flat = tuple(x for pair in doc.grid.extent for x in pair)
         out.append(f"extent = {_format_value(flat)}")
-        out.append(f"resolution = {doc.box_resolution}")
+        out.append(f"resolution = {doc.grid.resolution}")
         out.append("")
         if doc.chi_diag is not None:
             out.append("[chi]")
@@ -367,8 +368,8 @@ def emit_document(doc: SpecDocument) -> str:
             out.append("")
     else:
         out.append("[radial]")
-        out.append(f"radius = {_format_value(doc.radius)}")
-        out.append(f"points = {doc.points}")
+        out.append(f"radius = {_format_value(doc.grid.radius)}")
+        out.append(f"points = {doc.grid.points}")
         out.append(f"chi = {_format_value(doc.chi_scalar)}")
         out.append("")
     _emit_function("solution", doc.solution, out)
@@ -388,10 +389,10 @@ def emit_document(doc: SpecDocument) -> str:
         out.append("[solve]")
         out.append(f"newton_tol = {_format_value(doc.newton_tol)}")
         out.append("")
-    if doc.sweep is not None:
+    if doc.sweep:
         out.append("[sweep]")
         key = "resolutions" if doc.geometry == "box" else "points"
-        out.append(f"{key} = {_format_value(doc.sweep)}")
+        out.append(f"{key} = {_format_value(tuple(g.shape[0] for g in doc.sweep))}")
         out.append("")
     return "\n".join(out).rstrip() + "\n"
 
@@ -424,17 +425,16 @@ def build_problem(doc: SpecDocument) -> ProblemSpec:
     psi = {"psi_scale": doc.psi_scale, "psi_bump_node": doc.psi_bump_node,
            "psi_bump_factor": doc.psi_bump_factor}
     if doc.geometry == "box":
-        grid = BoxGrid(doc.n, doc.box_extent, doc.box_resolution)
         chi = np.zeros((doc.n, doc.n), dtype=np.complex128)
         if doc.chi_diag is not None:
             chi = np.diag(np.asarray(doc.chi_diag, dtype=np.complex128))
         target = _box_function(doc.solution, doc.n)
         sub = None if doc.subsolution is None else _box_function(doc.subsolution, doc.n)
-        return manufactured_box(target, chi, params, grid, subsolution=sub, **psi)
-    grid = RadialGrid(doc.radius, doc.points)
+        return manufactured_box(target, chi, params, doc.grid, subsolution=sub, **psi)
     target = _radial_function(doc.solution)
     sub = None if doc.subsolution is None else _radial_function(doc.subsolution)
-    return manufactured_radial(target, doc.chi_scalar, params, grid, subsolution_profile=sub, **psi)
+    return manufactured_radial(target, doc.chi_scalar, params, doc.grid,
+                               subsolution_profile=sub, **psi)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow raises ValidationError below

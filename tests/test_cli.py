@@ -657,6 +657,11 @@ class TestValidationFailures:
     NEAR_FLOAT_RANGE = BOX_SPEC.replace("p = 1", "p = 2").replace(
         "coeff = 1.0", "coeff = -3.08e132") + "[chi]\ndiag = 3.43e299, 3.43e299\n"
 
+    # checks on built arrays: only a solve builds and checks every one of them
+    BUILT_ARRAY_ROWS = {"chi-beyond-the-magnitude-bound", "box-init-overflow",
+                        "box-init-beyond-the-magnitude-bound",
+                        "radial-init-beyond-the-magnitude-bound"}
+
     @pytest.mark.parametrize("spec, field", [
         pytest.param(BOX_SPEC + "= 3\n", "empty key", id="empty-key"),
         pytest.param(BOX_SPEC.replace("n = 2\n", ""), "n", id="missing-n"),
@@ -695,16 +700,31 @@ class TestValidationFailures:
                      id="radial-init-beyond-the-magnitude-bound"),
         pytest.param(RADIAL_SPEC.replace("radius = 1.0", "radius = 1e200"), "radius",
                      id="radius-squared-overflow"),
+        pytest.param(RADIAL_SPEC.replace("radius = 1.0", "radius = -1"), "radius",
+                     id="negative-radius"),
+        pytest.param(BOX_SPEC.replace("extent = -1, 1,", "extent = 1, -1,"), "extent",
+                     id="empty-extent-interval"),
+        pytest.param(BOX_SPEC + "[sweep]\nresolutions = 9, 10\n", "resolution",
+                     id="even-sweep-resolution"),
+        pytest.param(RADIAL_SPEC + "[sweep]\npoints = 5, 201\n", "points",
+                     id="radial-sweep-level-below-the-minimum"),
+        pytest.param(RADIAL_SPEC.replace("power = 2", "power = 1e30"), "solution",
+                     id="radial-power-above-the-cap"),
     ])
-    def test_rejected_spec_names_the_field(self, tmp_path, capsys, spec, field):
-        status, _ = run_cli(tmp_path, spec, "solve")
-        assert status == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        if field == "empty key":  # a ParseError names the line instead
-            assert err.startswith("validation error: line 12: empty key")
-        else:
-            assert err.startswith(f"validation error: {field}: ")
+    def test_rejected_spec_names_the_field(self, tmp_path, capsys, request, spec, field):
+        # the parser checks every spec value, so every mode rejects the spec alike
+        modes = [["solve"], ["verify-subsolution"], ["check-operator", "--trials", "10"]]
+        if request.node.callspec.id in self.BUILT_ARRAY_ROWS:
+            modes = modes[:1]
+        for mode, *extra in modes:
+            status, _ = run_cli(tmp_path, spec, mode, extra=extra)
+            assert status == 2, mode
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            if field == "empty key":  # a ParseError names the line instead
+                assert err.startswith("validation error: line 12: empty key")
+            else:
+                assert err.startswith(f"validation error: {field}: "), (mode, err)
 
     def test_chi_within_the_magnitude_bound_solves(self, tmp_path):
         # RuntimeWarning is an error under the test settings

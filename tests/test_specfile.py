@@ -1,4 +1,6 @@
+import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from garding.errors import ParseError, ValidationError
+from garding.errors import NotAdmissible, ParseError, ValidationError
 from garding.problems import manufactured_radial
 from garding.radial import RadialGrid
 from garding.analytic import radial_power
@@ -231,7 +233,7 @@ class TestBuild:
 
     def test_sweep_levels(self):
         doc = parse_document(POLY_BOX)
-        assert doc.sweep == (9, 13)
+        assert [grid.resolution for grid in doc.sweep] == [9, 13]
 
     def test_solve_overrides_preserved(self):
         doc = parse_document(POLY_BOX)
@@ -291,9 +293,7 @@ def replace_numbers(text: str, tokens: dict) -> tuple:
 )
 def test_shipped_grids_are_within_the_node_cap(path):
     doc = parse_document(path.read_text())
-    sizes = (doc.points,) if doc.geometry == "radial" else (doc.box_resolution,)
-    dims = 1 if doc.geometry == "radial" else 2 * doc.n
-    assert max(level**dims for level in sizes + (doc.sweep or ())) <= MAX_NODES
+    assert max(math.prod(grid.shape) for grid in (doc.grid, *doc.sweep)) <= MAX_NODES
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SPEC_DIR.glob("*.spec")))
@@ -311,3 +311,30 @@ def test_parse_document_raises_only_spec_errors(name, data):
         return
     assert isinstance(doc, SpecDocument)
     assert parse_document(emit_document(doc)) == doc
+
+
+# the fields of spec values; a build that names one has checked a value the
+# parser accepted
+SPEC_VALUE_FIELDS = {"extent", "resolution", "radius", "points", "builtin", "sweep"}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SPEC_DIR.glob("*.spec")))
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_build_checks_no_spec_value_the_parser_accepted(name, data):
+    text = (SPEC_DIR / name).read_text()
+    slots = replace_numbers(text, {})[1]
+    tokens = data.draw(
+        st.dictionaries(st.integers(0, slots - 1), TOKENS, min_size=1, max_size=3)
+    )
+    try:
+        doc = parse_document(replace_numbers(text, tokens)[0])
+    except (ParseError, ValidationError):
+        return
+    for grid in (doc.grid, *doc.sweep):  # as refine-sweep builds each level
+        try:
+            build_problem(replace(doc, grid=grid))
+        except NotAdmissible:
+            pass
+        except ValidationError as exc:
+            assert exc.field not in SPEC_VALUE_FIELDS, exc

@@ -22,9 +22,11 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# spec text appended to bench/specs/box-n2-p1-r9.spec: a start other than
-# the subsolution, and a subsolution above psi but off phi on the boundary
+# spec text appended to bench/specs/box-n2-p1-r9.spec: starts other than
+# the subsolution (at coeff 0.5 the mean axis stencil's weights are uneven
+# across rows), and a subsolution above psi but off phi on the boundary
 INIT = "[init]\nbuiltin = quadratic\ncoeff = 0.8\n"
+UNEVEN_INIT = "[init]\nbuiltin = quadratic\ncoeff = 0.5\n"
 OFF_BOUNDARY = "[subsolution]\nbuiltin = quadratic\ncoeff = 5\n"
 RUNS = (  # (mode, spec, appended spec text)
     ("solve", "specs/box-n2-p1.spec"),
@@ -38,6 +40,7 @@ RUNS = (  # (mode, spec, appended spec text)
     ("verify-subsolution", "specs/radial-n3-p2-march.spec"),
     ("check-operator", "specs/box-n2-p1.spec"),
     ("solve", "bench/specs/box-n2-p1-r9.spec", INIT),
+    ("solve", "bench/specs/box-n2-p1-r9.spec", UNEVEN_INIT),
     ("solve", "bench/specs/box-n2-p1-r9.spec", OFF_BOUNDARY),
     ("verify-subsolution", "bench/specs/box-n2-p1-r9.spec", OFF_BOUNDARY),
     ("refine-sweep", "bench/specs/box-n2-p1-r9.spec", "[sweep]\nresolutions = 9, 11\n"),
@@ -84,7 +87,7 @@ def main(argv=None) -> int:
             parent, change = (outputs(src.resolve(), mode, path, Path(tmp) / f"{side}-{i}")
                               for side, src in (("parent", args.parent_src),
                                                 ("change", args.change_src)))
-            run = f"{mode} {spec}" + (f" + {extra.splitlines()[0]}" if extra else "")
+            run = f"{mode} {spec}" + (f" + {'; '.join(extra.splitlines())}" if extra else "")
             differ += [f"{run}: {name} differs" for name in parent
                        if parent[name] != change[name]]
     print("\n".join(differ) or "IDENTICAL")

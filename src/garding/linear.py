@@ -319,19 +319,20 @@ def sine_transform(m: int) -> np.ndarray:
 def mean_stencil_inverse(op: StencilOperator):
     """Apply the inverse of ``op``'s mean axis stencil, r -> S (r / lambda) S.
 
-    The mean stencil has the mean centre weight at the centre and, along
-    axis a, the mean axis-a weight over the N (m - 1) / m rows that have a
-    neighbour on the + side.  Its eigenvalues are
-    lambda(k) = d + sum_a 2 c_a cos(pi k_a / (m + 1)).  Raises
-    LinearSolveStalled unless they all have one sign.
+    The mean stencil has the mean centre weight d at the centre and the mean
+    axis-a weight c_a along axis a, each averaged over all rows.  Its
+    eigenvalues are lambda(k) = d + sum_a 2 c_a cos(pi k_a / (m + 1)).  The
+    centre is -2 times the sum of the axis weights at every node, so
+    lambda(k) = -2 sum_a c_a (1 - cos(pi k_a / (m + 1))), negative whenever
+    every c_a is positive.  Raises LinearSolveStalled unless they all have
+    one sign.
     """
     grid = op.grid
     m, ndim = grid.resolution - 2, grid.ndim_real
     cosines = np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
     lam = np.full((m,) * ndim, float(np.mean(op.center)))
     for a, w in enumerate(op.axis):
-        rows = np.broadcast_to(w, grid.interior_shape)[(slice(None),) * a + (slice(0, -1),)]
-        lam += 2.0 * float(rows.mean()) * cosines.reshape((m,) + (1,) * (ndim - 1 - a))
+        lam += 2.0 * float(np.mean(w)) * cosines.reshape((m,) + (1,) * (ndim - 1 - a))
     if not (np.all(lam > 0.0) or np.all(lam < 0.0)):
         raise LinearSolveStalled("mean axis stencil is singular or indefinite; cannot precondition")
     inv_lam = (1.0 / lam).reshape(-1)

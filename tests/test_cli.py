@@ -170,6 +170,15 @@ scale = 0.9
         status, _ = run_cli(tmp_path, spec, "solve")
         assert status == 3
 
+    def test_a_start_with_uneven_axis_weights_solves(self, tmp_path):
+        # the axis weights of this start vary across rows; a mean axis stencil
+        # that left each axis's last row out of the axis means, but not out of
+        # the centre mean, was indefinite here, and the solve exited 3
+        spec = Path(__file__).resolve().parent.parent / "bench" / "specs" / "box-n2-p1-r9.spec"
+        text = spec.read_text() + "\n[init]\nbuiltin = quadratic\ncoeff = 0.5\n"
+        status, _ = run_cli(tmp_path, text, "solve", extra=["--no-csv"])
+        assert status == 0
+
     @pytest.mark.parametrize("mode", ["solve", "verify-subsolution"])
     def test_a_subsolution_off_the_boundary_data_exits_4(self, tmp_path, mode):
         # |z|^2 - 0.5 has the target's Hessian but lies 0.5 below it on the

@@ -296,18 +296,26 @@ def test_shipped_grids_are_within_the_node_cap(path):
     assert max(math.prod(grid.shape) for grid in (doc.grid, *doc.sweep)) <= MAX_NODES
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in SPEC_DIR.glob("*.spec")))
-@settings(max_examples=100, deadline=None, database=None, derandomize=True)
-@given(data=st.data())
-def test_parse_document_raises_only_spec_errors(name, data):
+def drawn_document(name: str, data):
+    """The shipped spec ``name`` with one to three numeric tokens drawn anew,
+    parsed; None when the parser rejects it with a spec error."""
     text = (SPEC_DIR / name).read_text()
     slots = replace_numbers(text, {})[1]
     tokens = data.draw(
         st.dictionaries(st.integers(0, slots - 1), TOKENS, min_size=1, max_size=3)
     )
     try:
-        doc = parse_document(replace_numbers(text, tokens)[0])
+        return parse_document(replace_numbers(text, tokens)[0])
     except (ParseError, ValidationError):
+        return None
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SPEC_DIR.glob("*.spec")))
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_parse_document_raises_only_spec_errors(name, data):
+    doc = drawn_document(name, data)
+    if doc is None:
         return
     assert isinstance(doc, SpecDocument)
     assert parse_document(emit_document(doc)) == doc
@@ -322,14 +330,8 @@ SPEC_VALUE_FIELDS = {"extent", "resolution", "radius", "points", "builtin", "swe
 @settings(max_examples=50, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
 def test_build_checks_no_spec_value_the_parser_accepted(name, data):
-    text = (SPEC_DIR / name).read_text()
-    slots = replace_numbers(text, {})[1]
-    tokens = data.draw(
-        st.dictionaries(st.integers(0, slots - 1), TOKENS, min_size=1, max_size=3)
-    )
-    try:
-        doc = parse_document(replace_numbers(text, tokens)[0])
-    except (ParseError, ValidationError):
+    doc = drawn_document(name, data)
+    if doc is None:
         return
     for grid in (doc.grid, *doc.sweep):  # as refine-sweep builds each level
         try:

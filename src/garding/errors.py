@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Node witnesses are multi-index tuples on box grids and integer s-grid
-indices on radial problems.
+Every error may carry ``node``, the grid node it happened at (None when
+none is known): multi-index tuples on box grids and integer s-grid indices
+on radial problems.
 """
 
 from __future__ import annotations
@@ -9,6 +10,12 @@ from __future__ import annotations
 
 class GardingError(Exception):
     """Base class for all package errors."""
+
+    node = None  # also on an instance made without __init__
+
+    def __init__(self, message: str, node=None):
+        super().__init__(message)
+        self.node = node
 
 
 class OutsideCone(GardingError):
@@ -18,17 +25,9 @@ class OutsideCone(GardingError):
 class NotAdmissible(GardingError):
     """A field fails the cone-membership requirement somewhere."""
 
-    def __init__(self, message: str, node=None):
-        super().__init__(message)
-        self.node = node
-
 
 class SubsolutionInvalid(GardingError):
     """Subsolution fails the lower-bound requirement M(subsolution) >= psi."""
-
-    def __init__(self, message: str, node=None):
-        super().__init__(message)
-        self.node = node
 
 
 class IndefiniteCoefficients(GardingError):
@@ -41,10 +40,6 @@ class LinearSolveStalled(GardingError):
 
 class ConeEscape(GardingError):
     """No damping factor keeps the Newton candidate admissible."""
-
-    def __init__(self, message: str, node=None):
-        super().__init__(message)
-        self.node = node
 
 
 class MaxItersExceeded(GardingError):

@@ -229,14 +229,15 @@ def assemble_linearized(coeffs: np.ndarray, rhs: np.ndarray, grid: BoxGrid) -> S
     finite = np.isfinite(cvals).all(axis=(-2, -1)).reshape(-1)
     if not finite.all():
         node = grid.node_of_flat(int(np.argmin(finite)))
-        raise IndefiniteCoefficients(f"coefficients not finite at node {node}")
+        raise IndefiniteCoefficients(f"coefficients not finite at node {node}", node=node)
     try:  # only the nodes the pivots cannot clear go to LAPACK
         clear = _clearly_positive(cvals)
         if not clear.all():
             np.linalg.cholesky(cvals[~clear])
     except np.linalg.LinAlgError:
         _, node = least(eigvals_batch(cvals)[..., 0], grid.node_of_flat)
-        raise IndefiniteCoefficients(f"coefficients not positive definite at node {node}") from None
+        raise IndefiniteCoefficients(f"coefficients not positive definite at node {node}",
+                                     node=node) from None
     op = StencilOperator(grid, *real_stencil_weights(cvals, grid.spacing))
 
     rhs_vec = np.asarray(rhs).reshape(-1)

@@ -155,7 +155,7 @@ def _ftilde_rows(lams: np.ndarray, params: OperatorParams, floor: float):
     outside = ~(sums >= floor).all(axis=-1)  # a NaN sum is outside too
     if outside.any():
         bad = int(np.argmax(outside))
-        raise OutsideCone(f"row {bad}: subset sum {sums[bad].min():.6e} at/below boundary")
+        raise OutsideCone(f"row {bad}: subset sum {sums[bad].min():.6e} at/below boundary", node=bad)
     return sums, np.exp(np.mean(np.log(sums), axis=-1))
 
 
@@ -222,7 +222,7 @@ def determinant_linearization_batch(params: OperatorParams, form: np.ndarray):
     (...), ftilde (...)).  K = L D L* is factored once, vectorized over the
     stacked axes with Python loops over m only, and K^-1 = W* D^-1 W with
     W = L^-1; each entry of K^-1 the map reads is formed once.  Raises
-    OutsideCone when a pivot of D is below SUM_FLOOR.
+    OutsideCone, its node the stack row, when a pivot of D is below SUM_FLOOR.
     """
     n, m = params.n, params.subset_count
     shape = form.shape[:-2]
@@ -235,7 +235,7 @@ def determinant_linearization_batch(params: OperatorParams, form: np.ndarray):
         outside = ~(dj >= SUM_FLOOR)  # a NaN pivot is outside too
         if outside.any():
             bad = int(np.argmax(outside))
-            raise OutsideCone(f"row {bad}: pivot {dj[bad]:.6e} at/below boundary")
+            raise OutsideCone(f"row {bad}: pivot {dj[bad]:.6e} at/below boundary", node=bad)
         piv[j] = dj
         for i in range(j + 1, m):
             low[i, j] = (b[i, j] - sum(low[i, k] * scaled[k].conj() for k in range(j))) / dj

@@ -20,9 +20,10 @@ computed.  A radial analysis keeps its eigenvalue rows unsorted.  A damping
 trial computes only the analysis.  The accepted
 candidate's analysis is then linearized in place (ftilde, trace_F, the
 coefficients of the linearized operator, with K released) and becomes the
-Newton state.  The anchor is
-ftilde from the subsolution's analysis, which also starts the t = 0
-attempt; each accepted step's final analysis starts the next attempt.
+Newton state.  Analyses are passed as values: the subsolution's gives the
+anchor (its ftilde) and starts the t = 0 attempt, an accepted attempt
+returns its final analysis to start the next one, and a failed attempt
+leaves its start unchanged for the restart.
 
 The diagnostic suite instantiates the comparison sandwich, the boundary
 tangential-trace lower bound, the collar barrier inequality and the
@@ -43,6 +44,7 @@ from .errors import (
     ContinuationStalled,
     LinearSolveStalled,
     MaxItersExceeded,
+    OutsideCone,
     RadialModeUnsupported,
     ValidationError,
 )
@@ -181,7 +183,6 @@ class _Evaluator:
         self.chi = problem.chi
         self.psi_tilde = problem.psi ** (1.0 / self.params.subset_count)
         self.anchor = None  # ftilde at the subsolution, set by _make_evaluator
-        self.start = None  # linearized analysis the next Newton loop starts from
 
     def rounding_floor(self, a: _Analysis, u: np.ndarray) -> float:
         """The rounding error of the residual at the linearized analysis ``a``
@@ -190,6 +191,15 @@ class _Evaluator:
         eps * max|u| / h^2 (Kelley 1995, ch. 5)."""
         h = min(np.atleast_1d(self.grid.spacing))
         return float(a.trace_f.max()) * np.finfo(float).eps * float(np.abs(u).max()) / h**2
+
+    def linearize(self, a: _Analysis) -> None:
+        """Add ftilde, trace_F and the coefficients to ``a``; a kernel's
+        OutsideCone at a stack row is raised again at the row's grid node."""
+        try:
+            self._linearize(a)
+        except OutsideCone as exc:
+            node = self.grid.node_of_flat(exc.node)
+            raise OutsideCone(f"node {node}: {str(exc).partition(': ')[2]}", node=node) from None
 
 
 class _BoxEvaluator(_Evaluator):
@@ -214,7 +224,7 @@ class _BoxEvaluator(_Evaluator):
         margins = eigvals_batch(form)[..., 0]
         return _Analysis(margins, *least(margins, self.grid.node_of_flat), trace_g, form=form)
 
-    def linearize(self, a: _Analysis) -> None:
+    def _linearize(self, a: _Analysis) -> None:
         # K is the largest array of a state; the coefficients replace it
         coeffs, a.trace_f, a.ft = determinant_linearization_batch(self.params, a.form)
         a.form = None
@@ -236,7 +246,7 @@ class _RadialEvaluator(_Evaluator):
         return _Analysis(margins, *least(margins, self.grid.node_of_flat), lam.sum(axis=-1),
                          vals=lam)
 
-    def linearize(self, a: _Analysis) -> None:
+    def _linearize(self, a: _Analysis) -> None:
         # ftilde is symmetric: its gradient keeps the column order of the rows
         a.ft, grads = ftilde_grad_batch(a.vals, self.params)
         a.trace_f = grads.sum(axis=-1)
@@ -259,35 +269,35 @@ def _linearized(ev, u: np.ndarray, what: str) -> _Analysis:
     is not admissible on the grid (a NaN margin is not)."""
     a = ev.analyze(u)
     if not a.min_margin > 0.0:
-        raise ConeEscape(f"{what} (margin {a.min_margin:.3e})", node=a.min_node)
+        raise ConeEscape(f"{what} at node {a.min_node} (margin {a.min_margin:.3e})", node=a.min_node)
     ev.linearize(a)
     return a
 
 
 def _make_evaluator(problem: ProblemSpec):
-    """Evaluator whose t = 0 anchor is ftilde from the subsolution's analysis.
+    """(evaluator, the subsolution's linearized analysis); the evaluator's
+    t = 0 anchor is ftilde from that analysis.
 
-    That analysis is left in ``ev.start``, so a Newton loop from the
-    subsolution starts from it; every Newton state comes from the same
-    analyze/linearize pair, so the t = 0 residual there is bitwise zero.
+    A Newton loop from the subsolution starts from the returned analysis;
+    every Newton state comes from the same analyze/linearize pair, so the
+    t = 0 residual there is bitwise zero.
     """
     ev = (_BoxEvaluator if problem.geometry == "box" else _RadialEvaluator)(problem)
-    ev.start = _linearized(ev, problem.subsolution, "subsolution not admissible on the grid")
-    ev.anchor = ev.start.ft
-    return ev
+    start = _linearized(ev, problem.subsolution, "subsolution not admissible on the grid")
+    ev.anchor = start.ft
+    return ev, start
 
 
-def _newton_loop(ev, t: float, u_init: np.ndarray, tol: float) -> HomotopyState:
-    """Damped Newton at fixed t from ``u_init``; returns the converged state.
+def _newton_loop(ev, t: float, u: np.ndarray, start: _Analysis | None, tol: float):
+    """Damped Newton at fixed t from ``u``; returns (the converged state, the
+    linearized analysis of its iterate).
 
-    The loop takes ``ev.start``, the linearized analysis of ``u_init``, when
-    one is set, and analyzes ``u_init`` otherwise.  On convergence it leaves
-    the converged iterate's analysis in ``ev.start`` for the next attempt.
+    ``start`` is the linearized analysis of ``u``; with None the loop
+    analyzes ``u`` first.  The loop changes neither, so after a failure
+    the caller may start again from both.
     """
-    u = u_init.copy()
-    state, ev.start = ev.start, None
-    if state is None:
-        state = _linearized(ev, u, "initial iterate not admissible")
+    u = u.copy()
+    state = _linearized(ev, u, "initial iterate not admissible") if start is None else start
     target = t * ev.psi_tilde + (1.0 - t) * ev.anchor
     history: list[float] = []
     best = np.inf
@@ -320,15 +330,7 @@ def _newton_loop(ev, t: float, u_init: np.ndarray, tol: float) -> HomotopyState:
                     "newton t=%.4f converged in %d iters; last ratios %.3e, %.3e",
                     t, iteration, prev, ratio,
                 )
-            ev.start = state
-            return HomotopyState(
-                t=t,
-                u=u,
-                residual_norm=rnorm,
-                newton_iters=iteration,
-                min_margin=state.min_margin,
-                residual_history=tuple(history),
-            )
+            return HomotopyState(t, u, rnorm, iteration, state.min_margin, tuple(history)), state
         if iteration == MAX_NEWTON_ITERS:
             break
         delta = ev.correction(state, resid, rnorm)
@@ -377,9 +379,8 @@ def newton_solve_at_t(problem: ProblemSpec, t: float, u_init: np.ndarray,
     ``u_init`` is a finite array of the grid's shape.
     """
     _check_tol(tol)
-    ev = _make_evaluator(problem)
-    ev.start = None  # u_init is not the subsolution in general
-    return _newton_loop(ev, t, _with_dirichlet_data(problem, u_init), tol)
+    ev, _ = _make_evaluator(problem)
+    return _newton_loop(ev, t, _with_dirichlet_data(problem, u_init), None, tol)[0]
 
 
 def continuity_solve(problem: ProblemSpec, *, newton_tol: float | None = None,
@@ -398,17 +399,17 @@ def continuity_solve(problem: ProblemSpec, *, newton_tol: float | None = None,
     """
     tol = _check_tol(NEWTON_TOL[problem.geometry] if newton_tol is None else newton_tol)
     verify_subsolution(problem)
-    ev = _make_evaluator(problem)
+    ev, start = _make_evaluator(problem)
 
     if initial_values is None:
-        u = problem.subsolution.copy()
+        u = problem.subsolution
     else:
         u = _with_dirichlet_data(problem, initial_values)
-        ev.start = None  # the subsolution's analysis does not describe u
+        start = None  # the subsolution's analysis does not describe u
 
-    states: list[HomotopyState] = []
-    state0 = _newton_loop(ev, 0.0, u, tol)
-    states.append(state0)
+    # start is the linearized analysis of u throughout
+    state0, start = _newton_loop(ev, 0.0, u, start, tol)
+    states = [state0]
     u = state0.u
     anchor_residual = state0.residual_history[0]
 
@@ -417,10 +418,8 @@ def continuity_solve(problem: ProblemSpec, *, newton_tol: float | None = None,
     rejected = 0
     while t < 1.0:
         t_try = min(1.0, t + step)
-        # ev.start, the analysis of u, starts the attempt; after a failed
-        # attempt it is gone and the restart analyzes u again
         try:
-            st = _newton_loop(ev, t_try, u, tol)
+            st, start = _newton_loop(ev, t_try, u, start, tol)
         except (ConeEscape, MaxItersExceeded, LinearSolveStalled) as exc:
             step *= 0.5
             rejected += 1
@@ -436,9 +435,7 @@ def continuity_solve(problem: ProblemSpec, *, newton_tol: float | None = None,
         t = t_try
         step *= 2.0
 
-    # the analysis at t = 1 feeds the diagnostics
-    final, ev.start = ev.start, None
-    return u, _diagnostics(problem, ev, final, states, anchor_residual, rejected)
+    return u, _diagnostics(problem, ev, start, states, anchor_residual, rejected)
 
 
 def sandwich_check(u: np.ndarray, ul_u: np.ndarray, ol_u: np.ndarray) -> float:

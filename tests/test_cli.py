@@ -771,6 +771,33 @@ def test_a_tolerance_below_the_rounding_floor_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def spec_up_to_solution(path: str) -> str:
+    """The repo spec at ``path`` up to its ``[solution]`` section."""
+    text = (Path(__file__).resolve().parent.parent / path).read_text()
+    return text[:text.index("[solution]")]
+
+
+@pytest.mark.parametrize("text, node, message", [
+    pytest.param(spec_up_to_solution("bench/specs/box-n2-p1-r9.spec")
+                 + "[solution]\nbuiltin = quadratic\ncoeff = 1e-300\n",
+                 (1, 2, 1, 1), "pivot 1.000000e-300 at/below boundary", id="box"),
+    pytest.param(spec_up_to_solution("specs/radial-n3-p2.spec").replace("chi = 1.0", "chi = 0")
+                 + "[solution]\nbuiltin = quadratic\ncoeff = 1e-301\n",
+                 0, "subset sum 2.000000e-301 at/below boundary", id="radial"),
+])
+def test_a_failure_at_a_stack_row_names_its_grid_node(tmp_path, capsys, text, node, message):
+    # the linearization kernels fail at a row of their stack of interior
+    # nodes; these said "row 49" (of the 7^4 box interior) and "row 0"
+    status, _ = run_cli(tmp_path, text, "solve")
+    assert status == 3
+    err = capsys.readouterr().err
+    assert err == f"solver failure: node {node}: {message}\n"
+    assert "row" not in err
+    with pytest.raises(errors.OutsideCone) as exc_info:
+        continuity_solve(build_problem(parse_document(text)))
+    assert exc_info.value.node == node
+
+
 EXIT_STATUS = {
     errors.ParseError: 2,
     errors.ValidationError: 2,
@@ -937,7 +964,7 @@ def small_specs(draw):
     return "\n".join(lines) + "\n", mode
 
 
-def test_exit_status_is_in_the_contract():
+def test_exit_status_is_in_the_contract(capsys):
     seen = collections.Counter()
 
     @settings(max_examples=150, deadline=10_000, database=None, derandomize=True)
@@ -951,6 +978,8 @@ def test_exit_status_is_in_the_contract():
                     "--trials", "20"]
             status = main(argv)
         assert status in (0, 2, 3, 4)
+        if status in (3, 4):  # a failure names grid nodes, not rows of a stack
+            assert not [line for line in capsys.readouterr().err.splitlines() if "row " in line]
         event(f"{mode}: exit {status}")
         seen[mode, status] += 1
 

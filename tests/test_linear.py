@@ -297,6 +297,16 @@ class TestAssembly:
         with pytest.raises(IndefiniteCoefficients, match=re.escape(f"not finite at node {node}")):
             assemble_linearized(coeffs, np.zeros(grid.interior_shape), grid)
 
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    def test_the_failing_node_is_the_error_node(self, bad):
+        grid = BoxGrid(2, ((-1, 1),) * 4, 9)
+        coeffs = constant_coefficient_field(grid, np.eye(2, dtype=complex))
+        node = (4, 2, 7, 3)
+        coeffs[tuple(i - 1 for i in node) + (1, 1)] = bad
+        with pytest.raises(IndefiniteCoefficients) as exc_info:
+            assemble_linearized(coeffs, np.zeros(grid.interior_shape), grid)
+        assert exc_info.value.node == node
+
     def test_ldl_pivots_do_not_replace_the_cholesky_check(self):
         # K = A = U diag(1e-17, 1) U* passes the LDL* of the linearization
         # kernel, and so do the coefficients C it returns, yet C is singular

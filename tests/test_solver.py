@@ -348,14 +348,14 @@ class TestContinuationSchedule:
         outcomes = [accept for accept, length in runs for _ in range(length)]
         tries, reached = [], []
 
-        def drawn_loop(ev, t, u, tol):
+        def drawn_loop(ev, t, u, start, tol):
             tries.append(t)
             # the t = 0 solve always converges; attempts past the drawn
             # outcomes are accepted
             if len(tries) > 1 and outcomes and not outcomes.pop(0):
                 raise MaxItersExceeded("drawn failure")
             reached.append(t)
-            return solver.HomotopyState(t, u, 0.0, 0, 1.0, (0.0,))
+            return solver.HomotopyState(t, u, 0.0, 0, 1.0, (0.0,)), start
 
         def states_only(problem, ev, final, states, anchor_residual, rejected_steps):
             return SimpleNamespace(states=states, rejected_steps=rejected_steps)
@@ -384,19 +384,16 @@ class TestContinuationSchedule:
 class TestOneAnalysisPerState:
     def test_each_grid_state_is_decomposed_once(self, monkeypatch):
         counts = {}
-        for name in ("eigvals_batch", "_newton_loop"):
-            count_calls(monkeypatch, solver, name, counts)
+        count_calls(monkeypatch, solver, "eigvals_batch", counts)
         count_calls(monkeypatch, _BoxEvaluator, "correction", counts)
-        _, diag = continuity_solve(box_problem(res=9, psi_scale=0.85))
+        continuity_solve(box_problem(res=9, psi_scale=0.85))
         assert counts["correction"] > 0
-        failed = counts["_newton_loop"] - len(diag.states)
-        # one eigvals_batch of K = A^[p] per analysis: the subsolution, each
-        # accepted candidate and the restart of each failed attempt; an
-        # accepted attempt starts from the last one's analysis.  One more
-        # call is the Hessian sup.
-        assert counts["eigvals_batch"] == 1 + counts["correction"] + failed + 1
+        # one eigvals_batch of K = A^[p] per analysis: the subsolution and
+        # each accepted candidate; every attempt, a restart included, starts
+        # from the last accepted analysis.  One more call is the Hessian sup.
+        assert counts["eigvals_batch"] == 1 + counts["correction"] + 1
 
-    def test_failed_attempt_restarts_from_a_fresh_analysis(self, monkeypatch):
+    def test_failed_attempt_restarts_from_its_start_analysis(self, monkeypatch):
         counts = {}
         for name in ("eigvals_batch", "_newton_loop"):
             count_calls(monkeypatch, solver, name, counts)
@@ -412,9 +409,9 @@ class TestOneAnalysisPerState:
         monkeypatch.setattr(_BoxEvaluator, "correction", failing_once)
         _, diag = continuity_solve(box_problem(res=9, psi_scale=0.85))
         assert counts["_newton_loop"] - len(diag.states) == 1
-        # the injected failure made no candidate; the restart analyzes its
-        # start point again, since the failed attempt took its analysis
-        assert counts["eigvals_batch"] == 1 + (len(calls) - 1) + 1 + 1
+        # the injected failure made no candidate, and the restart starts from
+        # the failed attempt's start analysis: no state is analyzed twice
+        assert counts["eigvals_batch"] == 1 + (len(calls) - 1) + 1
         assert diag.final_residual <= 1e-8
 
     @pytest.mark.parametrize("n, p", [(2, 1), (2, 2), (3, 2)])
@@ -489,7 +486,7 @@ class TestOneAnalysisPerState:
         _, diag = continuity_solve(problem)
         assert seen["analyses"] > 1 + counts["_newton_loop"] + seen["corrections"]
 
-        ev = _make_evaluator(problem)
+        ev, _ = _make_evaluator(problem)
         for state in diag.states:
             fresh = analyze(ev, state.u)
             ev.linearize(fresh)
@@ -656,7 +653,8 @@ class TestNewtonStagnation:
         attempts = []
         loop = solver._newton_loop
         monkeypatch.setattr(solver, "_newton_loop",
-                            lambda ev, t, u, tol: attempts.append(t) or loop(ev, t, u, tol))
+                            lambda ev, t, u, start, tol:
+                            attempts.append(t) or loop(ev, t, u, start, tol))
         start = time.perf_counter()
         with pytest.raises(BelowRoundingFloor,
                            match=f"newton_tol {tol:.1e} is below the residual's rounding "

@@ -401,11 +401,17 @@ def _box_function(spec: FunctionSpec, n: int):
     if spec.builtin == "quadratic":
         return norm_squared(n, float(spec.get("coeff", 1.0)))
     if spec.builtin == "polynomial":
-        poly = Polynomial(2 * n, {})
-        for row in spec.get("terms"):
-            coeff, *expo = row
-            poly = poly + Polynomial(2 * n, {tuple(int(e) for e in expo): float(coeff)})
-        return poly
+        # the terms in row order, as adding them one at a time gives: a key
+        # whose sum reaches 0.0 is dropped, and a later term puts it last
+        terms: dict = {}
+        for coeff, *expo in spec.get("terms"):
+            key = tuple(int(e) for e in expo)
+            total = terms.get(key, 0.0) + float(coeff)
+            if total != 0.0:
+                terms[key] = total
+            else:
+                terms.pop(key, None)
+        return Polynomial(2 * n, terms)
     raise ValidationError("builtin", f"{spec.builtin!r} is not a box-domain family")
 
 

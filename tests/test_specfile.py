@@ -1,5 +1,6 @@
 import math
 import re
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import garding.specfile as specfile
 from garding.errors import NotAdmissible, ParseError, ValidationError
 from garding.problems import manufactured_radial
 from garding.radial import RadialGrid
-from garding.analytic import radial_power
+from garding.analytic import Polynomial, radial_power
 from garding.operator import MAX_NODES, OperatorParams
 from garding.specfile import (
     SpecDocument,
+    _box_function,
     build_problem,
     emit_document,
     initial_values_from,
@@ -340,3 +343,43 @@ def test_build_checks_no_spec_value_the_parser_accepted(name, data):
             pass
         except ValidationError as exc:
             assert exc.field not in SPEC_VALUE_FIELDS, exc
+
+
+def polynomial_spec(rows) -> str:
+    """An n = 2 box spec whose target is the ``polynomial`` of ``rows``."""
+    lines = [f"term_{i} = " + ", ".join(map(repr, row)) for i, row in enumerate(rows, 1)]
+    return MINIMAL_BOX.split("[solution]")[0] + "\n".join(
+        ["[solution]", "builtin = polynomial", f"terms = {len(rows)}", *lines]) + "\n"
+
+
+# few exponents and coefficients, so that keys repeat and sums cancel
+POLYNOMIAL_ROWS = st.lists(
+    st.tuples(st.sampled_from([1.0, -1.0, 0.5, -0.5, 0.1, -0.1, 0.3, 0.0, -0.0]),
+              *[st.integers(0, 1)] * 4),
+    min_size=1, max_size=24)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(rows=POLYNOMIAL_ROWS)
+def test_a_polynomial_target_is_the_sum_of_its_terms_in_row_order(rows):
+    expected = Polynomial(4, {})
+    for coeff, *expo in rows:
+        expected = expected + Polynomial(4, {tuple(expo): coeff})
+    got = _box_function(parse_document(polynomial_spec(rows)).solution, 2)
+    assert [(k, v.hex()) for k, v in got.terms.items()] == \
+        [(k, v.hex()) for k, v in expected.terms.items()]
+
+
+def test_a_long_polynomial_parses_in_linear_time(monkeypatch):
+    # adding the terms one at a time took 0.59 s at 800 terms and grew with
+    # the square of the count
+    rows = [(1.0, i % 10, i // 10 % 10, i // 100 % 10, i // 1000) for i in range(10_000)]
+    text = polynomial_spec(rows)
+    built = []
+    monkeypatch.setattr(specfile, "Polynomial",
+                        lambda *args: built.append(1) or Polynomial(*args))
+    start = time.perf_counter()
+    doc = parse_document(text)
+    assert time.perf_counter() - start < 1.0
+    assert len(built) == 1  # one Polynomial for the one function section
+    assert len(_box_function(doc.solution, 2).terms) == 10_000

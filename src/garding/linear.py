@@ -35,7 +35,9 @@ diagonalized by the orthogonal sine transform along every axis (Buzbee,
 Golub & Nielson, SIAM J. Numer. Anal. 7, 1970), so one application costs
 two transforms and a division.  Cross terms are left to the Krylov
 iteration; constant diagonal coefficients (the upper barrier with identity
-or diagonal omega) are solved by the first application.
+or diagonal omega) are solved by the first application.  Its dot products
+and norms are NumPy sums, so a solve does not depend on the BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -246,6 +248,16 @@ def assemble_linearized(coeffs: np.ndarray, rhs: np.ndarray, grid: BoxGrid) -> S
     return SparseSystem(grid=grid, matrix=op, rhs=rhs_vec.copy())
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b by NumPy's pairwise sum: a BLAS dot product splits a long sum
+    across threads, so its last digits would depend on the thread count."""
+    return float(np.sum(a * b))
+
+
+def _norm(a: np.ndarray) -> float:
+    return math.sqrt(_dot(a, a))
+
+
 def _require_finite(norm: float) -> float:
     if not math.isfinite(norm):
         raise LinearSolveStalled(f"bicgstab breakdown: residual norm is {norm}")
@@ -260,7 +272,7 @@ def bicgstab(matrix, rhs, tol, max_iter, precond=None):
     on a residual plateau over STALL_WINDOW iterations, or at the iteration
     cap.  The breakdown tests read ``not (|x| >= 1e-300)``, so NaN fails them.
     """
-    b_norm = float(np.linalg.norm(rhs))
+    b_norm = _norm(rhs)
     if b_norm == 0.0:
         return np.zeros_like(rhs)
     x = np.zeros_like(rhs)
@@ -272,7 +284,7 @@ def bicgstab(matrix, rhs, tol, max_iter, precond=None):
     best = _require_finite(b_norm)  # the residual norm of x = 0
     since_progress = 0
     for _ in range(max_iter):
-        rho_new = float(r0 @ r)
+        rho_new = _dot(r0, r)
         if not abs(rho_new) >= 1e-300:
             raise LinearSolveStalled("bicgstab breakdown: rho ~ 0")
         beta = (rho_new / rho) * (alpha / omega)
@@ -280,23 +292,23 @@ def bicgstab(matrix, rhs, tol, max_iter, precond=None):
         p = r + beta * (p - omega * v)
         ph = precond(p) if precond is not None else p
         v = matrix @ ph
-        denom = float(r0 @ v)
+        denom = _dot(r0, v)
         if not abs(denom) >= 1e-300:
             raise LinearSolveStalled("bicgstab breakdown: r0 . v ~ 0")
         alpha = rho / denom
         s = r - alpha * v
-        s_norm = _require_finite(float(np.linalg.norm(s)))
+        s_norm = _require_finite(_norm(s))
         if s_norm <= tol * b_norm:
             return x + alpha * ph
         sh = precond(s) if precond is not None else s
         t = matrix @ sh
-        tt = float(t @ t)
+        tt = _dot(t, t)
         if not tt >= 1e-300:
             raise LinearSolveStalled("bicgstab breakdown: t ~ 0")
-        omega = float(t @ s) / tt
+        omega = _dot(t, s) / tt
         x = x + alpha * ph + omega * sh
         r = s - omega * t
-        r_norm = _require_finite(float(np.linalg.norm(r)))
+        r_norm = _require_finite(_norm(r))
         if r_norm <= tol * b_norm:
             return x
         if r_norm < 0.999 * best:
@@ -362,8 +374,8 @@ def solve_sparse(system: SparseSystem, tol: float = 1e-10) -> np.ndarray:
     precond = mean_stencil_inverse(system.matrix)
     x = bicgstab(system.matrix, system.rhs, tol=tol, max_iter=MAX_LINEAR_ITERS, precond=precond)
     # the recurrence residual can drift from the true one; verify
-    scale = max(float(np.linalg.norm(system.rhs)), 1e-300)
-    rel = float(np.linalg.norm(system.matrix @ x - system.rhs)) / scale
+    scale = max(_norm(system.rhs), 1e-300)
+    rel = _norm(system.matrix @ x - system.rhs) / scale
     if not rel <= 50.0 * tol:
         raise LinearSolveStalled(f"true residual {rel:.3e} drifted above tolerance")
     full = np.zeros(system.grid.shape)

@@ -35,9 +35,8 @@ diagonalized by the orthogonal sine transform along every axis (Buzbee,
 Golub & Nielson, SIAM J. Numer. Anal. 7, 1970), so one application costs
 two transforms and a division.  Cross terms are left to the Krylov
 iteration; constant diagonal coefficients (the upper barrier with identity
-or diagonal omega) are solved by the first application.  Its dot products
-and norms are NumPy sums, so a solve does not depend on the BLAS thread
-count.
+or diagonal omega) are solved by the first application.  Dot products are
+NumPy sums, so no solve depends on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -254,10 +253,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
-def _norm(a: np.ndarray) -> float:
-    return math.sqrt(_dot(a, a))
-
-
 def _require_finite(norm: float) -> float:
     if not math.isfinite(norm):
         raise LinearSolveStalled(f"bicgstab breakdown: residual norm is {norm}")
@@ -272,7 +267,7 @@ def bicgstab(matrix, rhs, tol, max_iter, precond=None):
     on a residual plateau over STALL_WINDOW iterations, or at the iteration
     cap.  The breakdown tests read ``not (|x| >= 1e-300)``, so NaN fails them.
     """
-    b_norm = _norm(rhs)
+    b_norm = math.sqrt(_dot(rhs, rhs))
     if b_norm == 0.0:
         return np.zeros_like(rhs)
     x = np.zeros_like(rhs)
@@ -297,7 +292,7 @@ def bicgstab(matrix, rhs, tol, max_iter, precond=None):
             raise LinearSolveStalled("bicgstab breakdown: r0 . v ~ 0")
         alpha = rho / denom
         s = r - alpha * v
-        s_norm = _require_finite(_norm(s))
+        s_norm = _require_finite(math.sqrt(_dot(s, s)))
         if s_norm <= tol * b_norm:
             return x + alpha * ph
         sh = precond(s) if precond is not None else s
@@ -308,7 +303,7 @@ def bicgstab(matrix, rhs, tol, max_iter, precond=None):
         omega = _dot(t, s) / tt
         x = x + alpha * ph + omega * sh
         r = s - omega * t
-        r_norm = _require_finite(_norm(r))
+        r_norm = _require_finite(math.sqrt(_dot(r, r)))
         if r_norm <= tol * b_norm:
             return x
         if r_norm < 0.999 * best:
@@ -374,8 +369,9 @@ def solve_sparse(system: SparseSystem, tol: float = 1e-10) -> np.ndarray:
     precond = mean_stencil_inverse(system.matrix)
     x = bicgstab(system.matrix, system.rhs, tol=tol, max_iter=MAX_LINEAR_ITERS, precond=precond)
     # the recurrence residual can drift from the true one; verify
-    scale = max(_norm(system.rhs), 1e-300)
-    rel = _norm(system.matrix @ x - system.rhs) / scale
+    scale = max(math.sqrt(_dot(system.rhs, system.rhs)), 1e-300)
+    residual = system.matrix @ x - system.rhs
+    rel = math.sqrt(_dot(residual, residual)) / scale
     if not rel <= 50.0 * tol:
         raise LinearSolveStalled(f"true residual {rel:.3e} drifted above tolerance")
     full = np.zeros(system.grid.shape)

@@ -17,13 +17,12 @@ linearization needs.  A box analysis keeps K = A^[p], the p-th additive
 compound of the reduced matrix A of omega^-1 g, whose determinant is M_p and
 whose least eigenvalue is the margin, for every p; no eigenvectors are
 computed.  A radial analysis keeps its eigenvalue rows unsorted.  A damping
-trial computes only the analysis.  The accepted
-candidate's analysis is then linearized in place (ftilde, trace_F, the
-coefficients of the linearized operator, with K released) and becomes the
-Newton state.  Analyses are passed as values: the subsolution's gives the
-anchor (its ftilde) and starts the t = 0 attempt, an accepted attempt
-returns its final analysis to start the next one, and a failed attempt
-leaves its start unchanged for the restart.
+trial computes only the analysis.  The accepted candidate's analysis is then
+linearized in place (ftilde, trace_F, the coefficients of the linearized
+operator, with K released) and becomes the Newton state.  Analyses are
+passed as values: the subsolution's gives the anchor (its ftilde) and starts
+the t = 0 attempt, an accepted attempt returns its final analysis to start
+the next one, and a failed attempt leaves its start unchanged for the restart.
 
 The diagnostic suite instantiates the comparison sandwich, the boundary
 tangential-trace lower bound, the collar barrier inequality and the
@@ -193,9 +192,7 @@ class _Evaluator:
         return float(a.trace_f.max()) * np.finfo(float).eps * float(np.abs(u).max()) / h**2
 
     def linearize(self, a: _Analysis) -> None:
-        """Add ftilde, trace_F and the coefficients to ``a``; a kernel's
-        OutsideCone at a stack row is raised again at the row's grid node."""
-        try:
+        try:  # the kernels name a row of their stack, which is a grid node
             self._linearize(a)
         except OutsideCone as exc:
             node = self.grid.node_of_flat(exc.node)
@@ -275,13 +272,10 @@ def _linearized(ev, u: np.ndarray, what: str) -> _Analysis:
 
 
 def _make_evaluator(problem: ProblemSpec):
-    """(evaluator, the subsolution's linearized analysis); the evaluator's
-    t = 0 anchor is ftilde from that analysis.
-
-    A Newton loop from the subsolution starts from the returned analysis;
-    every Newton state comes from the same analyze/linearize pair, so the
-    t = 0 residual there is bitwise zero.
-    """
+    """(evaluator, the subsolution's linearized analysis), with the t = 0
+    anchor ftilde from that analysis.  A Newton loop from the subsolution
+    starts from it; every Newton state comes from the same analyze/linearize
+    pair, so the t = 0 residual there is bitwise zero."""
     ev = (_BoxEvaluator if problem.geometry == "box" else _RadialEvaluator)(problem)
     start = _linearized(ev, problem.subsolution, "subsolution not admissible on the grid")
     ev.anchor = start.ft
@@ -401,11 +395,9 @@ def continuity_solve(problem: ProblemSpec, *, newton_tol: float | None = None,
     verify_subsolution(problem)
     ev, start = _make_evaluator(problem)
 
-    if initial_values is None:
-        u = problem.subsolution
-    else:
-        u = _with_dirichlet_data(problem, initial_values)
-        start = None  # the subsolution's analysis does not describe u
+    u = problem.subsolution
+    if initial_values is not None:  # the subsolution's analysis does not describe u
+        u, start = _with_dirichlet_data(problem, initial_values), None
 
     # start is the linearized analysis of u throughout
     state0, start = _newton_loop(ev, 0.0, u, start, tol)

@@ -406,11 +406,9 @@ def _box_function(spec: FunctionSpec, n: int):
         terms: dict = {}
         for coeff, *expo in spec.get("terms"):
             key = tuple(int(e) for e in expo)
-            total = terms.get(key, 0.0) + float(coeff)
-            if total != 0.0:
-                terms[key] = total
-            else:
-                terms.pop(key, None)
+            terms[key] = terms.get(key, 0.0) + float(coeff)
+            if terms[key] == 0.0:
+                del terms[key]
         return Polynomial(2 * n, terms)
     raise ValidationError("builtin", f"{spec.builtin!r} is not a box-domain family")
 

@@ -324,7 +324,9 @@ def _newton_loop(ev, t: float, u: np.ndarray, start: _Analysis | None, tol: floa
                     "newton t=%.4f converged in %d iters; last ratios %.3e, %.3e",
                     t, iteration, prev, ratio,
                 )
-            return HomotopyState(t, u, rnorm, iteration, state.min_margin, tuple(history)), state
+            return HomotopyState(t=t, u=u, residual_norm=rnorm, newton_iters=iteration,
+                                 min_margin=state.min_margin,
+                                 residual_history=tuple(history)), state
         if iteration == MAX_NEWTON_ITERS:
             break
         delta = ev.correction(state, resid, rnorm)

@@ -21,7 +21,6 @@ from .errors import (
     NotAdmissible,
     OutsideCone,
     ParseError,
-    RadialModeUnsupported,
     SubsolutionInvalid,
     ValidationError,
 )
@@ -43,9 +42,8 @@ from .operator import (
 from .problems import ProblemSpec, manufactured_box, manufactured_radial, verify_subsolution
 from .radial import RadialGrid
 from .solver import (
-    HomotopyState,
+    Attempt,
     SolveDiagnostics,
-    barrier_check,
     boundary_trace_check,
     c2_ratio_monitor,
     continuity_solve,

@@ -12,7 +12,8 @@ Exit status contract (frozen for CI scripting):
      violations, inadmissible manufactured data)
 
 Every ``GardingError`` subclass belongs to exactly one of the three failure
-groups below.
+groups below.  A ``solve`` whose solver fails (exit 3 or 4) still writes
+``report.txt``, with the failure and the counters of its attempts, and no CSV.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from . import errors
 from .operator import MAX_TRIAL_ENTRIES, OperatorParams, structure_check
 from .problems import verify_subsolution
-from .report import Report, diagnostics_into, write_solution_csv
+from .report import Report, attempts_into, diagnostics_into, write_solution_csv
 from .solver import c2_ratio_monitor, continuity_solve
 from .specfile import build_problem, initial_values_from, parse_document
 
@@ -43,11 +44,7 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_CONTRACT = 4
 
-_VALIDATION_ERRORS = (
-    errors.ParseError,
-    errors.ValidationError,
-    errors.RadialModeUnsupported,
-)
+_VALIDATION_ERRORS = (errors.ParseError, errors.ValidationError)
 _SOLVER_ERRORS = (
     errors.BelowRoundingFloor,
     errors.ConeEscape,
@@ -120,9 +117,21 @@ def _run_solve(doc, config: RunConfig) -> int:
     if config.mode == "radial-solve" and doc.geometry != "radial":
         raise errors.ValidationError("mode", "radial-solve requires a radial spec")
     problem = build_problem(doc)
-    u, diag = continuity_solve(problem, newton_tol=_newton_tol(doc, config),
-                               initial_values=initial_values_from(doc, problem))
+    start = initial_values_from(doc, problem)
     report = _base_report("garding solve report", config, doc)
+    try:
+        u, diag = continuity_solve(problem, newton_tol=_newton_tol(doc, config),
+                                   initial_values=start)
+    except _SOLVER_ERRORS + _CONTRACT_ERRORS as exc:
+        report.record("status", "failed")
+        report.record("failure", type(exc).__name__)
+        report.record("message", str(exc))
+        accepted = attempts_into(report, exc.attempts)
+        if accepted:
+            report.record("t_reached", accepted[-1].t)
+        report.line(f"solve failed: {type(exc).__name__}: {exc}")
+        _write(report, config)
+        raise
     diagnostics_into(report, diag)
     err = float(np.abs(u - problem.phi).max())
     report.record("reference_max_error", err)

@@ -2,7 +2,8 @@
 
 Every error may carry ``node``, the grid node it happened at (None when
 none is known): multi-index tuples on box grids and integer s-grid indices
-on radial problems.
+on radial problems.  ``attempts`` holds the ``solver.Attempt`` rows of the
+solve an error ended (empty when it ended none, or before the first).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ class GardingError(Exception):
     """Base class for all package errors."""
 
     node = None  # also on an instance made without __init__
+    attempts = ()
 
     def __init__(self, message: str, node=None):
         super().__init__(message)
@@ -52,10 +54,6 @@ class BelowRoundingFloor(GardingError):
 
 class ContinuationStalled(GardingError):
     """Homotopy step size shrank below the minimum."""
-
-
-class RadialModeUnsupported(GardingError):
-    """Box-only diagnostic invoked on a radial problem."""
 
 
 class ParseError(GardingError):

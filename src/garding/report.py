@@ -59,6 +59,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def attempts_into(report: Report, attempts) -> list:
+    """Record the counts of accepted and failed attempts, the accepted ones'
+    Newton corrections and the last accepted margin; return the accepted rows."""
+    accepted = [a for a in attempts if a.failure is None]
+    report.record("homotopy_steps", len(accepted))
+    report.record("rejected_steps", len(attempts) - len(accepted))
+    report.record("newton_iters_total", sum(len(a.residuals) - 1 for a in accepted))
+    if accepted:
+        report.record("min_margin_final", accepted[-1].min_margin)
+    return accepted
+
+
 def diagnostics_into(report: Report, diag: SolveDiagnostics) -> None:
     report.record("K", diag.K)
     report.record("F_trace_min", diag.F_trace)
@@ -70,10 +82,7 @@ def diagnostics_into(report: Report, diag: SolveDiagnostics) -> None:
     report.record("amgm_min_slack", diag.amgm_min_slack)
     report.record("final_residual", diag.final_residual)
     report.record("anchor_residual", diag.anchor_residual)
-    report.record("homotopy_steps", len(diag.states))
-    report.record("rejected_steps", diag.rejected_steps)
-    report.record("newton_iters_total", sum(s.newton_iters for s in diag.states))
-    report.record("min_margin_final", diag.states[-1].min_margin)
+    steps = len(attempts_into(report, diag.attempts))
     if diag.barrier_report is not None:
         b = diag.barrier_report
         report.record("barrier_min_v", b.min_v)
@@ -81,7 +90,7 @@ def diagnostics_into(report: Report, diag: SolveDiagnostics) -> None:
         report.record("barrier_collar_nodes", b.collar_nodes)
         report.record("barrier_smooth_nodes", b.smooth_nodes)
         report.record("barrier_degenerate", b.degenerate_collar)
-    report.line(f"t reached 1 in {len(diag.states)} accepted states; "
+    report.line(f"t reached 1 in {steps} accepted states; "
                 f"final residual {diag.final_residual:.3e}")
     report.line(f"sandwich violation {diag.sandwich_violation:.3e}; "
                 f"boundary trace {diag.c0_boundary:.6f}; K {diag.K:.6f}")

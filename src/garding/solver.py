@@ -32,8 +32,7 @@ state's analysis; diagnostics never feed back into the solve.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,10 +40,10 @@ from .errors import (
     BelowRoundingFloor,
     ConeEscape,
     ContinuationStalled,
+    GardingError,
     LinearSolveStalled,
     MaxItersExceeded,
     OutsideCone,
-    RadialModeUnsupported,
     ValidationError,
 )
 from .grid import (
@@ -73,8 +72,6 @@ from .radial import (
     solve_radial_linear,
 )
 
-log = logging.getLogger(__name__)
-
 # Newton: converged at residual NEWTON_TOL unless a tolerance is given, after
 # at most MAX_NEWTON_ITERS corrections per attempt, each damped by halving
 # until the trial keeps MARGIN_KEEP of the current cone margin; no damping
@@ -102,14 +99,18 @@ BARRIER_N = 50.0
 BARRIER_DELTA = None
 
 
-@dataclass
-class HomotopyState:
+@dataclass(frozen=True)
+class Attempt:
+    """One Newton loop of a solve: the residual at each iterate (none if it
+    failed), the least cone margin of the last iterate and its node, and
+    the failure as "ClassName: message" or None.  It holds no array and no
+    exception, so it keeps no field of the solve alive."""
+
     t: float
-    u: np.ndarray
-    residual_norm: float
-    newton_iters: int
-    min_margin: float
-    residual_history: tuple = ()
+    residuals: tuple = ()
+    min_margin: float | None = None
+    min_node: tuple | int | None = None
+    failure: str | None = None
 
 
 @dataclass
@@ -136,8 +137,7 @@ class SolveDiagnostics:
     final_residual: float
     anchor_residual: float
     barrier_report: BarrierReport | None
-    states: list = field(default_factory=list)
-    rejected_steps: int = 0  # failed continuation attempts
+    attempts: tuple = ()  # one Attempt per Newton loop, in order
     # per interior node at t = 1, for the CSV: cone margin, ftilde - psi_tilde
     node_margins: np.ndarray | None = None
     node_residual: np.ndarray | None = None
@@ -283,8 +283,8 @@ def _make_evaluator(problem: ProblemSpec):
 
 
 def _newton_loop(ev, t: float, u: np.ndarray, start: _Analysis | None, tol: float):
-    """Damped Newton at fixed t from ``u``; returns (the converged state, the
-    linearized analysis of its iterate).
+    """Damped Newton at fixed t from ``u``; returns (the converged iterate,
+    its linearized analysis, its Attempt row).
 
     ``start`` is the linearized analysis of ``u``; with None the loop
     analyzes ``u`` first.  The loop changes neither, so after a failure
@@ -317,16 +317,7 @@ def _newton_loop(ev, t: float, u: np.ndarray, start: _Analysis | None, tol: floa
                     f"Newton stagnated at residual {rnorm:.3e} (tol {tol:.1e}) at t={t:.4f}"
                 )
         if rnorm <= tol:
-            if len(history) >= 3:
-                ratio = history[-1] / max(history[-2], 1e-300)
-                prev = history[-2] / max(history[-3], 1e-300)
-                log.debug(
-                    "newton t=%.4f converged in %d iters; last ratios %.3e, %.3e",
-                    t, iteration, prev, ratio,
-                )
-            return HomotopyState(t=t, u=u, residual_norm=rnorm, newton_iters=iteration,
-                                 min_margin=state.min_margin,
-                                 residual_history=tuple(history)), state
+            return u, state, Attempt(t, tuple(history), state.min_margin, state.min_node)
         if iteration == MAX_NEWTON_ITERS:
             break
         delta = ev.correction(state, resid, rnorm)
@@ -368,15 +359,17 @@ def _with_dirichlet_data(problem: ProblemSpec, values) -> np.ndarray:
 
 
 def newton_solve_at_t(problem: ProblemSpec, t: float, u_init: np.ndarray,
-                      tol: float) -> HomotopyState:
-    """Solve the fixed-t equation by damped Newton from an admissible start.
+                      tol: float) -> tuple:
+    """Solve the fixed-t equation by damped Newton from an admissible start;
+    return (u, its Attempt row).
 
     Raises ValidationError unless ``tol`` is finite and positive and
     ``u_init`` is a finite array of the grid's shape.
     """
     _check_tol(tol)
     ev, _ = _make_evaluator(problem)
-    return _newton_loop(ev, t, _with_dirichlet_data(problem, u_init), None, tol)[0]
+    u, _, row = _newton_loop(ev, t, _with_dirichlet_data(problem, u_init), None, tol)
+    return u, row
 
 
 def continuity_solve(problem: ProblemSpec, *, newton_tol: float | None = None,
@@ -391,45 +384,50 @@ def continuity_solve(problem: ProblemSpec, *, newton_tol: float | None = None,
     when the problem's subsolution fails its analytic checks, ConeEscape
     when an initializer is not admissible, ContinuationStalled when step
     halving hits the minimum step and BelowRoundingFloor, without a retry,
-    when Newton stagnates at the rounding floor above ``newton_tol``.
+    when Newton stagnates at the rounding floor above ``newton_tol``.  The
+    diagnostics' ``attempts`` hold one Attempt row per Newton loop; a
+    GardingError raised here carries the rows so far as ``attempts``.
     """
-    tol = _check_tol(NEWTON_TOL[problem.geometry] if newton_tol is None else newton_tol)
-    verify_subsolution(problem)
-    ev, start = _make_evaluator(problem)
+    attempts: list[Attempt] = []
+    try:
+        tol = _check_tol(NEWTON_TOL[problem.geometry] if newton_tol is None else newton_tol)
+        verify_subsolution(problem)
+        ev, start = _make_evaluator(problem)
+        u = problem.subsolution
+        if initial_values is not None:  # the subsolution's analysis does not describe u
+            u, start = _with_dirichlet_data(problem, initial_values), None
 
-    u = problem.subsolution
-    if initial_values is not None:  # the subsolution's analysis does not describe u
-        u, start = _with_dirichlet_data(problem, initial_values), None
+        def attempt(t: float, u: np.ndarray, start: _Analysis | None):
+            """_newton_loop's (u, analysis); each attempt, failed or not, adds its row."""
+            try:
+                u, start, row = _newton_loop(ev, t, u, start, tol)
+            except GardingError as exc:
+                attempts.append(Attempt(t, failure=f"{type(exc).__name__}: {exc}"))
+                raise
+            attempts.append(row)
+            return u, start
 
-    # start is the linearized analysis of u throughout
-    state0, start = _newton_loop(ev, 0.0, u, start, tol)
-    states = [state0]
-    u = state0.u
-    anchor_residual = state0.residual_history[0]
-
-    t = 0.0
-    step = 1.0
-    rejected = 0
-    while t < 1.0:
-        t_try = min(1.0, t + step)
-        try:
-            st, start = _newton_loop(ev, t_try, u, start, tol)
-        except (ConeEscape, MaxItersExceeded, LinearSolveStalled) as exc:
-            step *= 0.5
-            rejected += 1
-            log.debug("continuation step to t=%.4f failed (%s); step -> %.2e", t_try, exc, step)
-            # only a failed attempt shrinks the step, so the floor is met here
-            if step < T_STEP_MIN:
-                raise ContinuationStalled(
-                    f"continuation step {step:.2e} below minimum at t={t:.4f}"
-                ) from exc
-            continue
-        states.append(st)
-        u = st.u
-        t = t_try
-        step *= 2.0
-
-    return u, _diagnostics(problem, ev, start, states, anchor_residual, rejected)
+        # start is the linearized analysis of u throughout
+        u, start = attempt(0.0, u, start)
+        t, step = 0.0, 1.0
+        while t < 1.0:
+            t_try = min(1.0, t + step)
+            try:
+                u, start = attempt(t_try, u, start)
+            except (ConeEscape, MaxItersExceeded, LinearSolveStalled) as exc:
+                step *= 0.5
+                # only a failed attempt shrinks the step, so the floor is met here
+                if step < T_STEP_MIN:
+                    raise ContinuationStalled(
+                        f"continuation step {step:.2e} below minimum at t={t:.4f}"
+                    ) from exc
+                continue
+            t = t_try
+            step *= 2.0
+        return u, _diagnostics(problem, ev, u, start, tuple(attempts))
+    except GardingError as exc:
+        exc.attempts = tuple(attempts)
+        raise
 
 
 def sandwich_check(u: np.ndarray, ul_u: np.ndarray, ol_u: np.ndarray) -> float:
@@ -450,34 +448,13 @@ def boundary_trace_check(u: np.ndarray, problem: ProblemSpec) -> float:
     return float((problem.n - 1) * (problem.chi + u1_end))
 
 
-def barrier_check(
-    u: np.ndarray,
-    ul_u: np.ndarray,
-    problem: ProblemSpec,
-    tau: float = BARRIER_TAU,
-    N: float = BARRIER_N,
-    delta: float | None = BARRIER_DELTA,
-) -> BarrierReport:
-    """Evaluate the collar barrier v = (u - ul_u) + tau * d - N * d^2.
-
-    Reports the minimum of v over the collar {0 < d < delta} and the maximum
-    of L v / (1 + trace_F) over the collar nodes whose full stencil sees a
-    single realizing face, where L is the linearized operator at u.  At
-    ridge and corner nodes d has concave kinks and its discrete Hessian does
-    not reflect the smooth distance branch the inequality is about, so those
-    nodes are excluded from the L v scan (their count is reported).  Purely
-    diagnostic: violations are reported, never raised.
-    """
-    if problem.geometry != "box":
-        raise RadialModeUnsupported("barrier_check requires a box problem")
-    ev = _BoxEvaluator(problem)
-    a = ev.analyze(u)
-    ev.linearize(a)
-    return _barrier_report(u, ul_u, problem, a, tau, N, delta)
-
-
 def _barrier_report(u, ul_u, problem: ProblemSpec, state: _Analysis, tau, N, delta) -> BarrierReport:
-    """barrier_check's body, with L taken from the linearized analysis of u."""
+    """The collar barrier v = (u - ul_u) + tau * d - N * d^2 on a box: the
+    minimum of v over {0 < d < delta} (None: 0.1 * the diameter) and the
+    maximum of L v / (1 + trace_F), L from ``state``, the linearized analysis
+    of u, over the collar nodes whose stencil sees one realizing face (d has
+    concave kinks at ridges and corners; those nodes are only counted).
+    Violations are reported, never raised."""
     grid = problem.grid
     if delta is None:
         delta = 0.1 * grid.diameter()
@@ -535,10 +512,8 @@ def _c2_quantities(problem: ProblemSpec, u: np.ndarray) -> tuple:
     return K, float(max(interior_r.max(), boundary_r)), float(boundary_r)
 
 
-def _diagnostics(problem, ev, final: _Analysis, states, anchor_residual,
-                 rejected_steps) -> SolveDiagnostics:
-    """Diagnostics of the t = 1 state ``states[-1]``, read from its analysis."""
-    u = states[-1].u
+def _diagnostics(problem, ev, u, final: _Analysis, attempts: tuple) -> SolveDiagnostics:
+    """Diagnostics of the t = 1 iterate ``u``, read from its analysis ``final``."""
     barrier = None
     if problem.geometry == "box":
         upper_vals = upper_barrier(problem.chi, problem.omega, problem.phi, problem.grid)
@@ -561,11 +536,10 @@ def _diagnostics(problem, ev, final: _Analysis, states, anchor_residual,
         sup_hessian=sup_h,
         boundary_sup_hessian=sup_b,
         amgm_min_slack=float(amgm.min()),
-        final_residual=states[-1].residual_norm,
-        anchor_residual=float(anchor_residual),
+        final_residual=attempts[-1].residuals[-1],
+        anchor_residual=attempts[0].residuals[0],
         barrier_report=barrier,
-        states=states,
-        rejected_steps=rejected_steps,
+        attempts=attempts,
         node_margins=final.margins,
         node_residual=final.ft - ev.psi_tilde,
     )

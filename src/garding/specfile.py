@@ -31,7 +31,8 @@ Sections
                 points = ... (radial), each within the bounds above
 
 Families: ``quadratic`` (coeff c: c |z|^2 on boxes, profile c s radially),
-``polynomial`` (terms = k, then term_1..term_k = coeff, e_1..e_2n; e_i in 0, 1, ...),
+``polynomial`` (terms = k, then term_1..term_k = coeff, e_1..e_2n; e_i in 0, 1, ...;
+k times the nodes of the largest grid at most MAX_TERM_NODES),
 ``radial-power`` (power k <= MAX_POWER, scale a: a s^k / k), ``radial-poly``
 (coeffs = c_0, c_1, ...: sum c_j s^j).
 """
@@ -52,6 +53,9 @@ from .radial import RadialGrid
 
 FORMAT_VERSION = 1
 MAX_POWER = 1024  # a radial-power profile keeps power + 1 dense coefficients
+# most polynomial terms x nodes of the domain grid or a [sweep] level: the build
+# evaluates each term over the grid, 0.6-4 ms per term at 9^6 nodes (<= 0.5 s here)
+MAX_TERM_NODES = 2**26
 
 
 @dataclass(frozen=True)
@@ -222,6 +226,17 @@ def parse_document(text: str) -> SpecDocument:
         grid = RadialGrid(radius, grid_size("radial", "points"))
         chi_scalar = number("radial", "chi", default=0.0)
 
+    sweep = ()
+    size_key, sweep_key = ("resolution", "resolutions") if box else ("points", "points")
+    levels = array("sweep", sweep_key)
+    if levels is not None:
+        if len(levels) < 2:
+            raise ValidationError("sweep", "need at least two levels")
+        sweep = tuple(replace(grid, **{size_key: grid_size("sweep", sweep_key, "sweep", x)})
+                      for x in levels)
+
+    nodes = max(math.prod(g.shape) for g in (grid, *sweep))
+
     def function_spec(section) -> FunctionSpec | None:
         src = data[section]
         if not src:
@@ -245,8 +260,12 @@ def parse_document(text: str) -> SpecDocument:
                 raise ValidationError(section, "radial-poly needs coeffs")
             params.append(("coeffs", tuple(float(c) for c in coeffs)))
         elif builtin == "polynomial":
+            count = integer(section, "terms", 1, section)
+            if count * nodes > MAX_TERM_NODES:
+                raise ValidationError(section, f"{count} terms x {nodes} grid nodes exceed "
+                                               f"the limit of {MAX_TERM_NODES}")
             terms = []
-            for i in range(1, integer(section, "terms", 1, section) + 1):
+            for i in range(1, count + 1):
                 row = array(section, f"term_{i}")
                 if row is None:
                     raise ValidationError(section, f"missing term_{i}")
@@ -267,15 +286,6 @@ def parse_document(text: str) -> SpecDocument:
         raise ValidationError("solution", "a [solution] section is required")
     subsolution = function_spec("subsolution")
     init = function_spec("init")
-
-    sweep = ()
-    size_key, sweep_key = ("resolution", "resolutions") if box else ("points", "points")
-    levels = array("sweep", sweep_key)
-    if levels is not None:
-        if len(levels) < 2:
-            raise ValidationError("sweep", "need at least two levels")
-        sweep = tuple(replace(grid, **{size_key: grid_size("sweep", sweep_key, "sweep", x)})
-                      for x in levels)
 
     psi_scale = number("psi", "scale", default=1.0)
     if psi_scale <= 0.0:

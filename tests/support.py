@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -12,6 +16,18 @@ from garding.hermitian import ambient_transport_batch, complex_hessian_from
 from garding.operator import ftilde_grad_batch, margins_batch
 
 CLUSTER_GAP_RTOL = 1e-8  # eigenvalue-cluster threshold for derivative averaging
+
+
+@functools.cache
+def bench_checker():
+    """``bench/checker.py``, the benchmark's independent reader and checker
+    of solve outputs, loaded once."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "checker.py"
+    spec = importlib.util.spec_from_file_location("bench_checker", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def re_z1_squared(n: int) -> Polynomial:

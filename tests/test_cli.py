@@ -27,7 +27,7 @@ from garding.report import write_solution_csv
 from garding.solver import continuity_solve
 from garding.specfile import build_problem, parse_document
 
-from support import stack_coords
+from support import bench_checker, stack_coords
 
 RADIAL_SPEC = """format_version = 1
 [problem]
@@ -56,6 +56,9 @@ resolution = 9
 builtin = quadratic
 coeff = 1.0
 """
+
+REPO = Path(__file__).resolve().parent.parent
+checker = bench_checker()
 
 RADIAL_SWEEP = RADIAL_SPEC + """[sweep]
 points = 101, 201
@@ -130,8 +133,9 @@ class TestSolveMode:
 
     def test_cone_escape_exit_status(self, tmp_path):
         spec = BOX_SPEC + "\n[init]\nbuiltin = quadratic\ncoeff = -1\n"
-        status, _ = run_cli(tmp_path, spec, "solve")
+        status, out = run_cli(tmp_path, spec, "solve")
         assert status == 3
+        assert checker.read_report(out / "report.txt")["failure"] == "ConeEscape"
 
     N1_SPEC = """format_version = 1
 [problem]
@@ -168,8 +172,9 @@ scale = 0.9
 
     def test_init_off_the_cone_inside_exits_3(self, tmp_path):
         spec = self.N1_SPEC + "[init]\nbuiltin = quadratic\ncoeff = 1.1\n"
-        status, _ = run_cli(tmp_path, spec, "solve")
+        status, out = run_cli(tmp_path, spec, "solve")
         assert status == 3
+        assert checker.read_report(out / "report.txt")["status"] == "failed"
 
     def test_a_start_with_uneven_axis_weights_solves(self, tmp_path):
         # the axis weights of this start vary across rows; a mean axis stencil
@@ -188,10 +193,13 @@ scale = 0.9
                                "term_1 = 1, 2, 0\nterm_2 = 1, 0, 2\nterm_3 = -0.5, 0, 0\n")
         status, out = run_cli(tmp_path, spec, mode)
         assert status == 4
+        report = (out / "report.txt").read_text()
+        assert "subsolution differs from the boundary data by 5.000000e-01" in report
         if mode == "verify-subsolution":
-            report = (out / "report.txt").read_text()
-            assert "subsolution differs from the boundary data by 5.000000e-01" in report
             assert "witness_node = (0, 4)" in report
+        else:  # the solve failed before its first attempt
+            kv = checker.read_report(out / "report.txt")
+            assert (kv["failure"], kv["homotopy_steps"]) == ("SubsolutionInvalid", "0")
 
     @pytest.mark.parametrize("spec_text", [RADIAL_SPEC, BOX_SPEC], ids=["radial", "box"])
     def test_determinism_byte_identical(self, tmp_path, spec_text):
@@ -720,6 +728,12 @@ class TestValidationFailures:
                      id="radial-sweep-level-below-the-minimum"),
         pytest.param(RADIAL_SPEC.replace("power = 2", "power = 1e30"), "solution",
                      id="radial-power-above-the-cap"),
+        # 73 terms x 31^4 sweep nodes exceed MAX_TERM_NODES; every row is valid
+        pytest.param(BOX_SPEC.replace("builtin = quadratic\ncoeff = 1.0", "builtin = polynomial\n"
+                                      "terms = 73\n" + "".join(f"term_{i} = 1, {i}, 0, 0, 0\n"
+                                                               for i in range(1, 74)))
+                     + "[sweep]\nresolutions = 9, 31\n", "solution",
+                     id="polynomial-terms-times-nodes-above-the-cap"),
     ])
     def test_rejected_spec_names_the_field(self, tmp_path, capsys, request, spec, field):
         # the parser checks every spec value, so every mode rejects the spec alike
@@ -767,9 +781,32 @@ def test_a_tolerance_below_the_rounding_floor_exits_3(tmp_path, capsys):
     spec = (Path(__file__).resolve().parent.parent / "specs" / "radial-n3-p2.spec")
     status, out = run_cli(tmp_path, spec.read_text(), "solve", extra=["--tol", "1e-10"])
     assert status == 3
-    assert ("newton_tol 1.0e-10 is below the residual's rounding floor 8.9e-10 on this grid"
-            in capsys.readouterr().err)
-    assert not out.exists()
+    message = "newton_tol 1.0e-10 is below the residual's rounding floor 8.9e-10 on this grid"
+    assert message in capsys.readouterr().err
+    # the failed solve writes its report and no CSV: the t = 0 solve was
+    # accepted, the attempt at t = 1 failed
+    kv = checker.read_report(out / "report.txt")
+    assert (kv["status"], kv["failure"]) == ("failed", "BelowRoundingFloor")
+    assert message in kv["message"]
+    assert (kv["t_reached"], kv["homotopy_steps"], kv["rejected_steps"]) == ("0.0", "1", "1")
+    assert kv["newton_iters_total"] == "0" and float(kv["min_margin_final"]) > 0
+    assert not (out / "fields.csv").exists()
+
+
+def test_a_failed_solve_report_names_the_failure(tmp_path, capsys):
+    # a start outside the cone: the t = 0 attempt fails, so no t is reached
+    spec = REPO / "bench" / "specs" / "box-n2-p1-r9.spec"
+    text = spec.read_text() + "\n[init]\nbuiltin = quadratic\ncoeff = -1\n"
+    status, out = run_cli(tmp_path, text, "solve")
+    assert status == 3
+    assert capsys.readouterr().err.startswith("solver failure: initial iterate not admissible")
+    kv = checker.read_report(out / "report.txt")
+    assert kv["failure"] == "ConeEscape" and kv["status"] == "failed"
+    assert kv["message"].startswith("initial iterate not admissible at node ")
+    assert (kv["homotopy_steps"], kv["rejected_steps"], kv["newton_iters_total"]) == \
+        ("0", "1", "0")
+    assert "t_reached" not in kv and "min_margin_final" not in kv
+    assert sorted(p.name for p in out.iterdir()) == ["report.txt"]
 
 
 def spec_up_to_solution(path: str) -> str:
@@ -802,7 +839,6 @@ def test_a_failure_at_a_stack_row_names_its_grid_node(tmp_path, capsys, text, no
 EXIT_STATUS = {
     errors.ParseError: 2,
     errors.ValidationError: 2,
-    errors.RadialModeUnsupported: 2,
     errors.ConeEscape: 3,
     errors.ContinuationStalled: 3,
     errors.BelowRoundingFloor: 3,
@@ -828,9 +864,6 @@ def test_every_error_class_has_an_exit_status(tmp_path, monkeypatch):
 
         monkeypatch.setattr(cli, "_run_solve", fail)
         assert main(argv) == EXIT_STATUS[cls], cls.__name__
-
-
-REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("mode, spec", [

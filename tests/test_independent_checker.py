@@ -19,10 +19,8 @@ fails the test.
 from __future__ import annotations
 
 import contextlib
-import importlib.util
 import io
 import re
-import sys
 import tempfile
 from pathlib import Path
 
@@ -32,19 +30,10 @@ from hypothesis import strategies as st
 
 from garding.cli import main
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+from support import bench_checker
+
 SEED = 1
-
-
-def load_checker():
-    spec = importlib.util.spec_from_file_location("bench_checker", BENCH / "checker.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-checker = load_checker()
+checker = bench_checker()
 COEFFS = st.floats(-2.0, 2.0)
 # a rejection the rounding of the recomputed columns explains
 KNOWN_GAP = re.compile(

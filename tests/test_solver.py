@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from pathlib import Path
@@ -15,7 +16,6 @@ from garding.errors import (
     ContinuationStalled,
     LinearSolveStalled,
     MaxItersExceeded,
-    RadialModeUnsupported,
     SubsolutionInvalid,
     ValidationError,
 )
@@ -29,7 +29,6 @@ import garding.solver as solver
 from garding.solver import (
     _BoxEvaluator,
     _make_evaluator,
-    barrier_check,
     boundary_trace_check,
     c2_ratio_monitor,
     continuity_solve,
@@ -92,6 +91,11 @@ scale = 0.9
 """
 
 
+def accepted(attempts):
+    """The accepted rows of a solve's attempts."""
+    return [a for a in attempts if a.failure is None]
+
+
 def shifted_subsolution(c=0.25):
     # u* + c (s - 1): componentwise larger Hessian eigenvalues, same boundary
     return RadialProfile((-c, c, 0.5))
@@ -104,7 +108,7 @@ class TestRadialSolve:
         assert np.abs(u - problem.phi).max() <= 1e-9
         assert diag.final_residual <= 1e-10
         assert diag.anchor_residual == 0.0
-        assert all(s.min_margin > 0 for s in diag.states)
+        assert all(a.min_margin > 0 for a in accepted(diag.attempts))
 
     def test_nontrivial_homotopy_marches(self, monkeypatch):
         # three corrections do not reach t = 1 from this far a subsolution,
@@ -115,16 +119,16 @@ class TestRadialSolve:
         # the quadratic target is the exact discrete solution
         assert np.abs(u - problem.phi).max() <= 1e-8
         assert diag.final_residual <= 1e-10
-        assert len(diag.states) >= 3  # actually marched through t
-        assert diag.rejected_steps >= 1
-        assert all(s.min_margin > 0 for s in diag.states)
+        assert len(accepted(diag.attempts)) >= 3  # actually marched through t
+        assert len(accepted(diag.attempts)) < len(diag.attempts)  # a step failed
+        assert all(a.min_margin > 0 for a in accepted(diag.attempts))
 
     def test_superlinear_tail(self):
         problem = radial_problem(subsolution_profile=shifted_subsolution())
-        state = newton_solve_at_t(
+        _, row = newton_solve_at_t(
             problem, 1.0, problem.subsolution, tol=1e-10
         )
-        hist = state.residual_history
+        hist = row.residuals
         assert len(hist) >= 3
         assert hist[-1] / hist[-2] <= 0.25
 
@@ -172,8 +176,8 @@ class TestRadialSolve:
         u2, _ = continuity_solve(problem, newton_tol=1e-11, initial_values=init)
         assert np.array_equal(u2[on_boundary], problem.phi[on_boundary])
         assert np.abs(u1 - u2).max() <= 2e-11
-        state = newton_solve_at_t(problem, 1.0, init, tol=1e-10)
-        assert np.array_equal(state.u[on_boundary], problem.phi[on_boundary])
+        u_t, _ = newton_solve_at_t(problem, 1.0, init, tol=1e-10)
+        assert np.array_equal(u_t[on_boundary], problem.phi[on_boundary])
         # the start is not written
         assert np.array_equal(init[on_boundary], problem.phi[on_boundary] + 0.1)
 
@@ -199,14 +203,11 @@ class TestRadialSolve:
         # the floor test off, the step halves down to T_STEP_MIN near t = 0.208
         monkeypatch.setattr(solver, "FLOOR_MULTIPLE", 0.0)
         problem = build_problem(parse_document((SPEC_DIR / "radial-n3-p2.spec").read_text()))
-        counts = {}
-        count_calls(monkeypatch, solver, "_newton_loop", counts)
-        count_calls(monkeypatch, solver, "HomotopyState", counts)  # one per returned loop
-        with pytest.raises(ContinuationStalled):
+        with pytest.raises(ContinuationStalled) as exc_info:
             continuity_solve(problem)
-        failed = counts["_newton_loop"] - counts["HomotopyState"]
-        accepted = counts["HomotopyState"] - 1  # the t = 0 solve is not a step
-        assert failed <= accepted + 20
+        rows = exc_info.value.attempts
+        steps = len(accepted(rows)) - 1  # the t = 0 solve is not a step
+        assert len(rows) - len(accepted(rows)) <= steps + 20
 
     def test_max_iters_exceeded_directly(self, monkeypatch):
         problem = radial_problem(subsolution_profile=shifted_subsolution())
@@ -225,7 +226,7 @@ class TestBoxSolve:
         assert err <= 5e-3
         assert diag.final_residual <= 1e-8
         assert diag.anchor_residual == 0.0
-        assert all(s.min_margin > 0 for s in diag.states)
+        assert all(a.min_margin > 0 for a in accepted(diag.attempts))
 
     def test_error_decreases_with_refinement(self):
         errs = {}
@@ -241,8 +242,8 @@ class TestBoxSolve:
         monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 2)
         u, diag = continuity_solve(problem)
         assert diag.final_residual <= 1e-8
-        assert len(diag.states) >= 3
-        assert diag.rejected_steps >= 1
+        assert len(accepted(diag.attempts)) >= 3
+        assert len(accepted(diag.attempts)) < len(diag.attempts)
         # smaller psi lifts the solution above the subsolution
         assert (u - problem.subsolution).min() >= -1e-10
 
@@ -296,7 +297,7 @@ class TestBoxSolve:
         assert diag.final_residual <= 1e-8
         err = np.abs(u - problem.phi).max()
         assert err <= 5e-3
-        assert all(s.min_margin > 0 for s in diag.states)
+        assert all(a.min_margin > 0 for a in accepted(diag.attempts))
         assert diag.amgm_min_slack >= -1e-10
 
     def test_general_metric_marching_solve(self, monkeypatch):
@@ -311,8 +312,8 @@ class TestBoxSolve:
         monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 2)
         u, diag = continuity_solve(problem)
         assert diag.final_residual <= 1e-8
-        assert len(diag.states) >= 3
-        assert diag.rejected_steps >= 1
+        assert len(accepted(diag.attempts)) >= 3
+        assert len(accepted(diag.attempts)) < len(diag.attempts)
         assert (u - problem.subsolution).min() >= -1e-9
 
     def test_cone_escape_on_bad_initializer(self):
@@ -346,27 +347,29 @@ class TestContinuationSchedule:
     @given(OUTCOME_RUNS)
     def test_every_schedule_ends_within_the_bound(self, runs):
         outcomes = [accept for accept, length in runs for _ in range(length)]
-        tries, reached = [], []
+        tries, reached, drawn = [], [], []
 
         def drawn_loop(ev, t, u, start, tol):
             tries.append(t)
             # the t = 0 solve always converges; attempts past the drawn
             # outcomes are accepted
-            if len(tries) > 1 and outcomes and not outcomes.pop(0):
+            drawn.append(len(tries) == 1 or not outcomes or outcomes.pop(0))
+            if not drawn[-1]:
                 raise MaxItersExceeded("drawn failure")
             reached.append(t)
-            return solver.HomotopyState(t, u, 0.0, 0, 1.0, (0.0,)), start
+            return u, start, solver.Attempt(t, (0.0,), 1.0, None)
 
-        def states_only(problem, ev, final, states, anchor_residual, rejected_steps):
-            return SimpleNamespace(states=states, rejected_steps=rejected_steps)
+        def attempts_only(problem, ev, u, final, attempts):
+            return SimpleNamespace(attempts=attempts)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_newton_loop", drawn_loop)
-            mp.setattr(solver, "_diagnostics", states_only)
+            mp.setattr(solver, "_diagnostics", attempts_only)
             try:
                 _, diag = continuity_solve(SCHEDULE_PROBLEM)
-            except ContinuationStalled:
-                diag = None
+                rows = diag.attempts
+            except ContinuationStalled as exc:
+                diag, rows = None, exc.attempts
 
         assert tries[0] == 0.0 and all(0.0 < t <= 1.0 for t in tries[1:])
         assert all(a < b for a, b in zip(reached, reached[1:]))
@@ -377,8 +380,12 @@ class TestContinuationSchedule:
         if diag is None:
             assert failed == accepted + floor_halvings  # stalled at the floor
         else:
-            assert reached[-1] == 1.0 and [s.t for s in diag.states] == reached
-            assert diag.rejected_steps == failed
+            assert reached[-1] == 1.0
+        # one row per attempt, in order, failed where the outcome was drawn so
+        assert [a.t for a in rows] == tries
+        assert [a.failure is None for a in rows] == drawn
+        assert all(a.failure == "MaxItersExceeded: drawn failure" and a.residuals == ()
+                   for a in rows if a.failure is not None)
 
 
 class TestOneAnalysisPerState:
@@ -408,7 +415,7 @@ class TestOneAnalysisPerState:
 
         monkeypatch.setattr(_BoxEvaluator, "correction", failing_once)
         _, diag = continuity_solve(box_problem(res=9, psi_scale=0.85))
-        assert counts["_newton_loop"] - len(diag.states) == 1
+        assert counts["_newton_loop"] - len(accepted(diag.attempts)) == 1
         # the injected failure made no candidate, and the restart starts from
         # the failed attempt's start analysis: no state is analyzed twice
         assert counts["eigvals_batch"] == 1 + (len(calls) - 1) + 1
@@ -479,20 +486,29 @@ class TestOneAnalysisPerState:
             # the first step, scaled up, leaves the cone: damping halves it
             return 1024.0 * step if seen["corrections"] == 1 else step
 
-        counts = {}
-        count_calls(monkeypatch, solver, "_newton_loop", counts)
+        loop, calls, converged = solver._newton_loop, [], []
+
+        def recording_loop(ev, t, u, start, tol):
+            # each accepted attempt's iterate, with its row
+            calls.append(t)
+            u, state, row = loop(ev, t, u, start, tol)
+            converged.append((u, row))
+            return u, state, row
+
+        monkeypatch.setattr(solver, "_newton_loop", recording_loop)
         monkeypatch.setattr(_BoxEvaluator, "analyze", recording_analyze)
         monkeypatch.setattr(_BoxEvaluator, "correction", checked_correction)
         _, diag = continuity_solve(problem)
-        assert seen["analyses"] > 1 + counts["_newton_loop"] + seen["corrections"]
+        assert seen["analyses"] > 1 + len(calls) + seen["corrections"]
+        assert [row for _, row in converged] == accepted(diag.attempts)
 
         ev, _ = _make_evaluator(problem)
-        for state in diag.states:
-            fresh = analyze(ev, state.u)
+        for u, row in converged:
+            fresh = analyze(ev, u)
             ev.linearize(fresh)
-            target = state.t * ev.psi_tilde + (1.0 - state.t) * ev.anchor
-            assert state.min_margin == fresh.min_margin
-            assert state.residual_norm == float(np.abs(fresh.ft - target).max())
+            target = row.t * ev.psi_tilde + (1.0 - row.t) * ev.anchor
+            assert (row.min_margin, row.min_node) == (fresh.min_margin, fresh.min_node)
+            assert row.residuals[-1] == float(np.abs(fresh.ft - target).max())
 
 
 class TestNoDiscardedWork:
@@ -528,8 +544,27 @@ class TestNoDiscardedWork:
 
     def test_states_keep_their_residual_history(self):
         _, diag = continuity_solve(box_problem(res=9, psi_scale=0.85))
-        assert diag.states[0].residual_history[0] == diag.anchor_residual
-        assert all(s.residual_history[-1] == s.residual_norm for s in diag.states)
+        assert diag.attempts[0].residuals[0] == diag.anchor_residual
+        assert diag.attempts[-1].residuals[-1] == diag.final_residual
+        assert all(a.residuals[-1] <= solver.NEWTON_TOL["box"] for a in accepted(diag.attempts))
+
+    def test_no_row_holds_an_array_or_an_exception(self, monkeypatch):
+        # the rows of a marching solve, its failed attempts included, hold
+        # plain values: no field and no traceback outlives the attempt
+        problem = radial_problem(subsolution_profile=shifted_subsolution(10.0))
+        monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 3)
+        _, diag = continuity_solve(problem)
+        failed = [a for a in diag.attempts if a.failure is not None]
+        assert failed and all(a.failure.startswith(("ConeEscape: ", "MaxItersExceeded: "))
+                              for a in failed)
+
+        def plain(value):
+            if isinstance(value, tuple):
+                return all(plain(v) for v in value)
+            return not isinstance(value, (np.ndarray, BaseException))
+
+        assert all(plain(getattr(a, f.name)) for a in diag.attempts
+                   for f in dataclasses.fields(a))
 
     def test_cone_escape_names_alpha_min(self, monkeypatch):
         problem = box_problem(res=9, psi_scale=0.85)
@@ -658,10 +693,13 @@ class TestNewtonStagnation:
         start = time.perf_counter()
         with pytest.raises(BelowRoundingFloor,
                            match=f"newton_tol {tol:.1e} is below the residual's rounding "
-                                 f"floor {floor} on this grid"):
+                                 f"floor {floor} on this grid") as exc_info:
             continuity_solve(problem, newton_tol=tol)
         assert time.perf_counter() - start < 0.1
         assert attempts == [0.0, 1.0]  # the t = 0 solve, then one attempt
+        rows = exc_info.value.attempts
+        assert [a.t for a in rows] == attempts
+        assert rows[-1].failure == f"BelowRoundingFloor: {exc_info.value}"
 
 
 class TestSandwich:
@@ -703,13 +741,17 @@ class TestBoundaryTrace:
         assert diag.c0_boundary == 0.0
 
 
+def barrier_report(u, problem, tau=solver.BARRIER_TAU, N=solver.BARRIER_N,
+                   delta=solver.BARRIER_DELTA):
+    """The collar barrier of v = (u - u) + tau d - N d^2, with L at u."""
+    a = solver._linearized(_BoxEvaluator(problem), u, "barrier test field")
+    return solver._barrier_report(u, u, problem, a, tau, N, delta)
+
+
 class TestBarrier:
     def test_trivial_positive_barrier(self):
         problem = box_problem(res=13)
-        report = barrier_check(
-            problem.subsolution, problem.subsolution, problem,
-            tau=0.1, N=0.2, delta=0.3,
-        )
+        report = barrier_report(problem.subsolution, problem, tau=0.1, N=0.2, delta=0.3)
         # u = subsolution: v = d (tau - N d) > 0 on the collar
         assert report.collar_nodes > 0
         assert report.min_v > 0
@@ -717,17 +759,13 @@ class TestBarrier:
 
     def test_degenerate_collar_flagged(self):
         problem = box_problem(res=9)
-        report = barrier_check(
-            problem.subsolution, problem.subsolution, problem,
-            tau=0.1, N=1.0, delta=5.0,
-        )
+        report = barrier_report(problem.subsolution, problem, tau=0.1, N=1.0, delta=5.0)
         assert report.degenerate_collar
 
     def test_empty_collar_is_not_degenerate(self):
         # spacing 0.25: no node lies at 0 < d < 0.1, and 0.1 is below the half width
         problem = box_problem(res=9)
-        sub = problem.subsolution
-        report = barrier_check(sub, sub, problem, delta=0.1)
+        report = barrier_report(problem.subsolution, problem, delta=0.1)
         assert report.collar_nodes == 0 and np.isnan(report.min_v)
         assert not report.degenerate_collar
 
@@ -735,16 +773,10 @@ class TestBarrier:
         # one axis 4x longer: every collar node's stencil sees a second face
         grid = BoxGrid(2, ((-1, 1), (-1, 1), (-1, 1), (-4, 4)), 9)
         problem = manufactured_box(grid_target(), 0.25 * np.eye(2), OperatorParams(2, 1), grid)
-        sub = problem.subsolution
-        report = barrier_check(sub, sub, problem)
+        report = barrier_report(problem.subsolution, problem)
         assert report.collar_nodes > 0 and report.smooth_nodes == 0
         assert report.max_lv_node is None and np.isnan(report.epsilon)
         assert report.min_v_node is not None
-
-    def test_radial_unsupported(self):
-        problem = radial_problem()
-        with pytest.raises(RadialModeUnsupported):
-            barrier_check(problem.subsolution, problem.subsolution, problem)
 
 
 class TestRatioMonitor:

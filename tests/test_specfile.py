@@ -16,6 +16,7 @@ from garding.radial import RadialGrid
 from garding.analytic import Polynomial, radial_power
 from garding.operator import MAX_NODES, OperatorParams
 from garding.specfile import (
+    MAX_TERM_NODES,
     SpecDocument,
     _box_function,
     build_problem,
@@ -374,7 +375,8 @@ def test_a_long_polynomial_parses_in_linear_time(monkeypatch):
     # adding the terms one at a time took 0.59 s at 800 terms and grew with
     # the square of the count
     rows = [(1.0, i % 10, i // 10 % 10, i // 100 % 10, i // 1000) for i in range(10_000)]
-    text = polynomial_spec(rows)
+    # 10 000 terms x 9^4 nodes is within MAX_TERM_NODES
+    text = polynomial_spec(rows).replace("resolution = 17", "resolution = 9")
     built = []
     monkeypatch.setattr(specfile, "Polynomial",
                         lambda *args: built.append(1) or Polynomial(*args))
@@ -383,3 +385,16 @@ def test_a_long_polynomial_parses_in_linear_time(monkeypatch):
     assert time.perf_counter() - start < 1.0
     assert len(built) == 1  # one Polynomial for the one function section
     assert len(_box_function(doc.solution, 2).terms) == 10_000
+
+
+def test_a_polynomial_is_capped_by_its_terms_times_the_grid_nodes():
+    # the build evaluates every term over the grid: 10 000 terms x 17^4 nodes
+    # exit 2 at parse, and so do 73 terms x 31^4 on a [sweep] level, not 72
+    rows = [(1.0, i % 10, i // 10 % 10, i // 100 % 10, i // 1000) for i in range(10_000)]
+    with pytest.raises(ValidationError, match=f"^solution: 10000 terms x 83521 grid nodes "
+                                              f"exceed the limit of {MAX_TERM_NODES}$"):
+        parse_document(polynomial_spec(rows))
+    sweep = "[sweep]\nresolutions = 9, 31\n"
+    with pytest.raises(ValidationError, match="^solution: 73 terms x 923521 grid nodes"):
+        parse_document(polynomial_spec(rows[:73]) + sweep)
+    parse_document(polynomial_spec(rows[:72]) + sweep)

@@ -24,10 +24,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # spec text appended to bench/specs/box-n2-p1-r9.spec: starts other than
 # the subsolution (at coeff 0.5 the mean axis stencil's weights are uneven
-# across rows), a subsolution above psi but off phi on the boundary, and a
-# nonzero chi
+# across rows; at -1 the start is outside the cone and the solve exits 3), a
+# subsolution above psi but off phi on the boundary, and a nonzero chi
 INIT = "[init]\nbuiltin = quadratic\ncoeff = 0.8\n"
 UNEVEN_INIT = "[init]\nbuiltin = quadratic\ncoeff = 0.5\n"
+OUTSIDE_INIT = "[init]\nbuiltin = quadratic\ncoeff = -1\n"
 OFF_BOUNDARY = "[subsolution]\nbuiltin = quadratic\ncoeff = 5\n"
 CHI = "[chi]\ndiag = 0.5, 0.25\n"
 RUNS = (  # (mode, spec, appended spec text)
@@ -43,6 +44,7 @@ RUNS = (  # (mode, spec, appended spec text)
     ("check-operator", "specs/box-n2-p1.spec"),
     ("solve", "bench/specs/box-n2-p1-r9.spec", INIT),
     ("solve", "bench/specs/box-n2-p1-r9.spec", UNEVEN_INIT),
+    ("solve", "bench/specs/box-n2-p1-r9.spec", OUTSIDE_INIT),
     ("solve", "bench/specs/box-n2-p1-r9.spec", OFF_BOUNDARY),
     ("solve", "bench/specs/box-n2-p1-r9.spec", CHI),
     ("verify-subsolution", "bench/specs/box-n2-p1-r9.spec", OFF_BOUNDARY),

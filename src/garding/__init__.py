@@ -29,7 +29,6 @@ from .hermitian import congruence_reduce_batch, eigvals_batch
 from .linear import SparseSystem, assemble_linearized, solve_sparse, upper_barrier
 from .operator import (
     OperatorParams,
-    arrow_form_value,
     determinant_form_batch,
     determinant_linearization_batch,
     ftilde_batch,

@@ -10,6 +10,10 @@ with central second differences on the diagonal and 4-point cross stencils
 for mixed terms.  Mixed stencils are symmetric in their two axes, so the
 assembled matrix is Hermitian exactly (zero symmetrization correction) and
 the diagonal is exactly real.  Consistency is O(h^2) for C^4 functions.
+
+Every difference is one ``flat_step`` pass over contiguous interior values.
+The Hessian, and anything linear in it, is read from the ``difference_stack``
+of u through one real ``hessian_table`` product (``table_field``).
 """
 
 from __future__ import annotations
@@ -129,26 +133,103 @@ def interior_slices(ndim: int, steps: dict) -> tuple:
     return tuple(slice(1 + steps.get(a, 0), steps.get(a, 0) - 1 or None) for a in range(ndim))
 
 
-def second_difference(values: np.ndarray, axis_a: int, axis_b: int, spacing) -> np.ndarray:
-    """Discrete d^2/(dt_a dt_b) over the interior block of a full-grid array."""
-    ndim, ha, hb = values.ndim, spacing[axis_a], spacing[axis_b]
-    if axis_a == axis_b:
-        up = values[interior_slices(ndim, {axis_a: +1})]
-        mid = values[interior_slices(ndim, {})]
-        dn = values[interior_slices(ndim, {axis_a: -1})]
-        return (up - 2.0 * mid + dn) / (ha * ha)
-    pp = values[interior_slices(ndim, {axis_a: +1, axis_b: +1})]
-    pm = values[interior_slices(ndim, {axis_a: +1, axis_b: -1})]
-    mp = values[interior_slices(ndim, {axis_a: -1, axis_b: +1})]
-    mm = values[interior_slices(ndim, {axis_a: -1, axis_b: -1})]
-    return (pp - pm - mp + mm) / (4.0 * ha * hb)
+def flat_step(op, x: np.ndarray, a: int, out: np.ndarray, values=None, b=None) -> None:
+    """out = op(x(+e_a), x(-e_a)) on interior-shaped values in C order: one
+    pass at a's flat stride s, ``op(x[2s:], x[:-2s], out=out[s:-s])``, then
+    a's two faces, where it read across a line end, from the values past
+    them: zero, or the layers of the full-grid ``values`` (stepped along b)."""
+    m = x.shape[0]
+    s = m ** (x.ndim - 1 - a)
+    x, out = x.reshape(-1), out.reshape(-1)
+    op(x[2 * s:], x[:-2 * s], out=out[s:-s])
+    x, out = x.reshape(-1, m, s), out.reshape(-1, m, s)
+    beyond = (0.0, 0.0) if values is None else [_layer(values, a, side, b).reshape(-1, s)
+                                                 for side in (0, -1)]
+    op(x[:, 1], beyond[0], out=out[:, 0])
+    op(beyond[1], x[:, -2], out=out[:, -1])
+
+
+def _layer(values: np.ndarray, a: int, side: int, b) -> np.ndarray:
+    """The boundary layer of ``values`` at ``side`` of axis a, interior along
+    the other axes; with an axis b, its step u(+e_b) - u(-e_b) along b."""
+
+    def at(move):
+        sl = list(interior_slices(values.ndim, move))
+        sl[a] = side
+        return values[tuple(sl)]
+
+    return at({}) if b is None else at({b: 1}) - at({b: -1})
+
+
+def hessian_pairs(n: int) -> tuple:
+    """The real axis pairs (a, b), a < b, whose mixed differences the complex
+    Hessian reads: an axis of z_j against an axis of z_k, j < k."""
+    return tuple((a, b) for a in range(2 * n) for b in range(a + 1, 2 * n) if a // 2 != b // 2)
+
+
+def difference_stack(values: np.ndarray) -> np.ndarray:
+    """The difference fields of the full-grid ``values`` at the interior
+    nodes, stacked: the centre u, u(+e_a) + u(-e_a) along each real axis a,
+    and for each of the ``hessian_pairs`` (a, b) the step along a of the
+    step along b, u(+e_a+e_b) - u(+e_a-e_b) - u(-e_a+e_b) + u(-e_a-e_b).
+    Each row is ``flat_step`` passes; the pairs sharing b share its step."""
+    n, pairs = values.ndim // 2, hessian_pairs(values.ndim // 2)
+    stack = np.empty((1 + 2 * n + len(pairs),) + tuple(k - 2 for k in values.shape))
+    stack[0] = values[interior_slices(values.ndim, {})]
+    for a in range(2 * n):
+        flat_step(np.add, stack[0], a, stack[1 + a], values)
+    step = np.empty(stack.shape[1:])
+    for b in sorted({b for _, b in pairs}):
+        flat_step(np.subtract, stack[0], b, step, values)
+        for row, (a, pair_b) in enumerate(pairs, start=1 + 2 * n):
+            if pair_b == b:
+                flat_step(np.subtract, step, a, stack[row], values, b)
+    return stack
+
+
+def hessian_table(grid: BoxGrid, chi: np.ndarray, lift=lambda forms: (forms,)) -> np.ndarray:
+    """The ``table_field`` table of lift(chi + complex Hessian of u), where
+    ``lift`` maps stacked (k, n, n) Hermitian forms linearly to (k, m, m)
+    ones and any further (k,) rows.  Column f is the lift of the Hessian of
+    the f-th unit stack row, and the last that of chi; the rows are the real
+    parts of the lower triangle, the imaginary parts below it, the others."""
+    n, h, pairs = grid.n, grid.spacing, hessian_pairs(grid.n)
+    units = np.eye(1 + 2 * n + len(pairs))
+
+    def d2(a, b):
+        if a == b:
+            return (units[1 + a] - 2.0 * units[0]) / (h[a] * h[a])
+        return units[1 + 2 * n + pairs.index((min(a, b), max(a, b)))] / (4.0 * h[a] * h[b])
+
+    forms, *rest = lift(np.concatenate([complex_hessian_from(d2, n, units.shape[:1]), chi[None]]))
+    low, below = np.tril_indices(forms.shape[-1]), np.tril_indices(forms.shape[-1], -1)
+    return np.vstack([forms[:, low[0], low[1]].real.T, forms[:, below[0], below[1]].imag.T, *rest])
+
+
+def table_field(table: np.ndarray, u: np.ndarray, grid: BoxGrid, m: int) -> tuple:
+    """The affine map ``table`` (a ``hessian_table``) of the ``difference_stack``
+    of u at every interior node, by one real matrix product.  Returns (the
+    (*interior_shape, m, m) Hermitian field, plane-backed, exactly Hermitian
+    with a real diagonal; the further rows, interior-shaped)."""
+    stack = difference_stack(u)
+    rows = table[:, :-1] @ stack.reshape(len(stack), -1)
+    del stack  # it dies before the field is allocated
+    const, low, below = table[:, -1], np.tril_indices(m), np.tril_indices(m, -1)
+    planes = np.empty((m, m, rows.shape[1]), dtype=np.complex128)
+    for r, (i, j) in enumerate(zip(*low)):
+        np.add(rows[r], const[r], out=planes[i, j].real)
+    for r, (i, j) in enumerate(zip(*below), start=len(low[0])):
+        np.add(rows[r], const[r], out=planes[i, j].imag)
+        np.conjugate(planes[i, j], out=planes[j, i])
+    planes.imag[np.diag_indices(m)] = 0.0
+    field = np.moveaxis(planes.reshape((m, m) + grid.interior_shape), (0, 1), (-2, -1))
+    return field, (rows[m * m:] + const[m * m:, None]).reshape((-1,) + grid.interior_shape)
 
 
 def complex_hessian_field(u: np.ndarray, grid: BoxGrid) -> np.ndarray:
     """Discrete complex Hessian of the full-grid values u at every interior
-    node, an (*interior_shape, n, n) complex array."""
-    return complex_hessian_from(
-        lambda a, b: second_difference(u, a, b, grid.spacing), grid.n, grid.interior_shape)
+    node, a plane-backed (*interior_shape, n, n) complex array."""
+    return table_field(hessian_table(grid, np.zeros((grid.n, grid.n))), u, grid, grid.n)[0]
 
 
 def first_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -192,14 +273,12 @@ def face_tangential_trace_min(u: np.ndarray, grid: BoxGrid, chi: np.ndarray) -> 
             sl = [slice(None)] * grid.ndim_real
             sl[axis] = side
             face = u[tuple(sl)]
-            face_axes = [a for a in range(grid.ndim_real) if a != axis]
-            pos = {a: i for i, a in enumerate(face_axes)}
-            spacing = [grid.spacing[a] for a in face_axes]
-            trace = np.full(tuple(grid.resolution - 2 for _ in face_axes), chi_trace)
+            mid = face[interior_slices(face.ndim, {})]
+            trace = np.full(mid.shape, chi_trace)
             for j in tang_dirs:
-                for real_axis in (2 * j, 2 * j + 1):
-                    trace += second_difference(
-                        face, pos[real_axis], pos[real_axis], spacing
-                    ) / 4.0
+                for a in (2 * j, 2 * j + 1):
+                    f = a - (a > axis)  # a's axis on the face
+                    up, dn = (face[interior_slices(face.ndim, {f: s})] for s in (1, -1))
+                    trace += (up - 2.0 * mid + dn) / (grid.spacing[a] * grid.spacing[a]) / 4.0
             best = min(best, float(trace.min()))
     return best

@@ -56,37 +56,37 @@ def eigvals_batch(mats: np.ndarray) -> np.ndarray:
 
     Reads the lower triangle, as ``np.linalg.eigvalsh`` does.  Stacks of
     1 x 1, 2 x 2 and 3 x 3 matrices take closed forms, EIG_BLOCK rows at a
-    time.  ``eigvalsh`` computes the rest: the 3 x 3 rows near a double
-    eigenvalue, where the closed form loses accuracy, every block holding a
-    non-finite entry (so NaN input fails as it does there), and every other
-    shape.
+    time, read as their (m, m, rows) planes.  ``eigvalsh`` computes the
+    rest: the 3 x 3 rows near a double eigenvalue, where the closed form
+    loses accuracy, every block holding a non-finite entry (so NaN input
+    fails as it does there), and every other shape.
     """
     mats = np.asarray(mats)
     m = mats.shape[-1] if mats.ndim >= 2 else 0
     if m not in _CLOSED_FORMS or mats.shape[-2] != m:
         return np.linalg.eigvalsh(mats)
-    rows = mats.reshape(-1, m, m)
-    out = np.empty(rows.shape[:-1])
-    for lo in range(0, rows.shape[0], EIG_BLOCK):
-        block, part = rows[lo : lo + EIG_BLOCK], out[lo : lo + EIG_BLOCK]
+    planes = np.moveaxis(mats.reshape(-1, m, m), 0, -1)  # a view when mats is plane-backed
+    out = np.empty((planes.shape[-1], m))
+    for lo in range(0, planes.shape[-1], EIG_BLOCK):
+        block, part = planes[..., lo : lo + EIG_BLOCK], out[lo : lo + EIG_BLOCK]
         if np.isfinite(block).all():
             part[...] = _CLOSED_FORMS[m](block)
             redo = ~np.isfinite(part).all(axis=-1)
         else:
-            redo = np.ones(block.shape[0], dtype=bool)
+            redo = np.ones(block.shape[-1], dtype=bool)
         if redo.any():
-            part[redo] = np.linalg.eigvalsh(block[redo])
+            part[redo] = np.linalg.eigvalsh(np.moveaxis(block[..., redo], -1, 0))
     return out.reshape(mats.shape[:-1])
 
 
 def _eigvals_1(h: np.ndarray) -> np.ndarray:
-    return h[:, :, 0].real
+    return h[0, 0].real[:, None]
 
 
 def _eigvals_2(h: np.ndarray) -> np.ndarray:
     """mean -+ hypot((a - d) / 2, |b|), halved before the sum so it cannot overflow."""
-    a, d = h[:, 0, 0].real / 2.0, h[:, 1, 1].real / 2.0
-    radius = np.hypot(a - d, np.abs(h[:, 1, 0]))
+    a, d = h[0, 0].real / 2.0, h[1, 1].real / 2.0
+    radius = np.hypot(a - d, np.abs(h[1, 0]))
     return np.stack([a + d - radius, a + d + radius], axis=-1)
 
 
@@ -101,26 +101,28 @@ def _eigvals_3(h: np.ndarray) -> np.ndarray:
     are NaN: the formula is ill-conditioned there (Kopp, Int. J. Mod. Phys. C
     19, 2008).  A scalar row (t = 0) gives q three times.
     """
-    q = (h[:, 0, 0].real + h[:, 1, 1].real + h[:, 2, 2].real) / 3.0
-    diag = h[:, [0, 1, 2], [0, 1, 2]].real - q[:, None]
-    off = h[:, [1, 2, 2], [0, 0, 1]]  # b = h_10, c = h_20, e = h_21
-    t = np.maximum(np.abs(diag).max(axis=-1), np.abs(off).max(axis=-1))
+    q = (h[0, 0].real + h[1, 1].real + h[2, 2].real) / 3.0
+    diag = [h[k, k].real - q for k in range(3)]
+    off = [h[1, 0], h[2, 0], h[2, 1]]
+    t = np.abs(off[0])
+    for x in diag + off[1:]:
+        np.maximum(t, np.abs(x), out=t)
     scalar = t == 0.0
     t[scalar] = 1.0
-    diag /= t[:, None]
-    off = off / t[:, None]
-    sq = off.real**2 + off.imag**2
-    p = np.sqrt(((diag**2).sum(axis=-1) + 2.0 * sq.sum(axis=-1)) / 6.0)
-    a, d, f = diag.T
-    det = (a * (d * f - sq[:, 2]) - f * sq[:, 0] - d * sq[:, 1]
-           + 2.0 * (off[:, 0] * off[:, 2] * off[:, 1].conj()).real)
+    a, d, f = (x / t for x in diag)
+    b, c, e = (x / t for x in off)
+    sb, sc, se = (x.real**2 + x.imag**2 for x in (b, c, e))
+    p = np.sqrt(((a**2 + d**2 + f**2) + 2.0 * (sb + sc + se)) / 6.0)
+    det = a * (d * f - se) - f * sb - d * sc + 2.0 * (b * e * c.conj()).real
     p[scalar] = 1.0  # B = 0: r = 0, and the factor t p below is 0
     r = det / (2.0 * p**3)
     p[scalar] = 0.0
     phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
     phi[np.abs(r) > 1.0 - EIG_R_TOL] = np.nan
-    angles = phi[:, None] + np.array([2.0, -2.0, 0.0]) * (np.pi / 3.0)
-    return q[:, None] + (2.0 * t * p)[:, None] * np.cos(angles)
+    out, radius = np.empty((len(q), 3)), 2.0 * t * p
+    for k, shift in enumerate((2.0 * np.pi / 3.0, -2.0 * np.pi / 3.0, 0.0)):
+        np.add(q, radius * np.cos(phi + shift), out=out[:, k])
+    return out
 
 
 _CLOSED_FORMS = {1: _eigvals_1, 2: _eigvals_2, 3: _eigvals_3}

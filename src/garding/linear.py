@@ -19,11 +19,12 @@ the callers.
 No matrix is formed.  ``StencilOperator`` keeps the weights alone (the
 centre, one field per real axis and one per axis pair whose cross weights
 are not all zero: 19 fields at n = 3; constants for constant coefficients)
-and applies them with one flat-stride kernel.  The coefficients, plane-backed
-when they come from a Newton state (see :mod:`garding.hermitian`), are
-checked to be finite and then to be positive definite: plane-wise Cholesky
-pivots clear the clearly definite nodes, and a batched LAPACK Cholesky
-factorization decides the rest; eigenvalues only name an indefinite node.
+and applies them through ``grid.flat_step``, the difference kernel of the
+analyses' difference stack.  The coefficients, plane-backed when they come
+from a Newton state (see :mod:`garding.hermitian`), are checked to be
+finite and then to be positive definite: plane-wise Cholesky pivots clear
+the clearly definite nodes, and a batched LAPACK Cholesky factorization
+decides the rest; eigenvalues only name an indefinite node.
 The check stays on every field: pivots of the LDL* that produced the
 coefficients can pass where they are singular to rounding.
 
@@ -48,7 +49,7 @@ import numpy as np
 
 # complex_hessian_field is unused here, but bench/child.py resolves it to trace it
 from .errors import IndefiniteCoefficients, LinearSolveStalled
-from .grid import BoxGrid, complex_hessian_field, interior_slices, least
+from .grid import BoxGrid, complex_hessian_field, flat_step, interior_slices, least
 from .hermitian import eigvals_batch
 
 STALL_WINDOW = 50  # iterations without meaningful progress before declaring a stall
@@ -103,46 +104,33 @@ class StencilOperator:
     ``real_stencil_weights`` returns (interior-shaped arrays or constants).
     ``shape`` and ``@`` act on interior vectors; ``nnz`` counts the weights.
 
-    ``@`` and ``apply`` share one kernel on interior values in C order.  A
-    step along axis a is one pass at a's flat stride s, ``op(x[2s:],
-    x[:-2s], out=out[s:-s])``; its two a-faces are then rewritten from the
-    values beyond them: zero for ``@``, the Dirichlet layers for ``apply``,
-    and for a cross pair (a, b) the step along b of those.
+    ``@`` and ``apply`` share one kernel of ``grid.flat_step`` passes on
+    interior values in C order; past the faces it reads zero for ``@`` and
+    the Dirichlet layers for ``apply``.
     """
 
     def __init__(self, grid: BoxGrid, center, axis, cross: dict):
         self.grid, self.center, self.axis, self.cross = grid, center, axis, cross
         self.shape = (math.prod(grid.interior_shape),) * 2
         self.nnz = sum(np.size(w) for w in [center, *self.axis, *cross.values()])
-        ndim, m = grid.ndim_real, grid.resolution - 2
-        self._strides = [m ** (ndim - 1 - a) for a in range(ndim)]
         self._groups: dict = {}  # {b: {a: weight}}: the pairs sharing b share one step along b
         for (a, b), w in cross.items():
             self._groups.setdefault(b, {})[a] = w
         self._buf, self._diff = np.empty((2,) + grid.interior_shape)
 
-    def _step(self, op, x: np.ndarray, a: int, beyond: tuple, out: np.ndarray) -> None:
-        """out = op(x(+e_a), x(-e_a)), with ``beyond`` the values past a's two faces."""
-        s, x, out = self._strides[a], x.reshape(-1), out.reshape(-1)
-        op(x[2 * s:], x[:-2 * s], out=out[s:-s])
-        lines = (-1, self.grid.resolution - 2, s)
-        x, out = x.reshape(lines), out.reshape(lines)
-        op(x[:, 1], beyond[0], out=out[:, 0])
-        op(beyond[1], x[:, -2], out=out[:, -1])
-
-    def _kernel(self, x: np.ndarray, beyond) -> np.ndarray:
-        """L on C-ordered interior values; ``beyond(a, b)`` gives the values
-        past the faces of axis a, stepped along b unless b is None."""
+    def _kernel(self, x: np.ndarray, values) -> np.ndarray:
+        """L on interior-shaped values in C order, with the boundary layers
+        of the full-grid ``values`` past the faces, or zero with None."""
         out = self.center * x
         buf, d = self._buf, self._diff
         for a, w in enumerate(self.axis):
-            self._step(np.add, x, a, beyond(a, None), buf)
+            flat_step(np.add, x, a, buf, values)
             buf *= w
             out += buf
         for b, pairs in self._groups.items():
-            self._step(np.subtract, x, b, beyond(b, None), d)
+            flat_step(np.subtract, x, b, d, values)
             for a, w in pairs.items():
-                self._step(np.subtract, d, a, beyond(a, b), buf)
+                flat_step(np.subtract, d, a, buf, values, b)
                 buf *= w
                 out += buf
         return out
@@ -150,21 +138,10 @@ class StencilOperator:
     def apply(self, values: np.ndarray) -> np.ndarray:
         """L at the interior nodes of a full-grid array, whose boundary
         entries act as Dirichlet data; returns an interior-shaped array."""
-
-        def layer(a, side, move):
-            sl = list(interior_slices(values.ndim, move))
-            sl[a] = side
-            return values[tuple(sl)].reshape(-1, self._strides[a])
-
-        def layers(a, b):
-            if b is None:
-                return layer(a, 0, {}), layer(a, -1, {})
-            return tuple(layer(a, side, {b: 1}) - layer(a, side, {b: -1}) for side in (0, -1))
-
-        return self._kernel(np.ascontiguousarray(values[interior_slices(values.ndim, {})]), layers)
+        return self._kernel(np.ascontiguousarray(values[interior_slices(values.ndim, {})]), values)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self._kernel(x.reshape(self.grid.interior_shape), lambda a, b: (0.0, 0.0)).reshape(-1)
+        return self._kernel(x.reshape(self.grid.interior_shape), None).reshape(-1)
 
     def mmatrix_violations(self) -> int:
         """Rows whose off-diagonal |weights| exceed |centre|.

@@ -31,7 +31,8 @@ literature writes the equation (Fu-Wang-Wu, Math. Res. Lett. 17, 2010;
 Tosatti-Weinkove, J. Amer. Math. Soc. 30, 2017).  Then
 ftilde = det(K)^(1/C(n, p)), A lies in the cone exactly when K is positive
 definite, and the linearization is (ftilde / C(n, p)) tr(K^-1 dK).
-:func:`determinant_form_batch` writes K and
+:func:`determinant_form_batch` writes K (a box solve pushes it into its
+``grid.hessian_table`` once) and
 :func:`determinant_linearization_batch` factors it once per matrix and maps
 K^-1 back to the n x n coefficients.  Both return plane-backed stacks (see
 :mod:`garding.hermitian`) and read a plane-backed input without a copy.
@@ -271,38 +272,6 @@ def determinant_linearization_batch(params: OperatorParams, form: np.ndarray):
     trace_f = scale * sum(inv_diag) * params.p
     coeffs = np.moveaxis(out, -1, 0).reshape(shape + (n, n))
     return coeffs, trace_f.reshape(shape), ft.reshape(shape)
-
-
-def arrow_form_value(g: np.ndarray, atol: float = 1e-12):
-    """Expand the (n-1)-subset product of an (n, n) arrow-form Hermitian matrix.
-
-    For g with diagonal leading (n-1) x (n-1) block the product form
-    factorizes as
-
-        lhs  = prod_i (tr g - g_ii)
-        corr = sum_{i<n} |g_{n i}|^2 * prod_{b != i, b < n} (tr g - g_bb)
-
-    and lhs - corr equals prod_i (tr g - lam_i(g)), the (n-1)-exponent
-    operator value.  Raises ValueError when an off-diagonal entry of the
-    leading block exceeds ``atol``.
-    """
-    a = np.asarray(g)
-    n = a.shape[0]
-    lead = a[: n - 1, : n - 1]
-    off = lead - np.diag(np.diag(lead))
-    worst = np.abs(off).max() if n > 2 else 0.0
-    if n > 2 and worst > atol:
-        raise ValueError(f"not an arrow form: leading-block off-diagonal entry "
-                         f"{worst:.3e} > {atol:.1e}")
-    tr = np.trace(a).real
-    diag = np.diag(a).real
-    factors = tr - diag
-    lhs = float(np.prod(factors))
-    correction = 0.0
-    for i in range(n - 1):
-        others = [b for b in range(n - 1) if b != i]
-        correction += abs(a[n - 1, i]) ** 2 * float(np.prod(factors[others]))
-    return lhs, float(correction)
 
 
 @dataclass

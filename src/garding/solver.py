@@ -16,13 +16,16 @@ the minimum-margin node and the metric trace of g, plus what its
 linearization needs.  A box analysis keeps K = A^[p], the p-th additive
 compound of the reduced matrix A of omega^-1 g, whose determinant is M_p and
 whose least eigenvalue is the margin, for every p; no eigenvectors are
-computed.  A radial analysis keeps its eigenvalue rows unsorted.  A damping
-trial computes only the analysis.  The accepted candidate's analysis is then
-linearized in place (ftilde, trace_F, the coefficients of the linearized
-operator, with K released) and becomes the Newton state.  Analyses are
-passed as values: the subsolution's gives the anchor (its ftilde) and starts
-the t = 0 attempt, an accepted attempt returns its final analysis to start
-the next one, and a failed attempt leaves its start unchanged for the restart.
+computed.  K is written from one real product of the evaluator's table
+with the difference stack of u.  A radial analysis keeps its eigenvalue
+rows unsorted.  A damping trial computes only the analysis, and the loop
+drops its previous state before the trials.  The accepted candidate's
+analysis is then linearized in place (ftilde, trace_F, the coefficients
+of the linearized operator, with K released) and becomes the Newton
+state.  Analyses are passed as values: the subsolution's gives the anchor
+(its ftilde) and starts the t = 0 attempt, an accepted attempt returns its
+final analysis to start the next one, and a failed attempt leaves its
+start unchanged for the restart.
 
 The diagnostic suite instantiates the comparison sandwich, the boundary
 tangential-trace lower bound, the collar barrier inequality and the
@@ -51,7 +54,9 @@ from .grid import (
     face_tangential_trace_min,
     first_difference,
     gradient_sq_max,
+    hessian_table,
     least,
+    table_field,
 )
 from .hermitian import ambient_transport_batch, congruence_reduce_batch, eigvals_batch
 from .linear import StencilOperator, assemble_linearized, real_stencil_weights, solve_sparse, upper_barrier
@@ -200,24 +205,20 @@ class _Evaluator:
 
 
 class _BoxEvaluator(_Evaluator):
-    """Analyses and Newton corrections on a box problem."""
+    """Analyses and Newton corrections on a box problem.  K and tr A are
+    affine in the difference stack of u: an analysis reads them through
+    ``table``, with the spacings, chi and omega folded in once."""
 
     def __init__(self, problem: ProblemSpec):
         super().__init__(problem)
         self.omega = problem.omega
         self.resid_scale = max(1.0, float(np.abs(self.psi_tilde).max()))
         self.ell = None if self.omega is None else np.linalg.cholesky(self.omega)
-
-    def _reduced(self, u_values: np.ndarray) -> np.ndarray:
-        """The reduced matrices of omega^-1 g at u; the Hessian dies with the call."""
-        hess = complex_hessian_field(u_values, self.grid)
-        hess += self.chi
-        return congruence_reduce_batch(hess, self.omega)[0]
+        self.table = hessian_table(self.grid, self.chi, lambda forms: determinant_form_batch(
+            congruence_reduce_batch(forms, self.omega)[0], self.params))
 
     def analyze(self, u_values: np.ndarray) -> _Analysis:
-        # no temporary stays alive across the eigenvalues: only their input,
-        # their output and one block of their work
-        form, trace_g = determinant_form_batch(self._reduced(u_values), self.params)
+        form, (trace_g,) = table_field(self.table, u_values, self.grid, self.params.subset_count)
         margins = eigvals_batch(form)[..., 0]
         return _Analysis(margins, *least(margins, self.grid.node_of_flat), trace_g, form=form)
 
@@ -321,11 +322,13 @@ def _newton_loop(ev, t: float, u: np.ndarray, start: _Analysis | None, tol: floa
         if iteration == MAX_NEWTON_ITERS:
             break
         delta = ev.correction(state, resid, rnorm)
+        # the trials need only the margin to keep: drop the loop's own state
+        keep, state, resid = MARGIN_KEEP * state.min_margin, None, None
         alpha = 1.0
         while True:
             candidate = u + alpha * delta
             trial = ev.analyze(candidate)
-            if trial.min_margin >= MARGIN_KEEP * state.min_margin:
+            if trial.min_margin >= keep:
                 break
             alpha *= 0.5
             if alpha < ALPHA_MIN:

@@ -200,3 +200,50 @@ def eigen_route(params, reduced: np.ndarray, ell):
     grads = cluster_average(vals, grads)
     coeffs = np.einsum("...ik,...k,...jk->...ij", vecs, grads, vecs.conj())
     return ft, ambient_transport_batch(coeffs, ell), grads.sum(axis=-1), margins_batch(vals, params.p)
+
+
+def arrow_form_value(g: np.ndarray, atol: float = 1e-12):
+    """Expand the (n-1)-subset product of an (n, n) arrow-form Hermitian matrix.
+
+    For g with diagonal leading (n-1) x (n-1) block the product form
+    factorizes as
+
+        lhs  = prod_i (tr g - g_ii)
+        corr = sum_{i<n} |g_{n i}|^2 * prod_{b != i, b < n} (tr g - g_bb)
+
+    and lhs - corr equals prod_i (tr g - lam_i(g)), the (n-1)-exponent
+    operator value.  Raises ValueError when an off-diagonal entry of the
+    leading block exceeds ``atol``.
+    """
+    a = np.asarray(g)
+    n = a.shape[0]
+    lead = a[: n - 1, : n - 1]
+    off = lead - np.diag(np.diag(lead))
+    worst = np.abs(off).max() if n > 2 else 0.0
+    if n > 2 and worst > atol:
+        raise ValueError(f"not an arrow form: leading-block off-diagonal entry "
+                         f"{worst:.3e} > {atol:.1e}")
+    tr = np.trace(a).real
+    diag = np.diag(a).real
+    factors = tr - diag
+    lhs = float(np.prod(factors))
+    correction = 0.0
+    for i in range(n - 1):
+        others = [b for b in range(n - 1) if b != i]
+        correction += abs(a[n - 1, i]) ** 2 * float(np.prod(factors[others]))
+    return lhs, float(correction)
+
+
+def second_difference(values: np.ndarray, axis_a: int, axis_b: int, spacing) -> np.ndarray:
+    """Discrete d^2/(dt_a dt_b) over the interior block of a full-grid array,
+    from shifted strided views: the grid's second differences as they were
+    taken before the difference stack, kept as an oracle."""
+    def at(steps):
+        return values[tuple(slice(1 + steps.get(a, 0), steps.get(a, 0) - 1 or None)
+                            for a in range(values.ndim))]
+
+    ha, hb = spacing[axis_a], spacing[axis_b]
+    if axis_a == axis_b:
+        return (at({axis_a: 1}) - 2.0 * at({}) + at({axis_a: -1})) / (ha * ha)
+    return (at({axis_a: 1, axis_b: 1}) - at({axis_a: 1, axis_b: -1})
+            - at({axis_a: -1, axis_b: 1}) + at({axis_a: -1, axis_b: -1})) / (4.0 * ha * hb)

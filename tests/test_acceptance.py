@@ -20,7 +20,6 @@ from garding.grid import BoxGrid, complex_hessian_field
 from garding.linear import upper_barrier
 from garding.operator import (
     OperatorParams,
-    arrow_form_value,
     determinant_form_batch,
     determinant_linearization_batch,
     ftilde_batch,
@@ -38,7 +37,7 @@ from garding.solver import (
     sandwich_check,
 )
 
-from support import re_z1_squared, stack_coords
+from support import arrow_form_value, re_z1_squared, stack_coords
 
 
 def report(number: int, text: str) -> None:

@@ -16,7 +16,6 @@ from garding.hermitian import (
 )
 from garding.operator import (
     OperatorParams,
-    arrow_form_value,
     determinant_form_batch,
     determinant_linearization_batch,
     ftilde_batch,
@@ -27,7 +26,7 @@ from garding.operator import (
     subset_sums_batch,
 )
 
-from support import eigen_route, plane_backed
+from support import arrow_form_value, eigen_route, plane_backed
 
 P32 = OperatorParams(3, 2)
 

@@ -20,9 +20,10 @@ from garding.errors import (
     ValidationError,
 )
 from garding.grid import BoxGrid
+from garding.hermitian import complex_hessian_from, congruence_reduce_batch
 from garding.linear import assemble_linearized, solve_sparse
-from garding.operator import OperatorParams
-from garding.problems import manufactured_box, manufactured_radial, verify_subsolution
+from garding.operator import OperatorParams, determinant_form_batch
+from garding.problems import ProblemSpec, manufactured_box, manufactured_radial, verify_subsolution
 from garding.radial import RadialGrid
 from garding.specfile import build_problem, parse_document, parse_spec
 import garding.solver as solver
@@ -41,6 +42,7 @@ from support import (
     hessian_operator_apply,
     plane_backed,
     re_z1_squared,
+    second_difference,
 )
 
 
@@ -627,6 +629,49 @@ class TestPlaneBackedStates:
         assert plane_backed(a.form)
         ev.linearize(a)
         assert plane_backed(a.coeffs)
+
+
+@st.composite
+def table_cases(draw, n: int, metric: bool):
+    """A resolution-9 box in C^n with unequal extents, a random Hermitian
+    chi, a random HPD omega (None without ``metric``) and random values u."""
+    extent = tuple((lo, lo + draw(st.floats(0.25, 3.0)))
+                   for lo in draw(st.lists(st.floats(-2.0, 0.0), min_size=2 * n, max_size=2 * n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    chi = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    chi = chi + chi.conj().T
+    omega = None
+    if metric:
+        base = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        omega = base @ base.conj().T + n * np.eye(n)
+    grid = BoxGrid(n, extent, 9)
+    return grid, chi, omega, draw(st.sampled_from([1.0, 1e-3, 1e3])) * rng.standard_normal(grid.shape)
+
+
+class TestTableKernel:
+    @pytest.mark.parametrize("metric", [False, True], ids=["identity", "omega"])
+    @pytest.mark.parametrize("n, p", [(n, p) for n in (1, 2, 3) for p in range(1, n + 1)])
+    @settings(max_examples=3, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_table_matches_the_hessian_reduction_and_compound(self, n, p, metric, data):
+        # K and tr A from the evaluator's one table product against the
+        # complex Hessian of strided second differences, plus chi, reduced
+        # by omega and taken through the compound; they differ by rounding
+        grid, chi, omega, u = data.draw(table_cases(n, metric))
+        params, inner = OperatorParams(n, p), np.ones(grid.interior_shape)
+        a = _BoxEvaluator(ProblemSpec(params, grid, chi, inner, u, u, inner, omega)).analyze(u)
+        hess = complex_hessian_from(lambda i, j: second_difference(u, i, j, grid.spacing),
+                                    n, grid.interior_shape)
+        form, trace = determinant_form_batch(congruence_reduce_batch(hess + chi, omega)[0], params)
+        # omega^-1 scales the reduced entries by at most |L^-1|^2
+        scale = 1.0 if omega is None else np.linalg.norm(np.linalg.inv(np.linalg.cholesky(omega)),
+                                                         2) ** 2
+        eps_scale = np.finfo(float).eps * scale * (np.abs(u).max() / min(grid.spacing) ** 2
+                                                   + np.abs(chi).max())
+        assert a.form.shape == form.shape and plane_backed(a.form)
+        assert np.abs(a.form - form).max() <= 8 * n * eps_scale
+        assert np.abs(a.trace_g - trace).max() <= 8 * n * eps_scale
+        assert np.array_equal(a.form, np.swapaxes(a.form, -1, -2).conj())
 
 
 class TestSubsolutionFailures:

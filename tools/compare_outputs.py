@@ -9,7 +9,10 @@ parent commit.  Every run in ``RUNS`` calls ``python -m garding.cli`` with
 checkout.  A run with extra spec text appends it to a copy of the spec in the
 temporary directory; both trees read that one copy.  The exit status, standard output, standard error, ``report.txt``
 and ``fields.csv`` of each run are compared byte for byte.  Prints IDENTICAL and
-exits 0, or names each run and output that differs and exits 1.
+exits 0, or names each run and output that differs and exits 1.  For a
+``report.txt`` or ``fields.csv`` written on both sides it also prints the largest
+absolute difference in each float column that differs (a report's column is
+one ``key = value`` line), or says that a column's empty cells or row count differ.
 """
 
 from __future__ import annotations
@@ -79,6 +82,39 @@ def outputs(src: Path, mode: str, spec: Path, out: Path) -> dict:
     return found
 
 
+def float_columns(name: str, data: bytes) -> dict:
+    """{column: its cells as text} of a ``fields.csv`` (after the format line
+    and the header) or of a ``report.txt``'s ``key = value`` lines, for every
+    column whose cells all read as floats or are empty."""
+    lines = data.decode().splitlines()
+    if name == "fields.csv":
+        cells = dict(zip(lines[1].split(","), zip(*(line.split(",") for line in lines[2:]))))
+    else:
+        cells = {key: (value,) for key, eq, value in (line.partition(" = ") for line in lines) if eq}
+    found = {}
+    for key, column in cells.items():
+        try:
+            [float(cell) for cell in column if cell]
+        except ValueError:
+            continue
+        found[key] = column
+    return found
+
+
+def largest_deltas(name: str, parent: bytes, change: bytes) -> str:
+    """"column delta" for each float column of ``name`` that differs, with
+    delta the largest |change - parent| over the cells whose text differs."""
+    old, new = float_columns(name, parent), float_columns(name, change)
+    parts = []
+    for key in (key for key in old if key in new and old[key] != new[key]):
+        pairs = [(a, b) for a, b in zip(old[key], new[key]) if a != b]
+        if len(old[key]) != len(new[key]) or not all(a and b for a, b in pairs):
+            parts.append(f"{key} (empty cells or rows differ)")
+        else:
+            parts.append(f"{key} {max(abs(float(b) - float(a)) for a, b in pairs):.3g}")
+    return ", ".join(parts)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", type=Path)
@@ -93,8 +129,11 @@ def main(argv=None) -> int:
                               for side, src in (("parent", args.parent_src),
                                                 ("change", args.change_src)))
             run = f"{mode} {spec}" + (f" + {'; '.join(extra.splitlines())}" if extra else "")
-            differ += [f"{run}: {name} differs" for name in parent
-                       if parent[name] != change[name]]
+            for name in (name for name in parent if parent[name] != change[name]):
+                deltas = (largest_deltas(name, parent[name], change[name])
+                          if name in FILES and None not in (parent[name], change[name]) else "")
+                differ.append(f"{run}: {name} differs" + (f"; largest |delta|: {deltas}"
+                                                          if deltas else ""))
     print("\n".join(differ) or "IDENTICAL")
     return 1 if differ else 0
 

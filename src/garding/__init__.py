@@ -49,6 +49,6 @@ from .solver import (
     newton_solve_at_t,
     sandwich_check,
 )
-from .specfile import build_problem, emit_document, parse_document, parse_spec
+from .specfile import build_problem, parse_document, parse_spec
 
 __version__ = "0.1.0"

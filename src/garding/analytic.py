@@ -18,9 +18,8 @@ from .hermitian import complex_hessian_from
 class Polynomial:
     """Real polynomial in the 2n real coordinates, stored as monomials.
 
-    ``terms`` maps exponent tuples (length 2n) to coefficients.  Supports the
-    algebra needed to build test functions (add, multiply, scale) and exact
-    first/second partial derivatives.
+    ``terms`` maps exponent tuples (length 2n) to coefficients.  Provides
+    values and exact first/second partial derivatives.
     """
 
     def __init__(self, nvars: int, terms: dict | None = None):
@@ -34,26 +33,6 @@ class Polynomial:
             key = tuple(int(e) for e in expo)
             if c != 0.0:
                 self.terms[key] = self.terms.get(key, 0.0) + float(c)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        for expo, c in other.terms.items():
-            out[expo] = out.get(expo, 0.0) + c
-        return Polynomial(self.nvars, out)
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return Polynomial(
-                self.nvars, {e: c * float(other) for e, c in self.terms.items()}
-            )
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0.0) + c1 * c2
-        return Polynomial(self.nvars, out)
-
-    __rmul__ = __mul__
 
     def value(self, coords) -> np.ndarray:
         """Values at the broadcast shape of the 2n coordinate arrays ``coords``."""

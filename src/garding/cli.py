@@ -19,7 +19,6 @@ groups below.  A ``solve`` whose solver fails (exit 3 or 4) still writes
 from __future__ import annotations
 
 import argparse
-import logging
 import math
 import os
 import sys
@@ -34,8 +33,6 @@ from .problems import verify_subsolution
 from .report import Report, attempts_into, diagnostics_into, write_solution_csv
 from .solver import c2_ratio_monitor, continuity_solve
 from .specfile import build_problem, initial_values_from, parse_document
-
-log = logging.getLogger(__name__)
 
 MODES = ("solve", "verify-subsolution", "check-operator", "radial-solve", "refine-sweep")
 
@@ -108,9 +105,7 @@ def _base_report(title: str, config: RunConfig, doc) -> Report:
 
 def _write(report: Report, config: RunConfig) -> None:
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    path = config.out_dir / "report.txt"
-    path.write_text(report.render())
-    log.info("report written to %s", path)
+    (config.out_dir / "report.txt").write_text(report.render())
 
 
 def _run_solve(doc, config: RunConfig) -> int:
@@ -255,9 +250,7 @@ def main(argv=None) -> int:
     parser.add_argument("--trials", type=int, default=10000,
                         help="randomized trials for check-operator")
     parser.add_argument("--no-csv", action="store_true", help="skip field dumps")
-    parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     config = RunConfig(
         mode=args.mode,
         spec_path=Path(args.spec),

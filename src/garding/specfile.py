@@ -1,4 +1,4 @@
-"""Problem-spec file format: parsing, validation, canonical emission.
+"""Problem-spec file format: parsing and validation.
 
 Plain UTF-8 ``key = value`` lines grouped under ``[section]`` headers;
 ``#`` starts a comment; arrays are comma-separated numbers.  The format is
@@ -65,11 +65,8 @@ class FunctionSpec:
     builtin: str
     params: tuple  # sorted (key, value) pairs; values are floats or tuples
 
-    def get(self, key, default=None):
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
+    def get(self, key):
+        return dict(self.params)[key]
 
 
 @dataclass(frozen=True)
@@ -220,7 +217,7 @@ def parse_document(text: str) -> SpecDocument:
         if diag is not None:
             if len(diag) != n:
                 raise ValidationError("chi", f"diag needs {n} entries, got {len(diag)}")
-            chi_diag = tuple(float(x) for x in diag)
+            chi_diag = diag
     else:
         radius = number("radial", "radius", required=True)
         grid = RadialGrid(radius, grid_size("radial", "points"))
@@ -258,7 +255,7 @@ def parse_document(text: str) -> SpecDocument:
             coeffs = array(section, "coeffs")
             if not coeffs:
                 raise ValidationError(section, "radial-poly needs coeffs")
-            params.append(("coeffs", tuple(float(c) for c in coeffs)))
+            params.append(("coeffs", coeffs))
         elif builtin == "polynomial":
             count = integer(section, "terms", 1, section)
             if count * nodes > MAX_TERM_NODES:
@@ -272,7 +269,7 @@ def parse_document(text: str) -> SpecDocument:
                 if len(row) != 2 * n + 1 or not all(e == int(e) >= 0 for e in row[1:]):
                     raise ValidationError(section, f"term_{i} needs a coefficient and {2 * n} "
                                                    f"non-negative integer exponents, got {row}")
-                terms.append(tuple(float(x) for x in row))
+                terms.append(row)
             params.append(("terms", tuple(terms)))
         else:
             raise ValidationError(section, f"unknown builtin {builtin!r}")
@@ -336,87 +333,16 @@ def parse_document(text: str) -> SpecDocument:
     )
 
 
-def _format_value(value) -> str:
-    if isinstance(value, tuple):
-        return ", ".join(_format_value(v) for v in value)
-    if isinstance(value, float) and value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
-
-
-def _emit_function(name: str, spec: FunctionSpec, out: list) -> None:
-    out.append(f"[{name}]")
-    out.append(f"builtin = {spec.builtin}")
-    for key, value in spec.params:
-        if key == "terms":
-            out.append(f"terms = {len(value)}")
-            for i, row in enumerate(value, start=1):
-                out.append(f"term_{i} = {_format_value(row)}")
-        else:
-            out.append(f"{key} = {_format_value(value)}")
-    out.append("")
-
-
-def emit_document(doc: SpecDocument) -> str:
-    out = [f"format_version = {FORMAT_VERSION}", ""]
-    out.append("[problem]")
-    out.append(f"n = {doc.n}")
-    out.append(f"p = {doc.p}")
-    out.append(f"geometry = {doc.geometry}")
-    if doc.label:
-        out.append(f"label = {doc.label}")
-    out.append("")
-    if doc.geometry == "box":
-        out.append("[box]")
-        flat = tuple(x for pair in doc.grid.extent for x in pair)
-        out.append(f"extent = {_format_value(flat)}")
-        out.append(f"resolution = {doc.grid.resolution}")
-        out.append("")
-        if doc.chi_diag is not None:
-            out.append("[chi]")
-            out.append(f"diag = {_format_value(doc.chi_diag)}")
-            out.append("")
-    else:
-        out.append("[radial]")
-        out.append(f"radius = {_format_value(doc.grid.radius)}")
-        out.append(f"points = {doc.grid.points}")
-        out.append(f"chi = {_format_value(doc.chi_scalar)}")
-        out.append("")
-    _emit_function("solution", doc.solution, out)
-    if doc.subsolution is not None:
-        _emit_function("subsolution", doc.subsolution, out)
-    if doc.psi_scale != 1.0 or doc.psi_bump_node is not None:
-        out.append("[psi]")
-        if doc.psi_scale != 1.0:
-            out.append(f"scale = {_format_value(doc.psi_scale)}")
-        if doc.psi_bump_node is not None:
-            out.append(f"bump_node = {_format_value(doc.psi_bump_node)}")
-            out.append(f"bump_factor = {_format_value(doc.psi_bump_factor)}")
-        out.append("")
-    if doc.init is not None:
-        _emit_function("init", doc.init, out)
-    if doc.newton_tol is not None:
-        out.append("[solve]")
-        out.append(f"newton_tol = {_format_value(doc.newton_tol)}")
-        out.append("")
-    if doc.sweep:
-        out.append("[sweep]")
-        key = "resolutions" if doc.geometry == "box" else "points"
-        out.append(f"{key} = {_format_value(tuple(g.shape[0] for g in doc.sweep))}")
-        out.append("")
-    return "\n".join(out).rstrip() + "\n"
-
-
 def _box_function(spec: FunctionSpec, n: int):
     if spec.builtin == "quadratic":
-        return norm_squared(n, float(spec.get("coeff", 1.0)))
+        return norm_squared(n, spec.get("coeff"))
     if spec.builtin == "polynomial":
         # the terms in row order, as adding them one at a time gives: a key
         # whose sum reaches 0.0 is dropped, and a later term puts it last
         terms: dict = {}
         for coeff, *expo in spec.get("terms"):
             key = tuple(int(e) for e in expo)
-            terms[key] = terms.get(key, 0.0) + float(coeff)
+            terms[key] = terms.get(key, 0.0) + coeff
             if terms[key] == 0.0:
                 del terms[key]
         return Polynomial(2 * n, terms)
@@ -425,11 +351,11 @@ def _box_function(spec: FunctionSpec, n: int):
 
 def _radial_function(spec: FunctionSpec):
     if spec.builtin == "quadratic":
-        return RadialProfile((0.0, float(spec.get("coeff", 1.0))))
+        return RadialProfile((0.0, spec.get("coeff")))
     if spec.builtin == "radial-power":
-        return radial_power(int(spec.get("power")), float(spec.get("scale", 1.0)))
+        return radial_power(int(spec.get("power")), spec.get("scale"))
     if spec.builtin == "radial-poly":
-        return RadialProfile(tuple(spec.get("coeffs")))
+        return RadialProfile(spec.get("coeffs"))
     raise ValidationError("builtin", f"{spec.builtin!r} is not a radial family")
 
 

@@ -14,6 +14,7 @@ from garding.analytic import Polynomial, RadialProfile
 from garding.grid import complex_hessian_field
 from garding.hermitian import ambient_transport_batch, complex_hessian_from
 from garding.operator import ftilde_grad_batch, margins_batch
+from garding.specfile import FORMAT_VERSION, FunctionSpec, SpecDocument
 
 CLUSTER_GAP_RTOL = 1e-8  # eigenvalue-cluster threshold for derivative averaging
 
@@ -37,6 +38,29 @@ def re_z1_squared(n: int) -> Polynomial:
     e_y = [0] * (2 * n)
     e_y[1] = 2
     return Polynomial(2 * n, {tuple(e_x): 1.0, tuple(e_y): -1.0})
+
+
+def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
+    """The sum a + b, term by term in the order of a's terms, then b's new ones."""
+    out = dict(a.terms)
+    for expo, c in b.terms.items():
+        out[expo] = out.get(expo, 0.0) + c
+    return Polynomial(a.nvars, out)
+
+
+def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
+    """The product a b."""
+    out: dict = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0.0) + c1 * c2
+    return Polynomial(a.nvars, out)
+
+
+def poly_scale(scalar: float, a: Polynomial) -> Polynomial:
+    """The scalar multiple scalar a."""
+    return Polynomial(a.nvars, {e: c * float(scalar) for e, c in a.terms.items()})
 
 
 def stack_coords(coords) -> np.ndarray:
@@ -247,3 +271,76 @@ def second_difference(values: np.ndarray, axis_a: int, axis_b: int, spacing) -> 
         return (at({axis_a: 1}) - 2.0 * at({}) + at({axis_a: -1})) / (ha * ha)
     return (at({axis_a: 1, axis_b: 1}) - at({axis_a: 1, axis_b: -1})
             - at({axis_a: -1, axis_b: 1}) + at({axis_a: -1, axis_b: -1})) / (4.0 * ha * hb)
+
+
+def _format_value(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(_format_value(v) for v in value)
+    if isinstance(value, float) and value == int(value) and abs(value) < 1e15:
+        return str(int(value))
+    return repr(value)
+
+
+def _emit_function(name: str, spec: FunctionSpec, out: list) -> None:
+    out.append(f"[{name}]")
+    out.append(f"builtin = {spec.builtin}")
+    for key, value in spec.params:
+        if key == "terms":
+            out.append(f"terms = {len(value)}")
+            for i, row in enumerate(value, start=1):
+                out.append(f"term_{i} = {_format_value(row)}")
+        else:
+            out.append(f"{key} = {_format_value(value)}")
+    out.append("")
+
+
+def emit_document(doc: SpecDocument) -> str:
+    """The canonical spec text of a parsed document: an oracle for the
+    parser, which reads it back as an equal document."""
+    out = [f"format_version = {FORMAT_VERSION}", ""]
+    out.append("[problem]")
+    out.append(f"n = {doc.n}")
+    out.append(f"p = {doc.p}")
+    out.append(f"geometry = {doc.geometry}")
+    if doc.label:
+        out.append(f"label = {doc.label}")
+    out.append("")
+    if doc.geometry == "box":
+        out.append("[box]")
+        flat = tuple(x for pair in doc.grid.extent for x in pair)
+        out.append(f"extent = {_format_value(flat)}")
+        out.append(f"resolution = {doc.grid.resolution}")
+        out.append("")
+        if doc.chi_diag is not None:
+            out.append("[chi]")
+            out.append(f"diag = {_format_value(doc.chi_diag)}")
+            out.append("")
+    else:
+        out.append("[radial]")
+        out.append(f"radius = {_format_value(doc.grid.radius)}")
+        out.append(f"points = {doc.grid.points}")
+        out.append(f"chi = {_format_value(doc.chi_scalar)}")
+        out.append("")
+    _emit_function("solution", doc.solution, out)
+    if doc.subsolution is not None:
+        _emit_function("subsolution", doc.subsolution, out)
+    if doc.psi_scale != 1.0 or doc.psi_bump_node is not None:
+        out.append("[psi]")
+        if doc.psi_scale != 1.0:
+            out.append(f"scale = {_format_value(doc.psi_scale)}")
+        if doc.psi_bump_node is not None:
+            out.append(f"bump_node = {_format_value(doc.psi_bump_node)}")
+            out.append(f"bump_factor = {_format_value(doc.psi_bump_factor)}")
+        out.append("")
+    if doc.init is not None:
+        _emit_function("init", doc.init, out)
+    if doc.newton_tol is not None:
+        out.append("[solve]")
+        out.append(f"newton_tol = {_format_value(doc.newton_tol)}")
+        out.append("")
+    if doc.sweep:
+        out.append("[sweep]")
+        key = "resolutions" if doc.geometry == "box" else "points"
+        out.append(f"{key} = {_format_value(tuple(g.shape[0] for g in doc.sweep))}")
+        out.append("")
+    return "\n".join(out).rstrip() + "\n"

@@ -37,7 +37,7 @@ from garding.solver import (
     sandwich_check,
 )
 
-from support import arrow_form_value, re_z1_squared, stack_coords
+from support import arrow_form_value, poly_add, poly_mul, poly_scale, re_z1_squared, stack_coords
 
 
 def report(number: int, text: str) -> None:
@@ -48,9 +48,9 @@ def grid_target():
     # the pluriharmonic-weighted cubic term alone is stencil exact; the
     # radial quartic gives the discretization a refinement-sensitive error
     return (
-        norm_squared(2)
-        + 0.1 * (re_z1_squared(2) * norm_squared(2))
-        + 0.05 * (norm_squared(2) * norm_squared(2))
+        poly_add(poly_add(norm_squared(2),
+                          poly_scale(0.1, poly_mul(re_z1_squared(2), norm_squared(2)))),
+                 poly_scale(0.05, poly_mul(norm_squared(2), norm_squared(2))))
     )
 
 
@@ -169,7 +169,7 @@ def test_criterion_04_discretization_order():
     # variable, so the prescribed stencils reproduce it exactly
     f1 = Polynomial(4, {(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0})
     f2 = Polynomial(4, {(0, 0, 2, 0): 1.0, (0, 0, 0, 2): 1.0})
-    bilinear = f1 * f2
+    bilinear = poly_mul(f1, f2)
     for res in (9, 17):
         grid = BoxGrid(2, ((-1, 1),) * 4, res)
         u = bilinear.value(grid.coords())
@@ -178,9 +178,9 @@ def test_criterion_04_discretization_order():
         assert np.abs(h - exact).max() <= 1e-12
 
     # refinement ratio on a quartic probe with nonvanishing truncation error
-    probe = norm_squared(2) * norm_squared(2) + Polynomial(
+    probe = poly_add(poly_mul(norm_squared(2), norm_squared(2)), Polynomial(
         4, {(3, 0, 1, 0): 1.0, (0, 3, 0, 1): 1.0}
-    )
+    ))
 
     def max_err(res):
         grid = BoxGrid(2, ((-1, 1),) * 4, res)

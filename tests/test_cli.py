@@ -409,6 +409,14 @@ class TestRefineSweep:
 
 
 class TestValidationFailures:
+    def test_an_unknown_flag_is_a_usage_error(self, tmp_path, capsys):
+        # the CLI defines no --verbose: argparse rejects it with status 2
+        spec = write(tmp_path, "ok.spec", BOX_SPEC)
+        with pytest.raises(SystemExit) as exc_info:
+            main(["--mode", "solve", "--spec", str(spec), "--out", str(tmp_path), "--verbose"])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --verbose" in capsys.readouterr().err
+
     def test_missing_spec(self, tmp_path):
         status = main(
             ["--mode", "solve", "--spec", str(tmp_path / "nope.spec"), "--out", str(tmp_path)]

@@ -12,7 +12,15 @@ from garding.grid import (
 )
 from garding.radial import RadialGrid
 
-from support import RadialOnBox, hermitian_defect, node_coords, re_z1_squared, stack_coords
+from support import (
+    RadialOnBox,
+    hermitian_defect,
+    node_coords,
+    poly_add,
+    poly_mul,
+    re_z1_squared,
+    stack_coords,
+)
 
 
 def field_from(grid, func):
@@ -99,7 +107,7 @@ class TestComplexHessian:
         # u = |z_1|^2 |z_2|^2 at z = (1, 1): exact Hessian [[1, 1], [1, 1]]
         f1 = Polynomial(4, {(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0})
         f2 = Polynomial(4, {(0, 0, 2, 0): 1.0, (0, 0, 0, 2): 1.0})
-        prod = f1 * f2
+        prod = poly_mul(f1, f2)
         # analytic oracle at (x1, y1, x2, y2) = (1, 0, 1, 0)
         pt = np.array([1.0, 0.0, 1.0, 0.0])
         exact = prod.complex_hessian(pt)
@@ -118,7 +126,7 @@ class TestComplexHessian:
         # central and 4-point cross differences reproduce it exactly
         f1 = Polynomial(4, {(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0})
         f2 = Polynomial(4, {(0, 0, 2, 0): 1.0, (0, 0, 0, 2): 1.0})
-        prod = f1 * f2
+        prod = poly_mul(f1, f2)
         for res in (9, 17):
             grid = BoxGrid(2, ((-1, 1),) * 4, res)
             u = field_from(grid, prod)
@@ -129,9 +137,9 @@ class TestComplexHessian:
     def test_second_order_convergence(self):
         # |z|^4 has nonzero pure fourth derivatives and the cubic cross term
         # activates the mixed-stencil truncation error
-        probe = norm_squared(2) * norm_squared(2) + Polynomial(
+        probe = poly_add(poly_mul(norm_squared(2), norm_squared(2)), Polynomial(
             4, {(3, 0, 1, 0): 1.0, (0, 3, 0, 1): 1.0}
-        )
+        ))
 
         def max_error(res):
             grid = BoxGrid(2, ((-1, 1),) * 4, res)

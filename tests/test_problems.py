@@ -14,7 +14,7 @@ from garding.operator import OperatorParams
 from garding.problems import manufactured_box
 from garding.specfile import build_problem, parse_document
 
-from support import StackedPolynomial
+from support import StackedPolynomial, poly_add
 
 BENCH_SPECS = Path(__file__).resolve().parent.parent / "bench" / "specs"
 FIELDS = ("psi", "phi", "subsolution", "subsolution_M")
@@ -33,7 +33,8 @@ def polynomials(draw, n):
         expo = [0] * m
         for a in axes[reach]:
             expo[a] = draw(st.integers(0 if reach == "every" else 1, 4))
-        poly = poly + Polynomial(m, {tuple(expo): draw(st.floats(-0.25, 0.25, width=32))})
+        term = Polynomial(m, {tuple(expo): draw(st.floats(-0.25, 0.25, width=32))})
+        poly = poly_add(poly, term)
     return poly
 
 
@@ -91,8 +92,9 @@ def check_against_the_stacked_points_build(case):
 # |z|^2 - x^3 / 2 on [0, 2] x [-1, 1] leaves the cone where x > 4 / 3; its
 # margins vary along x only, and the witness is the first least node in C
 # order, (7, 1), not the node of the least row, (1, 7)
-X_CUBED = (norm_squared(1) + Polynomial(2, {(3, 0): -0.5}), None, np.zeros((1, 1), complex),
-           OperatorParams(1, 1), BoxGrid(1, ((0, 2), (-1, 1)), 9), None, {})
+X_CUBED = (poly_add(norm_squared(1), Polynomial(2, {(3, 0): -0.5})), None,
+           np.zeros((1, 1), complex), OperatorParams(1, 1), BoxGrid(1, ((0, 2), (-1, 1)), 9),
+           None, {})
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)

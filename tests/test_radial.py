@@ -18,7 +18,7 @@ from garding.radial import (
     solve_radial_linear,
 )
 
-from support import RadialOnBox, node_coords, re_z1_squared
+from support import RadialOnBox, node_coords, poly_scale, re_z1_squared
 
 
 def radial_eigenvalues(u1, u2, s, n, c):
@@ -168,7 +168,7 @@ class TestManufacturedProblems:
 
     def test_not_admissible_witness(self):
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
-        concave = -1.0 * norm_squared(2)
+        concave = poly_scale(-1.0, norm_squared(2))
         with pytest.raises(NotAdmissible) as exc_info:
             manufactured_box(concave, np.zeros((2, 2)), OperatorParams(2, 1), grid)
         assert exc_info.value.node is not None

@@ -41,6 +41,9 @@ from support import (
     constant_coefficient_field,
     hessian_operator_apply,
     plane_backed,
+    poly_add,
+    poly_mul,
+    poly_scale,
     re_z1_squared,
     second_difference,
 )
@@ -59,9 +62,9 @@ def grid_target(n=2):
     genuine, refinement-sensitive error.
     """
     return (
-        norm_squared(n)
-        + 0.1 * (re_z1_squared(n) * norm_squared(n))
-        + 0.05 * (norm_squared(n) * norm_squared(n))
+        poly_add(poly_add(norm_squared(n),
+                          poly_scale(0.1, poly_mul(re_z1_squared(n), norm_squared(n)))),
+                 poly_scale(0.05, poly_mul(norm_squared(n), norm_squared(n))))
     )
 
 

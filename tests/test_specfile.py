@@ -20,13 +20,12 @@ from garding.specfile import (
     SpecDocument,
     _box_function,
     build_problem,
-    emit_document,
     initial_values_from,
     parse_document,
     parse_spec,
 )
 
-from support import re_z1_squared
+from support import emit_document, poly_add, poly_mul, poly_scale, re_z1_squared
 
 MINIMAL_BOX = """
 format_version = 1
@@ -177,9 +176,9 @@ class TestShippedSpecs:
 
         problem = parse_spec((self.SPEC_DIR / "box-n2-p1.spec").read_text())
         target = (
-            norm_squared(2)
-            + 0.1 * (re_z1_squared(2) * norm_squared(2))
-            + 0.05 * (norm_squared(2) * norm_squared(2))
+            poly_add(poly_add(norm_squared(2),
+                              poly_scale(0.1, poly_mul(re_z1_squared(2), norm_squared(2)))),
+                     poly_scale(0.05, poly_mul(norm_squared(2), norm_squared(2))))
         )
         grid = BoxGrid(2, ((-1, 1),) * 4, 17)
         ref = manufactured_box(target, np.zeros((2, 2)), OperatorParams(2, 1), grid)
@@ -191,8 +190,6 @@ class TestShippedSpecs:
         problem = parse_spec(text)
         assert problem.grid.points == 2001
         assert parse_document(text).newton_tol == 1e-09
-        from garding.specfile import emit_document
-
         assert parse_document(emit_document(parse_document(text))) == parse_document(text)
 
     def test_march_spec_has_distinct_subsolution(self):
@@ -365,7 +362,7 @@ POLYNOMIAL_ROWS = st.lists(
 def test_a_polynomial_target_is_the_sum_of_its_terms_in_row_order(rows):
     expected = Polynomial(4, {})
     for coeff, *expo in rows:
-        expected = expected + Polynomial(4, {tuple(expo): coeff})
+        expected = poly_add(expected, Polynomial(4, {tuple(expo): coeff}))
     got = _box_function(parse_document(polynomial_spec(rows)).solution, 2)
     assert [(k, v.hex()) for k, v in got.terms.items()] == \
         [(k, v.hex()) for k, v in expected.terms.items()]

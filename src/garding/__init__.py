@@ -1,13 +1,12 @@
 """Numerical Dirichlet solver for Monge-Ampere type equations on Garding cones.
 
 The operator is the product over all p-element subsets of eigenvalue sums of
-the metric endomorphism of chi + i ddbar u; p = n - 1 is the
-(n-1)-plurisubharmonic case the package centers on.  The solver runs a
-continuity method with damped, cone-preserving Newton steps, and a
-verification harness instantiates every numerically checkable structural
-property: operator concavity and homogeneity, cone preservation, the
-comparison sandwich, collar barriers, boundary trace bounds and
-second-order ratio monitors.
+chi + i ddbar u; p = n - 1 is the (n-1)-plurisubharmonic case the package
+centers on.  The solver runs a continuity method with damped,
+cone-preserving Newton steps, and a verification harness instantiates every
+numerically checkable structural property: operator concavity and
+homogeneity, cone preservation, the comparison sandwich, collar barriers,
+boundary trace bounds and second-order ratio monitors.
 """
 
 from .errors import (
@@ -25,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .grid import BoxGrid, complex_hessian_field
-from .hermitian import congruence_reduce_batch, eigvals_batch
+from .hermitian import eigvals_batch
 from .linear import SparseSystem, assemble_linearized, solve_sparse, upper_barrier
 from .operator import (
     OperatorParams,

@@ -10,9 +10,8 @@ are convention independent.  Every eigenvalue comes from
 Per-node fields are plane-backed: a stack of shape (..., n, n) is the
 ``np.moveaxis`` view of an (n, n, ...) array, so the kernels, which read
 and write one entry at a time across all nodes, touch one contiguous plane
-per entry.  :func:`complex_hessian_from` allocates that way and
-:func:`ambient_transport_batch` keeps it; a C-ordered stack is accepted
-everywhere and gives the same values.
+per entry.  :func:`complex_hessian_from` allocates that way; a C-ordered
+stack is accepted everywhere and gives the same values.
 """
 
 from __future__ import annotations
@@ -126,38 +125,3 @@ def _eigvals_3(h: np.ndarray) -> np.ndarray:
 
 
 _CLOSED_FORMS = {1: _eigvals_1, 2: _eigvals_2, 3: _eigvals_3}
-
-
-def congruence_reduce_batch(mats: np.ndarray, omega: np.ndarray | None):
-    """Map stacked Hermitian forms to endomorphism coordinates.
-
-    With ``omega`` None (identity metric) this is a no-op.  Otherwise returns
-    ``L^{-1} mats L^{-*}`` for the constant Cholesky factor L of omega; the
-    eigenvalues of the result are those of ``omega^{-1} mats``.
-    """
-    if omega is None:
-        return mats, None
-    ell = np.linalg.cholesky(omega)
-    ell_inv = np.linalg.inv(ell)
-    reduced = np.einsum("ab,...bc,dc->...ad", ell_inv, mats, ell_inv.conj())
-    return (reduced + np.swapaxes(reduced, -1, -2).conj()) / 2.0, ell
-
-
-def ambient_transport_batch(coeffs: np.ndarray, ell: np.ndarray | None) -> np.ndarray:
-    """Map stacked forms from endomorphism coordinates to the ambient frame.
-
-    The adjoint of :func:`congruence_reduce_batch`: returns ``L^{-*} coeffs
-    L^{-1}``, so that tr(coeffs @ L^{-1} h L^{-*}) = tr(result @ h) for a
-    Hermitian h.  With ``ell`` None (identity metric) this is a no-op;
-    otherwise the result is plane-backed and exactly Hermitian (rounding
-    would leave the diagonal an imaginary part that assembly rejects).
-    """
-    if ell is None:
-        return coeffs
-    ell_inv = np.linalg.inv(ell)
-    planes = np.moveaxis(coeffs, (-2, -1), (0, 1))
-    out = np.einsum("ba,bc...,cd->ad...", ell_inv.conj(), planes, ell_inv)
-    for k in range(out.shape[0]):
-        out[k, k].imag = 0.0
-        out[k + 1:, k] = out[k, k + 1:].conj()
-    return np.moveaxis(out, (0, 1), (-2, -1))

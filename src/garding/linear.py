@@ -35,9 +35,9 @@ of the centre and axis weights.  With zero Dirichlet data that operator is
 diagonalized by the orthogonal sine transform along every axis (Buzbee,
 Golub & Nielson, SIAM J. Numer. Anal. 7, 1970), so one application costs
 two transforms and a division.  Cross terms are left to the Krylov
-iteration; constant diagonal coefficients (the upper barrier with identity
-or diagonal omega) are solved by the first application.  Dot products are
-NumPy sums, so no solve depends on the BLAS thread count.
+iteration; constant diagonal coefficients (the upper barrier's identity)
+are solved by the first application.  Dot products are NumPy sums, so no
+solve depends on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -356,23 +356,16 @@ def solve_sparse(system: SparseSystem, tol: float = 1e-10) -> np.ndarray:
     return full
 
 
-def upper_barrier(chi, omega, phi: np.ndarray, grid: BoxGrid) -> np.ndarray:
-    """Solve tr_omega(chi + complex Hessian of v) = 0 with v = phi on the boundary.
+def upper_barrier(chi, phi: np.ndarray, grid: BoxGrid) -> np.ndarray:
+    """Solve tr(chi + complex Hessian of v) = 0 with v = phi on the boundary.
 
-    ``chi`` is a constant Hermitian (n, n) array and ``omega`` one or None
-    for the identity; ``phi`` is a full-grid array that supplies boundary
-    values (its interior is ignored).  Returns v on the full grid; it caps
-    every admissible solution from above.
+    ``chi`` is a constant Hermitian (n, n) array; ``phi`` is a full-grid
+    array that supplies boundary values (its interior is ignored).  Returns v
+    on the full grid; it caps every admissible solution from above.
     """
     chi = np.asarray(chi, dtype=np.complex128)
-    if omega is None:
-        omega_inv = np.eye(grid.n, dtype=np.complex128)
-    else:
-        omega_inv = np.linalg.inv(np.asarray(omega, dtype=np.complex128))
-        omega_inv = (omega_inv + omega_inv.conj().T) / 2.0
-
-    rhs = np.full(grid.interior_shape, -float(np.trace(omega_inv @ chi).real))
-    system = assemble_linearized(omega_inv, rhs, grid)
+    rhs = np.full(grid.interior_shape, -float(np.trace(chi).real))
+    system = assemble_linearized(np.eye(grid.n, dtype=np.complex128), rhs, grid)
     # fold the Dirichlet data: solve for v - phi_ext with phi_ext = phi on
     # the boundary and 0 inside
     phi_ext = np.where(grid.boundary_mask(), phi, 0.0)

@@ -21,8 +21,8 @@ The functions operate on stacked rows of eigenvalues and back the
 field-scale hot paths of the solver; one eigenvalue vector is a one-row
 batch.
 
-Matrices need no eigenvalues.  With A the reduced matrix of omega^-1 g,
-the p-th additive compound K = A^[p] (:attr:`OperatorParams.compound`) is a
+Matrices need no eigenvalues.  With A = chi + i ddbar u at a node, the
+p-th additive compound K = A^[p] (:attr:`OperatorParams.compound`) is a
 C(n, p) x C(n, p) Hermitian matrix, linear in A, whose eigenvalues are the
 p-subset sums of the eigenvalues of A (Fiedler, Czech. Math. J. 24, 1974).
 So M_p(A) = det(K) for every p: K = A for p = 1, and for p = n - 1 K is
@@ -194,7 +194,7 @@ def ftilde_grad_batch(lams: np.ndarray, params: OperatorParams):
 
 
 def determinant_form_batch(mats: np.ndarray, params: OperatorParams):
-    """(K, tr A) for stacked reduced matrices A, with K = A^[p].
+    """(K, tr A) for stacked Hermitian matrices A, with K = A^[p].
 
     K is written from :attr:`OperatorParams.compound`; its eigenvalues are
     the p-subset sums, so M_p(A) = det(K), A lies in the cone exactly when K

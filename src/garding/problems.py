@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NotAdmissible, SubsolutionInvalid, ValidationError
 from .grid import BoxGrid, least
-from .hermitian import congruence_reduce_batch, eigvals_batch
+from .hermitian import eigvals_batch
 from .operator import MAGNITUDE_BOUND, OperatorParams, margins_batch, product_batch
 from .radial import RadialGrid, eigenvalue_rows
 
@@ -42,10 +42,9 @@ class ProblemSpec:
     """M_p(chi + i ddbar u) = psi with u = phi on the boundary of ``grid``.
 
     ``chi`` is the constant (n, n) form on a box and the scalar c of chi =
-    c * identity on a ball; ``omega`` is a box's constant metric (None: the
-    identity).  ``phi`` and ``subsolution`` have the grid's shape; ``psi``
-    and ``subsolution_M`` (M_p(subsolution), analytic) are at the interior
-    (box) or collocation (ball) nodes.
+    c * identity on a ball.  ``phi`` and ``subsolution`` have the grid's
+    shape; ``psi`` and ``subsolution_M`` (M_p(subsolution), analytic) are at
+    the interior (box) or collocation (ball) nodes.
     """
 
     params: OperatorParams
@@ -55,7 +54,6 @@ class ProblemSpec:
     phi: np.ndarray
     subsolution: np.ndarray
     subsolution_M: np.ndarray
-    omega: np.ndarray | None = None
 
     @property
     def geometry(self) -> str:
@@ -111,7 +109,6 @@ def manufactured_box(
     chi: np.ndarray,
     params: OperatorParams,
     grid: BoxGrid,
-    omega: np.ndarray | None = None,
     subsolution=None,
     psi_scale: float = 1.0,
     psi_bump_node=None,
@@ -127,19 +124,17 @@ def manufactured_box(
     if grid.n != params.n:
         raise ValidationError("n", f"grid dimension {grid.n} != operator dimension {params.n}")
     chi = _finite("chi", np.asarray(chi, dtype=np.complex128), bounded=True)
-    omega_entries = None if omega is None else np.asarray(omega, dtype=np.complex128)
 
     def values_and_eigenvalues(fn, what):
         # the rows have the broadcast shape of fn's second derivatives
         values = _finite(f"{what} values", fn.value(grid.coords()), bounded=True)
         hessian = chi + fn.complex_hessian(grid.coords(interior=True))
-        reduced, _ = congruence_reduce_batch(hessian, omega_entries)
-        return values, eigvals_batch(_finite(f"{what} chi + complex Hessian", reduced, bounded=True))
+        return values, eigvals_batch(_finite(f"{what} chi + complex Hessian", hessian, bounded=True))
 
     target, sub, psi, sub_m = _manufacture(
         values_and_eigenvalues, u_star, subsolution, params, grid, psi_scale, psi_bump_node,
         psi_bump_factor, shape=grid.interior_shape, sort_rows=False, interior_offset=1)
-    return ProblemSpec(params, grid, chi, psi, target, sub, sub_m, omega_entries)
+    return ProblemSpec(params, grid, chi, psi, target, sub, sub_m)
 
 
 def manufactured_radial(

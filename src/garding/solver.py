@@ -12,13 +12,13 @@ least a fixed fraction of the current cone margin, preserving strict
 interiority (the eigenvalue-space gradient blows up on the cone boundary).
 
 Every grid state is analyzed once.  An analysis holds the cone margins,
-the minimum-margin node and the metric trace of g, plus what its
-linearization needs.  A box analysis keeps K = A^[p], the p-th additive
-compound of the reduced matrix A of omega^-1 g, whose determinant is M_p and
-whose least eigenvalue is the margin, for every p; no eigenvectors are
-computed.  K is written from one real product of the evaluator's table
-with the difference stack of u.  A radial analysis keeps its eigenvalue
-rows unsorted.  A damping trial computes only the analysis, and the loop
+the minimum-margin node and the trace of g = chi + i ddbar u, plus what
+its linearization needs.  A box analysis keeps K = g^[p], the p-th
+additive compound of g, whose determinant is M_p and whose least
+eigenvalue is the margin, for every p; no eigenvectors are computed.  K
+is written from one real product of the evaluator's table with the
+difference stack of u.  A radial analysis keeps its eigenvalue rows
+unsorted.  A damping trial computes only the analysis, and the loop
 drops its previous state before the trials.  The accepted candidate's
 analysis is then linearized in place (ftilde, trace_F, the coefficients
 of the linearized operator, with K released) and becomes the Newton
@@ -58,7 +58,7 @@ from .grid import (
     least,
     table_field,
 )
-from .hermitian import ambient_transport_batch, congruence_reduce_batch, eigvals_batch
+from .hermitian import eigvals_batch
 from .linear import StencilOperator, assemble_linearized, real_stencil_weights, solve_sparse, upper_barrier
 from .operator import (
     determinant_form_batch,
@@ -90,9 +90,9 @@ ALPHA_MIN = 2.0**-20
 FLOOR_MULTIPLE = 4.0
 # continuation (Deuflhard, Newton Methods for Nonlinear Problems, 2004, ch. 5):
 # the first attempt is the whole interval; a failed attempt halves the step
-# and an accepted one doubles it.  No attempt is shorter than T_STEP_MIN, so
-# at most 1 / T_STEP_MIN + 1 steps are accepted, and the failed attempts
-# number at most accepted + ceil(log2(1 / T_STEP_MIN)) = accepted + 20
+# it tried and an accepted one doubles it.  No attempt is shorter than
+# T_STEP_MIN, so at most 1 / T_STEP_MIN + 1 steps are accepted, and the failed
+# attempts number at most accepted + ceil(log2(1 / T_STEP_MIN)) = accepted + 20
 T_STEP_MIN = 1e-6
 # BiCGStab's relative tolerance: 0.03 * residual / scale, clipped to this range
 LINEAR_TOL_FLOOR = 1e-12
@@ -154,7 +154,7 @@ class _Analysis:
 
     ``margins`` are the cone margins at the interior nodes, ``min_margin``
     and ``min_node`` their least value and its node (they serve the damping
-    test), and ``trace_g`` the metric trace of g per node.  The rest is what
+    test), and ``trace_g`` the trace of g per node.  The rest is what
     ``linearize`` needs:
 
     - box: ``form``, the compounds K = A^[p] whose determinant is M_p, which
@@ -207,15 +207,13 @@ class _Evaluator:
 class _BoxEvaluator(_Evaluator):
     """Analyses and Newton corrections on a box problem.  K and tr A are
     affine in the difference stack of u: an analysis reads them through
-    ``table``, with the spacings, chi and omega folded in once."""
+    ``table``, with the spacings and chi folded in once."""
 
     def __init__(self, problem: ProblemSpec):
         super().__init__(problem)
-        self.omega = problem.omega
         self.resid_scale = max(1.0, float(np.abs(self.psi_tilde).max()))
-        self.ell = None if self.omega is None else np.linalg.cholesky(self.omega)
-        self.table = hessian_table(self.grid, self.chi, lambda forms: determinant_form_batch(
-            congruence_reduce_batch(forms, self.omega)[0], self.params))
+        self.table = hessian_table(self.grid, self.chi,
+                                   lambda forms: determinant_form_batch(forms, self.params))
 
     def analyze(self, u_values: np.ndarray) -> _Analysis:
         form, (trace_g,) = table_field(self.table, u_values, self.grid, self.params.subset_count)
@@ -224,9 +222,8 @@ class _BoxEvaluator(_Evaluator):
 
     def _linearize(self, a: _Analysis) -> None:
         # K is the largest array of a state; the coefficients replace it
-        coeffs, a.trace_f, a.ft = determinant_linearization_batch(self.params, a.form)
+        a.coeffs, a.trace_f, a.ft = determinant_linearization_batch(self.params, a.form)
         a.form = None
-        a.coeffs = ambient_transport_batch(coeffs, self.ell)
 
     def correction(self, a: _Analysis, resid: np.ndarray, rnorm: float) -> np.ndarray:
         system = assemble_linearized(a.coeffs, -resid, self.grid)
@@ -418,7 +415,9 @@ def continuity_solve(problem: ProblemSpec, *, newton_tol: float | None = None,
             try:
                 u, start = attempt(t_try, u, start)
             except (ConeEscape, MaxItersExceeded, LinearSolveStalled) as exc:
-                step *= 0.5
+                # halve the step tried: min(1, t + step) may have cut it short,
+                # and a deterministic retry of the same t_try fails the same way
+                step = 0.5 * (t_try - t)
                 # only a failed attempt shrinks the step, so the floor is met here
                 if step < T_STEP_MIN:
                     raise ContinuationStalled(
@@ -519,7 +518,7 @@ def _diagnostics(problem, ev, u, final: _Analysis, attempts: tuple) -> SolveDiag
     """Diagnostics of the t = 1 iterate ``u``, read from its analysis ``final``."""
     barrier = None
     if problem.geometry == "box":
-        upper_vals = upper_barrier(problem.chi, problem.omega, problem.phi, problem.grid)
+        upper_vals = upper_barrier(problem.chi, problem.phi, problem.grid)
         barrier = _barrier_report(u, problem.subsolution, problem, final,
                                   BARRIER_TAU, BARRIER_N, BARRIER_DELTA)
     else:

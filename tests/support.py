@@ -12,7 +12,7 @@ import numpy as np
 
 from garding.analytic import Polynomial, RadialProfile
 from garding.grid import complex_hessian_field
-from garding.hermitian import ambient_transport_batch, complex_hessian_from
+from garding.hermitian import complex_hessian_from
 from garding.operator import ftilde_grad_batch, margins_batch
 from garding.specfile import FORMAT_VERSION, FunctionSpec, SpecDocument
 
@@ -212,18 +212,18 @@ def cluster_average(vals: np.ndarray, grads: np.ndarray) -> np.ndarray:
     return np.take_along_axis(sums / counts, ids, axis=-1)
 
 
-def eigen_route(params, reduced: np.ndarray, ell):
-    """(ftilde, ambient C, trace_F, margins) of reduced matrices through eigenvectors.
+def eigen_route(params, mats: np.ndarray):
+    """(ftilde, C, trace_F, margins) of Hermitian matrices through eigenvectors.
 
     The spectral form of the linearization: with A = V diag(lam) V*, the
     coefficients are V diag(grad ftilde(lam)) V*, cluster-averaged.  It
     shares no code with the compound route it is an oracle for.
     """
-    vals, vecs = np.linalg.eigh(reduced)
+    vals, vecs = np.linalg.eigh(mats)
     ft, grads = ftilde_grad_batch(vals, params)
     grads = cluster_average(vals, grads)
     coeffs = np.einsum("...ik,...k,...jk->...ij", vecs, grads, vecs.conj())
-    return ft, ambient_transport_batch(coeffs, ell), grads.sum(axis=-1), margins_batch(vals, params.p)
+    return ft, coeffs, grads.sum(axis=-1), margins_batch(vals, params.p)
 
 
 def arrow_form_value(g: np.ndarray, atol: float = 1e-12):

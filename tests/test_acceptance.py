@@ -232,7 +232,7 @@ def test_criterion_07_sandwich_and_amgm(box_solutions):
     assert diag.amgm_min_slack >= -1e-10
     # independent recomputation of the sandwich against a fresh barrier
     grid = problem.grid
-    ol = upper_barrier(problem.chi, None, problem.phi, grid)
+    ol = upper_barrier(problem.chi, problem.phi, grid)
     violation = sandwich_check(u, problem.subsolution, ol)
     assert violation <= 1e-6 + err
     report(7, f"sandwich violation {diag.sandwich_violation:.2e} <= 1e-6 + {err:.2e}; "
@@ -263,7 +263,7 @@ def test_criterion_09_anchor_and_uniqueness(box_solutions):
     assert diag.anchor_residual <= 1e-14, f"anchor residual {diag.anchor_residual!r}"
 
     grid = problem.grid
-    ol = upper_barrier(problem.chi, None, problem.phi, grid)
+    ol = upper_barrier(problem.chi, problem.phi, grid)
     gap = ol - problem.subsolution
     assert gap.min() >= -1e-12
     # 0.9 * gap * bump, with the bump profile scaled back until the start

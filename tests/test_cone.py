@@ -3,7 +3,7 @@ import pytest
 
 from garding.errors import OutsideCone
 from garding.grid import BoxGrid, complex_hessian_field, least
-from garding.hermitian import congruence_reduce_batch, eigvals_batch
+from garding.hermitian import eigvals_batch
 from garding.operator import (
     OperatorParams,
     ftilde_batch,
@@ -27,10 +27,9 @@ def in_level_set(lam, psi_tilde, params=P32):
     return margin_of(lam, params) > 0.0 and ftilde_batch(np.array([lam]), params)[0] >= psi_tilde
 
 
-def admissibility_scan(field, grid, omega, params):
+def admissibility_scan(field, grid, params):
     """(least cone margin over a matrix field, its node), as the solver scans a state."""
-    reduced, _ = congruence_reduce_batch(field, omega)
-    return least(margins_batch(eigvals_batch(reduced), params.p), grid.node_of_flat)
+    return least(margins_batch(eigvals_batch(field), params.p), grid.node_of_flat)
 
 
 class TestConeMargin:
@@ -108,7 +107,7 @@ class TestAdmissibilityScan:
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
         field = self._constant_field(grid, np.eye(2, dtype=complex))
         for p in (1, 2):
-            margin, node = admissibility_scan(field, grid, None, OperatorParams(2, p))
+            margin, node = admissibility_scan(field, grid, OperatorParams(2, p))
             assert margin == pytest.approx(float(p))
 
     def test_single_bad_node(self):
@@ -116,7 +115,7 @@ class TestAdmissibilityScan:
         # diag(-1, 1, 3) truncated to n=2 analogue: diag(-1, 1) with p=1
         field = self._constant_field(grid, np.diag([2.0, 3.0]).astype(complex))
         field[3, 4, 2, 5] = np.diag([-1.0, 1.0])
-        margin, node = admissibility_scan(field, grid, None, OperatorParams(2, 1))
+        margin, node = admissibility_scan(field, grid, OperatorParams(2, 1))
         assert margin == pytest.approx(-1.0)
         assert node == (4, 5, 3, 6)
 
@@ -125,7 +124,7 @@ class TestAdmissibilityScan:
         field = self._constant_field(grid, np.eye(3, dtype=complex))
         idx = (0, 1, 2, 3, 4, 5)
         field[idx] = np.diag([-1.0, 1.0, 3.0])
-        margin, node = admissibility_scan(field, grid, None, P32)
+        margin, node = admissibility_scan(field, grid, P32)
         assert margin == pytest.approx(0.0)
         assert node == tuple(i + 1 for i in idx)
 
@@ -136,38 +135,5 @@ class TestAdmissibilityScan:
         u = 0.5 * np.sum(pts**2, axis=-1)
         g = complex_hessian_field(u, grid)  # chi = 0
         for p in (1, 2):
-            margin, _ = admissibility_scan(g, grid, None, OperatorParams(2, p))
+            margin, _ = admissibility_scan(g, grid, OperatorParams(2, p))
             assert margin == pytest.approx(p / 2, abs=1e-12)
-
-    def test_scan_with_metric(self):
-        # omega = diag(1, 4), g = diag(3, 8): endomorphism eigenvalues (2, 3)
-        grid = BoxGrid(2, ((-1, 1),) * 4, 9)
-        field = self._constant_field(grid, np.diag([3.0, 8.0]).astype(complex))
-        omega = np.diag([1.0, 4.0])
-        margin, _ = admissibility_scan(field, grid, omega, OperatorParams(2, 1))
-        assert margin == pytest.approx(2.0, abs=1e-12)
-        margin, _ = admissibility_scan(field, grid, omega, OperatorParams(2, 2))
-        assert margin == pytest.approx(5.0, abs=1e-12)
-
-    def test_identity_metric_matches_none(self):
-        grid = BoxGrid(2, ((-1, 1),) * 4, 9)
-        rng = np.random.default_rng(12)
-        shape = grid.interior_shape + (2, 2)
-        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        field = a + np.swapaxes(a, -1, -2).conj() + 4 * np.eye(2)
-        for p in (1, 2):
-            params = OperatorParams(2, p)
-            assert admissibility_scan(field, grid, np.eye(2), params) == admissibility_scan(
-                field, grid, None, params
-            )
-
-    def test_near_identity_metric_is_reduced(self):
-        # omega within allclose's rtol of I still divides g: margin 2 / (1 + 5e-6)
-        grid = BoxGrid(2, ((-1, 1),) * 4, 9)
-        g = np.diag([2.0, 3.0]).astype(complex)
-        omega = np.diag([1.0 + 5e-6, 1.0])
-        field = self._constant_field(grid, g)
-        margin, _ = admissibility_scan(field, grid, omega, OperatorParams(2, 1))
-        reduced = eigvals_batch(congruence_reduce_batch(g[None], omega)[0])[0]
-        assert margin == pytest.approx(reduced[0], rel=1e-15, abs=0)
-        assert margin == pytest.approx(1.99999000005, rel=1e-12, abs=0)

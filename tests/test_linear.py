@@ -602,8 +602,7 @@ def count_preconditioner_applications(monkeypatch) -> list:
 
 
 class TestUpperBarrier:
-    @pytest.mark.parametrize("omega", [None, np.diag([1.0, 2.0])], ids=["identity", "diagonal"])
-    def test_constant_separable_metric_solved_by_one_application(self, monkeypatch, omega):
+    def test_identity_coefficients_solved_by_one_application(self, monkeypatch):
         # the barrier matrix is its own mean axis stencil, so the
         # preconditioner is its exact inverse
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
@@ -611,14 +610,13 @@ class TestUpperBarrier:
         phi = pts[..., 0] ** 2 - 0.5 * pts[..., 3] + 0.3 * pts[..., 1] * pts[..., 2]
         chi = np.array([[1.0, 0.2j], [-0.2j, 0.5]])
         counts = count_preconditioner_applications(monkeypatch)
-        out = upper_barrier(chi, omega, phi, grid)
+        out = upper_barrier(chi, phi, grid)
         assert counts == [1]
 
-        omega_inv = np.eye(2) if omega is None else np.linalg.inv(omega)
-        coeffs = constant_coefficient_field(grid, omega_inv.astype(complex))
+        coeffs = constant_coefficient_field(grid, np.eye(2, dtype=complex))
         mask = grid.boundary_mask()
         phi_ext = np.where(mask, phi, 0.0)
-        rhs = -np.trace(omega_inv @ chi).real - hessian_operator_apply(coeffs, phi_ext, grid)
+        rhs = -np.trace(chi).real - hessian_operator_apply(coeffs, phi_ext, grid)
         system = assemble_linearized(coeffs, rhs, grid)
         expected = spla.spsolve(materialize(system.matrix), system.rhs)
         assert np.abs(interior(out).reshape(-1) - expected).max() < 1e-10
@@ -627,13 +625,13 @@ class TestUpperBarrier:
     def test_zero_data_gives_zero(self):
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
         phi = np.zeros(grid.shape)
-        out = upper_barrier(np.zeros((2, 2)), None, phi, grid)
+        out = upper_barrier(np.zeros((2, 2)), phi, grid)
         assert np.abs(out).max() < 1e-12
 
     def test_harmonic_linear_function_exact(self):
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
         x1 = stack_coords(grid.coords())[..., 0]
-        out = upper_barrier(np.zeros((2, 2)), None, x1, grid)
+        out = upper_barrier(np.zeros((2, 2)), x1, grid)
         assert np.abs(out - x1).max() < 1e-10
 
     def test_identity_chi_matches_series_oracle(self):
@@ -642,17 +640,9 @@ class TestUpperBarrier:
         grid = BoxGrid(1, ((0, 1), (0, 1)), 65)
         pts = stack_coords(grid.coords())
         phi_vals = pts[..., 0] ** 2 - pts[..., 1] ** 2  # harmonic
-        out = upper_barrier(np.eye(1), None, phi_vals, grid)
+        out = upper_barrier(np.eye(1), phi_vals, grid)
         expected_center = 4.0 * membrane_center_value() + 0.0
         assert out[32, 32] == pytest.approx(expected_center, abs=1e-4)
-
-    def test_conformal_metric_invariance(self):
-        # tr_omega(chi + H) = 0 is invariant under constant rescaling of omega
-        grid = BoxGrid(1, ((0, 1), (0, 1)), 33)
-        phi = np.zeros(grid.shape)
-        out = upper_barrier(np.eye(1), 2 * np.eye(1), phi, grid)
-        ref = upper_barrier(np.eye(1), None, phi, grid)
-        assert np.abs(out - ref).max() < 1e-10
 
 
 def test_spla_binding_is_loaded_on_demand():

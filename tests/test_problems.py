@@ -47,12 +47,6 @@ def box_builds(draw, dims):
                    for lo in draw(st.lists(st.floats(-1.5, -0.125, width=32),
                                            min_size=2 * n, max_size=2 * n)))
     chi = np.diag(draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=n, max_size=n)))
-    omega = None
-    if draw(st.booleans()):  # a general Hermitian metric
-        a = np.array(draw(st.lists(st.floats(-1.0, 1.0, width=32), min_size=2 * n * n,
-                                   max_size=2 * n * n))).reshape(2, n, n)
-        z = a[0] + 1j * a[1]
-        omega = z @ z.conj().T + np.eye(n)
     kwargs = {"psi_scale": draw(st.sampled_from([1.0, 0.85]))}
     if draw(st.booleans()):
         kwargs["psi_bump_node"] = tuple(draw(st.lists(st.integers(1, res - 2), min_size=2 * n,
@@ -61,14 +55,13 @@ def box_builds(draw, dims):
     target = draw(polynomials(n))
     sub = draw(st.one_of(st.none(), polynomials(n)))
     return (target, sub, chi.astype(complex), OperatorParams(n, p),
-            BoxGrid(n, extent, res), omega, kwargs)
+            BoxGrid(n, extent, res), kwargs)
 
 
-def build(target, sub, chi, params, grid, omega, kwargs):
+def build(target, sub, chi, params, grid, kwargs):
     """The built box fields, or the class, message and node of the refusal."""
     try:
-        box = manufactured_box(target, chi, params, grid, omega=omega, subsolution=sub,
-                               **kwargs)
+        box = manufactured_box(target, chi, params, grid, subsolution=sub, **kwargs)
     except (NotAdmissible, ValidationError) as exc:
         return type(exc), str(exc), getattr(exc, "node", None)
     assert box.psi.flags.writeable and not box.phi.flags.writeable
@@ -94,7 +87,7 @@ def check_against_the_stacked_points_build(case):
 # order, (7, 1), not the node of the least row, (1, 7)
 X_CUBED = (poly_add(norm_squared(1), Polynomial(2, {(3, 0): -0.5})), None,
            np.zeros((1, 1), complex), OperatorParams(1, 1), BoxGrid(1, ((0, 2), (-1, 1)), 9),
-           None, {})
+           {})
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)

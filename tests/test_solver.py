@@ -20,7 +20,7 @@ from garding.errors import (
     ValidationError,
 )
 from garding.grid import BoxGrid
-from garding.hermitian import complex_hessian_from, congruence_reduce_batch
+from garding.hermitian import complex_hessian_from
 from garding.linear import assemble_linearized, solve_sparse
 from garding.operator import OperatorParams, determinant_form_batch
 from garding.problems import ProblemSpec, manufactured_box, manufactured_radial, verify_subsolution
@@ -290,37 +290,6 @@ class TestBoxSolve:
         direct = solve_sparse(system, tol=1e-13) + phi_ext
         assert np.abs(u - direct).max() <= 1e-8
 
-    def test_general_metric_solve(self):
-        # anisotropic constant metric: the congruence reduction and the
-        # ambient-frame coefficient transport run in the field hot path
-        grid = BoxGrid(2, ((-1, 1),) * 4, 9)
-        omega = np.diag([1.0, 2.0])
-        problem = manufactured_box(
-            grid_target(), 0.25 * np.eye(2), OperatorParams(2, 1), grid, omega=omega
-        )
-        u, diag = continuity_solve(problem)
-        assert diag.final_residual <= 1e-8
-        err = np.abs(u - problem.phi).max()
-        assert err <= 5e-3
-        assert all(a.min_margin > 0 for a in accepted(diag.attempts))
-        assert diag.amgm_min_slack >= -1e-10
-
-    def test_general_metric_marching_solve(self, monkeypatch):
-        # a distinct subsolution and a budget of two corrections force an
-        # actual homotopy under the metric
-        grid = BoxGrid(2, ((-1, 1),) * 4, 9)
-        omega = np.diag([1.0, 2.0])
-        problem = manufactured_box(
-            grid_target(), 0.25 * np.eye(2), OperatorParams(2, 1), grid,
-            omega=omega, psi_scale=0.85,
-        )
-        monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 2)
-        u, diag = continuity_solve(problem)
-        assert diag.final_residual <= 1e-8
-        assert len(accepted(diag.attempts)) >= 3
-        assert len(accepted(diag.attempts)) < len(diag.attempts)
-        assert (u - problem.subsolution).min() >= -1e-9
-
     def test_cone_escape_on_bad_initializer(self):
         problem = box_problem(res=9)
         bad = -2.0 * norm_squared(2).value(problem.grid.coords())
@@ -345,6 +314,25 @@ SCHEDULE_PROBLEM = radial_problem(points=41)
 OUTCOME_RUNS = st.lists(st.tuples(st.booleans(), st.integers(1, 25)), max_size=12)
 
 
+def replayed_schedule(outcomes) -> tuple:
+    """(every t tried, whether t = 1 is reached) under the step rule of
+    ``continuity_solve`` on the drawn outcomes: the whole interval first, a
+    failed attempt halves the step it tried, an accepted one doubles it, and
+    a step below T_STEP_MIN stalls.  Attempts past the outcomes are accepted."""
+    outcomes = list(outcomes)
+    tries, t, step = [0.0], 0.0, 1.0
+    while t < 1.0:
+        t_try = min(1.0, t + step)
+        tries.append(t_try)
+        if outcomes and not outcomes.pop(0):
+            step = 0.5 * (t_try - t)
+            if step < solver.T_STEP_MIN:
+                return tries, False
+            continue
+        t, step = t_try, 2.0 * step
+    return tries, True
+
+
 class TestContinuationSchedule:
     """The step rule alone: each attempt's outcome is drawn, not solved."""
 
@@ -352,6 +340,7 @@ class TestContinuationSchedule:
     @given(OUTCOME_RUNS)
     def test_every_schedule_ends_within_the_bound(self, runs):
         outcomes = [accept for accept, length in runs for _ in range(length)]
+        schedule, ends = replayed_schedule(outcomes)
         tries, reached, drawn = [], [], []
 
         def drawn_loop(ev, t, u, start, tol):
@@ -382,15 +371,18 @@ class TestContinuationSchedule:
         floor_halvings = math.ceil(math.log2(1.0 / solver.T_STEP_MIN))
         assert failed <= accepted + floor_halvings
         assert accepted <= 1.0 / solver.T_STEP_MIN + 1
-        if diag is None:
-            assert failed == accepted + floor_halvings  # stalled at the floor
-        else:
+        assert tries == schedule
+        assert (diag is not None) == ends
+        if diag is not None:
             assert reached[-1] == 1.0
         # one row per attempt, in order, failed where the outcome was drawn so
         assert [a.t for a in rows] == tries
         assert [a.failure is None for a in rows] == drawn
         assert all(a.failure == "MaxItersExceeded: drawn failure" and a.residuals == ()
                    for a in rows if a.failure is not None)
+        # a failed attempt is never repeated: the next one starts from the
+        # same accepted state, so it must try another t
+        assert all(a.t != b.t for a, b in zip(rows, rows[1:]) if a.failure is not None)
 
 
 class TestOneAnalysisPerState:
@@ -622,11 +614,10 @@ class TestSettingsAreChecked:
 
 
 class TestPlaneBackedStates:
-    @pytest.mark.parametrize("p, omega", [(1, None), (2, None), (1, np.diag([1.0, 2.0]))])
-    def test_analysis_and_coefficients_are_plane_backed(self, p, omega):
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_analysis_and_coefficients_are_plane_backed(self, p):
         grid = BoxGrid(2, ((-1, 1),) * 4, 9)
-        problem = manufactured_box(grid_target(), 0.25 * np.eye(2), OperatorParams(2, p), grid,
-                                   omega=omega)
+        problem = manufactured_box(grid_target(), 0.25 * np.eye(2), OperatorParams(2, p), grid)
         ev = _BoxEvaluator(problem)
         a = ev.analyze(problem.subsolution)
         assert plane_backed(a.form)
@@ -635,42 +626,34 @@ class TestPlaneBackedStates:
 
 
 @st.composite
-def table_cases(draw, n: int, metric: bool):
+def table_cases(draw, n: int):
     """A resolution-9 box in C^n with unequal extents, a random Hermitian
-    chi, a random HPD omega (None without ``metric``) and random values u."""
+    chi and random values u."""
     extent = tuple((lo, lo + draw(st.floats(0.25, 3.0)))
                    for lo in draw(st.lists(st.floats(-2.0, 0.0), min_size=2 * n, max_size=2 * n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     chi = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     chi = chi + chi.conj().T
-    omega = None
-    if metric:
-        base = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        omega = base @ base.conj().T + n * np.eye(n)
     grid = BoxGrid(n, extent, 9)
-    return grid, chi, omega, draw(st.sampled_from([1.0, 1e-3, 1e3])) * rng.standard_normal(grid.shape)
+    return grid, chi, draw(st.sampled_from([1.0, 1e-3, 1e3])) * rng.standard_normal(grid.shape)
 
 
 class TestTableKernel:
-    @pytest.mark.parametrize("metric", [False, True], ids=["identity", "omega"])
     @pytest.mark.parametrize("n, p", [(n, p) for n in (1, 2, 3) for p in range(1, n + 1)])
     @settings(max_examples=3, deadline=None, database=None, derandomize=True)
     @given(data=st.data())
-    def test_table_matches_the_hessian_reduction_and_compound(self, n, p, metric, data):
+    def test_table_matches_the_hessian_and_compound(self, n, p, data):
         # K and tr A from the evaluator's one table product against the
-        # complex Hessian of strided second differences, plus chi, reduced
-        # by omega and taken through the compound; they differ by rounding
-        grid, chi, omega, u = data.draw(table_cases(n, metric))
+        # complex Hessian of strided second differences, plus chi, taken
+        # through the compound; they differ by rounding
+        grid, chi, u = data.draw(table_cases(n))
         params, inner = OperatorParams(n, p), np.ones(grid.interior_shape)
-        a = _BoxEvaluator(ProblemSpec(params, grid, chi, inner, u, u, inner, omega)).analyze(u)
+        a = _BoxEvaluator(ProblemSpec(params, grid, chi, inner, u, u, inner)).analyze(u)
         hess = complex_hessian_from(lambda i, j: second_difference(u, i, j, grid.spacing),
                                     n, grid.interior_shape)
-        form, trace = determinant_form_batch(congruence_reduce_batch(hess + chi, omega)[0], params)
-        # omega^-1 scales the reduced entries by at most |L^-1|^2
-        scale = 1.0 if omega is None else np.linalg.norm(np.linalg.inv(np.linalg.cholesky(omega)),
-                                                         2) ** 2
-        eps_scale = np.finfo(float).eps * scale * (np.abs(u).max() / min(grid.spacing) ** 2
-                                                   + np.abs(chi).max())
+        form, trace = determinant_form_batch(hess + chi, params)
+        eps_scale = np.finfo(float).eps * (np.abs(u).max() / min(grid.spacing) ** 2
+                                           + np.abs(chi).max())
         assert a.form.shape == form.shape and plane_backed(a.form)
         assert np.abs(a.form - form).max() <= 8 * n * eps_scale
         assert np.abs(a.trace_g - trace).max() <= 8 * n * eps_scale

@@ -28,12 +28,14 @@ ROOT = Path(__file__).resolve().parent.parent
 # spec text appended to bench/specs/box-n2-p1-r9.spec: starts other than
 # the subsolution (at coeff 0.5 the mean axis stencil's weights are uneven
 # across rows; at -1 the start is outside the cone and the solve exits 3), a
-# subsolution above psi but off phi on the boundary, and a nonzero chi
+# subsolution above psi but off phi on the boundary, a nonzero chi, and a
+# near-degenerate psi whose solve rejects homotopy steps
 INIT = "[init]\nbuiltin = quadratic\ncoeff = 0.8\n"
 UNEVEN_INIT = "[init]\nbuiltin = quadratic\ncoeff = 0.5\n"
 OUTSIDE_INIT = "[init]\nbuiltin = quadratic\ncoeff = -1\n"
 OFF_BOUNDARY = "[subsolution]\nbuiltin = quadratic\ncoeff = 5\n"
 CHI = "[chi]\ndiag = 0.5, 0.25\n"
+BUMP = "[psi]\nscale = 1e-8\nbump_node = 3, 3, 3, 3\nbump_factor = 1e-8\n"
 RUNS = (  # (mode, spec, appended spec text)
     ("solve", "specs/box-n2-p1.spec"),
     ("solve", "specs/radial-n3-p2.spec"),
@@ -52,6 +54,7 @@ RUNS = (  # (mode, spec, appended spec text)
     ("solve", "bench/specs/box-n2-p1-r9.spec", CHI),
     ("verify-subsolution", "bench/specs/box-n2-p1-r9.spec", OFF_BOUNDARY),
     ("refine-sweep", "bench/specs/box-n2-p1-r9.spec", "[sweep]\nresolutions = 9, 11\n"),
+    ("solve", "bench/specs/box-n2-p1-r9.spec", BUMP),
 )
 FILES = ("report.txt", "fields.csv")
 
